@@ -10,54 +10,22 @@ import math
 import os
 import sys
 
-from .analysis import (
-    ciod_gain_closed_form,
-    coding_gain,
-    ostbc_gain_closed_form,
-    pep_upper_bound,
-    qostbc_gain_closed_form,
-)
+from .analysis import coding_gain, pep_upper_bound
 from .config import ConfigError, load_config
+from .kinds import REGISTRY, build_code
 
 __all__ = ["main", "cli"]
 
-_ENUMERABLE_KINDS = ("single", "ac", "ostbc", "qostbc", "ciod")
 
-
-def _codebook(kind, rate):
-    """Full codebook of one enumerable kind at bit rate ``rate``."""
-    import numpy as np
-
-    from . import codes
-    from .constellations import make_psk
-
-    if kind == "single":
-        psk = make_psk(2**rate)
-        return [p.reshape(1, 1) for p in psk.points]
-    if kind == "ac":
-        psk = make_psk(2**rate)
-        return [
-            codes.ac_matrix(a, b) for a in psk.points for b in psk.points
-        ]
-    nbits = 4 * rate
-    encode = {
-        "ostbc": codes.encode_ostbc,
-        "qostbc": codes.encode_qostbc,
-        "ciod": codes.encode_ciod,
-    }[kind]
-    book = []
-    for word in range(2**nbits):
-        bits = np.array([(word >> (nbits - 1 - k)) & 1 for k in range(nbits)])
-        book.append(encode(bits, rate).matrix)
-    return book
-
-
-def _require_enumerable(kind):
-    if kind not in _ENUMERABLE_KINDS:
+def _enumerable_spec(kind):
+    spec = REGISTRY.get(kind)
+    if spec is None or not spec.enumerable:
+        names = ", ".join(k for k, s in REGISTRY.items() if s.enumerable)
         raise ConfigError(
             f"code: {kind!r} has no enumerable codebook at practical sizes; "
-            f"choose one of {', '.join(_ENUMERABLE_KINDS)}"
+            f"choose one of {names}"
         )
+    return spec
 
 
 def _cmd_validate(args):
@@ -111,17 +79,9 @@ def _cmd_angle_sweep(args):
 
 
 def _cmd_coding_gain(args):
-    _require_enumerable(args.code)
-    gain = coding_gain(_codebook(args.code, args.rate))
-    closed = None
-    if args.code == "qostbc":
-        closed = qostbc_gain_closed_form(2**args.rate)
-    elif args.code == "ciod":
-        from .codes import ciod_constellation
-
-        closed = ciod_gain_closed_form(ciod_constellation(args.rate).scale)
-    elif args.code == "ostbc":
-        closed = ostbc_gain_closed_form(args.rate)
+    spec = _enumerable_spec(args.code)
+    gain = coding_gain(build_code(args.code, args.rate).codebook()[1])
+    closed = spec.closed_form_gain(args.rate) if spec.closed_form_gain else None
     print(f"{gain:.12g}")
     if closed is not None and not math.isclose(gain, closed, rel_tol=1e-9, abs_tol=1e-9):
         print(
@@ -133,10 +93,10 @@ def _cmd_coding_gain(args):
 
 
 def _cmd_pep_bound(args):
-    _require_enumerable(args.code)
-    n_ports = {"single": 1, "ac": 2}.get(args.code, 4)
+    _enumerable_spec(args.code)
+    code = build_code(args.code, args.rate)
     sigma_n2 = 10.0 ** (-args.snr_db / 10.0)
-    bound = pep_upper_bound(_codebook(args.code, args.rate), n_ports, sigma_n2, args.k)
+    bound = pep_upper_bound(code.codebook()[1], code.n_ports, sigma_n2, args.k)
     print(f"{bound:.12g}")
     return 0
 

@@ -5,7 +5,9 @@ matrices are written time x ports in their defining index formulas and are
 transposed on construction.
 
 Matrix builders accept scalars or arrays with a leading batch axis, so the
-Monte Carlo engine can encode thousands of payloads in one call.
+batched encoders of the code registry (``omnistbc.kinds``) map thousands of
+payloads in one call.  The bit-driven scalar encoders are that batched
+encoder applied to a batch of one.
 """
 
 from dataclasses import dataclass
@@ -41,7 +43,6 @@ __all__ = [
     "NzeTables",
     "nze_tc_tables",
     "nze_oac_tables",
-    "nze_symbol_rate",
 ]
 
 
@@ -150,23 +151,24 @@ def ostbc_constellations(rate):
     return make_pam(2 ** (2 * rate - 2)), make_psk(4)
 
 
+def _encode_payload(kind, bits, rate):
+    """One payload through the registry's batched encoder."""
+    from .kinds import build_code  # the registry imports this module
+
+    code = build_code(kind, rate)
+    bits = np.asarray(bits)
+    if bits.size != code.nbits:
+        raise ValueError(f"expected {code.nbits} bits, got {bits.size}")
+    return Codeword(kind, code.encode(bits.reshape(1, -1))[0], payload_bits=bits)
+
+
 def encode_ostbc(bits, rate):
     """Orthogonal design carrying 4*rate bits over four slots.
 
     2*rate-1 bits go to x1 in PAM, 2*rate-1 bits to x2 in j*PAM, and the
     remaining 2 bits pick the QPSK phase of x3 = |x1+x2| * x3'.
     """
-    rate = int(rate)
-    bits = np.asarray(bits)
-    if bits.size != 4 * rate:
-        raise ValueError(f"expected {4 * rate} bits, got {bits.size}")
-    pam, qpsk = ostbc_constellations(rate)
-    k = 2 * rate - 1
-    x1 = pam.encode(bits[:k])
-    x2 = 1j * pam.encode(bits[k : 2 * k])
-    x3p = qpsk.encode(bits[2 * k :])
-    x3 = abs(x1 + x2) * x3p
-    return Codeword("ostbc", ostbc_matrix(x1, x2, x3), payload_bits=bits)
+    return _encode_payload("ostbc", bits, rate)
 
 
 def qostbc_constellations(rate):
@@ -190,16 +192,7 @@ def _rotate_constellation(c, theta):
 
 def encode_qostbc(bits, rate):
     """TBH quasi-orthogonal codeword carrying 4*rate bits over four slots."""
-    rate = int(rate)
-    bits = np.asarray(bits)
-    if bits.size != 4 * rate:
-        raise ValueError(f"expected {4 * rate} bits, got {bits.size}")
-    psk, rotated = qostbc_constellations(rate)
-    x1 = psk.encode(bits[:rate])
-    x2 = psk.encode(bits[rate : 2 * rate])
-    x3 = rotated.encode(bits[2 * rate : 3 * rate])
-    x4 = rotated.encode(bits[3 * rate :])
-    return Codeword("qostbc", qostbc_matrix(x1, x2, x3, x4), payload_bits=bits)
+    return _encode_payload("qostbc", bits, rate)
 
 
 def ciod_constellation(rate):
@@ -212,15 +205,7 @@ def ciod_constellation(rate):
 
 def encode_ciod(bits, rate):
     """Coordinate-interleaved codeword: s1 and s2 each carry 2*rate bits."""
-    rate = int(rate)
-    bits = np.asarray(bits)
-    if bits.size != 4 * rate:
-        raise ValueError(f"expected {4 * rate} bits, got {bits.size}")
-    qam = ciod_constellation(rate)
-    s1 = qam.encode(bits[: 2 * rate])
-    s2 = qam.encode(bits[2 * rate :])
-    x1, x2, x3, x4 = ciod_interleave(s1, s2)
-    return Codeword("ciod", ciod_matrix(x1, x2, x3, x4), payload_bits=bits)
+    return _encode_payload("ciod", bits, rate)
 
 
 def encode_toeplitz(x, n_sym, n_ports):
@@ -365,9 +350,3 @@ def encode_nze_oac(x, n_sym, n_ports, bits=None):
     tables = nze_oac_tables(n_sym, n_ports)
     return Codeword("nze_oac", tables.build(x), payload_bits=bits)
 
-
-def nze_symbol_rate(kind, n_sym, n_ports):
-    """Symbols per slot: L/(L+N-1), except L/(L+N-2) for even-port OAC."""
-    if kind == "nze_tc" or n_ports % 2 == 1:
-        return n_sym / (n_sym + n_ports - 1)
-    return n_sym / (n_sym + n_ports - 2)

@@ -9,10 +9,11 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
+from .kinds import REGISTRY
+
 __all__ = ["SimConfig", "ConfigError", "parse_config", "load_config", "CODE_KINDS"]
 
-CODE_KINDS = ("single", "ac", "ostbc", "qostbc", "ciod", "nze_tc", "nze_oac")
-FOUR_PORT_KINDS = ("ostbc", "qostbc", "ciod")
+CODE_KINDS = tuple(REGISTRY)
 
 
 class ConfigError(ValueError):
@@ -30,7 +31,6 @@ class SimConfig:
     sigma_deg: float = 5.0
     snr_db: tuple = ()
     theta0_deg_list: tuple = ()
-    k_users: int = 1
     max_trials: int = 1_000_000
     min_bit_errors: int = 200
     master_seed: int = 1
@@ -40,47 +40,40 @@ class SimConfig:
     precoder_override: str = "zc"
 
     def n_ports(self):
-        if self.code == "single":
-            return 1
-        if self.code == "ac":
-            return 2
-        if self.code in FOUR_PORT_KINDS:
-            return 4
-        return self.nze_n
+        return REGISTRY[self.code].ports(self.nze_n)
 
     def validate(self):
-        if self.code not in CODE_KINDS:
+        spec = REGISTRY.get(self.code)
+        if spec is None:
             raise ConfigError(f"code: unknown kind {self.code!r}")
         if self.rate < 1:
             raise ConfigError(f"rate: must be a positive integer, got {self.rate}")
-        if self.code in ("nze_tc", "nze_oac"):
-            if self.nze_l < 1 or self.nze_n < 1:
-                raise ConfigError("nze.l, nze.n: required for Toeplitz-family codes")
-            if self.code == "nze_tc" and self.nze_l < self.nze_n:
-                raise ConfigError("nze.l: must be at least nze.n")
-            if self.code == "nze_oac":
-                if self.nze_l % 2 != 0:
-                    raise ConfigError("nze.l: must be even for the overlapped code")
-                floor = self.nze_n - 1 if self.nze_n % 2 == 1 else self.nze_n
-                if self.nze_l < floor:
-                    raise ConfigError(f"nze.l: must be at least {floor}")
+        problem = spec.rules(self.nze_l, self.nze_n)
+        if problem:
+            raise ConfigError(problem)
         n = self.n_ports()
         if self.m % (n * n) != 0:
             raise ConfigError(f"m: {self.m} is not a multiple of N^2 = {n * n}")
         if not 1 <= self.gamma < self.m or math.gcd(self.gamma, self.m) != 1:
             raise ConfigError(f"gamma: {self.gamma} is not a valid ZC root for m = {self.m}")
-        if self.spacing_ratio <= 0:
+        if not self.spacing_ratio > 0:
             raise ConfigError("spacing_ratio: must be positive")
-        if self.sigma_deg <= 0:
+        if not self.sigma_deg > 0:
             raise ConfigError("pas.sigma_deg: must be positive")
+        if not -90.0 <= self.theta0_deg <= 90.0:
+            raise ConfigError(f"pas.theta0_deg: {self.theta0_deg} outside [-90, 90] degrees")
+        for snr in self.snr_db:
+            if not math.isfinite(snr):
+                raise ConfigError(f"snr_db: {snr} is not a finite number")
+        for theta in self.theta0_deg_list:
+            if not -60.0 - 1e-9 <= theta <= 60.0 + 1e-9:
+                raise ConfigError(f"theta0_deg_list: {theta} outside [-60, 60] degrees")
         if self.max_trials < 1:
             raise ConfigError("max_trials: must be at least 1")
-        if self.min_bit_errors < 0:
-            raise ConfigError("min_bit_errors: must be nonnegative")
+        if self.min_bit_errors < 1:
+            raise ConfigError("min_bit_errors: must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers: must be at least 1")
-        if self.k_users < 1:
-            raise ConfigError("k: must be at least 1")
         if self.precoder_override not in ("zc", "prbs"):
             raise ConfigError(
                 f"precoder_override: expected zc or prbs, got {self.precoder_override!r}"
@@ -102,7 +95,6 @@ _KEY_MAP = {
     "pas.sigma_deg": ("sigma_deg", float),
     "snr_db": ("snr_db", "float_list"),
     "theta0_deg_list": ("theta0_deg_list", "float_list"),
-    "k": ("k_users", int),
     "max_trials": ("max_trials", int),
     "min_bit_errors": ("min_bit_errors", int),
     "master_seed": ("master_seed", int),
@@ -113,14 +105,14 @@ _KEY_MAP = {
 }
 
 
-def _convert(key, kind, raw):
+def _convert(key, parse, raw):
     try:
-        if kind == "float_list":
+        if parse == "float_list":
             items = [s for s in (p.strip() for p in raw.split(",")) if s]
             if not items:
                 raise ValueError("empty list")
             return tuple(float(s) for s in items)
-        return kind(raw)
+        return parse(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse value {raw!r} ({exc})") from None
 
@@ -140,8 +132,8 @@ def parse_config(text, **overrides):
             raise ConfigError(f"{key}: unknown configuration key")
         if key in values:
             raise ConfigError(f"{key}: duplicate key")
-        field_name, kind = _KEY_MAP[key]
-        values[field_name] = _convert(key, kind, raw.strip())
+        field_name, parse = _KEY_MAP[key]
+        values[field_name] = _convert(key, parse, raw.strip())
     cfg = SimConfig(**values)
     if overrides:
         cfg = replace(cfg, **overrides)

@@ -17,29 +17,11 @@ import numpy as np
 
 from .analysis import BerPoint
 from .channel import covariance_factor, covariance_for
-from .codes import (
-    ac_matrix,
-    ciod_constellation,
-    ciod_interleave,
-    ciod_matrix,
-    nze_oac_tables,
-    nze_tc_tables,
-    ostbc_constellations,
-    ostbc_matrix,
-    qostbc_constellations,
-    qostbc_matrix,
-)
+# Unused here; kept importable because perfbench/spans.py traces them by these names.
+from .codes import ac_matrix, ciod_matrix, ostbc_matrix, qostbc_matrix  # noqa: F401
 from .config import ConfigError
-from .constellations import make_psk
+from .kinds import Code, build_code
 from .precoding import precoder_for_code, prbs_phase_vector
-from .receivers import (
-    AcDecoder,
-    CiodDecoder,
-    NzeZfDecoder,
-    OstbcDecoder,
-    QostbcDecoder,
-    SingleDecoder,
-)
 
 __all__ = [
     "TrialOutcome",
@@ -72,114 +54,11 @@ def _quantize(value):
     return (0x7F800000 if value > 0 else 0xFF800000) & _U64
 
 
-def _group_bits_to_symbols(bits, width, index_table, points):
-    """(B, k*width) bit matrix -> (B, k) symbols via Gray lookup."""
-    b, total = bits.shape
-    words = bits.reshape(b, total // width, width)
-    weights = 1 << np.arange(width - 1, -1, -1)
-    return points[index_table[words @ weights]]
-
-
-def _const_tables(constellation):
-    return constellation.bit_width, constellation.index_table(), constellation.points
-
-
-class _CodeRuntime:
-    """Vectorized encode/decode pair for one configured code."""
-
-    def __init__(self, cfg):
-        kind, rate = cfg.code, cfg.rate
-        self.kind = kind
-        self.rate = rate
-        if kind == "single":
-            psk = make_psk(2**rate)
-            self.decoder = SingleDecoder(psk)
-            self._tables = [_const_tables(psk)]
-            self.n_ports, self.n_slots = 1, 1
-            self.nbits = rate
-        elif kind == "ac":
-            psk = make_psk(2**rate)
-            self.decoder = AcDecoder(psk)
-            self._tables = [_const_tables(psk)] * 2
-            self.n_ports, self.n_slots = 2, 2
-            self.nbits = 2 * rate
-        elif kind == "ostbc":
-            self.decoder = OstbcDecoder(rate)
-            pam, qpsk = ostbc_constellations(rate)
-            self._tables = [_const_tables(pam)] * 2 + [_const_tables(qpsk)]
-            self.n_ports, self.n_slots = 4, 4
-            self.nbits = 4 * rate
-        elif kind == "qostbc":
-            self.decoder = QostbcDecoder(rate)
-            psk, rot = qostbc_constellations(rate)
-            self._tables = [_const_tables(psk)] * 2 + [_const_tables(rot)] * 2
-            self.n_ports, self.n_slots = 4, 4
-            self.nbits = 4 * rate
-        elif kind == "ciod":
-            self.decoder = CiodDecoder(rate)
-            self._tables = [_const_tables(ciod_constellation(rate))] * 2
-            self.n_ports, self.n_slots = 4, 4
-            self.nbits = 4 * rate
-        elif kind in ("nze_tc", "nze_oac"):
-            maker = nze_tc_tables if kind == "nze_tc" else nze_oac_tables
-            self.nze = maker(cfg.nze_l, cfg.nze_n)
-            psk = make_psk(2**rate)
-            self.decoder = NzeZfDecoder(self.nze, psk)
-            self._tables = [_const_tables(psk)]
-            self.n_ports, self.n_slots = self.nze.n_ports, self.nze.n_slots
-            self.nbits = cfg.nze_l * rate
-        else:
-            raise ConfigError(f"code: unknown kind {kind!r}")
-
-    @property
-    def rate_bps(self):
-        return self.nbits / self.n_slots
-
-    def _symbols(self, bits):
-        """Split the payload into per-symbol groups and map each."""
-        out = []
-        start = 0
-        for width, table, points in self._tables:
-            out.append(
-                _group_bits_to_symbols(bits[:, start : start + width], width, table, points)[:, 0]
-            )
-            start += width
-        return out
-
-    def encode_batch(self, bits):
-        kind = self.kind
-        if kind == "single":
-            width, table, points = self._tables[0]
-            sym = _group_bits_to_symbols(bits, width, table, points)
-            return sym[:, :, None]
-        if kind == "ac":
-            x1, x2 = self._symbols(bits)
-            return ac_matrix(x1, x2)
-        if kind == "ostbc":
-            x1, x2, x3p = self._symbols(bits)
-            x2 = 1j * x2
-            return ostbc_matrix(x1, x2, np.abs(x1 + x2) * x3p)
-        if kind == "qostbc":
-            return qostbc_matrix(*self._symbols(bits))
-        if kind == "ciod":
-            s1, s2 = self._symbols(bits)
-            return ciod_matrix(*ciod_interleave(s1, s2))
-        width, table, points = self._tables[0]
-        sym = _group_bits_to_symbols(bits, width, table, points)
-        return self.nze.build(sym)
-
-    def decode_batch(self, y, g):
-        out = self.decoder.decode_batch(y, g)
-        bits = out[0]
-        aborted = out[-1] if self.kind in ("nze_tc", "nze_oac") else None
-        return bits, aborted
-
-
 @dataclass
 class _PointSetup:
     w_matrix: np.ndarray
     chan_factor: np.ndarray
-    code: _CodeRuntime
+    code: Code
 
 
 _SETUP_CACHE = {}
@@ -192,7 +71,7 @@ def _setup_for(cfg, theta0_deg):
         phase = None
         if cfg.precoder_override == "prbs":
             phase = prbs_phase_vector(cfg.m, (cfg.master_seed & _U64, _PRBS_TAG))
-        code = _CodeRuntime(cfg)
+        code = build_code(cfg.code, cfg.rate, cfg.nze_l, cfg.nze_n)
         prec = precoder_for_code(
             cfg.code, cfg.m, cfg.gamma, n_ports=code.n_ports, phase_vector=phase
         )
@@ -229,13 +108,13 @@ def _run_batch(cfg, setup, snr_db, theta0_deg, t_lo, t_hi):
 
     h = (z_ch[:, :m_len] + 1j * z_ch[:, m_len:]) / np.sqrt(2.0) @ setup.chan_factor.T
     g_row = np.conjugate(h) @ setup.w_matrix  # entries of h^H W
-    x = code.encode_batch(bits)
+    x = code.encode(bits)
     y = np.einsum("bn,bnt->bt", g_row, x)
     sigma_n2 = 10.0 ** (-snr_db / 10.0)
     if sigma_n2 > 0:
         y = y + (z_n[:, :t_len] + 1j * z_n[:, t_len:]) * np.sqrt(sigma_n2 / 2.0)
 
-    bits_hat, aborted = code.decode_batch(y, g_row)
+    bits_hat, aborted = code.decoder.decode_bits(y, g_row)
     if aborted is None:
         aborted = np.zeros(n_trials, dtype=bool)
     ok = ~aborted
@@ -329,9 +208,8 @@ def run_angle_sweep(cfg, snr_db):
     cfg.validate()
     if not cfg.theta0_deg_list:
         raise ConfigError("theta0_deg_list: list must be nonempty for an angle sweep")
-    for theta in cfg.theta0_deg_list:
-        if not -60.0 - 1e-9 <= theta <= 60.0 + 1e-9:
-            raise ConfigError(f"theta0_deg_list: {theta} outside [-60, 60] degrees")
+    if not math.isfinite(snr_db):
+        raise ConfigError(f"snr_db: {snr_db} is not a finite number")
     points = _with_pool(
         cfg,
         lambda pool: [

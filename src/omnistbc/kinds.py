@@ -1,0 +1,236 @@
+"""The code registry: one CodeSpec per space-time block code kind.
+
+Every fact that differs between the kinds lives here: the port count, the
+preset unitary V in W = diag(c) (1 kron V), the kind's own config rules,
+whether its codebook is small enough to enumerate, its closed-form coding
+gain, and, per (rate, L, N), a Code holding the slot count, the
+constellations, the batched encoder and the decoder.  Adding a kind means
+adding one CodeSpec to REGISTRY.
+"""
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from . import analysis
+from .codes import (
+    ac_matrix,
+    ciod_constellation,
+    ciod_interleave,
+    ciod_matrix,
+    nze_oac_tables,
+    nze_tc_tables,
+    ostbc_constellations,
+    ostbc_matrix,
+    qostbc_constellations,
+    qostbc_matrix,
+)
+from .constellations import make_psk
+from .receivers import (
+    AcDecoder,
+    CiodDecoder,
+    NzeZfDecoder,
+    OstbcDecoder,
+    QostbcDecoder,
+    SingleDecoder,
+)
+from .sequences import hadamard2
+
+__all__ = ["Code", "CodeSpec", "REGISTRY", "spec_for", "build_code", "payloads"]
+
+
+def payloads(nbits):
+    """Every bit vector of length ``nbits`` (MSB first) in ascending word
+    order, as one (2^nbits, nbits) array."""
+    shifts = np.arange(nbits - 1, -1, -1)
+    return (np.arange(2**nbits)[:, None] >> shifts) & 1
+
+
+class Code:
+    """One kind at one (rate, L, N): its shapes, batched encoder and decoder.
+
+    ``groups`` lists (constellation, count) in payload order: the payload
+    bits are cut into ``count`` Gray-labelled symbols of each constellation
+    in turn, and ``assemble`` maps those (B, symbols) to (B, N, T)
+    codewords.  ``decoder.decode_bits`` inverts the map for a batch.
+    """
+
+    def __init__(self, n_ports, n_slots, groups, assemble, decoder):
+        self.n_ports = n_ports
+        self.n_slots = n_slots
+        self.assemble = assemble
+        self.decoder = decoder
+        self._groups = [
+            (c.bit_width, count, c.index_table(), c.points) for c, count in groups
+        ]
+        self.nbits = sum(width * count for width, count, _, _ in self._groups)
+
+    @property
+    def rate_bps(self):
+        return self.nbits / self.n_slots
+
+    def encode(self, bits):
+        """Payloads (B, nbits) -> codewords (B, N, T)."""
+        parts, start = [], 0
+        for width, count, table, points in self._groups:
+            stop = start + width * count
+            words = bits[:, start:stop].reshape(len(bits), count, width)
+            parts.append(points[table[words @ (1 << np.arange(width - 1, -1, -1))]])
+            start = stop
+        return self.assemble(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
+
+    def codebook(self):
+        """(payloads, codewords) over every payload, in ascending word order."""
+        bits = payloads(self.nbits)
+        return bits, self.encode(bits)
+
+
+@dataclass(frozen=True, eq=False)
+class CodeSpec:
+    """The rate-independent facts of one kind.
+
+    ``build(rate, nze_l, nze_n)`` makes the Code.  ``n_ports`` is None when
+    the port count is ``nze.n``; ``v_matrix`` None means V is the identity.
+    ``rules(nze_l, nze_n)`` returns a message naming the offending config
+    key, or None when L and N suit the kind.  ``closed_form_gain(rate)``
+    exists for the enumerable kinds whose coding gain has a closed form.
+    """
+
+    kind: str
+    build: Callable
+    n_ports: int = None
+    v_matrix: np.ndarray = None
+    rules: Callable = lambda nze_l, nze_n: None
+    enumerable: bool = False
+    closed_form_gain: Callable = None
+
+    def ports(self, nze_n):
+        return self.n_ports or nze_n
+
+    def preset_v(self, n_ports=None):
+        n = self.n_ports or n_ports
+        if n is None:
+            raise ValueError(f"{self.kind} preset needs the port count")
+        if self.v_matrix is None:
+            return np.eye(int(n), dtype=complex)
+        return self.v_matrix.copy()
+
+
+def _single(rate, nze_l, nze_n):
+    psk = make_psk(2**rate)
+    return Code(1, 1, [(psk, 1)], lambda x: x[:, :, None], SingleDecoder(psk))
+
+
+def _ac(rate, nze_l, nze_n):
+    psk = make_psk(2**rate)
+    return Code(2, 2, [(psk, 2)], lambda x: ac_matrix(x[:, 0], x[:, 1]), AcDecoder(psk))
+
+
+def _ostbc_assemble(x):
+    """x2 carries j times the PAM set; x3 = |x1 + x2| times the QPSK x3'."""
+    x1, x2 = x[:, 0], 1j * x[:, 1]
+    return ostbc_matrix(x1, x2, np.abs(x1 + x2) * x[:, 2])
+
+
+def _ostbc(rate, nze_l, nze_n):
+    pam, qpsk = ostbc_constellations(rate)
+    return Code(4, 4, [(pam, 2), (qpsk, 1)], _ostbc_assemble, OstbcDecoder(rate))
+
+
+def _qostbc(rate, nze_l, nze_n):
+    psk, rotated = qostbc_constellations(rate)
+    return Code(
+        4, 4, [(psk, 2), (rotated, 2)], lambda x: qostbc_matrix(*x.T), QostbcDecoder(rate)
+    )
+
+
+def _ciod(rate, nze_l, nze_n):
+    return Code(
+        4,
+        4,
+        [(ciod_constellation(rate), 2)],
+        lambda x: ciod_matrix(*ciod_interleave(x[:, 0], x[:, 1])),
+        CiodDecoder(rate),
+    )
+
+
+def _nze(make_tables):
+    def build(rate, nze_l, nze_n):
+        tables = make_tables(nze_l, nze_n)
+        psk = make_psk(2**rate)
+        return Code(
+            tables.n_ports, tables.n_slots, [(psk, nze_l)], tables.build, NzeZfDecoder(tables, psk)
+        )
+
+    return build
+
+
+_NZE_REQUIRED = "nze.l, nze.n: required for Toeplitz-family codes"
+
+
+def _nze_tc_rules(nze_l, nze_n):
+    if nze_l < 1 or nze_n < 1:
+        return _NZE_REQUIRED
+    if nze_l < nze_n:
+        return "nze.l: must be at least nze.n"
+    return None
+
+
+def _nze_oac_rules(nze_l, nze_n):
+    if nze_l < 1 or nze_n < 1:
+        return _NZE_REQUIRED
+    if nze_l % 2 != 0:
+        return "nze.l: must be even for the overlapped code"
+    floor = nze_n - 1 if nze_n % 2 == 1 else nze_n
+    if nze_l < floor:
+        return f"nze.l: must be at least {floor}"
+    return None
+
+
+REGISTRY = {
+    spec.kind: spec
+    for spec in (
+        CodeSpec("single", _single, n_ports=1, enumerable=True),
+        CodeSpec("ac", _ac, n_ports=2, enumerable=True),
+        CodeSpec(
+            "ostbc",
+            _ostbc,
+            n_ports=4,
+            v_matrix=np.kron(np.eye(2, dtype=complex), hadamard2()),
+            enumerable=True,
+            closed_form_gain=analysis.ostbc_gain_closed_form,
+        ),
+        CodeSpec(
+            "qostbc",
+            _qostbc,
+            n_ports=4,
+            enumerable=True,
+            closed_form_gain=lambda rate: analysis.qostbc_gain_closed_form(2**rate),
+        ),
+        CodeSpec(
+            "ciod",
+            _ciod,
+            n_ports=4,
+            v_matrix=np.kron(hadamard2(), hadamard2()),
+            enumerable=True,
+            closed_form_gain=lambda rate: analysis.ciod_gain_closed_form(
+                ciod_constellation(rate).scale
+            ),
+        ),
+        CodeSpec("nze_tc", _nze(nze_tc_tables), rules=_nze_tc_rules),
+        CodeSpec("nze_oac", _nze(nze_oac_tables), rules=_nze_oac_rules),
+    )
+}
+
+
+def spec_for(kind):
+    try:
+        return REGISTRY[kind]
+    except KeyError:
+        raise ValueError(f"unknown code kind {kind!r}") from None
+
+
+def build_code(kind, rate, nze_l=0, nze_n=0):
+    """The Code of ``kind`` at bit rate ``rate`` (L and N for the NZE kinds)."""
+    return spec_for(kind).build(int(rate), nze_l, nze_n)

@@ -7,7 +7,8 @@ Total transmit power is normalized: trace(W W^H) = 1 and W^H W = I_N / N.
 
 import numpy as np
 
-from .sequences import is_constant_amplitude, zc_generate
+from .kinds import spec_for
+from .sequences import hadamard2, is_constant_amplitude, zc_generate
 
 __all__ = [
     "Precoder",
@@ -24,35 +25,16 @@ __all__ = [
 UNITARY_TOL = 1e-10
 
 
-def hadamard2():
-    """The 2 x 2 unitary Hadamard matrix."""
-    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
-
 def preset_V(kind, n_ports=None):
-    """Per-code unitary V.
+    """Per-code unitary V, from the kind's CodeSpec.
 
     The identity suffices when the raw codeword already has equal-magnitude
     entries (AC, QOSTBC, Toeplitz family); the orthogonal and
     coordinate-interleaved designs have zero entries and need Hadamard
-    mixing to spread symbols over all ports.
+    mixing to spread symbols over all ports.  ``n_ports`` is needed only by
+    the kinds whose port count is configurable.
     """
-    h2 = hadamard2()
-    if kind == "single":
-        return np.array([[1.0]], dtype=complex)
-    if kind == "ac":
-        return np.eye(2, dtype=complex)
-    if kind == "ostbc":
-        return np.kron(np.eye(2, dtype=complex), h2)
-    if kind == "qostbc":
-        return np.eye(4, dtype=complex)
-    if kind == "ciod":
-        return np.kron(h2, h2)
-    if kind in ("nze_tc", "nze_oac"):
-        if n_ports is None:
-            raise ValueError(f"{kind} preset needs the port count")
-        return np.eye(int(n_ports), dtype=complex)
-    raise ValueError(f"unknown code kind {kind!r}")
+    return spec_for(kind).preset_v(n_ports)
 
 
 class Precoder:

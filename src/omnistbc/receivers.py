@@ -75,12 +75,20 @@ def _check_channel(g):
         raise UndecodableError("effective channel is zero")
 
 
+class _BatchDecoder:
+    """``decode_batch`` returns the decoded bits first; ``decode_bits`` adds
+    the mask of aborted trials, None for decoders that never abort."""
+
+    def decode_bits(self, y, g):
+        return self.decode_batch(y, g)[0], None
+
+
 def _slice_batch(stat, points):
     """Nearest-point indices for a batch of soft statistics."""
     return np.argmin(np.abs(stat[..., None] - points), axis=-1)
 
 
-class SingleDecoder:
+class SingleDecoder(_BatchDecoder):
     """Nearest-point detection of one PSK symbol per slot."""
 
     def __init__(self, constellation):
@@ -101,7 +109,7 @@ class SingleDecoder:
         return bits[0], xhat
 
 
-class AcDecoder:
+class AcDecoder(_BatchDecoder):
     """Symbol-wise ML for the Alamouti code via matched filtering.
 
     The statistics x1~ = g1* y1 - g2 y2* and x2~ = g2* y1 + g1 y2* each
@@ -131,7 +139,7 @@ class AcDecoder:
         return bits[0], complex(pts[i1[0]]), complex(pts[i2[0]])
 
 
-class OstbcDecoder:
+class OstbcDecoder(_BatchDecoder):
     """Two-step ML for the rate-3/4 orthogonal design.
 
     Step one maximizes f(x3') = Re(x3'(g3 y1* + g4 y2*) + x3'*(g1 y3* +
@@ -192,7 +200,7 @@ class OstbcDecoder:
         return bits[0], x1, x2, x3p
 
 
-class QostbcDecoder:
+class QostbcDecoder(_BatchDecoder):
     """Exact pair-wise ML for the TBH quasi-orthogonal design.
 
     The metric splits into independent terms for (x1, x3) and (x2, x4):
@@ -277,7 +285,7 @@ class QostbcDecoder:
         )
 
 
-class CiodDecoder:
+class CiodDecoder(_BatchDecoder):
     """Separate per-symbol ML for the coordinate-interleaved design.
 
     s1 and s2 touch disjoint Alamouti blocks through the interleaver and
@@ -323,7 +331,7 @@ class CiodDecoder:
         return bits[0], complex(self.qam.points[i1[0]]), complex(self.qam.points[i2[0]])
 
 
-class NzeZfDecoder:
+class NzeZfDecoder(_BatchDecoder):
     """Unregularized least squares over the real expansion of an NZE code.
 
     Conjugated entries make the map y = f(x) widely linear, so the 2T real
@@ -381,6 +389,10 @@ class NzeZfDecoder:
         idx = _slice_batch(xhat, self.constellation.points)
         bits = self.bits_table[idx].reshape(b, -1)
         return bits, idx, aborted
+
+    def decode_bits(self, y, g):
+        bits, _, aborted = self.decode_batch(y, g)
+        return bits, aborted
 
     def decode(self, obs):
         bits, idx, aborted = self.decode_batch(

@@ -11,15 +11,11 @@ import math
 
 import numpy as np
 
-from . import analysis, codes, precoding, sequences
+from . import analysis, precoding, sequences
 from .constellations import make_psk
+from .kinds import REGISTRY, build_code
 
 __all__ = ["run_all_checks", "CHECKS"]
-
-
-def _payloads(nbits):
-    for word in range(2**nbits):
-        yield np.array([(word >> (nbits - 1 - k)) & 1 for k in range(nbits)])
 
 
 def check_zc_family():
@@ -54,35 +50,18 @@ def check_lift_equivalence():
 
 
 def _requirement_cases():
-    psk2 = make_psk(2)
-
-    def single(bits):
-        return codes.Codeword("single", np.array([[psk2.encode(bits)]]))
-
-    def ac(bits):
-        return codes.encode_ac(psk2.encode(bits[:1]), psk2.encode(bits[1:]))
-
-    def nze(encoder, n_sym):
-        def build(bits):
-            idx = [psk2.index_of_bits(bits[i : i + 1]) for i in range(n_sym)]
-            return encoder(psk2.points[idx], n_sym, 8)
-
-        return build
-
-    yield "single", 4, 1, None, single
-    yield "ac", 4, 2, None, ac
-    yield "ostbc", 16, 4, None, lambda b: codes.encode_ostbc(b, 1)
-    yield "qostbc", 16, 4, None, lambda b: codes.encode_qostbc(b, 1)
-    yield "ciod", 16, 4, None, lambda b: codes.encode_ciod(b, 1)
-    yield "nze_tc", 64, 8, 8, nze(codes.encode_nze_tc, 8)
-    yield "nze_oac", 64, 8, 8, nze(codes.encode_nze_oac, 8)
+    """(kind, M, Code) for every kind at R = 1, with L = N = 8 for the NZE
+    kinds, on the smallest array of at least four antennas that N^2 divides."""
+    for kind in REGISTRY:
+        code = build_code(kind, 1, 8, 8)
+        yield kind, max(4, code.n_ports**2), code
 
 
 def check_requirements_all_kinds():
-    for kind, m_len, nbits, n_ports, build in _requirement_cases():
-        prec = precoding.precoder_for_code(kind, m_len, n_ports=n_ports)
-        for bits in _payloads(nbits):
-            signal = precoding.transmit(prec, build(bits))
+    for kind, m_len, code in _requirement_cases():
+        prec = precoding.precoder_for_code(kind, m_len, n_ports=code.n_ports)
+        for bits, matrix in zip(*code.codebook()):
+            signal = precoding.transmit(prec, matrix)
             omni, per_antenna = precoding.check_requirements(signal, 1e-9)
             if not (omni and per_antenna):
                 return False, f"{kind} payload {bits.tolist()} at M={m_len}"
@@ -92,7 +71,7 @@ def check_requirements_all_kinds():
 def check_prbs_fails_omni():
     phase = precoding.prbs_phase_vector(64, (1, 0x50524253))
     prec = precoding.precoder_for_code("single", 64, phase_vector=phase)
-    signal = precoding.transmit(prec, codes.Codeword("single", np.eye(1, dtype=complex)))
+    signal = precoding.transmit(prec, np.eye(1, dtype=complex))
     omni, per_antenna = precoding.check_requirements(signal, 1e-9)
     if omni:
         return False, "pseudo-random phases unexpectedly omnidirectional"
@@ -102,15 +81,8 @@ def check_prbs_fails_omni():
 
 
 def check_precoder_structure():
-    for kind, m_len, n_ports in (
-        ("single", 4, None),
-        ("ac", 16, None),
-        ("ostbc", 16, None),
-        ("qostbc", 16, None),
-        ("ciod", 16, None),
-        ("nze_tc", 64, 8),
-    ):
-        prec = precoding.precoder_for_code(kind, m_len, n_ports=n_ports)
+    for kind, m_len, code in _requirement_cases():
+        prec = precoding.precoder_for_code(kind, m_len, n_ports=code.n_ports)
         w = prec.w_matrix
         if abs(np.trace(w @ w.conj().T) - 1.0) > 1e-10:
             return False, f"{kind}: trace(W W^H) != 1"
@@ -121,50 +93,37 @@ def check_precoder_structure():
 
 
 def check_decoder_roundtrips():
-    from .receivers import RxObservation, ml_decode_ciod, ml_decode_ostbc, ml_decode_qostbc
+    from .receivers import RxObservation
 
     rng = np.random.default_rng(2024)
-    cases = [
-        ("ostbc", lambda b: codes.encode_ostbc(b, 1), lambda o: ml_decode_ostbc(o, 1)),
-        ("qostbc", lambda b: codes.encode_qostbc(b, 1), lambda o: ml_decode_qostbc(o, 1)),
-        ("ciod", lambda b: codes.encode_ciod(b, 1), lambda o: ml_decode_ciod(o, 1)),
-    ]
-    for kind, enc, dec in cases:
-        for bits in _payloads(4):
-            cw = enc(bits)
+    for kind, spec in REGISTRY.items():
+        if not spec.enumerable:
+            continue
+        code = build_code(kind, 1)
+        for bits, matrix in zip(*code.codebook()):
+            n = code.n_ports
             for _ in range(10):
-                g = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / 2.0
-                obs = RxObservation(y=g @ cw.matrix, g=g)
-                if not np.array_equal(dec(obs)[0], bits):
+                g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / 2.0
+                obs = RxObservation(y=g @ matrix, g=g)
+                if not np.array_equal(code.decoder.decode(obs)[0], bits):
                     return False, f"{kind} noiseless round-trip failed"
     return True, "noiseless ML round-trips, exhaustive payloads"
 
 
 def check_coding_gains():
-    books = {
-        "qostbc": [codes.encode_qostbc(b, 1).matrix for b in _payloads(4)],
-        "ciod": [codes.encode_ciod(b, 1).matrix for b in _payloads(4)],
-        "ostbc2": [codes.encode_ostbc(b, 2).matrix for b in _payloads(8)],
-    }
-    expected = {
-        "qostbc": analysis.qostbc_gain_closed_form(2),
-        "ciod": analysis.ciod_gain_closed_form(1.0 / math.sqrt(2.0)),
-        "ostbc2": analysis.ostbc_gain_closed_form(2),
-    }
-    for key, book in books.items():
-        gain = analysis.coding_gain(book)
-        if abs(gain - expected[key]) > 1e-9:
-            return False, f"{key}: enumerated {gain} vs closed form {expected[key]}"
+    for kind, spec in REGISTRY.items():
+        if spec.closed_form_gain is None:
+            continue
+        for rate in (1, 2):
+            gain = analysis.coding_gain(build_code(kind, rate).codebook()[1])
+            expected = spec.closed_form_gain(rate)
+            if abs(gain - expected) > 1e-9:
+                return False, f"{kind} R={rate}: enumerated {gain} vs closed form {expected}"
     return True, "enumerated coding gains match the closed forms"
 
 
 def check_pep_scaling():
-    psk2 = make_psk(2)
-    book = [
-        codes.encode_ac(psk2.points[i], psk2.points[j]).matrix
-        for i in range(2)
-        for j in range(2)
-    ]
+    book = build_code("ac", 1).codebook()[1]
     b1 = analysis.pep_upper_bound(book, 2, 0.1, 1)
     b2 = analysis.pep_upper_bound(book, 2, 0.01, 1)
     if abs(b2 / b1 - 1e-2) > 1e-11:
@@ -175,26 +134,15 @@ def check_pep_scaling():
 
 
 def check_energy_normalization():
-    from .config import SimConfig
-    from .engine import _CodeRuntime
-
     rng = np.random.default_rng(99)
-    cases = [
-        SimConfig(code="ac", rate=2),
-        SimConfig(code="ostbc", rate=1),
-        SimConfig(code="qostbc", rate=1),
-        SimConfig(code="ciod", rate=1),
-        SimConfig(code="nze_tc", rate=1, nze_l=8, nze_n=4),
-        SimConfig(code="nze_oac", rate=1, nze_l=8, nze_n=4),
-    ]
-    for cfg in cases:
-        runtime = _CodeRuntime(cfg)
-        bits = rng.integers(0, 2, (10_000, runtime.nbits))
-        x = runtime.encode_batch(bits)
+    for kind in REGISTRY:
+        code = build_code(kind, 2, 8, 4)
+        bits = rng.integers(0, 2, (10_000, code.nbits))
+        x = code.encode(bits)
         gram = np.einsum("bnt,bmt->nm", x, x.conj()) / len(bits)
-        err = np.abs(gram - runtime.n_slots * np.eye(runtime.n_ports)).max()
-        if err > 0.02 * runtime.n_slots:
-            return False, f"{cfg.code}: E[X X^H] off by {err:.3g}"
+        err = np.abs(gram - code.n_slots * np.eye(code.n_ports)).max()
+        if err > 0.02 * code.n_slots:
+            return False, f"{kind}: E[X X^H] off by {err:.3g}"
     return True, "mean codeword Gram is T times identity within 2%"
 
 

@@ -1,4 +1,4 @@
-"""Zadoff-Chu sequences, the unitary DFT, and CAZAC predicates.
+"""Zadoff-Chu sequences, the unitary DFT and 2 x 2 Hadamard, CAZAC predicates.
 
 A CAZAC sequence has constant amplitude in both the time domain and the
 DFT domain.  Zadoff-Chu sequences are the canonical family; they form the
@@ -16,6 +16,7 @@ __all__ = [
     "zc_generate",
     "unitary_dft",
     "unitary_idft",
+    "hadamard2",
     "is_constant_amplitude",
     "is_cazac",
     "periodic_autocorr",
@@ -78,6 +79,11 @@ def unitary_dft(v):
     if v.ndim != 1 or v.size == 0:
         raise ValueError("input must be a nonempty 1-D vector")
     return np.fft.fft(v) / np.sqrt(v.size)
+
+
+def hadamard2():
+    """The 2 x 2 unitary Hadamard matrix."""
+    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def unitary_idft(v):

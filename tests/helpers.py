@@ -6,32 +6,12 @@ reference every reduced-complexity decoder is checked against.
 
 import numpy as np
 
-from omnistbc import codes
-from omnistbc.constellations import make_psk
-
-
-def payloads(nbits):
-    """All bit vectors of length nbits, in ascending word order."""
-    for word in range(2**nbits):
-        yield np.array([(word >> (nbits - 1 - k)) & 1 for k in range(nbits)])
+from omnistbc.kinds import build_code, payloads  # noqa: F401  (payloads is shared with the tests)
 
 
 def codebook(kind, rate):
     """[(bits, matrix)] in payload order for one enumerable code kind."""
-    if kind == "ac":
-        psk = make_psk(2**rate)
-        out = []
-        for bits in payloads(2 * rate):
-            x1 = psk.encode(bits[:rate])
-            x2 = psk.encode(bits[rate:])
-            out.append((bits, codes.ac_matrix(x1, x2)))
-        return out
-    encode = {
-        "ostbc": codes.encode_ostbc,
-        "qostbc": codes.encode_qostbc,
-        "ciod": codes.encode_ciod,
-    }[kind]
-    return [(bits, encode(bits, rate).matrix) for bits in payloads(4 * rate)]
+    return list(zip(*build_code(kind, rate).codebook()))
 
 
 def exhaustive_ml(y, g, book):

@@ -75,6 +75,14 @@ def test_ber_sweep_config_error_names_key(tmp_path, capsys):
     assert "m:" in err or "multiple" in err
 
 
+def test_out_of_range_angle_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, AC_CONFIG + "pas.theta0_deg = 100\n")
+    assert cli(["ber-sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: pas.theta0_deg" in err
+    assert "Traceback" not in err
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write_cfg(tmp_path)
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))

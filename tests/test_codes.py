@@ -5,6 +5,7 @@ from helpers import payloads
 
 from omnistbc import codes
 from omnistbc.constellations import make_psk
+from omnistbc.kinds import REGISTRY, build_code
 
 
 def test_ac_examples():
@@ -116,7 +117,6 @@ def test_nze_tc_dimensions_and_rate():
     x = np.exp(2j * np.pi * rng.random(30))
     cw = codes.encode_nze_tc(x, 30, 8)
     assert cw.matrix.shape == (8, 37)
-    assert codes.nze_symbol_rate("nze_tc", 30, 8) == pytest.approx(30 / 37)
     assert np.all(np.abs(cw.matrix) > 1 - 1e-9)
 
 
@@ -125,10 +125,7 @@ def test_nze_oac_dimensions_and_rate():
     x = np.exp(2j * np.pi * rng.random(30))
     cw = codes.encode_nze_oac(x, 30, 8)
     assert cw.matrix.shape == (8, 36)
-    assert codes.nze_symbol_rate("nze_oac", 30, 8) == pytest.approx(30 / 36)
     assert np.all(np.abs(cw.matrix) > 1 - 1e-9)
-    assert codes.nze_symbol_rate("nze_oac", 4, 3) == pytest.approx(4 / 6)
-    assert codes.nze_symbol_rate("nze_oac", 4, 4) == pytest.approx(4 / 6)
 
 
 def test_nze_oac_small_no_zero_entries():
@@ -148,50 +145,104 @@ def test_nze_errors():
         codes.encode_nze_tc(np.array([1.0, 0.0]), 2, 2)  # zero-amplitude symbol
 
 
+# Every registered kind; single and ac at R = 2 (QPSK), the others at R = 1.
+ENERGY_RATES = {"single": 2, "ac": 2}
+NZE_8_4 = {"nze_l": 8, "nze_n": 4}
+
+
 @pytest.mark.parametrize(
     "kind,rate,extra",
     [
-        ("single", 2, {}),
-        ("ac", 2, {}),
-        ("ostbc", 1, {}),
-        ("qostbc", 1, {}),
-        ("ciod", 1, {}),
-        ("nze_tc", 1, {"nze_l": 8, "nze_n": 4}),
-        ("nze_oac", 1, {"nze_l": 8, "nze_n": 4}),
+        (kind, ENERGY_RATES.get(kind, 1), {} if spec.n_ports else NZE_8_4)
+        for kind, spec in REGISTRY.items()
     ],
 )
 def test_energy_normalization(kind, rate, extra):
     """Mean codeword Gram over random payloads is T I_N within 2%."""
-    from omnistbc.config import SimConfig
-    from omnistbc.engine import _CodeRuntime
-
-    runtime = _CodeRuntime(SimConfig(code=kind, rate=rate, **extra))
+    code = build_code(kind, rate, **extra)
     rng = np.random.default_rng(17)
-    bits = rng.integers(0, 2, (10_000, runtime.nbits))
-    x = runtime.encode_batch(bits)
+    bits = rng.integers(0, 2, (10_000, code.nbits))
+    x = code.encode(bits)
     gram = np.einsum("bnt,bmt->nm", x, x.conj()) / len(bits)
-    assert np.abs(gram - runtime.n_slots * np.eye(runtime.n_ports)).max() <= 0.02 * runtime.n_slots
+    assert np.abs(gram - code.n_slots * np.eye(code.n_ports)).max() <= 0.02 * code.n_slots
+
+
+def _symbols(constellation, bits, width):
+    return [constellation.encode(bits[k : k + width]) for k in range(0, len(bits), width)]
+
+
+def _psk_symbols(bits, rate):
+    return _symbols(make_psk(2**rate), bits, rate)
+
+
+def _scalar_ostbc(bits, rate):
+    pam, qpsk = codes.ostbc_constellations(rate)
+    k = 2 * rate - 1
+    x1 = pam.encode(bits[:k])
+    x2 = 1j * pam.encode(bits[k : 2 * k])
+    x3 = abs(x1 + x2) * qpsk.encode(bits[2 * k :])
+    return codes.ostbc_matrix(x1, x2, x3)
+
+
+def _scalar_qostbc(bits, rate):
+    psk, rotated = codes.qostbc_constellations(rate)
+    half = 2 * rate
+    return codes.qostbc_matrix(
+        *_symbols(psk, bits[:half], rate), *_symbols(rotated, bits[half:], rate)
+    )
+
+
+def _scalar_ciod(bits, rate):
+    qam = codes.ciod_constellation(rate)
+    return codes.ciod_matrix(*codes.ciod_interleave(*_symbols(qam, bits, 2 * rate)))
+
+
+# Symbol-by-symbol encoders (bits, R, L, N) -> X built from the constellations'
+# scalar API: the reference for the registry's batched encoders.
+SCALAR_ENCODERS = {
+    "single": lambda b, r, l, n: np.array([_psk_symbols(b, r)]),
+    "ac": lambda b, r, l, n: codes.ac_matrix(*_psk_symbols(b, r)),
+    "ostbc": lambda b, r, l, n: _scalar_ostbc(b, r),
+    "qostbc": lambda b, r, l, n: _scalar_qostbc(b, r),
+    "ciod": lambda b, r, l, n: _scalar_ciod(b, r),
+    "nze_tc": lambda b, r, l, n: codes.encode_nze_tc(_psk_symbols(b, r), l, n).matrix,
+    "nze_oac": lambda b, r, l, n: codes.encode_nze_oac(_psk_symbols(b, r), l, n).matrix,
+}
 
 
 def test_batch_encoders_match_scalar():
     rng = np.random.default_rng(5)
-    from omnistbc.config import SimConfig
-    from omnistbc.engine import _CodeRuntime
+    for kind in REGISTRY:
+        for rate, nze_l, nze_n in ((1, 6, 3), (2, 8, 4)):
+            code = build_code(kind, rate, nze_l, nze_n)
+            bits = rng.integers(0, 2, (32, code.nbits))
+            batch = code.encode(bits)
+            for row, payload in zip(batch, bits):
+                expected = SCALAR_ENCODERS[kind](payload, rate, nze_l, nze_n)
+                np.testing.assert_allclose(row, expected, atol=1e-12)
 
-    cases = [
-        ("ostbc", 2, {}, lambda b: codes.encode_ostbc(b, 2).matrix),
-        ("qostbc", 2, {}, lambda b: codes.encode_qostbc(b, 2).matrix),
-        ("ciod", 2, {}, lambda b: codes.encode_ciod(b, 2).matrix),
-        (
-            "nze_oac",
-            1,
-            {"nze_l": 6, "nze_n": 3},
-            lambda b: codes.encode_nze_oac(make_psk(2).points[b], 6, 3).matrix,
-        ),
-    ]
-    for kind, rate, extra, scalar in cases:
-        runtime = _CodeRuntime(SimConfig(code=kind, rate=rate, **extra))
-        bits = rng.integers(0, 2, (32, runtime.nbits))
-        batch = runtime.encode_batch(bits)
-        for row, payload in zip(batch, bits):
-            np.testing.assert_allclose(row, scalar(payload), atol=1e-12)
+
+@pytest.mark.parametrize(
+    "kind,rate,nze_l,nze_n,nbits,n_slots,rate_bps",
+    [
+        ("single", 1, 0, 0, 1, 1, 1.0),
+        ("single", 3, 0, 0, 3, 1, 3.0),
+        ("ac", 1, 0, 0, 2, 2, 1.0),
+        ("ac", 2, 0, 0, 4, 2, 2.0),
+        ("ostbc", 1, 0, 0, 4, 4, 1.0),
+        ("ostbc", 2, 0, 0, 8, 4, 2.0),
+        ("qostbc", 3, 0, 0, 12, 4, 3.0),
+        ("ciod", 2, 0, 0, 8, 4, 2.0),
+        ("nze_tc", 1, 30, 8, 30, 37, 30 / 37),
+        ("nze_tc", 2, 12, 4, 24, 15, 24 / 15),
+        ("nze_oac", 1, 30, 8, 30, 36, 30 / 36),
+        ("nze_oac", 1, 4, 3, 4, 6, 4 / 6),
+        ("nze_oac", 1, 4, 4, 4, 6, 4 / 6),
+        ("nze_oac", 2, 12, 4, 24, 14, 24 / 14),
+    ],
+)
+def test_code_shapes(kind, rate, nze_l, nze_n, nbits, n_slots, rate_bps):
+    """Bits per codeword and slots feed the CSV's rate_bps and the RNG draws."""
+    code = build_code(kind, rate, nze_l, nze_n)
+    assert (code.nbits, code.n_slots) == (nbits, n_slots)
+    assert code.rate_bps == pytest.approx(rate_bps)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -14,7 +15,6 @@ spacing_ratio = 0.5773502692
 pas.theta0_deg = 0
 pas.sigma_deg = 5
 snr_db = 0, 4, 8
-k = 1
 max_trials = 1000
 min_bit_errors = 50
 master_seed = 42
@@ -37,7 +37,6 @@ def test_defaults():
     assert cfg.gamma == 1
     assert cfg.spacing_ratio == pytest.approx(1 / math.sqrt(3))
     assert cfg.sigma_deg == 5.0
-    assert cfg.k_users == 1
     assert cfg.precoder_override == "zc"
 
 
@@ -101,6 +100,32 @@ def test_digest_tracks_content():
     b = parse_config(GOOD, master_seed=43)
     assert a.digest() != b.digest()
     assert a.digest() == parse_config(GOOD).digest()
+
+
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        ("snr_db = 0, nan", "snr_db"),
+        ("snr_db = inf", "snr_db"),
+        ("theta0_deg_list = 0, nan", "theta0_deg_list"),
+        ("theta0_deg_list = 0, 75", "theta0_deg_list"),
+        ("pas.theta0_deg = 100", "pas.theta0_deg"),
+        ("pas.theta0_deg = nan", "pas.theta0_deg"),
+        ("pas.sigma_deg = nan", "pas.sigma_deg"),
+        ("spacing_ratio = nan", "spacing_ratio"),
+        ("min_bit_errors = 0", "min_bit_errors"),
+        ("k = 7", "k"),
+    ],
+)
+def test_bad_value_fails_validation(line, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}:"):
+        parse_config(f"code = ac\n{line}\n")
+
+
+def test_angle_limits_are_inclusive():
+    cfg = parse_config("code = ac\npas.theta0_deg = -90\ntheta0_deg_list = -60, 60\n")
+    assert cfg.theta0_deg == -90.0
+    assert parse_config("code = ac\npas.theta0_deg = 90\n").theta0_deg == 90.0
 
 
 def test_validate_direct():

@@ -91,6 +91,8 @@ def test_angle_sweep_range_check():
         run_angle_sweep(cfg, 10.0)
     with pytest.raises(ConfigError, match="theta0"):
         run_angle_sweep(small_cfg(theta0_deg_list=()), 10.0)
+    with pytest.raises(ConfigError, match="snr_db"):
+        run_angle_sweep(small_cfg(theta0_deg_list=(0.0,)), float("nan"))
 
 
 def test_angle_sweep_symmetry():

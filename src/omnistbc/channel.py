@@ -127,9 +127,9 @@ def _lag_frobenius(lags):
     return math.sqrt(float(np.sum(weights * np.abs(lags) ** 2)))
 
 
-def one_ring_covariance(spec):
-    """Covariance by adaptive quadrature, panel count doubling until the lag
-    vector is stable to 1e-8 in the induced Frobenius norm."""
+def _one_ring_lags(spec):
+    """Lag vector by adaptive quadrature, panel count doubling until it is
+    stable to 1e-8 in the induced Frobenius norm."""
     n_panels = _QUAD_START_PANELS
     prev = _lag_quadrature(spec, n_panels)
     while True:
@@ -143,20 +143,32 @@ def one_ring_covariance(spec):
         if err <= _QUAD_REL_TOL * _lag_frobenius(cur):
             break
         prev = cur
-    matrix = toeplitz(cur, np.conjugate(cur))
-    return CovarianceModel(matrix, lags=cur)
+    return cur
 
 
+def _toeplitz_model(lags):
+    return CovarianceModel(toeplitz(lags, np.conjugate(lags)), lags=lags)
+
+
+def one_ring_covariance(spec):
+    """Hermitian Toeplitz covariance from the quadrature lag vector."""
+    return _toeplitz_model(_one_ring_lags(spec))
+
+
+# The memo keeps the length-M lag vectors, not the M x M matrices, so a
+# process that sweeps many mean angles at large M does not grow by M^2 per
+# angle; the Toeplitz matrix is rebuilt on each lookup.
 @lru_cache(maxsize=64)
-def _cached_covariance(n_antennas, spacing_ratio, theta0, sigma):
-    spec = ChannelSpec(n_antennas, spacing_ratio, PasSpec(theta0, sigma))
-    return one_ring_covariance(spec)
+def _cached_lags(n_antennas, spacing_ratio, theta0, sigma):
+    lags = _one_ring_lags(ChannelSpec(n_antennas, spacing_ratio, PasSpec(theta0, sigma)))
+    lags.flags.writeable = False
+    return lags
 
 
 def covariance_for(n_antennas, spacing_ratio, theta0, sigma):
-    """Memoized covariance lookup used by sweeps and tests."""
-    return _cached_covariance(
-        int(n_antennas), float(spacing_ratio), float(theta0), float(sigma)
+    """Covariance lookup used by sweeps and tests; the quadrature is memoized."""
+    return _toeplitz_model(
+        _cached_lags(int(n_antennas), float(spacing_ratio), float(theta0), float(sigma))
     )
 
 

@@ -17,15 +17,18 @@ from .kinds import REGISTRY, build_code
 __all__ = ["main", "cli"]
 
 
-def _enumerable_spec(kind):
-    spec = REGISTRY.get(kind)
+def _enumerable_code(args):
+    """The spec and Code named by --code and --rate, which must enumerate."""
+    spec = REGISTRY.get(args.code)
     if spec is None or not spec.enumerable:
         names = ", ".join(k for k, s in REGISTRY.items() if s.enumerable)
         raise ConfigError(
-            f"code: {kind!r} has no enumerable codebook at practical sizes; "
+            f"code: {args.code!r} has no enumerable codebook at practical sizes; "
             f"choose one of {names}"
         )
-    return spec
+    if args.rate < 1:
+        raise ConfigError(f"--rate: must be a positive integer, got {args.rate}")
+    return spec, build_code(args.code, args.rate)
 
 
 def _cmd_validate(args):
@@ -79,8 +82,8 @@ def _cmd_angle_sweep(args):
 
 
 def _cmd_coding_gain(args):
-    spec = _enumerable_spec(args.code)
-    gain = coding_gain(build_code(args.code, args.rate).codebook()[1])
+    spec, code = _enumerable_code(args)
+    gain = coding_gain(code.codebook()[1])
     closed = spec.closed_form_gain(args.rate) if spec.closed_form_gain else None
     print(f"{gain:.12g}")
     if closed is not None and not math.isclose(gain, closed, rel_tol=1e-9, abs_tol=1e-9):
@@ -93,8 +96,11 @@ def _cmd_coding_gain(args):
 
 
 def _cmd_pep_bound(args):
-    _enumerable_spec(args.code)
-    code = build_code(args.code, args.rate)
+    _, code = _enumerable_code(args)
+    if not math.isfinite(args.snr_db):
+        raise ConfigError(f"--snr-db: {args.snr_db} is not a finite number")
+    if args.k < 1:
+        raise ConfigError(f"--k: must be at least 1, got {args.k}")
     sigma_n2 = 10.0 ** (-args.snr_db / 10.0)
     bound = pep_upper_bound(code.codebook()[1], code.n_ports, sigma_n2, args.k)
     print(f"{bound:.12g}")

@@ -7,11 +7,17 @@ fixed wave boundaries (a wave is WAVE_BATCHES batches of TRIALS_PER_BATCH
 trials), which keeps the set of executed trials identical for any worker
 count.  Stopping looks only at the accumulated error count, so it never
 biases the estimate.
+
+A point's set-up (the code and the map from a channel draw to the
+effective channel h^H W) is built once in the sweep process and sent with
+every batch to the pool workers, which never build one themselves.  So
+results do not depend on how the workers are started either.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,36 +60,33 @@ def _quantize(value):
     return (0x7F800000 if value > 0 else 0xFF800000) & _U64
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PointSetup:
-    w_matrix: np.ndarray
-    chan_factor: np.ndarray
+    """What every trial of one (config, theta0) point shares.
+
+    ``g_map`` is B^H W (M x N) for a covariance factor B B^H = R, so a
+    trial's effective channel h^H W, with h = B z, is conj(z) @ g_map.
+    """
+
+    g_map: np.ndarray
     code: Code
 
 
-_SETUP_CACHE = {}
-
-
-def _setup_for(cfg, theta0_deg):
-    key = (cfg.digest(), float(theta0_deg))
-    setup = _SETUP_CACHE.get(key)
-    if setup is None:
-        phase = None
-        if cfg.precoder_override == "prbs":
-            phase = prbs_phase_vector(cfg.m, (cfg.master_seed & _U64, _PRBS_TAG))
-        code = build_code(cfg.code, cfg.rate, cfg.nze_l, cfg.nze_n)
-        prec = precoder_for_code(
-            cfg.code, cfg.m, cfg.gamma, n_ports=code.n_ports, phase_vector=phase
-        )
-        cov = covariance_for(
-            cfg.m,
-            cfg.spacing_ratio,
-            math.radians(theta0_deg),
-            math.radians(cfg.sigma_deg),
-        )
-        setup = _PointSetup(prec.w_matrix, covariance_factor(cov), code)
-        _SETUP_CACHE[key] = setup
-    return setup
+def _point_setup(cfg, theta0_deg):
+    phase = None
+    if cfg.precoder_override == "prbs":
+        phase = prbs_phase_vector(cfg.m, (cfg.master_seed & _U64, _PRBS_TAG))
+    code = build_code(cfg.code, cfg.rate, cfg.nze_l, cfg.nze_n)
+    prec = precoder_for_code(
+        cfg.code, cfg.m, cfg.gamma, n_ports=code.n_ports, phase_vector=phase
+    )
+    cov = covariance_for(
+        cfg.m,
+        cfg.spacing_ratio,
+        math.radians(theta0_deg),
+        math.radians(cfg.sigma_deg),
+    )
+    return _PointSetup(covariance_factor(cov).conj().T @ prec.w_matrix, code)
 
 
 def _run_batch(cfg, setup, snr_db, theta0_deg, t_lo, t_hi):
@@ -106,8 +109,8 @@ def _run_batch(cfg, setup, snr_db, theta0_deg, t_lo, t_hi):
         z_ch[i] = rng.standard_normal(2 * m_len)
         z_n[i] = rng.standard_normal(2 * t_len)
 
-    h = (z_ch[:, :m_len] + 1j * z_ch[:, m_len:]) / np.sqrt(2.0) @ setup.chan_factor.T
-    g_row = np.conjugate(h) @ setup.w_matrix  # entries of h^H W
+    z = (z_ch[:, :m_len] + 1j * z_ch[:, m_len:]) / np.sqrt(2.0)
+    g_row = np.conjugate(z) @ setup.g_map  # entries of h^H W
     x = code.encode(bits)
     y = np.einsum("bn,bnt->bt", g_row, x)
     sigma_n2 = 10.0 ** (-snr_db / 10.0)
@@ -122,15 +125,10 @@ def _run_batch(cfg, setup, snr_db, theta0_deg, t_lo, t_hi):
     return int(ok.sum()), errors, int(aborted.sum())
 
 
-def _batch_task(cfg, snr_db, theta0_deg, t_lo, t_hi):
-    setup = _setup_for(cfg, theta0_deg)
-    return _run_batch(cfg, setup, snr_db, theta0_deg, t_lo, t_hi)
-
-
 def run_trial(cfg, snr_db, theta0_deg, trial_index):
     """One end-to-end trial, deterministic in (seed, index, snr, theta0)."""
     cfg.validate()
-    setup = _setup_for(cfg, theta0_deg)
+    setup = _point_setup(cfg, theta0_deg)
     counted, errors, aborted = _run_batch(
         cfg, setup, snr_db, theta0_deg, trial_index, trial_index + 1
     )
@@ -138,34 +136,20 @@ def run_trial(cfg, snr_db, theta0_deg, trial_index):
     return TrialOutcome(bits_sent=nbits, bit_errors=errors, aborted=bool(aborted))
 
 
-def _run_point(cfg, snr_db, theta0_deg, pool):
-    setup = _setup_for(cfg, theta0_deg)
+def _run_point(cfg, setup, snr_db, theta0_deg, map_batches):
+    """One point, wave by wave; ``map_batches`` is ``map`` or a pool's map."""
+    batch = partial(_run_batch, cfg, setup, snr_db, theta0_deg)
     nbits = setup.code.nbits
     attempted = counted = errors = aborted = 0
-    next_trial = 0
     while attempted < cfg.max_trials and errors < cfg.min_bit_errors:
-        ranges = []
-        for _ in range(WAVE_BATCHES):
-            if next_trial >= cfg.max_trials:
-                break
-            hi = min(next_trial + TRIALS_PER_BATCH, cfg.max_trials)
-            ranges.append((next_trial, hi))
-            next_trial = hi
-        if pool is None:
-            results = [
-                _run_batch(cfg, setup, snr_db, theta0_deg, lo, hi) for lo, hi in ranges
-            ]
-        else:
-            futures = [
-                pool.submit(_batch_task, cfg, snr_db, theta0_deg, lo, hi)
-                for lo, hi in ranges
-            ]
-            results = [f.result() for f in futures]
-        for cnt, err, abo in results:
+        wave_end = min(attempted + WAVE_BATCHES * TRIALS_PER_BATCH, cfg.max_trials)
+        lows = range(attempted, wave_end, TRIALS_PER_BATCH)
+        highs = [min(lo + TRIALS_PER_BATCH, wave_end) for lo in lows]
+        for cnt, err, abo in map_batches(batch, lows, highs):
             counted += cnt
             errors += err
             aborted += abo
-        attempted = next_trial
+        attempted = wave_end
     ber = errors / (counted * nbits) if counted else 0.0
     return BerPoint(
         snr_db=float(snr_db),
@@ -183,11 +167,13 @@ def _run_point(cfg, snr_db, theta0_deg, pool):
     )
 
 
-def _with_pool(cfg, body):
+def _run_points(cfg, points):
+    """BerPoints for (setup, snr_db, theta0_deg) triples, in order, on one
+    process pool when ``cfg.workers`` > 1."""
     if cfg.workers <= 1:
-        return body(None)
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return body(pool)
+        return [_run_point(cfg, *point, map) for point in points]
+    with ProcessPoolExecutor(cfg.workers) as pool:
+        return [_run_point(cfg, *point, pool.map) for point in points]
 
 
 def run_ber_sweep(cfg):
@@ -195,12 +181,8 @@ def run_ber_sweep(cfg):
     cfg.validate()
     if not cfg.snr_db:
         raise ConfigError("snr_db: list must be nonempty for a BER sweep")
-    return _with_pool(
-        cfg,
-        lambda pool: [
-            _run_point(cfg, snr, cfg.theta0_deg, pool) for snr in cfg.snr_db
-        ],
-    )
+    setup = _point_setup(cfg, cfg.theta0_deg)
+    return _run_points(cfg, [(setup, snr, cfg.theta0_deg) for snr in cfg.snr_db])
 
 
 def run_angle_sweep(cfg, snr_db):
@@ -210,13 +192,9 @@ def run_angle_sweep(cfg, snr_db):
         raise ConfigError("theta0_deg_list: list must be nonempty for an angle sweep")
     if not math.isfinite(snr_db):
         raise ConfigError(f"snr_db: {snr_db} is not a finite number")
-    points = _with_pool(
-        cfg,
-        lambda pool: [
-            _run_point(cfg, snr_db, theta, pool) for theta in cfg.theta0_deg_list
-        ],
-    )
-    return list(zip(cfg.theta0_deg_list, points))
+    thetas = cfg.theta0_deg_list
+    points = _run_points(cfg, ((_point_setup(cfg, t), snr_db, t) for t in thetas))
+    return list(zip(thetas, points))
 
 
 def _fmt(value):

@@ -117,14 +117,24 @@ class CodeSpec:
         return self.v_matrix.copy()
 
 
+# The assembly steps are module-level functions, not lambdas, so that a Code
+# pickles and can be sent to pool workers.
+def _single_assemble(x):
+    return x[:, :, None]
+
+
 def _single(rate, nze_l, nze_n):
     psk = make_psk(2**rate)
-    return Code(1, 1, [(psk, 1)], lambda x: x[:, :, None], SingleDecoder(psk))
+    return Code(1, 1, [(psk, 1)], _single_assemble, SingleDecoder(psk))
+
+
+def _ac_assemble(x):
+    return ac_matrix(x[:, 0], x[:, 1])
 
 
 def _ac(rate, nze_l, nze_n):
     psk = make_psk(2**rate)
-    return Code(2, 2, [(psk, 2)], lambda x: ac_matrix(x[:, 0], x[:, 1]), AcDecoder(psk))
+    return Code(2, 2, [(psk, 2)], _ac_assemble, AcDecoder(psk))
 
 
 def _ostbc_assemble(x):
@@ -138,21 +148,21 @@ def _ostbc(rate, nze_l, nze_n):
     return Code(4, 4, [(pam, 2), (qpsk, 1)], _ostbc_assemble, OstbcDecoder(rate))
 
 
+def _qostbc_assemble(x):
+    return qostbc_matrix(*x.T)
+
+
 def _qostbc(rate, nze_l, nze_n):
     psk, rotated = qostbc_constellations(rate)
-    return Code(
-        4, 4, [(psk, 2), (rotated, 2)], lambda x: qostbc_matrix(*x.T), QostbcDecoder(rate)
-    )
+    return Code(4, 4, [(psk, 2), (rotated, 2)], _qostbc_assemble, QostbcDecoder(rate))
+
+
+def _ciod_assemble(x):
+    return ciod_matrix(*ciod_interleave(x[:, 0], x[:, 1]))
 
 
 def _ciod(rate, nze_l, nze_n):
-    return Code(
-        4,
-        4,
-        [(ciod_constellation(rate), 2)],
-        lambda x: ciod_matrix(*ciod_interleave(x[:, 0], x[:, 1])),
-        CiodDecoder(rate),
-    )
+    return Code(4, 4, [(ciod_constellation(rate), 2)], _ciod_assemble, CiodDecoder(rate))
 
 
 def _nze(make_tables):

@@ -45,6 +45,24 @@ def test_pep_bound_runs(capsys):
     assert two_users == pytest.approx(2 * one_user, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["coding-gain", "--code", "ac", "--rate", "0"], "--rate"),
+        (["pep-bound", "--code", "ac", "--rate", "0", "--snr-db", "5"], "--rate"),
+        (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "nan"], "--snr-db"),
+        (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "inf"], "--snr-db"),
+        (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "5", "--k", "0"], "--k"),
+    ],
+    ids=["coding-gain-rate", "pep-bound-rate", "snr-nan", "snr-inf", "k"],
+)
+def test_bad_flag_is_config_error(argv, flag, capsys):
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {flag}:" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli(["frobnicate"])

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -150,13 +152,13 @@ ENERGY_RATES = {"single": 2, "ac": 2}
 NZE_8_4 = {"nze_l": 8, "nze_n": 4}
 
 
-@pytest.mark.parametrize(
-    "kind,rate,extra",
-    [
-        (kind, ENERGY_RATES.get(kind, 1), {} if spec.n_ports else NZE_8_4)
-        for kind, spec in REGISTRY.items()
-    ],
-)
+REGISTRY_CASES = [
+    (kind, ENERGY_RATES.get(kind, 1), {} if spec.n_ports else NZE_8_4)
+    for kind, spec in REGISTRY.items()
+]
+
+
+@pytest.mark.parametrize("kind,rate,extra", REGISTRY_CASES)
 def test_energy_normalization(kind, rate, extra):
     """Mean codeword Gram over random payloads is T I_N within 2%."""
     code = build_code(kind, rate, **extra)
@@ -165,6 +167,24 @@ def test_energy_normalization(kind, rate, extra):
     x = code.encode(bits)
     gram = np.einsum("bnt,bmt->nm", x, x.conj()) / len(bits)
     assert np.abs(gram - code.n_slots * np.eye(code.n_ports)).max() <= 0.02 * code.n_slots
+
+
+@pytest.mark.parametrize("kind,rate,extra", REGISTRY_CASES)
+def test_code_pickles(kind, rate, extra):
+    """Pool workers get the Code by pickle; the copy must encode and decode
+    a random batch exactly as the original does."""
+    code = build_code(kind, rate, **extra)
+    copy = pickle.loads(pickle.dumps(code))
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2, (256, code.nbits))
+    x = code.encode(bits)
+    np.testing.assert_array_equal(copy.encode(bits), x)
+    g = rng.standard_normal((256, code.n_ports)) + 1j * rng.standard_normal((256, code.n_ports))
+    y = np.einsum("bn,bnt->bt", g, x) + 0.5 * rng.standard_normal(x.shape[::2])
+    want_bits, want_aborted = code.decoder.decode_bits(y, g)
+    got_bits, got_aborted = copy.decoder.decode_bits(y, g)
+    np.testing.assert_array_equal(got_bits, want_bits)
+    np.testing.assert_array_equal(got_aborted, want_aborted)
 
 
 def _symbols(constellation, bits, width):

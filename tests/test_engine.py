@@ -1,6 +1,10 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from omnistbc import engine
 from omnistbc.analysis import BerPoint
 from omnistbc.config import ConfigError, SimConfig
 from omnistbc.engine import (
@@ -114,6 +118,29 @@ def test_worker_count_invariance(tmp_path):
     emit_csv(run_ber_sweep(small_cfg(workers=1)), f1)
     emit_csv(run_ber_sweep(small_cfg(workers=8)), f8)
     assert f1.read_bytes() == f8.read_bytes()
+
+
+def test_workers_never_rebuild_the_setup(tmp_path, monkeypatch):
+    """Each point's set-up is built in the sweep process and sent to the pool
+    workers with its batches; a worker that built its own would call the
+    patched covariance_factor, which forked workers inherit, and fail."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patch reaches pool workers only when they are forked")
+    kw = dict(theta0_deg_list=(-30.0, 0.0, 30.0), max_trials=6000, min_bit_errors=10**9)
+    f1, f2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    emit_csv([p for _, p in run_angle_sweep(small_cfg(**kw), 6.0)], f1)
+
+    owner = os.getpid()
+    factor = engine.covariance_factor
+
+    def sweep_process_only(model):
+        if os.getpid() != owner:
+            raise RuntimeError("covariance_factor called in a pool worker")
+        return factor(model)
+
+    monkeypatch.setattr(engine, "covariance_factor", sweep_process_only)
+    emit_csv([p for _, p in run_angle_sweep(small_cfg(workers=2, **kw), 6.0)], f2)
+    assert f1.read_bytes() == f2.read_bytes()
 
 
 def test_early_stop_counts_all_trials():

@@ -59,16 +59,6 @@ from .precoding import (
     preset_V,
     transmit,
 )
-from .receivers import (
-    RxObservation,
-    add_awgn,
-    ml_decode_ac,
-    ml_decode_ciod,
-    ml_decode_ostbc,
-    ml_decode_qostbc,
-    ml_decode_single,
-    zf_decode_nze,
-)
 from .sequences import (
     ZcSequence,
     is_cazac,

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "BerPoint",
     "PAIR_CAP",
+    "check_pair_count",
     "coding_gain",
     "qostbc_gain_closed_form",
     "ciod_gain_closed_form",
@@ -47,17 +48,21 @@ class BerPoint:
     bits_sent: int = 0
 
 
-def _pair_gram_dets(mats):
-    """det(Delta Delta^H) for every ordered distinct pair, via eigenvalues."""
-    mats = np.asarray(mats, dtype=complex)
-    n_codes = mats.shape[0]
+def check_pair_count(n_codes):
+    """Raise ValueError unless ``n_codes`` codewords can be enumerated in
+    pairs: at least two, and at most PAIR_CAP ordered distinct pairs."""
     if n_codes < 2:
         raise ValueError("need at least two codewords")
     n_pairs = n_codes * (n_codes - 1)
     if n_pairs > PAIR_CAP:
-        raise ValueError(
-            f"{n_pairs} codeword pairs exceed the enumeration cap {PAIR_CAP}"
-        )
+        raise ValueError(f"{n_pairs} codeword pairs exceed the enumeration cap {PAIR_CAP}")
+
+
+def _pair_gram_dets(mats):
+    """det(Delta Delta^H) for every ordered distinct pair, via eigenvalues."""
+    mats = np.asarray(mats, dtype=complex)
+    n_codes = mats.shape[0]
+    check_pair_count(n_codes)
     dets = []
     for i in range(n_codes):
         diff = np.delete(mats, i, axis=0) - mats[i]
@@ -119,12 +124,7 @@ def pep_upper_bound(codebook, n_ports, sigma_n2, n_users=1):
         raise ValueError("noise variance must be positive")
     mats = np.asarray([getattr(c, "matrix", c) for c in codebook], dtype=complex)
     n_codes = mats.shape[0]
-    if n_codes < 2:
-        raise ValueError("need at least two codewords")
-    if n_codes * (n_codes - 1) > PAIR_CAP:
-        raise ValueError(
-            f"{n_codes * (n_codes - 1)} codeword pairs exceed the cap {PAIR_CAP}"
-        )
+    check_pair_count(n_codes)
     total = 0.0
     for i in range(n_codes):
         diff = np.delete(mats, i, axis=0) - mats[i]

@@ -10,7 +10,7 @@ import math
 import os
 import sys
 
-from .analysis import coding_gain, pep_upper_bound
+from .analysis import check_pair_count, coding_gain, pep_upper_bound
 from .config import ConfigError, load_config
 from .kinds import REGISTRY, build_code
 
@@ -28,7 +28,12 @@ def _enumerable_code(args):
         )
     if args.rate < 1:
         raise ConfigError(f"--rate: must be a positive integer, got {args.rate}")
-    return spec, build_code(args.code, args.rate)
+    code = build_code(args.code, args.rate)
+    try:
+        check_pair_count(2**code.nbits)
+    except ValueError as exc:
+        raise ConfigError(f"--rate: {args.rate} is too large to enumerate: {exc}") from None
+    return spec, code
 
 
 def _cmd_validate(args):

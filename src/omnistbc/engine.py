@@ -117,9 +117,7 @@ def _run_batch(cfg, setup, snr_db, theta0_deg, t_lo, t_hi):
     if sigma_n2 > 0:
         y = y + (z_n[:, :t_len] + 1j * z_n[:, t_len:]) * np.sqrt(sigma_n2 / 2.0)
 
-    bits_hat, aborted = code.decoder.decode_bits(y, g_row)
-    if aborted is None:
-        aborted = np.zeros(n_trials, dtype=bool)
+    bits_hat, aborted = code.decode(y, g_row)
     ok = ~aborted
     errors = int(np.sum((bits_hat != bits) & ok[:, None]))
     return int(ok.sum()), errors, int(aborted.sum())

@@ -4,8 +4,8 @@ Every fact that differs between the kinds lives here: the port count, the
 preset unitary V in W = diag(c) (1 kron V), the kind's own config rules,
 whether its codebook is small enough to enumerate, its closed-form coding
 gain, and, per (rate, L, N), a Code holding the slot count, the
-constellations, the batched encoder and the decoder.  Adding a kind means
-adding one CodeSpec to REGISTRY.
+constellations with their Gray bit labels, the batched encoder and the
+batched decoder.  Adding a kind means adding one CodeSpec to REGISTRY.
 """
 
 from dataclasses import dataclass
@@ -53,7 +53,8 @@ class Code:
     ``groups`` lists (constellation, count) in payload order: the payload
     bits are cut into ``count`` Gray-labelled symbols of each constellation
     in turn, and ``assemble`` maps those (B, symbols) to (B, N, T)
-    codewords.  ``decoder.decode_bits`` inverts the map for a batch.
+    codewords.  The decoder returns symbol indices in the same order, and
+    ``decode`` reads their bits back through the same labels.
     """
 
     def __init__(self, n_ports, n_slots, groups, assemble, decoder):
@@ -62,9 +63,10 @@ class Code:
         self.assemble = assemble
         self.decoder = decoder
         self._groups = [
-            (c.bit_width, count, c.index_table(), c.points) for c, count in groups
+            (c.bit_width, count, c.index_table(), c.points, c.bits_table())
+            for c, count in groups
         ]
-        self.nbits = sum(width * count for width, count, _, _ in self._groups)
+        self.nbits = sum(width * count for width, count, *_ in self._groups)
 
     @property
     def rate_bps(self):
@@ -73,12 +75,22 @@ class Code:
     def encode(self, bits):
         """Payloads (B, nbits) -> codewords (B, N, T)."""
         parts, start = [], 0
-        for width, count, table, points in self._groups:
+        for width, count, table, points, _ in self._groups:
             stop = start + width * count
             words = bits[:, start:stop].reshape(len(bits), count, width)
             parts.append(points[table[words @ (1 << np.arange(width - 1, -1, -1))]])
             start = stop
         return self.assemble(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
+
+    def decode(self, y, g):
+        """Observations (B, T) through channels (B, N) -> (bits (B, nbits),
+        aborted (B,)); the bits of an aborted trial mean nothing."""
+        idx, aborted = self.decoder.decode_batch(y, g)
+        parts, start = [], 0
+        for _, count, _, _, labels in self._groups:
+            parts.append(labels[idx[:, start : start + count]].reshape(len(idx), -1))
+            start += count
+        return np.concatenate(parts, axis=1), aborted
 
     def codebook(self):
         """(payloads, codewords) over every payload, in ascending word order."""
@@ -145,7 +157,7 @@ def _ostbc_assemble(x):
 
 def _ostbc(rate, nze_l, nze_n):
     pam, qpsk = ostbc_constellations(rate)
-    return Code(4, 4, [(pam, 2), (qpsk, 1)], _ostbc_assemble, OstbcDecoder(rate))
+    return Code(4, 4, [(pam, 2), (qpsk, 1)], _ostbc_assemble, OstbcDecoder(pam, qpsk))
 
 
 def _qostbc_assemble(x):
@@ -154,7 +166,7 @@ def _qostbc_assemble(x):
 
 def _qostbc(rate, nze_l, nze_n):
     psk, rotated = qostbc_constellations(rate)
-    return Code(4, 4, [(psk, 2), (rotated, 2)], _qostbc_assemble, QostbcDecoder(rate))
+    return Code(4, 4, [(psk, 2), (rotated, 2)], _qostbc_assemble, QostbcDecoder(psk, rotated))
 
 
 def _ciod_assemble(x):
@@ -162,7 +174,8 @@ def _ciod_assemble(x):
 
 
 def _ciod(rate, nze_l, nze_n):
-    return Code(4, 4, [(ciod_constellation(rate), 2)], _ciod_assemble, CiodDecoder(rate))
+    qam = ciod_constellation(rate)
+    return Code(4, 4, [(qam, 2)], _ciod_assemble, CiodDecoder(qam))
 
 
 def _nze(make_tables):

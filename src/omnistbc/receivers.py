@@ -1,34 +1,25 @@
-"""AWGN injection and the decoders for every code design.
+"""The decoders for every code design.
 
 Observation model: y_t = sum_n g_n X_{n,t} + z_t, where g is the
 receiver-side effective channel written as the row vector h^H W.  That is
 the conjugate of the column form W^H h produced by the channel module; the
 Monte Carlo engine applies the conjugation when it builds observations.
 
-All decoders exist in two forms: a function operating on one
-RxObservation, and a batched kernel (leading axis = trial) used by the
-Monte Carlo engine.  Ties in any candidate search resolve to the lowest
-candidate index.
+Every decoder has one call, ``decode_batch(y, g) -> (idx, aborted)``, over
+a batch of trials: y is (B, T), g is (B, N), ``idx`` is (B, n_symbols)
+symbol indices into the code's constellations in payload order, and
+``aborted`` is a (B,) mask of trials that cannot be decoded (an all-zero
+channel row, or a ZF system that loses rank); their indices mean nothing.
+The decoders take the constellations the code registry (``omnistbc.kinds``)
+builds, and the registry's ``Code.decode`` maps the indices to bits.  Ties
+in any candidate search resolve to the lowest candidate index.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import NzeTables
-from .constellations import Constellation, make_psk
+from .codes import ciod_interleave
 
 __all__ = [
-    "RxObservation",
-    "UndecodableError",
-    "RankDeficientError",
-    "add_awgn",
-    "ml_decode_single",
-    "ml_decode_ac",
-    "ml_decode_ostbc",
-    "ml_decode_qostbc",
-    "ml_decode_ciod",
-    "zf_decode_nze",
     "SingleDecoder",
     "AcDecoder",
     "OstbcDecoder",
@@ -38,49 +29,9 @@ __all__ = [
 ]
 
 
-class UndecodableError(ValueError):
-    """Raised when the effective channel is identically zero."""
-
-
-class RankDeficientError(np.linalg.LinAlgError):
-    """Raised when a ZF system loses rank (measure-zero channel draw)."""
-
-
-@dataclass
-class RxObservation:
-    """T received samples with the effective channel known at the receiver.
-
-    ``g`` follows the row convention h^H W (see module docstring).
-    """
-
-    y: np.ndarray
-    g: np.ndarray
-    sigma_n2: float = 0.0
-
-
-def add_awgn(clean, sigma_n2, rng):
-    """Add circular complex Gaussian noise of variance sigma_n2 per sample."""
-    if sigma_n2 < 0:
-        raise ValueError("noise variance must be nonnegative")
-    clean = np.asarray(clean, dtype=complex)
-    if sigma_n2 == 0:
-        return clean.copy()
-    w = rng.standard_normal(2 * clean.size)
-    noise = (w[: clean.size] + 1j * w[clean.size :]) * np.sqrt(sigma_n2 / 2.0)
-    return clean + noise.reshape(clean.shape)
-
-
-def _check_channel(g):
-    if not np.any(np.abs(g) > 0):
-        raise UndecodableError("effective channel is zero")
-
-
-class _BatchDecoder:
-    """``decode_batch`` returns the decoded bits first; ``decode_bits`` adds
-    the mask of aborted trials, None for decoders that never abort."""
-
-    def decode_bits(self, y, g):
-        return self.decode_batch(y, g)[0], None
+def _zero_rows(g):
+    """Trials whose effective channel is identically zero."""
+    return ~np.any(g, axis=1)
 
 
 def _slice_batch(stat, points):
@@ -88,28 +39,20 @@ def _slice_batch(stat, points):
     return np.argmin(np.abs(stat[..., None] - points), axis=-1)
 
 
-class SingleDecoder(_BatchDecoder):
+class SingleDecoder:
     """Nearest-point detection of one PSK symbol per slot."""
 
     def __init__(self, constellation):
         self.constellation = constellation
-        self.bits_table = constellation.bits_table()
 
     def decode_batch(self, y, g):
-        stat = y[:, 0] * np.conjugate(g[:, 0]) / (np.abs(g[:, 0]) ** 2)
-        idx = _slice_batch(stat, self.constellation.points)
-        return self.bits_table[idx], idx
-
-    def decode(self, obs):
-        _check_channel(obs.g)
-        bits, idx = self.decode_batch(
-            np.atleast_2d(obs.y), np.atleast_2d(obs.g)
-        )
-        xhat = complex(self.constellation.points[idx[0]])
-        return bits[0], xhat
+        aborted = _zero_rows(g)
+        energy = np.where(aborted, 1.0, np.abs(g[:, 0]) ** 2)
+        stat = y[:, :1] * np.conjugate(g[:, :1]) / energy[:, None]
+        return _slice_batch(stat, self.constellation.points), aborted
 
 
-class AcDecoder(_BatchDecoder):
+class AcDecoder:
     """Symbol-wise ML for the Alamouti code via matched filtering.
 
     The statistics x1~ = g1* y1 - g2 y2* and x2~ = g2* y1 + g1 y2* each
@@ -119,49 +62,37 @@ class AcDecoder(_BatchDecoder):
 
     def __init__(self, constellation):
         self.constellation = constellation
-        self.bits_table = constellation.bits_table()
 
     def decode_batch(self, y, g):
+        aborted = _zero_rows(g)
         g1, g2 = g[:, 0], g[:, 1]
         y2c = np.conjugate(y[:, 1])
-        energy = np.abs(g1) ** 2 + np.abs(g2) ** 2
-        x1 = (np.conjugate(g1) * y[:, 0] - g2 * y2c) / energy
-        x2 = (np.conjugate(g2) * y[:, 0] + g1 * y2c) / energy
-        i1 = _slice_batch(x1, self.constellation.points)
-        i2 = _slice_batch(x2, self.constellation.points)
-        bits = np.concatenate([self.bits_table[i1], self.bits_table[i2]], axis=1)
-        return bits, i1, i2
-
-    def decode(self, obs):
-        _check_channel(obs.g)
-        bits, i1, i2 = self.decode_batch(np.atleast_2d(obs.y), np.atleast_2d(obs.g))
-        pts = self.constellation.points
-        return bits[0], complex(pts[i1[0]]), complex(pts[i2[0]])
+        energy = np.where(aborted, 1.0, np.abs(g1) ** 2 + np.abs(g2) ** 2)
+        stat = np.stack(
+            [np.conjugate(g1) * y[:, 0] - g2 * y2c, np.conjugate(g2) * y[:, 0] + g1 * y2c],
+            axis=1,
+        )
+        return _slice_batch(stat / energy[:, None], self.constellation.points), aborted
 
 
-class OstbcDecoder(_BatchDecoder):
+class OstbcDecoder:
     """Two-step ML for the rate-3/4 orthogonal design.
 
     Step one maximizes f(x3') = Re(x3'(g3 y1* + g4 y2*) + x3'*(g1 y3* +
     g2 y4*)) over QPSK; x3' decouples because its coefficient |x1 + x2| is
     positive for every payload.  Step two evaluates the exact residual
     metric jointly over the (x1, x2) grid, 2^(4R-2) candidates, keeping
-    the |x1 + x2| coupling in x3.
+    the |x1 + x2| coupling in x3.  Symbols come out as (x1, j x2, x3')
+    indices into (pam, pam, qpsk).
     """
 
-    def __init__(self, rate):
-        from .codes import ostbc_constellations
-
-        self.rate = rate
-        self.pam, self.qpsk = ostbc_constellations(rate)
-        self.pam_bits = self.pam.bits_table()
-        self.qpsk_bits = self.qpsk.bits_table()
-        m = self.pam.order
+    def __init__(self, pam, qpsk):
+        self.qpsk = qpsk
+        m = pam.order
         i1, i2 = np.divmod(np.arange(m * m), m)
-        self.cand_i1 = i1
-        self.cand_i2 = i2
-        self.cand_x1 = self.pam.points[i1]
-        self.cand_x2 = 1j * self.pam.points[i2]
+        self.cand_idx = np.stack([i1, i2], axis=1)
+        self.cand_x1 = pam.points[i1]
+        self.cand_x2 = 1j * pam.points[i2]
         self.cand_amp = np.abs(self.cand_x1 + self.cand_x2)
 
     def decode_batch(self, y, g):
@@ -185,42 +116,24 @@ class OstbcDecoder(_BatchDecoder):
             np.abs(r1) ** 2 + np.abs(r2) ** 2 + np.abs(r3) ** 2 + np.abs(r4) ** 2
         )
         c = np.argmin(metric, axis=1)
-        i1, i2 = self.cand_i1[c], self.cand_i2[c]
-        bits = np.concatenate(
-            [self.pam_bits[i1], self.pam_bits[i2], self.qpsk_bits[i3]], axis=1
-        )
-        return bits, i1, i2, i3
-
-    def decode(self, obs):
-        _check_channel(obs.g)
-        bits, i1, i2, i3 = self.decode_batch(np.atleast_2d(obs.y), np.atleast_2d(obs.g))
-        x1 = complex(self.pam.points[i1[0]])
-        x2 = complex(1j * self.pam.points[i2[0]])
-        x3p = complex(self.qpsk.points[i3[0]])
-        return bits[0], x1, x2, x3p
+        return np.column_stack([self.cand_idx[c], i3]), _zero_rows(g)
 
 
-class QostbcDecoder(_BatchDecoder):
+class QostbcDecoder:
     """Exact pair-wise ML for the TBH quasi-orthogonal design.
 
     The metric splits into independent terms for (x1, x3) and (x2, x4):
     the cross Gram g X_A X_B^H g^H is purely imaginary for every payload,
-    so two searches of L^2 candidates each reproduce full ML.
+    so two searches of L^2 candidates each reproduce full ML.  x1 and x2
+    are plain PSK, x3 and x4 the rotated set.
     """
 
-    def __init__(self, rate):
-        from .codes import qostbc_constellations
-
-        self.rate = rate
-        self.psk, self.rotated = qostbc_constellations(rate)
-        self.psk_bits = self.psk.bits_table()
-        self.rot_bits = self.rotated.bits_table()
-        order = self.psk.order
+    def __init__(self, psk, rotated):
+        order = psk.order
         ia, ib = np.divmod(np.arange(order * order), order)
-        self.cand_ia = ia  # plain-PSK member of the pair
-        self.cand_ib = ib  # rotated member
-        self.cand_a = self.psk.points[ia]
-        self.cand_b = self.rotated.points[ib]
+        self.cand_idx = np.stack([ia, ib], axis=1)  # (plain, rotated) member
+        self.cand_a = psk.points[ia]
+        self.cand_b = rotated.points[ib]
 
     def _pair_metric(self, y, coeffs):
         """Residual metric for one pair over the candidate grid.
@@ -261,31 +174,13 @@ class QostbcDecoder(_BatchDecoder):
                 (g3, g1, True),
             ],
         )
-        c13 = np.argmin(m13, axis=1)
-        c24 = np.argmin(m24, axis=1)
-        i1, i3 = self.cand_ia[c13], self.cand_ib[c13]
-        i2, i4 = self.cand_ia[c24], self.cand_ib[c24]
-        bits = np.concatenate(
-            [self.psk_bits[i1], self.psk_bits[i2], self.rot_bits[i3], self.rot_bits[i4]],
-            axis=1,
-        )
-        return bits, i1, i2, i3, i4
-
-    def decode(self, obs):
-        _check_channel(obs.g)
-        bits, i1, i2, i3, i4 = self.decode_batch(
-            np.atleast_2d(obs.y), np.atleast_2d(obs.g)
-        )
-        return (
-            bits[0],
-            complex(self.psk.points[i1[0]]),
-            complex(self.psk.points[i2[0]]),
-            complex(self.rotated.points[i3[0]]),
-            complex(self.rotated.points[i4[0]]),
-        )
+        p13 = self.cand_idx[np.argmin(m13, axis=1)]
+        p24 = self.cand_idx[np.argmin(m24, axis=1)]
+        idx = np.column_stack([p13[:, 0], p24[:, 0], p13[:, 1], p24[:, 1]])
+        return idx, _zero_rows(g)
 
 
-class CiodDecoder(_BatchDecoder):
+class CiodDecoder:
     """Separate per-symbol ML for the coordinate-interleaved design.
 
     s1 and s2 touch disjoint Alamouti blocks through the interleaver and
@@ -293,13 +188,8 @@ class CiodDecoder(_BatchDecoder):
     search over the rotated QAM set.
     """
 
-    def __init__(self, rate):
-        from .codes import ciod_constellation, ciod_interleave
-
-        self.rate = rate
-        self.qam = ciod_constellation(rate)
-        self.qam_bits = self.qam.bits_table()
-        s = self.qam.points
+    def __init__(self, qam):
+        s = qam.points
         x1, x2, x3, x4 = ciod_interleave(s, s)
         self.s1_parts = (x1, x3)  # contributions keyed by s1
         self.s2_parts = (x2, x4)
@@ -320,24 +210,18 @@ class CiodDecoder(_BatchDecoder):
             + np.abs(y[:, 2:3] - g4 * x4) ** 2
             + np.abs(y[:, 3:4] - g3 * np.conjugate(x4)) ** 2
         )
-        i1 = np.argmin(m1, axis=1)
-        i2 = np.argmin(m2, axis=1)
-        bits = np.concatenate([self.qam_bits[i1], self.qam_bits[i2]], axis=1)
-        return bits, i1, i2
-
-    def decode(self, obs):
-        _check_channel(obs.g)
-        bits, i1, i2 = self.decode_batch(np.atleast_2d(obs.y), np.atleast_2d(obs.g))
-        return bits[0], complex(self.qam.points[i1[0]]), complex(self.qam.points[i2[0]])
+        idx = np.column_stack([np.argmin(m1, axis=1), np.argmin(m2, axis=1)])
+        return idx, _zero_rows(g)
 
 
-class NzeZfDecoder(_BatchDecoder):
+class NzeZfDecoder:
     """Unregularized least squares over the real expansion of an NZE code.
 
     Conjugated entries make the map y = f(x) widely linear, so the 2T real
     observations are expressed against the 2L real symbol coordinates and
     solved by normal equations; each recovered symbol is then sliced to the
-    PSK grid.  A system whose Gram loses rank marks the trial aborted.
+    PSK grid.  A system whose Gram loses rank (an all-zero channel among
+    them) marks the trial aborted.
     """
 
     RANK_RTOL = 1e-10
@@ -345,7 +229,6 @@ class NzeZfDecoder(_BatchDecoder):
     def __init__(self, tables, constellation):
         self.tables = tables
         self.constellation = constellation
-        self.bits_table = constellation.bits_table()
         n, t_len, l_len = tables.n_ports, tables.n_slots, tables.n_sym
         # Constant port -> (slot, symbol) maps, one per conjugation class.
         m_plain = np.zeros((n, t_len, l_len), dtype=float)
@@ -357,11 +240,7 @@ class NzeZfDecoder(_BatchDecoder):
 
     def design_matrix(self, g):
         """Real 2T x 2L system matrices for a batch of channels."""
-        n, t_len, l_len = (
-            self.tables.n_ports,
-            self.tables.n_slots,
-            self.tables.n_sym,
-        )
+        t_len, l_len = self.tables.n_slots, self.tables.n_sym
         p_plain = (g @ self.m_plain).reshape(-1, t_len, l_len)
         p_conj = (g @ self.m_conj).reshape(-1, t_len, l_len)
         a = np.zeros((g.shape[0], 2 * t_len, 2 * l_len))
@@ -372,7 +251,6 @@ class NzeZfDecoder(_BatchDecoder):
         return a
 
     def decode_batch(self, y, g):
-        """Returns (bits, symbol indices, aborted mask)."""
         a = self.design_matrix(g)
         b, two_t, two_l = a.shape
         yr = np.empty((b, two_t))
@@ -386,48 +264,4 @@ class NzeZfDecoder(_BatchDecoder):
         safe[aborted] = np.eye(two_l)
         sol = np.linalg.solve(safe, rhs[..., None])[..., 0]
         xhat = sol[:, 0::2] + 1j * sol[:, 1::2]
-        idx = _slice_batch(xhat, self.constellation.points)
-        bits = self.bits_table[idx].reshape(b, -1)
-        return bits, idx, aborted
-
-    def decode_bits(self, y, g):
-        bits, _, aborted = self.decode_batch(y, g)
-        return bits, aborted
-
-    def decode(self, obs):
-        bits, idx, aborted = self.decode_batch(
-            np.atleast_2d(obs.y), np.atleast_2d(obs.g)
-        )
-        if aborted[0]:
-            raise RankDeficientError("ZF design matrix has rank below 2L")
-        return bits[0], self.constellation.points[idx[0]]
-
-
-def ml_decode_single(obs, constellation):
-    return SingleDecoder(constellation).decode(obs)
-
-
-def ml_decode_ac(obs, constellation):
-    return AcDecoder(constellation).decode(obs)
-
-
-def ml_decode_ostbc(obs, rate):
-    return OstbcDecoder(rate).decode(obs)
-
-
-def ml_decode_qostbc(obs, rate):
-    return QostbcDecoder(rate).decode(obs)
-
-
-def ml_decode_ciod(obs, rate):
-    return CiodDecoder(rate).decode(obs)
-
-
-def zf_decode_nze(obs, code_params):
-    """``code_params``: an NzeTables plus the PSK constellation, or a
-    (tables, constellation) tuple."""
-    if isinstance(code_params, NzeTables):
-        tables, constellation = code_params, make_psk(2)
-    else:
-        tables, constellation = code_params
-    return NzeZfDecoder(tables, constellation).decode(obs)
+        return _slice_batch(xhat, self.constellation.points), aborted

@@ -53,8 +53,10 @@ def test_pep_bound_runs(capsys):
         (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "nan"], "--snr-db"),
         (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "inf"], "--snr-db"),
         (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "5", "--k", "0"], "--k"),
+        (["coding-gain", "--code", "qostbc", "--rate", "4"], "--rate"),
+        (["pep-bound", "--code", "qostbc", "--rate", "3", "--snr-db", "5"], "--rate"),
     ],
-    ids=["coding-gain-rate", "pep-bound-rate", "snr-nan", "snr-inf", "k"],
+    ids=["coding-gain-rate", "pep-bound-rate", "snr-nan", "snr-inf", "k", "coding-gain-cap", "pep-bound-cap"],
 )
 def test_bad_flag_is_config_error(argv, flag, capsys):
     assert cli(argv) == 2

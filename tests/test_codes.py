@@ -181,8 +181,8 @@ def test_code_pickles(kind, rate, extra):
     np.testing.assert_array_equal(copy.encode(bits), x)
     g = rng.standard_normal((256, code.n_ports)) + 1j * rng.standard_normal((256, code.n_ports))
     y = np.einsum("bn,bnt->bt", g, x) + 0.5 * rng.standard_normal(x.shape[::2])
-    want_bits, want_aborted = code.decoder.decode_bits(y, g)
-    got_bits, got_aborted = copy.decoder.decode_bits(y, g)
+    want_bits, want_aborted = code.decode(y, g)
+    got_bits, got_aborted = copy.decode(y, g)
     np.testing.assert_array_equal(got_bits, want_bits)
     np.testing.assert_array_equal(got_aborted, want_aborted)
 

@@ -1,8 +1,11 @@
+import functools
 import multiprocessing
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnistbc import engine
 from omnistbc.analysis import BerPoint
@@ -141,6 +144,28 @@ def test_workers_never_rebuild_the_setup(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "covariance_factor", sweep_process_only)
     emit_csv([p for _, p in run_angle_sweep(small_cfg(workers=2, **kw), 6.0)], f2)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _split_setup(kind):
+    extra = dict(nze_l=4, nze_n=2) if kind == "nze_tc" else {}
+    cfg = small_cfg(code=kind, **extra)
+    return cfg, engine._point_setup(cfg, 10.0)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(["ac", "nze_tc"]),
+    n=st.integers(1, 64),
+    cuts=st.sets(st.integers(1, 63), max_size=8),
+)
+def test_any_batch_split_gives_same_totals(kind, n, cuts):
+    """Summing _run_batch over any partition of [0, n) gives the totals of
+    one batch: a trial's outcome does not depend on its batch."""
+    cfg, setup = _split_setup(kind)
+    edges = [0, *sorted(c for c in cuts if c < n), n]
+    parts = [engine._run_batch(cfg, setup, 2.0, 10.0, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    assert tuple(map(sum, zip(*parts))) == engine._run_batch(cfg, setup, 2.0, 10.0, 0, n)
 
 
 def test_early_stop_counts_all_trials():

@@ -1,186 +1,173 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import codebook, exhaustive_ml, payloads, random_effective_channel
+from helpers import codebook, exhaustive_ml, payloads
 
 from omnistbc import codes
 from omnistbc.constellations import make_psk
+from omnistbc.kinds import REGISTRY, build_code
 from omnistbc.receivers import (
     AcDecoder,
     CiodDecoder,
     NzeZfDecoder,
     OstbcDecoder,
     QostbcDecoder,
-    RankDeficientError,
-    RxObservation,
-    UndecodableError,
-    add_awgn,
-    ml_decode_ac,
-    ml_decode_ciod,
-    ml_decode_ostbc,
-    ml_decode_qostbc,
-    ml_decode_single,
-    zf_decode_nze,
+    SingleDecoder,
 )
 
+ENUMERABLE = [kind for kind, spec in REGISTRY.items() if spec.enumerable]
 
-def observe(matrix, g, sigma_n2=0.0, rng=None):
-    y = g @ matrix
+
+def channels(rng, n_trials, n_ports):
+    """A batch of draws of the asymptotic effective channel, row convention."""
+    z = rng.standard_normal((n_trials, 2, n_ports))
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0 * n_ports)
+
+
+def observe(matrices, g, sigma_n2=0.0, rng=None):
+    """Observations y = g X (+ noise) for codewords (B, N, T), channels (B, N)."""
+    y = np.einsum("bn,bnt->bt", g, matrices)
     if sigma_n2 > 0:
-        y = add_awgn(y, sigma_n2, rng)
-    return RxObservation(y=y, g=g, sigma_n2=sigma_n2)
-
-
-def test_add_awgn_zero_variance_is_identity():
-    clean = np.array([1 + 2j, -3j])
-    np.testing.assert_array_equal(add_awgn(clean, 0.0, np.random.default_rng(0)), clean)
-
-
-def test_add_awgn_variance_split():
-    rng = np.random.default_rng(1)
-    clean = np.zeros(100_000, dtype=complex)
-    noisy = add_awgn(clean, 0.5, rng)
-    assert np.mean(np.abs(noisy) ** 2) == pytest.approx(0.5, rel=0.03)
-    assert np.var(noisy.real) == pytest.approx(0.25, rel=0.05)
-    assert np.var(noisy.imag) == pytest.approx(0.25, rel=0.05)
-    with pytest.raises(ValueError):
-        add_awgn(clean, -1.0, rng)
+        w = rng.standard_normal((2,) + y.shape)
+        y = y + (w[0] + 1j * w[1]) * np.sqrt(sigma_n2 / 2.0)
+    return y
 
 
 def test_single_decoder_roundtrip():
     psk = make_psk(4)
     rng = np.random.default_rng(2)
-    for bits in payloads(2):
-        x = psk.encode(bits)
-        for _ in range(20):
-            g = random_effective_channel(rng, 1)
-            obs = RxObservation(y=np.array([g[0] * x]), g=g)
-            out_bits, xhat = ml_decode_single(obs, psk)
-            assert np.array_equal(out_bits, bits)
-            assert xhat == pytest.approx(x)
+    code = build_code("single", 2)
+    bits = np.repeat(payloads(2), 20, axis=0)
+    x = code.encode(bits)
+    g = channels(rng, len(bits), 1)
+    y = observe(x, g)
+    idx, aborted = SingleDecoder(psk).decode_batch(y, g)
+    assert not aborted.any()
+    np.testing.assert_allclose(psk.points[idx[:, 0]], x[:, 0, 0])
+    np.testing.assert_array_equal(code.decode(y, g)[0], bits)
 
 
 def test_ac_matched_filter_identity_channel():
     psk = make_psk(4)
     cw = codes.encode_ac(psk.points[1], psk.points[3])
-    obs = observe(cw.matrix, np.array([1.0 + 0j, 0.0]))
-    bits, x1, x2 = ml_decode_ac(obs, psk)
-    assert x1 == pytest.approx(psk.points[1])
-    assert x2 == pytest.approx(psk.points[3])
+    g = np.array([[1.0 + 0j, 0.0]])
+    idx, aborted = AcDecoder(psk).decode_batch(g @ cw.matrix, g)
+    np.testing.assert_array_equal(idx, [[1, 3]])
+    assert not aborted.any()
 
 
 def test_ac_noiseless_roundtrip_all_payloads():
-    psk = make_psk(4)
+    code = build_code("ac", 2)
     rng = np.random.default_rng(3)
-    for bits in payloads(4):
-        cw = codes.encode_ac(psk.encode(bits[:2]), psk.encode(bits[2:]))
-        for _ in range(50):
-            g = random_effective_channel(rng, 2)
-            out = ml_decode_ac(observe(cw.matrix, g), psk)
-            assert np.array_equal(out[0], bits)
+    bits = np.repeat(payloads(4), 50, axis=0)
+    g = channels(rng, len(bits), 2)
+    decoded, aborted = code.decode(observe(code.encode(bits), g), g)
+    assert not aborted.any()
+    np.testing.assert_array_equal(decoded, bits)
 
 
-def test_ac_matches_exhaustive_on_noise():
-    psk = make_psk(4)
-    book = codebook("ac", 2)
-    rng = np.random.default_rng(4)
-    decoder = AcDecoder(psk)
-    for _ in range(1000):
-        bits, matrix = book[rng.integers(len(book))]
-        g = random_effective_channel(rng, 2)
-        obs = observe(matrix, g, 0.5, rng)
-        fast = decoder.decode(obs)[0]
-        np.testing.assert_array_equal(fast, exhaustive_ml(obs.y, g, book))
+@pytest.mark.parametrize("rate", [1, 2])
+@pytest.mark.parametrize("kind", ENUMERABLE)
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**64 - 1), snr_db=st.floats(-3.0, 12.0))
+def test_decode_matches_exhaustive_ml(kind, rate, seed, snr_db):
+    """Every fast decoder equals brute-force ML over the whole codebook on
+    noisy batches, trial by trial."""
+    code = build_code(kind, rate)
+    book = codebook(kind, rate)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, (100, code.nbits))
+    g = channels(rng, len(bits), code.n_ports)
+    y = observe(code.encode(bits), g, 10 ** (-snr_db / 10), rng)
+    decoded, aborted = code.decode(y, g)
+    assert not aborted.any()
+    for row, y_row, g_row in zip(decoded, y, g):
+        np.testing.assert_array_equal(row, exhaustive_ml(y_row, g_row, book))
 
 
-def test_zero_channel_raises():
-    psk = make_psk(2)
-    obs = RxObservation(y=np.zeros(2), g=np.zeros(2))
-    with pytest.raises(UndecodableError):
-        ml_decode_ac(obs, psk)
+@pytest.mark.parametrize("kind", REGISTRY)
+def test_zero_channel_aborts(kind):
+    """An all-zero channel row is aborted, without a warning, and leaves the
+    other rows of the batch alone."""
+    code = build_code(kind, 1, 8, 4)
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2, (8, code.nbits))
+    g = channels(rng, len(bits), code.n_ports)
+    g[3] = 0.0
+    y = observe(code.encode(bits), g)
+    y[3] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decoded, aborted = code.decode(y, g)
+    np.testing.assert_array_equal(aborted, np.arange(8) == 3)
+    np.testing.assert_array_equal(decoded[~aborted], bits[~aborted])
 
 
 @pytest.mark.parametrize(
-    "kind,rate,decode",
+    "kind,rate,make_decoder",
     [
-        ("ostbc", 1, lambda o: ml_decode_ostbc(o, 1)),
-        ("ostbc", 2, lambda o: ml_decode_ostbc(o, 2)),
-        ("qostbc", 1, lambda o: ml_decode_qostbc(o, 1)),
-        ("qostbc", 2, lambda o: ml_decode_qostbc(o, 2)),
-        ("ciod", 1, lambda o: ml_decode_ciod(o, 1)),
-        ("ciod", 2, lambda o: ml_decode_ciod(o, 2)),
+        ("ostbc", 1, lambda: OstbcDecoder(*codes.ostbc_constellations(1))),
+        ("ostbc", 2, lambda: OstbcDecoder(*codes.ostbc_constellations(2))),
+        ("qostbc", 1, lambda: QostbcDecoder(*codes.qostbc_constellations(1))),
+        ("qostbc", 2, lambda: QostbcDecoder(*codes.qostbc_constellations(2))),
+        ("ciod", 1, lambda: CiodDecoder(codes.ciod_constellation(1))),
+        ("ciod", 2, lambda: CiodDecoder(codes.ciod_constellation(2))),
     ],
 )
-def test_noiseless_roundtrip(kind, rate, decode):
+def test_noiseless_roundtrip(kind, rate, make_decoder):
+    """A decoder built from the constellations of ``codes`` recovers every
+    payload of the code over random channels."""
+    code = build_code(kind, rate)
+    code.decoder = make_decoder()
     rng = np.random.default_rng(5)
-    n_channels = 50 if rate == 1 else 5
-    for bits, matrix in codebook(kind, rate):
-        for _ in range(n_channels):
-            g = random_effective_channel(rng, 4)
-            out = decode(observe(matrix, g))
-            assert np.array_equal(out[0], bits)
-
-
-@pytest.mark.parametrize("kind,decoder_cls", [("ostbc", OstbcDecoder), ("qostbc", QostbcDecoder), ("ciod", CiodDecoder)])
-def test_reduced_search_matches_exhaustive(kind, decoder_cls):
-    """Fast ML equals brute force over the whole codebook on noisy data."""
-    book = codebook(kind, 1)
-    decoder = decoder_cls(1)
-    rng = np.random.default_rng(6)
-    for _ in range(1000):
-        bits, matrix = book[rng.integers(len(book))]
-        g = random_effective_channel(rng, 4)
-        obs = observe(matrix, g, 10 ** (-0.5), rng)
-        fast = decoder.decode(obs)[0]
-        np.testing.assert_array_equal(fast, exhaustive_ml(obs.y, g, book))
+    bits, matrices = (np.repeat(a, 50 if rate == 1 else 5, axis=0) for a in code.codebook())
+    g = channels(rng, len(bits), 4)
+    decoded, aborted = code.decode(observe(matrices, g), g)
+    assert not aborted.any()
+    np.testing.assert_array_equal(decoded, bits)
 
 
 def test_ostbc_candidate_budget():
-    assert OstbcDecoder(1).cand_x1.size == 2 ** (4 * 1 - 2)
-    assert OstbcDecoder(2).cand_x1.size == 2 ** (4 * 2 - 2)  # 64 pairs + 4 phases
+    assert build_code("ostbc", 1).decoder.cand_x1.size == 2 ** (4 * 1 - 2)
+    assert build_code("ostbc", 2).decoder.cand_x1.size == 2 ** (4 * 2 - 2)  # 64 pairs + 4 phases
 
 
 def test_qostbc_ciod_candidate_budget():
-    assert QostbcDecoder(1).cand_a.size * 2 == 2 ** (2 * 1 + 1)
-    assert CiodDecoder(1).qam.order * 2 == 2 ** (2 * 1 + 1)
+    assert build_code("qostbc", 1).decoder.cand_a.size * 2 == 2 ** (2 * 1 + 1)
+    assert build_code("ciod", 1).decoder.s1_parts[0].size * 2 == 2 ** (2 * 1 + 1)
 
 
 def test_ml_phase_rotation_invariance():
     """A common phase on (y, g) leaves every ML decision unchanged."""
     rng = np.random.default_rng(7)
-    book = codebook("qostbc", 1)
-    decoder = QostbcDecoder(1)
-    for _ in range(50):
-        bits, matrix = book[rng.integers(len(book))]
-        g = random_effective_channel(rng, 4)
-        obs = observe(matrix, g, 0.3, rng)
-        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        rotated = RxObservation(y=obs.y * phase, g=obs.g * phase, sigma_n2=obs.sigma_n2)
-        np.testing.assert_array_equal(decoder.decode(obs)[0], decoder.decode(rotated)[0])
+    code = build_code("qostbc", 1)
+    bits = rng.integers(0, 2, (50, code.nbits))
+    g = channels(rng, len(bits), 4)
+    y = observe(code.encode(bits), g, 0.3, rng)
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, (len(bits), 1)))
+    np.testing.assert_array_equal(code.decode(y, g)[0], code.decode(y * phase, g * phase)[0])
 
 
 def test_deterministic_tie_break():
-    psk = make_psk(2)
     # zero observation with a unit channel: +1 and -1 are equidistant from 0
-    obs = RxObservation(y=np.zeros(1), g=np.array([1.0 + 0j]))
-    bits, xhat = ml_decode_single(obs, psk)
-    assert xhat == pytest.approx(psk.points[0])  # lowest index wins
+    idx, aborted = SingleDecoder(make_psk(2)).decode_batch(np.zeros((1, 1)), np.ones((1, 1)))
+    np.testing.assert_array_equal(idx, [[0]])  # lowest index wins
+    assert not aborted.any()
 
 
 @pytest.mark.parametrize("kind,l_sym,n_ports", [("nze_tc", 4, 2), ("nze_tc", 12, 4), ("nze_oac", 4, 3), ("nze_oac", 12, 4)])
 def test_zf_noiseless_roundtrip(kind, l_sym, n_ports):
-    psk = make_psk(4)
-    make = codes.nze_tc_tables if kind == "nze_tc" else codes.nze_oac_tables
-    tables = make(l_sym, n_ports)
-    decoder = NzeZfDecoder(tables, psk)
+    code = build_code(kind, 2, l_sym, n_ports)
     rng = np.random.default_rng(8)
-    for _ in range(50):
-        bits = rng.integers(0, 2, l_sym * 2)
-        idx = [psk.index_of_bits(bits[2 * i : 2 * i + 2]) for i in range(l_sym)]
-        matrix = tables.build(psk.points[idx])
-        g = random_effective_channel(rng, n_ports)
-        out_bits, _ = decoder.decode(observe(matrix, g))
-        assert np.array_equal(out_bits, bits)
+    bits = rng.integers(0, 2, (50, l_sym * 2))
+    g = channels(rng, len(bits), n_ports)
+    decoded, aborted = code.decode(observe(code.encode(bits), g), g)
+    assert not aborted.any()
+    np.testing.assert_array_equal(decoded, bits)
 
 
 @pytest.mark.parametrize("kind,l_sym,n_ports", [("nze_tc", 4, 2), ("nze_oac", 4, 3)])
@@ -191,37 +178,20 @@ def test_zf_noiseless_exhaustive_payloads(kind, l_sym, n_ports):
     tables = make(l_sym, n_ports)
     decoder = NzeZfDecoder(tables, psk)
     idx = np.indices((4,) * l_sym).reshape(l_sym, -1).T  # 256 payloads
-    symbols = psk.points[idx]
-    matrices = tables.build(symbols)
-    expected = decoder.bits_table[idx].reshape(len(idx), -1)
+    matrices = tables.build(psk.points[idx])
     rng = np.random.default_rng(10)
-    for _ in range(50):
-        g = random_effective_channel(rng, n_ports)
-        y = np.einsum("n,bnt->bt", g, matrices)
-        bits, _, aborted = decoder.decode_batch(y, np.broadcast_to(g, (len(idx), n_ports)))
+    for g in channels(rng, 50, n_ports):
+        g = np.broadcast_to(g, (len(idx), n_ports))
+        got, aborted = decoder.decode_batch(observe(matrices, g), g)
         assert not aborted.any()
-        np.testing.assert_array_equal(bits, expected)
+        np.testing.assert_array_equal(got, idx)
 
 
 def test_zf_scale_invariance():
-    psk = make_psk(4)
-    tables = codes.nze_tc_tables(4, 2)
+    code = build_code("nze_tc", 2, 4, 2)
     rng = np.random.default_rng(9)
-    bits = rng.integers(0, 2, 8)
-    idx = [psk.index_of_bits(bits[2 * i : 2 * i + 2]) for i in range(4)]
-    matrix = tables.build(psk.points[idx])
-    g = random_effective_channel(rng, 2)
-    obs = observe(matrix, g, 0.4, rng)
+    bits = rng.integers(0, 2, (1, 8))
+    g = channels(rng, 1, 2)
+    y = observe(code.encode(bits), g, 0.4, rng)
     for scale in (2.0, -0.3 + 1.7j):
-        scaled = RxObservation(y=obs.y * scale, g=obs.g * scale, sigma_n2=obs.sigma_n2)
-        np.testing.assert_array_equal(
-            zf_decode_nze(obs, (tables, psk))[0], zf_decode_nze(scaled, (tables, psk))[0]
-        )
-
-
-def test_zf_rank_deficient_raises():
-    psk = make_psk(4)
-    tables = codes.nze_tc_tables(4, 2)
-    # the expanded system loses rank only on the measure-zero draw g = 0
-    with pytest.raises(RankDeficientError):
-        zf_decode_nze(RxObservation(y=np.ones(5), g=np.zeros(2)), (tables, psk))
+        np.testing.assert_array_equal(code.decode(y, g)[0], code.decode(y * scale, g * scale)[0])

@@ -1,17 +1,24 @@
 """Seeded Monte Carlo BER engine.
 
-Every trial owns an RNG stream keyed by (master_seed, snr, theta0,
-trial_index), so a trial's outcome never depends on which worker ran it
-or on how trials are grouped into batches.  Early stopping is decided at
-fixed wave boundaries (a wave is WAVE_BATCHES batches of TRIALS_PER_BATCH
-trials), which keeps the set of executed trials identical for any worker
-count.  Stopping looks only at the accumulated error count, so it never
-biases the estimate.
+Every point (master_seed, snr, theta0) owns one counter-based Philox
+stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11), keyed by a SeedSequence of the three.  Trial t reads the fixed
+run of 4-word counter blocks that starts at counter t x stride, so a
+trial's outcome depends only on (master_seed, snr, theta0, t), never on
+which worker ran it or on how trials are grouped into batches.  Early
+stopping is decided at fixed wave boundaries (a wave is WAVE_BATCHES
+batches of TRIALS_PER_BATCH trials), which keeps the set of executed
+trials identical for any worker count.  Stopping looks only at the
+accumulated error count, so it never biases the estimate.
 
-A point's set-up (the code and the map from a channel draw to the
-effective channel h^H W) is built once in the sweep process and sent with
-every batch to the pool workers, which never build one themselves.  So
-results do not depend on how the workers are started either.
+A trial draws only what the receiver sees: the N-dimensional effective
+channel h^H W, from an N x N factor of W^H R W, and the T noise samples.
+Its cost does not depend on the array size M.
+
+A point's set-up (the code and that factor) is built once in the sweep
+process and sent with every batch to the pool workers, which never build
+one themselves.  So results do not depend on how the workers are started
+either.
 """
 
 import math
@@ -42,6 +49,7 @@ TRIALS_PER_BATCH = 4096
 WAVE_BATCHES = 2
 _PRBS_TAG = 0x50524253
 _U64 = (1 << 64) - 1
+_BLOCK_WORDS = 4  # Philox4x64 gives four 64-bit words per counter step
 
 CSV_HEADER = "code,rate_bps,M,snr_db,theta0_deg,trials,bit_errors,ber,seed"
 
@@ -64,8 +72,10 @@ def _quantize(value):
 class _PointSetup:
     """What every trial of one (config, theta0) point shares.
 
-    ``g_map`` is B^H W (M x N) for a covariance factor B B^H = R, so a
-    trial's effective channel h^H W, with h = B z, is conj(z) @ g_map.
+    ``g_map`` is an N x N factor with g_map^H g_map = W^H R W.  Since
+    h ~ CN(0, R), the effective channel h^H W has the law of z @ g_map for
+    a row z of N i.i.d. unit circular Gaussians, so a trial draws z and
+    never forms the M-dimensional channel.
     """
 
     g_map: np.ndarray
@@ -86,36 +96,46 @@ def _point_setup(cfg, theta0_deg):
         math.radians(theta0_deg),
         math.radians(cfg.sigma_deg),
     )
-    return _PointSetup(covariance_factor(cov).conj().T @ prec.w_matrix, code)
+    w = prec.w_matrix
+    return _PointSetup(covariance_factor(w.conj().T @ cov.matrix @ w).conj().T, code)
+
+
+def _trial_words(cfg, snr_db, theta0_deg, t_lo, t_hi, n_words):
+    """Raw 64-bit words of trials [t_lo, t_hi), one row per trial: the
+    point's Philox stream read from counter t_lo x blocks, each trial
+    taking ``n_words`` words padded up to ``blocks`` whole 4-word blocks."""
+    blocks = -(-n_words // _BLOCK_WORDS)
+    key = np.random.SeedSequence(
+        (cfg.master_seed & _U64, _quantize(snr_db), _quantize(theta0_deg))
+    ).generate_state(2, np.uint64)
+    stream = np.random.Philox(key=key, counter=t_lo * blocks)
+    raw = stream.random_raw((t_hi - t_lo) * blocks * _BLOCK_WORDS)
+    return raw.reshape(t_hi - t_lo, blocks * _BLOCK_WORDS)
+
+
+def _draw_trials(cfg, code, snr_db, theta0_deg, t_lo, t_hi):
+    """Payload bits (B, nbits) and unit circular Gaussians (B, N + T) of
+    trials [t_lo, t_hi): the channel draw, then the noise.
+
+    Each bit is one word's top bit.  Each Gaussian takes two words, read as
+    u in (0, 1] from their top 53 bits: z = sqrt(-ln u1) exp(2 pi i u2)."""
+    n_normals = code.n_ports + code.n_slots
+    n_words = code.nbits + 2 * n_normals
+    words = _trial_words(cfg, snr_db, theta0_deg, t_lo, t_hi, n_words)
+    bits = (words[:, : code.nbits] >> np.uint64(63)).astype(np.int64)
+    u = ((words[:, code.nbits : n_words] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    z = np.sqrt(-np.log(u[:, :n_normals])) * np.exp(2j * np.pi * u[:, n_normals:])
+    return bits, z
 
 
 def _run_batch(cfg, setup, snr_db, theta0_deg, t_lo, t_hi):
     """Run trials [t_lo, t_hi); returns (counted, bit_errors, aborted)."""
     code = setup.code
-    n_trials = t_hi - t_lo
-    m_len = cfg.m
-    t_len = code.n_slots
-    seed_parts = (
-        cfg.master_seed & _U64,
-        _quantize(snr_db),
-        _quantize(theta0_deg),
-    )
-    bits = np.empty((n_trials, code.nbits), dtype=np.int64)
-    z_ch = np.empty((n_trials, 2 * m_len))
-    z_n = np.empty((n_trials, 2 * t_len))
-    for i, trial in enumerate(range(t_lo, t_hi)):
-        rng = np.random.default_rng((*seed_parts, trial & _U64))
-        bits[i] = rng.integers(0, 2, code.nbits)
-        z_ch[i] = rng.standard_normal(2 * m_len)
-        z_n[i] = rng.standard_normal(2 * t_len)
-
-    z = (z_ch[:, :m_len] + 1j * z_ch[:, m_len:]) / np.sqrt(2.0)
-    g_row = np.conjugate(z) @ setup.g_map  # entries of h^H W
+    n_ports = code.n_ports
+    bits, z = _draw_trials(cfg, code, snr_db, theta0_deg, t_lo, t_hi)
+    g_row = z[:, :n_ports] @ setup.g_map  # entries of h^H W
     x = code.encode(bits)
-    y = np.einsum("bn,bnt->bt", g_row, x)
-    sigma_n2 = 10.0 ** (-snr_db / 10.0)
-    if sigma_n2 > 0:
-        y = y + (z_n[:, :t_len] + 1j * z_n[:, t_len:]) * np.sqrt(sigma_n2 / 2.0)
+    y = np.einsum("bn,bnt->bt", g_row, x) + z[:, n_ports:] * 10.0 ** (-snr_db / 20.0)
 
     bits_hat, aborted = code.decode(y, g_row)
     ok = ~aborted
@@ -148,7 +168,7 @@ def _run_point(cfg, setup, snr_db, theta0_deg, map_batches):
             errors += err
             aborted += abo
         attempted = wave_end
-    ber = errors / (counted * nbits) if counted else 0.0
+    ber = errors / (counted * nbits) if counted else math.nan
     return BerPoint(
         snr_db=float(snr_db),
         ber=ber,

@@ -256,8 +256,9 @@ class NzeZfDecoder:
         yr = np.empty((b, two_t))
         yr[:, 0::2] = y.real
         yr[:, 1::2] = y.imag
-        gram = np.einsum("bki,bkj->bij", a, a)
-        rhs = np.einsum("bki,bk->bi", a, yr)
+        a_t = a.transpose(0, 2, 1)
+        gram = a_t @ a
+        rhs = (a_t @ yr[..., None])[..., 0]
         eigs = np.linalg.eigvalsh(gram)
         aborted = eigs[:, 0] <= self.RANK_RTOL * np.maximum(eigs[:, -1], 1e-300)
         safe = gram.copy()

@@ -2,10 +2,10 @@
 
 The sha256 digests below are those of the 36-CSV gate recorded in
 CHANGES.md, which every pure refactor must leave byte-identical.  A
-deliberate change of the random streams or of the trial arithmetic (for
-example drawing the N-dimensional effective channel directly, ROADMAP
-item 3) changes them: such a change must update the pins here and report
-the old and new digests in CHANGES.md.
+deliberate change of the random streams or of the trial arithmetic (as
+when trials moved to one Philox stream per point and an N-dimensional
+channel draw, ROADMAP item 3) changes them: such a change must update the
+pins here and report the old and new digests in CHANGES.md.
 """
 
 import hashlib
@@ -28,22 +28,22 @@ PINS = [
     (
         "ac_r1.ber",
         "code = ac\nrate = 1\n",
-        "9328862827c1827c08ff1bda5855977811ce1bb4942c4c0db1878db6d8593c77",
+        "2e87975f31b6298c23f6bff94dee429fd63489ee2277ef967ab4994e426cad01",
     ),
     (
         "qostbc_r1.ber",
         "code = qostbc\nrate = 1\n",
-        "d0b74b5c413ba95f1311a1be911b8783d995b646295b980b644fe360c468ade3",
+        "9403e82b529579a2a4cd66b9f9c9bb1049376948bf6900d71bc7db76d9374b7e",
     ),
     (
         "nze_tc_12_4.ber",
         "code = nze_tc\nrate = 1\nnze.l = 12\nnze.n = 4\n",
-        "cb0aa136e111216bc47baf9e080c916d52a489ce2295464a6e3bf6327cf1b02d",
+        "5c521403b8b11d5c8c8331efeaa817b54dd8747191e17f81dab9789a0fd664d2",
     ),
     (
         "ac_w2.angle",
         "code = ac\nrate = 1\nworkers = 2\n",
-        "2252874854a136f848451e875e7853d83f0fe35fde158d92d767c8a1a0f3cdbd",
+        "169d27b20640aeff090f28cd3ac65b15e43d6fc9268cb64e4767af67a5b7a08b",
     ),
 ]
 

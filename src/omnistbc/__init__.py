@@ -24,8 +24,6 @@ from .channel import (
     CovarianceModel,
     PasSpec,
     dft_domain_leakage,
-    draw_channel,
-    effective_channel,
     isotropy_deviation,
     one_ring_covariance,
     steering_vector,

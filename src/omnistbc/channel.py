@@ -22,8 +22,6 @@ __all__ = [
     "one_ring_covariance",
     "dft_domain_leakage",
     "covariance_factor",
-    "draw_channel",
-    "effective_channel",
     "isotropy_deviation",
 ]
 
@@ -201,25 +199,6 @@ def covariance_factor(model):
             f"covariance has significantly negative eigenvalue {vals.min():.3e}"
         )
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
-def draw_channel(model, rng, factor=None):
-    """One Rayleigh channel h = B w with w i.i.d. unit circular Gaussian."""
-    b = covariance_factor(model) if factor is None else factor
-    m_len = b.shape[0]
-    w = rng.standard_normal(2 * m_len)
-    z = (w[:m_len] + 1j * w[m_len:]) / np.sqrt(2.0)
-    return b @ z
-
-
-def effective_channel(precoder, h):
-    """Low-dimensional channel g = W^H h seen through the precoder."""
-    h = np.asarray(h, dtype=complex)
-    if h.size != precoder.n_antennas:
-        raise ValueError(
-            f"channel has {h.size} entries, precoder expects {precoder.n_antennas}"
-        )
-    return precoder.w_matrix.conj().T @ h
 
 
 def isotropy_deviation(precoder, model):

@@ -87,14 +87,6 @@ class Constellation:
         """Map a bit pattern to its symbol."""
         return complex(self.points[self.index_of_bits(bits)])
 
-    def nearest(self, z):
-        """Index of the closest point; ties resolve to the lowest index."""
-        return int(np.argmin(np.abs(self.points - z)))
-
-    def decode(self, z):
-        """Bits of the closest point."""
-        return self.bits_of_index(self.nearest(z))
-
     # Lookup tables used by the vectorized Monte Carlo path.
 
     def index_table(self):

@@ -41,6 +41,11 @@ PINS = [
         "5c521403b8b11d5c8c8331efeaa817b54dd8747191e17f81dab9789a0fd664d2",
     ),
     (
+        "nze_oac_12_4.ber",
+        "code = nze_oac\nrate = 1\nnze.l = 12\nnze.n = 4\n",
+        "dbeda20e0eb5ac54bbe3d8cb2c7c459775dbe8594ac5d656f37973b0d0da741a",
+    ),
+    (
         "ac_w2.angle",
         "code = ac\nrate = 1\nworkers = 2\n",
         "169d27b20640aeff090f28cd3ac65b15e43d6fc9268cb64e4767af67a5b7a08b",

@@ -195,3 +195,77 @@ def test_zf_scale_invariance():
     y = observe(code.encode(bits), g, 0.4, rng)
     for scale in (2.0, -0.3 + 1.7j):
         np.testing.assert_array_equal(code.decode(y, g)[0], code.decode(y * scale, g * scale)[0])
+
+
+# Every NZE shape a test, an acceptance criterion or a benchmark workload uses.
+NZE_SHAPES = [
+    ("nze_tc", 4, 2),
+    ("nze_tc", 6, 3),
+    ("nze_tc", 8, 4),
+    ("nze_tc", 8, 8),
+    ("nze_tc", 12, 4),
+    ("nze_tc", 30, 8),
+    ("nze_oac", 4, 3),
+    ("nze_oac", 4, 4),
+    ("nze_oac", 6, 3),
+    ("nze_oac", 8, 4),
+    ("nze_oac", 8, 8),
+    ("nze_oac", 12, 4),
+    ("nze_oac", 30, 8),
+]
+
+
+def _gram_ratio(decoder, g):
+    """lambda_min / lambda_max of the ZF Gram for each channel row."""
+    a = decoder.design_matrix(g)
+    eigs = np.linalg.eigvalsh(a.transpose(0, 2, 1) @ a)
+    return eigs[:, 0] / eigs[:, -1]
+
+
+@pytest.mark.parametrize(
+    "kind,l_sym,n_ports", NZE_SHAPES, ids=[f"{k}_{l}_{n}" for k, l, n in NZE_SHAPES]
+)
+def test_zf_gram_full_rank_margin(kind, l_sym, n_ports):
+    """The ZF system keeps full rank, with margin, on every nonzero channel
+    tried: 20k seeded Gaussian ones, each unit vector e_k and each
+    e_i + p e_j with p in {1, -1, j, -j}.  This is what lets the decoder
+    abort on an all-zero channel only."""
+    decoder = build_code(kind, 1, l_sym, n_ports).decoder
+    rng = np.random.default_rng(12)
+    worst = min(_gram_ratio(decoder, channels(rng, 2000, n_ports)).min() for _ in range(10))
+    eye = np.eye(n_ports)
+    structured = [eye[k] for k in range(n_ports)] + [
+        eye[i] + p * eye[j]
+        for i in range(n_ports)
+        for j in range(n_ports)
+        if i != j
+        for p in (1, -1, 1j, -1j)
+    ]
+    worst = min(worst, _gram_ratio(decoder, np.array(structured, dtype=complex)).min())
+    assert worst >= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["nze_tc", "nze_oac"])
+def test_zf_matches_least_squares(kind):
+    """ZF equals a per-trial least-squares solve of the real 2T x 2L system,
+    built here from the codewords of the unit symbol vectors; only the
+    planted zero channel aborts."""
+    code = build_code(kind, 2, 12, 4)
+    rng = np.random.default_rng(13)
+    bits = rng.integers(0, 2, (64, code.nbits))
+    g = channels(rng, len(bits), 4)
+    g[5] = 0.0
+    y = observe(code.encode(bits), g, 0.2, rng)
+    idx, aborted = code.decoder.decode_batch(y, g)
+    np.testing.assert_array_equal(aborted, np.arange(len(bits)) == 5)
+
+    tables = code.decoder.tables
+    unit = np.eye(tables.n_sym)
+    basis = tables.build(np.concatenate([unit, 1j * unit]))  # (2L, N, T)
+    points = code.decoder.constellation.points
+    for k in np.flatnonzero(~aborted):
+        cols = np.einsum("n,knt->tk", g[k], basis)
+        a = np.vstack([cols.real, cols.imag])
+        sol = np.linalg.lstsq(a, np.concatenate([y[k].real, y[k].imag]), rcond=None)[0]
+        xhat = sol[: tables.n_sym] + 1j * sol[tables.n_sym :]
+        np.testing.assert_array_equal(idx[k], np.argmin(np.abs(xhat[:, None] - points), axis=1))

@@ -30,13 +30,11 @@ from .channel import (
 )
 from .codes import (
     Codeword,
-    encode_ac,
     encode_ciod,
     encode_nze_oac,
     encode_nze_tc,
     encode_ostbc,
     encode_qostbc,
-    encode_toeplitz,
 )
 from .config import ConfigError, SimConfig, load_config, parse_config
 from .constellations import (
@@ -54,7 +52,6 @@ from .precoding import (
     avg_receive_power,
     build_precoder,
     check_requirements,
-    preset_V,
     transmit,
 )
 from .sequences import (

@@ -25,11 +25,9 @@ from .constellations import (
 
 __all__ = [
     "Codeword",
-    "encode_ac",
     "encode_ostbc",
     "encode_qostbc",
     "encode_ciod",
-    "encode_toeplitz",
     "encode_nze_tc",
     "encode_nze_oac",
     "ac_matrix",
@@ -134,11 +132,6 @@ def ciod_interleave(s1, s2):
     return x1, x2, x3, x4
 
 
-def encode_ac(x1, x2, bits=None):
-    """Alamouti codeword from two symbols of one PSK constellation."""
-    return Codeword("ac", ac_matrix(x1, x2), payload_bits=bits)
-
-
 def ostbc_constellations(rate):
     """(PAM for x1, QPSK for the phase of x3) at bit rate ``rate``.
 
@@ -208,18 +201,6 @@ def encode_ciod(bits, rate):
     return _encode_payload("ciod", bits, rate)
 
 
-def encode_toeplitz(x, n_sym, n_ports):
-    """Banded (n_sym + n_ports - 1) x n_ports Toeplitz matrix (time x ports)."""
-    x = np.asarray(x, dtype=complex)
-    if x.size != n_sym:
-        raise ValueError(f"expected {n_sym} symbols, got {x.size}")
-    t_len = n_sym + n_ports - 1
-    out = np.zeros((t_len, n_ports), dtype=complex)
-    for n in range(n_ports):
-        out[n : n + n_sym, n] = x
-    return out
-
-
 def _nze_tc_index_sign(n_sym, n_ports):
     """Symbol index and sign of each entry of the tall NZE-TC matrix.
 
@@ -264,14 +245,6 @@ class NzeTables:
             vals = np.where(conj, np.conjugate(vals), vals)
             out += np.where(valid, sign * vals, 0.0)
         return out
-
-    def entries(self):
-        """Iterate active entries as (port, slot, symbol index, sign, conj)."""
-        for valid, idx, sign, conj in self.layers:
-            for n in range(self.n_ports):
-                for t in range(self.n_slots):
-                    if valid[n, t]:
-                        yield n, t, int(idx[n, t]), float(sign[n, t]), bool(conj[n, t])
 
 
 def nze_tc_tables(n_sym, n_ports):

@@ -53,15 +53,18 @@ class Code:
     ``groups`` lists (constellation, count) in payload order: the payload
     bits are cut into ``count`` Gray-labelled symbols of each constellation
     in turn, and ``assemble`` maps those (B, symbols) to (B, N, T)
-    codewords.  The decoder returns symbol indices in the same order, and
-    ``decode`` reads their bits back through the same labels.
+    codewords.  ``constellations`` has one entry per symbol, and the
+    decoder is ``decoder_cls(assemble, constellations)``; it returns symbol
+    indices in the same order, and ``decode`` reads their bits back through
+    the same labels.
     """
 
-    def __init__(self, n_ports, n_slots, groups, assemble, decoder):
+    def __init__(self, n_ports, n_slots, groups, assemble, decoder_cls):
         self.n_ports = n_ports
         self.n_slots = n_slots
         self.assemble = assemble
-        self.decoder = decoder
+        self.constellations = [c for c, count in groups for _ in range(count)]
+        self.decoder = decoder_cls(assemble, self.constellations)
         self._groups = [
             (c.bit_width, count, c.index_table(), c.points, c.bits_table())
             for c, count in groups
@@ -103,7 +106,10 @@ class CodeSpec:
     """The rate-independent facts of one kind.
 
     ``build(rate, nze_l, nze_n)`` makes the Code.  ``n_ports`` is None when
-    the port count is ``nze.n``; ``v_matrix`` None means V is the identity.
+    the port count is ``nze.n``; ``v_matrix`` None means V is the identity,
+    which suffices when the raw codeword already has equal-magnitude
+    entries (the orthogonal and coordinate-interleaved designs have zero
+    entries and need Hadamard mixing to spread symbols over all ports).
     ``rules(nze_l, nze_n)`` returns a message naming the offending config
     key, or None when L and N suit the kind.  ``closed_form_gain(rate)``
     exists for the enumerable kinds whose coding gain has a closed form.
@@ -137,7 +143,7 @@ def _single_assemble(x):
 
 def _single(rate, nze_l, nze_n):
     psk = make_psk(2**rate)
-    return Code(1, 1, [(psk, 1)], _single_assemble, SingleDecoder(psk))
+    return Code(1, 1, [(psk, 1)], _single_assemble, SingleDecoder)
 
 
 def _ac_assemble(x):
@@ -146,7 +152,7 @@ def _ac_assemble(x):
 
 def _ac(rate, nze_l, nze_n):
     psk = make_psk(2**rate)
-    return Code(2, 2, [(psk, 2)], _ac_assemble, AcDecoder(psk))
+    return Code(2, 2, [(psk, 2)], _ac_assemble, AcDecoder)
 
 
 def _ostbc_assemble(x):
@@ -157,7 +163,7 @@ def _ostbc_assemble(x):
 
 def _ostbc(rate, nze_l, nze_n):
     pam, qpsk = ostbc_constellations(rate)
-    return Code(4, 4, [(pam, 2), (qpsk, 1)], _ostbc_assemble, OstbcDecoder(pam, qpsk))
+    return Code(4, 4, [(pam, 2), (qpsk, 1)], _ostbc_assemble, OstbcDecoder)
 
 
 def _qostbc_assemble(x):
@@ -166,7 +172,7 @@ def _qostbc_assemble(x):
 
 def _qostbc(rate, nze_l, nze_n):
     psk, rotated = qostbc_constellations(rate)
-    return Code(4, 4, [(psk, 2), (rotated, 2)], _qostbc_assemble, QostbcDecoder(psk, rotated))
+    return Code(4, 4, [(psk, 2), (rotated, 2)], _qostbc_assemble, QostbcDecoder)
 
 
 def _ciod_assemble(x):
@@ -175,16 +181,14 @@ def _ciod_assemble(x):
 
 def _ciod(rate, nze_l, nze_n):
     qam = ciod_constellation(rate)
-    return Code(4, 4, [(qam, 2)], _ciod_assemble, CiodDecoder(qam))
+    return Code(4, 4, [(qam, 2)], _ciod_assemble, CiodDecoder)
 
 
 def _nze(make_tables):
     def build(rate, nze_l, nze_n):
         tables = make_tables(nze_l, nze_n)
         psk = make_psk(2**rate)
-        return Code(
-            tables.n_ports, tables.n_slots, [(psk, nze_l)], tables.build, NzeZfDecoder(tables, psk)
-        )
+        return Code(tables.n_ports, tables.n_slots, [(psk, nze_l)], tables.build, NzeZfDecoder)
 
     return build
 

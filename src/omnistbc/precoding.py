@@ -13,7 +13,6 @@ from .sequences import hadamard2, is_constant_amplitude, zc_generate
 __all__ = [
     "Precoder",
     "hadamard2",
-    "preset_V",
     "build_precoder",
     "precoder_for_code",
     "prbs_phase_vector",
@@ -23,18 +22,6 @@ __all__ = [
 ]
 
 UNITARY_TOL = 1e-10
-
-
-def preset_V(kind, n_ports=None):
-    """Per-code unitary V, from the kind's CodeSpec.
-
-    The identity suffices when the raw codeword already has equal-magnitude
-    entries (AC, QOSTBC, Toeplitz family); the orthogonal and
-    coordinate-interleaved designs have zero entries and need Hadamard
-    mixing to spread symbols over all ports.  ``n_ports`` is needed only by
-    the kinds whose port count is configurable.
-    """
-    return spec_for(kind).preset_v(n_ports)
 
 
 class Precoder:
@@ -84,8 +71,9 @@ def build_precoder(n_antennas, n_ports, gamma, v_matrix, phase_vector=None):
 
 
 def precoder_for_code(kind, n_antennas, gamma=1, n_ports=None, phase_vector=None):
-    """Precoder with the preset V for ``kind``."""
-    v = preset_V(kind, n_ports)
+    """Precoder with the preset V for ``kind``; ``n_ports`` is needed only
+    by the kinds whose port count is configurable."""
+    v = spec_for(kind).preset_v(n_ports)
     return build_precoder(n_antennas, v.shape[0], gamma, v, phase_vector)
 
 

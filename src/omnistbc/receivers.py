@@ -3,19 +3,23 @@
 Observation model: y_t = sum_n g_n X_{n,t} + z_t, where g is the
 receiver-side effective channel, the row vector h^H W.
 
+Every decoder is built from the code's own encoder, ``assemble`` (symbols
+(B, n_symbols) -> codewords (B, N, T)), and the constellation of each
+symbol position in payload order; no decoder writes a codeword formula
+of its own.  The enumerable kinds share one exact-ML kernel that searches
+each group of symbol positions that decouples in the metric; the NZE
+kinds use widely-linear zero forcing on the real map that ``assemble``
+probes out.
+
 Every decoder has one call, ``decode_batch(y, g) -> (idx, aborted)``, over
 a batch of trials: y is (B, T), g is (B, N), ``idx`` is (B, n_symbols)
 symbol indices into the code's constellations in payload order, and
 ``aborted`` is a (B,) mask of trials whose channel row is all zero; their
-indices mean nothing.
-The decoders take the constellations the code registry (``omnistbc.kinds``)
-builds, and the registry's ``Code.decode`` maps the indices to bits.  Ties
-in any candidate search resolve to the lowest candidate index.
+indices mean nothing.  The registry's ``Code.decode`` maps the indices to
+bits.  Ties in any candidate search resolve to the lowest candidate index.
 """
 
 import numpy as np
-
-from .codes import ciod_interleave
 
 __all__ = [
     "SingleDecoder",
@@ -32,184 +36,100 @@ def _zero_rows(g):
     return ~np.any(g, axis=1)
 
 
-def _slice_batch(stat, points):
-    """Nearest-point indices for a batch of soft statistics."""
-    return np.argmin(np.abs(stat[..., None] - points), axis=-1)
+class _GroupSearch:
+    """Exact ML as one candidate search per decoupled group of symbols.
 
+    ``groups`` partitions the symbol positions.  The split is exact ML when
+    the codeword is the sum of its groups' parts, X = sum_a X_a, and every
+    two parts satisfy X_a X_b^H + X_b X_a^H = 0: the cross terms of
+    ||y - g X||^2 then vanish for every g, and the metric is a sum of one
+    term per group.
 
-class SingleDecoder:
-    """Nearest-point detection of one PSK symbol per slot."""
-
-    def __init__(self, constellation):
-        self.constellation = constellation
-
-    def decode_batch(self, y, g):
-        aborted = _zero_rows(g)
-        energy = np.where(aborted, 1.0, np.abs(g[:, 0]) ** 2)
-        stat = y[:, :1] * np.conjugate(g[:, :1]) / energy[:, None]
-        return _slice_batch(stat, self.constellation.points), aborted
-
-
-class AcDecoder:
-    """Symbol-wise ML for the Alamouti code via matched filtering.
-
-    The statistics x1~ = g1* y1 - g2 y2* and x2~ = g2* y1 + g1 y2* each
-    equal ||g||^2 times the corresponding symbol plus noise, so slicing
-    them independently is exact ML.
+    At construction each group's candidates, lowest index first, are
+    encoded once with the other symbols at zero, giving the sub-codebook
+    X_c (C, N, T), its ``book`` (N T, C) and ``gram`` = X_c X_c^H (N^2, C).
+    A batch scores every candidate by
+    Re(gg @ gram) - 2 Re(gy @ book) = ||y - g X_c||^2 - ||y||^2, with
+    gg = g (x) conj(g) and gy = g (x) conj(y).  Since Re(a b) = Re a Re b -
+    Im a Im b, that is one real product of the batch's features
+    [Re gg, Im gg, Re gy, Im gy] with the group's constant ``weights``.
+    A zero channel row scores every candidate 0.
     """
 
-    def __init__(self, constellation):
-        self.constellation = constellation
+    groups = ()
+
+    def __init__(self, assemble, constellations):
+        points = [c.points for c in constellations]
+        self.n_symbols = len(points)
+        self.searches = []
+        for group in self.groups:
+            group = list(group)
+            cand = np.indices([len(points[k]) for k in group]).reshape(len(group), -1).T
+            x = np.zeros((len(cand), self.n_symbols), dtype=complex)
+            for j, k in enumerate(group):
+                x[:, k] = points[k][cand[:, j]]
+            sub = assemble(x)
+            n_cand, n_ports, _ = sub.shape
+            book = sub.reshape(n_cand, -1).T
+            gram = np.einsum("cnt,cmt->nmc", sub, sub.conj()).reshape(n_ports**2, n_cand)
+            weights = np.concatenate([gram.real, -gram.imag, -2.0 * book.real, 2.0 * book.imag])
+            self.searches.append((group, cand, weights))
 
     def decode_batch(self, y, g):
-        aborted = _zero_rows(g)
-        g1, g2 = g[:, 0], g[:, 1]
-        y2c = np.conjugate(y[:, 1])
-        energy = np.where(aborted, 1.0, np.abs(g1) ** 2 + np.abs(g2) ** 2)
-        stat = np.stack(
-            [np.conjugate(g1) * y[:, 0] - g2 * y2c, np.conjugate(g2) * y[:, 0] + g1 * y2c],
-            axis=1,
-        )
-        return _slice_batch(stat / energy[:, None], self.constellation.points), aborted
+        b = len(g)
+        gg = (g[:, :, None] * g.conj()[:, None, :]).reshape(b, -1)
+        gy = (g[:, :, None] * y.conj()[:, None, :]).reshape(b, -1)
+        features = np.concatenate([gg.real, gg.imag, gy.real, gy.imag], axis=1)
+        idx = np.empty((b, self.n_symbols), dtype=np.intp)
+        for group, cand, weights in self.searches:
+            idx[:, group] = cand[np.argmin(features @ weights, axis=1)]
+        return idx, _zero_rows(g)
 
 
-class OstbcDecoder:
-    """Two-step ML for the rate-3/4 orthogonal design.
+class SingleDecoder(_GroupSearch):
+    """Nearest-point detection of the one PSK symbol."""
 
-    Step one maximizes f(x3') = Re(x3'(g3 y1* + g4 y2*) + x3'*(g1 y3* +
-    g2 y4*)) over QPSK; x3' decouples because its coefficient |x1 + x2| is
-    positive for every payload.  Step two evaluates the exact residual
-    metric jointly over the (x1, x2) grid, 2^(4R-2) candidates, keeping
-    the |x1 + x2| coupling in x3.  Symbols come out as (x1, j x2, x3')
-    indices into (pam, pam, qpsk).
+    groups = ((0,),)
+
+
+class AcDecoder(_GroupSearch):
+    """Symbol-wise ML for the Alamouti code: the two symbols' parts are
+    orthogonal, X_1 X_2^H + X_2 X_1^H = 0, so each is searched alone."""
+
+    groups = ((0,), (1,))
+
+
+class OstbcDecoder(_GroupSearch):
+    """Joint ML for the rate-3/4 orthogonal design.
+
+    The amplitude of x3 is |x1 + x2|, so x3's part depends on x1 and x2
+    and the codeword is not a sum of per-symbol parts: all three symbols,
+    2^(4R) candidates, are searched together.
     """
 
-    def __init__(self, pam, qpsk):
-        self.qpsk = qpsk
-        m = pam.order
-        i1, i2 = np.divmod(np.arange(m * m), m)
-        self.cand_idx = np.stack([i1, i2], axis=1)
-        self.cand_x1 = pam.points[i1]
-        self.cand_x2 = 1j * pam.points[i2]
-        self.cand_amp = np.abs(self.cand_x1 + self.cand_x2)
-
-    def decode_batch(self, y, g):
-        g1, g2, g3, g4 = (g[:, k] for k in range(4))
-        yc = np.conjugate(y)
-        s_a = g3 * yc[:, 0] + g4 * yc[:, 1]
-        s_b = g1 * yc[:, 2] + g2 * yc[:, 3]
-        f = (s_a[:, None] * self.qpsk.points + s_b[:, None] * np.conjugate(self.qpsk.points)).real
-        i3 = np.argmax(f, axis=1)
-        x3p = self.qpsk.points[i3]
-
-        x1 = self.cand_x1[None, :]
-        x2 = self.cand_x2[None, :]
-        x3 = self.cand_amp[None, :] * x3p[:, None]
-        g1, g2, g3, g4 = (c[:, None] for c in (g1, g2, g3, g4))
-        r1 = y[:, 0:1] - (g1 * x1 + g2 * x2 + g3 * x3)
-        r2 = y[:, 1:2] - (g1 * np.conjugate(x2) - g2 * np.conjugate(x1) + g4 * x3)
-        r3 = y[:, 2:3] - (g1 * np.conjugate(x3) - g3 * np.conjugate(x1) - g4 * x2)
-        r4 = y[:, 3:4] - (g2 * np.conjugate(x3) - g3 * np.conjugate(x2) + g4 * x1)
-        metric = (
-            np.abs(r1) ** 2 + np.abs(r2) ** 2 + np.abs(r3) ** 2 + np.abs(r4) ** 2
-        )
-        c = np.argmin(metric, axis=1)
-        return np.column_stack([self.cand_idx[c], i3]), _zero_rows(g)
+    groups = ((0, 1, 2),)
 
 
-class QostbcDecoder:
+class QostbcDecoder(_GroupSearch):
     """Exact pair-wise ML for the TBH quasi-orthogonal design.
 
-    The metric splits into independent terms for (x1, x3) and (x2, x4):
-    the cross Gram g X_A X_B^H g^H is purely imaginary for every payload,
-    so two searches of L^2 candidates each reproduce full ML.  x1 and x2
-    are plain PSK, x3 and x4 the rotated set.
+    The cross Gram of the (x1, x3) and (x2, x4) parts is skew-Hermitian
+    for every payload, so two searches of L^2 candidates each reproduce
+    full ML.  x1 and x2 are plain PSK, x3 and x4 the rotated set.
     """
 
-    def __init__(self, psk, rotated):
-        order = psk.order
-        ia, ib = np.divmod(np.arange(order * order), order)
-        self.cand_idx = np.stack([ia, ib], axis=1)  # (plain, rotated) member
-        self.cand_a = psk.points[ia]
-        self.cand_b = rotated.points[ib]
-
-    def _pair_metric(self, y, coeffs):
-        """Residual metric for one pair over the candidate grid.
-
-        ``coeffs`` are the four per-slot channel pairs (ca_t, cb_t) such
-        that the pair's contribution to slot t is ca_t*a + cb_t*b (with
-        conjugation already folded in by the caller).
-        """
-        a = self.cand_a[None, :]
-        b = self.cand_b[None, :]
-        total = np.zeros((y.shape[0], a.shape[1]))
-        for t, (ca, cb, conj_flag) in enumerate(coeffs):
-            if conj_flag:
-                contrib = ca[:, None] * np.conjugate(a) + cb[:, None] * np.conjugate(b)
-            else:
-                contrib = ca[:, None] * a + cb[:, None] * b
-            total += np.abs(y[:, t : t + 1] - contrib) ** 2
-        return total
-
-    def decode_batch(self, y, g):
-        g1, g2, g3, g4 = (g[:, k] for k in range(4))
-        # (x1, x3): slots carry g1 x1 + g3 x3, -(g2 x1* + g4 x3*), ...
-        m13 = self._pair_metric(
-            y,
-            [
-                (g1, g3, False),
-                (-g2, -g4, True),
-                (g3, g1, False),
-                (-g4, -g2, True),
-            ],
-        )
-        m24 = self._pair_metric(
-            y,
-            [
-                (g2, g4, False),
-                (g1, g3, True),
-                (g4, g2, False),
-                (g3, g1, True),
-            ],
-        )
-        p13 = self.cand_idx[np.argmin(m13, axis=1)]
-        p24 = self.cand_idx[np.argmin(m24, axis=1)]
-        idx = np.column_stack([p13[:, 0], p24[:, 0], p13[:, 1], p24[:, 1]])
-        return idx, _zero_rows(g)
+    groups = ((0, 2), (1, 3))
 
 
-class CiodDecoder:
+class CiodDecoder(_GroupSearch):
     """Separate per-symbol ML for the coordinate-interleaved design.
 
-    s1 and s2 touch disjoint Alamouti blocks through the interleaver and
-    their cross Gram is purely imaginary, so each decodes by a 2^(2R)-point
-    search over the rotated QAM set.
+    Through the interleaver s1 and s2 each fill one symbol of both
+    Alamouti blocks, and their parts have a skew-Hermitian cross Gram, so
+    each decodes by a 2^(2R)-point search over the rotated QAM set.
     """
 
-    def __init__(self, qam):
-        s = qam.points
-        x1, x2, x3, x4 = ciod_interleave(s, s)
-        self.s1_parts = (x1, x3)  # contributions keyed by s1
-        self.s2_parts = (x2, x4)
-
-    def decode_batch(self, y, g):
-        g1, g2, g3, g4 = (g[:, k, None] for k in range(4))
-        x1, x3 = (p[None, :] for p in self.s1_parts)
-        m1 = (
-            np.abs(y[:, 0:1] - g1 * x1) ** 2
-            + np.abs(y[:, 1:2] + g2 * np.conjugate(x1)) ** 2
-            + np.abs(y[:, 2:3] - g3 * x3) ** 2
-            + np.abs(y[:, 3:4] + g4 * np.conjugate(x3)) ** 2
-        )
-        x2, x4 = (p[None, :] for p in self.s2_parts)
-        m2 = (
-            np.abs(y[:, 0:1] - g2 * x2) ** 2
-            + np.abs(y[:, 1:2] - g1 * np.conjugate(x2)) ** 2
-            + np.abs(y[:, 2:3] - g4 * x4) ** 2
-            + np.abs(y[:, 3:4] - g3 * np.conjugate(x4)) ** 2
-        )
-        idx = np.column_stack([np.argmin(m1, axis=1), np.argmin(m2, axis=1)])
-        return idx, _zero_rows(g)
+    groups = ((0,), (1,))
 
 
 class NzeZfDecoder:
@@ -217,8 +137,13 @@ class NzeZfDecoder:
 
     Conjugated entries make the map y = f(x) widely linear, so the 2T real
     observations are expressed against the 2L real symbol coordinates and
-    solved by normal equations; each recovered symbol is then sliced to the
-    PSK grid.
+    solved by normal equations; each recovered symbol is then sliced to its
+    constellation.  The real map is probed out of ``assemble`` once: the
+    codewords of e_0, j e_0, e_1, j e_1, ... are its 2L columns per port,
+    and a port's channel coefficient g_n = u + j v adds u times them and v
+    times j times them.  So ``basis`` (2N, 2T 2L) holds the real and
+    imaginary parts of both, slot by slot, and the design matrix is the
+    batch's [Re g, Im g] times ``basis``.
 
     The system has full rank for every nonzero channel, so only an all-zero
     channel row aborts.  For NZE-TC this is exact: with p(z) = g(z) x(z),
@@ -228,29 +153,22 @@ class NzeZfDecoder:
     test over the shapes the tests and workloads use guards the claim.
     """
 
-    def __init__(self, tables, constellation):
-        self.tables = tables
-        self.constellation = constellation
-        n, t_len, l_len = tables.n_ports, tables.n_slots, tables.n_sym
-        # Constant port -> (slot, symbol) maps, one per conjugation class.
-        m_plain = np.zeros((n, t_len, l_len), dtype=float)
-        m_conj = np.zeros((n, t_len, l_len), dtype=float)
-        for port, slot, sym, sign, conj in tables.entries():
-            (m_conj if conj else m_plain)[port, slot, sym] += sign
-        self.m_plain = m_plain.reshape(n, t_len * l_len)
-        self.m_conj = m_conj.reshape(n, t_len * l_len)
+    def __init__(self, assemble, constellations):
+        self.points = np.stack([c.points for c in constellations])
+        l_len = len(self.points)
+        probes = np.zeros((2 * l_len, l_len), dtype=complex)
+        probes[0::2] = np.eye(l_len)
+        probes[1::2] = 1j * np.eye(l_len)
+        cols = assemble(probes).transpose(1, 2, 0)  # (N, T, 2L)
+        self.n_slots = cols.shape[1]
+        re_g = np.stack([cols.real, cols.imag], axis=2)  # (N, T, 2, 2L)
+        im_g = np.stack([-cols.imag, cols.real], axis=2)
+        self.basis = np.concatenate([re_g, im_g]).reshape(2 * len(cols), -1)  # (2N, 2T 2L)
 
     def design_matrix(self, g):
         """Real 2T x 2L system matrices for a batch of channels."""
-        t_len, l_len = self.tables.n_slots, self.tables.n_sym
-        p_plain = (g @ self.m_plain).reshape(-1, t_len, l_len)
-        p_conj = (g @ self.m_conj).reshape(-1, t_len, l_len)
-        a = np.zeros((g.shape[0], 2 * t_len, 2 * l_len))
-        a[:, 0::2, 0::2] = p_plain.real + p_conj.real
-        a[:, 0::2, 1::2] = -p_plain.imag + p_conj.imag
-        a[:, 1::2, 0::2] = p_plain.imag + p_conj.imag
-        a[:, 1::2, 1::2] = p_plain.real - p_conj.real
-        return a
+        a = np.concatenate([g.real, g.imag], axis=1) @ self.basis
+        return a.reshape(len(g), 2 * self.n_slots, -1)
 
     def decode_batch(self, y, g):
         a = self.design_matrix(g)
@@ -265,4 +183,4 @@ class NzeZfDecoder:
         gram[aborted] = np.eye(two_l)
         sol = np.linalg.solve(gram, rhs[..., None])[..., 0]
         xhat = sol[:, 0::2] + 1j * sol[:, 1::2]
-        return _slice_batch(xhat, self.constellation.points), aborted
+        return np.argmin(np.abs(xhat[..., None] - self.points), axis=-1), aborted

@@ -95,7 +95,7 @@ def _requirement_cases():
     yield "single", 4, 1, None, lambda b: codes.Codeword(
         "single", np.array([[psk2.encode(b)]])
     )
-    yield "ac", 4, 2, None, lambda b: codes.encode_ac(
+    yield "ac", 4, 2, None, lambda b: codes.ac_matrix(
         psk2.encode(b[:1]), psk2.encode(b[1:])
     )
     yield "ostbc", 16, 4, None, lambda b: codes.encode_ostbc(b, 1)

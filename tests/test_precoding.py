@@ -12,23 +12,23 @@ from omnistbc.precoding import (
     hadamard2,
     precoder_for_code,
     prbs_phase_vector,
-    preset_V,
     transmit,
 )
+from omnistbc.kinds import spec_for
 from omnistbc.sequences import lift, zc_generate
 
 
 def test_preset_shapes():
-    assert preset_V("single").shape == (1, 1)
-    np.testing.assert_allclose(preset_V("ac"), np.eye(2))
-    np.testing.assert_allclose(preset_V("qostbc"), np.eye(4))
-    np.testing.assert_allclose(preset_V("ostbc"), np.kron(np.eye(2), hadamard2()))
-    np.testing.assert_allclose(preset_V("ciod"), np.kron(hadamard2(), hadamard2()))
-    np.testing.assert_allclose(preset_V("nze_tc", 8), np.eye(8))
+    assert spec_for("single").preset_v().shape == (1, 1)
+    np.testing.assert_allclose(spec_for("ac").preset_v(), np.eye(2))
+    np.testing.assert_allclose(spec_for("qostbc").preset_v(), np.eye(4))
+    np.testing.assert_allclose(spec_for("ostbc").preset_v(), np.kron(np.eye(2), hadamard2()))
+    np.testing.assert_allclose(spec_for("ciod").preset_v(), np.kron(hadamard2(), hadamard2()))
+    np.testing.assert_allclose(spec_for("nze_tc").preset_v(8), np.eye(8))
     with pytest.raises(ValueError):
-        preset_V("huffman")
+        spec_for("huffman").preset_v()
     with pytest.raises(ValueError):
-        preset_V("nze_oac")  # port count required
+        spec_for("nze_oac").preset_v()  # port count required
 
 
 @pytest.mark.parametrize(
@@ -83,11 +83,11 @@ def test_transmit_dimension_check():
 
 def test_transmit_identity_lift_columns():
     prec = precoder_for_code("ac", 8)
-    cw = codes.encode_ac(1j, -1)
+    cw = codes.ac_matrix(1j, -1)
     signal = transmit(prec, cw)
     c = zc_generate(8, 1)
     for t in range(2):
-        np.testing.assert_allclose(signal[:, t], lift(c, cw.matrix[:, t]), atol=1e-12)
+        np.testing.assert_allclose(signal[:, t], lift(c, cw[:, t]), atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +108,7 @@ def test_requirements_exhaustive(kind, m_len, nbits, n_ports, builder):
         if kind == "single":
             builder = lambda b: codes.Codeword("single", np.array([[psk2.encode(b)]]))
         elif kind == "ac":
-            builder = lambda b: codes.encode_ac(psk2.encode(b[:1]), psk2.encode(b[1:]))
+            builder = lambda b: codes.ac_matrix(psk2.encode(b[:1]), psk2.encode(b[1:]))
         elif kind == "nze_tc":
             builder = lambda b: codes.encode_nze_tc(psk2.points[b], 8, 8)
         else:

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -28,6 +29,11 @@ def channels(rng, n_trials, n_ports):
     return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0 * n_ports)
 
 
+def _per_symbol(constellations, counts):
+    """One constellation per symbol position: ``counts[i]`` of the i-th."""
+    return [c for c, n in zip(constellations, counts) for _ in range(n)]
+
+
 def observe(matrices, g, sigma_n2=0.0, rng=None):
     """Observations y = g X (+ noise) for codewords (B, N, T), channels (B, N)."""
     y = np.einsum("bn,bnt->bt", g, matrices)
@@ -45,7 +51,7 @@ def test_single_decoder_roundtrip():
     x = code.encode(bits)
     g = channels(rng, len(bits), 1)
     y = observe(x, g)
-    idx, aborted = SingleDecoder(psk).decode_batch(y, g)
+    idx, aborted = SingleDecoder(code.assemble, [psk]).decode_batch(y, g)
     assert not aborted.any()
     np.testing.assert_allclose(psk.points[idx[:, 0]], x[:, 0, 0])
     np.testing.assert_array_equal(code.decode(y, g)[0], bits)
@@ -53,9 +59,9 @@ def test_single_decoder_roundtrip():
 
 def test_ac_matched_filter_identity_channel():
     psk = make_psk(4)
-    cw = codes.encode_ac(psk.points[1], psk.points[3])
+    cw = codes.ac_matrix(psk.points[1], psk.points[3])
     g = np.array([[1.0 + 0j, 0.0]])
-    idx, aborted = AcDecoder(psk).decode_batch(g @ cw.matrix, g)
+    idx, aborted = AcDecoder(build_code("ac", 2).assemble, [psk, psk]).decode_batch(g @ cw, g)
     np.testing.assert_array_equal(idx, [[1, 3]])
     assert not aborted.any()
 
@@ -110,19 +116,19 @@ def test_zero_channel_aborts(kind):
 @pytest.mark.parametrize(
     "kind,rate,make_decoder",
     [
-        ("ostbc", 1, lambda: OstbcDecoder(*codes.ostbc_constellations(1))),
-        ("ostbc", 2, lambda: OstbcDecoder(*codes.ostbc_constellations(2))),
-        ("qostbc", 1, lambda: QostbcDecoder(*codes.qostbc_constellations(1))),
-        ("qostbc", 2, lambda: QostbcDecoder(*codes.qostbc_constellations(2))),
-        ("ciod", 1, lambda: CiodDecoder(codes.ciod_constellation(1))),
-        ("ciod", 2, lambda: CiodDecoder(codes.ciod_constellation(2))),
+        ("ostbc", 1, lambda f: OstbcDecoder(f, _per_symbol(codes.ostbc_constellations(1), (2, 1)))),
+        ("ostbc", 2, lambda f: OstbcDecoder(f, _per_symbol(codes.ostbc_constellations(2), (2, 1)))),
+        ("qostbc", 1, lambda f: QostbcDecoder(f, _per_symbol(codes.qostbc_constellations(1), (2, 2)))),
+        ("qostbc", 2, lambda f: QostbcDecoder(f, _per_symbol(codes.qostbc_constellations(2), (2, 2)))),
+        ("ciod", 1, lambda f: CiodDecoder(f, [codes.ciod_constellation(1)] * 2)),
+        ("ciod", 2, lambda f: CiodDecoder(f, [codes.ciod_constellation(2)] * 2)),
     ],
 )
 def test_noiseless_roundtrip(kind, rate, make_decoder):
-    """A decoder built from the constellations of ``codes`` recovers every
-    payload of the code over random channels."""
+    """A decoder built from the code's encoder and the constellations of
+    ``codes`` recovers every payload of the code over random channels."""
     code = build_code(kind, rate)
-    code.decoder = make_decoder()
+    code.decoder = make_decoder(code.assemble)
     rng = np.random.default_rng(5)
     bits, matrices = (np.repeat(a, 50 if rate == 1 else 5, axis=0) for a in code.codebook())
     g = channels(rng, len(bits), 4)
@@ -131,14 +137,71 @@ def test_noiseless_roundtrip(kind, rate, make_decoder):
     np.testing.assert_array_equal(decoded, bits)
 
 
+# Candidates searched per decoupled group: OSTBC is one joint search,
+# QOSTBC and CIOD two pair-sized ones, AC and single symbol-wise.
+CANDIDATE_BUDGET = {
+    "single": lambda r: [2**r],
+    "ac": lambda r: [2**r] * 2,
+    "ostbc": lambda r: [2 ** (4 * r)],
+    "qostbc": lambda r: [2 ** (2 * r)] * 2,
+    "ciod": lambda r: [2 ** (2 * r)] * 2,
+}
+
+
+def _assert_budget(kind):
+    for rate in (1, 2, 3):
+        searches = build_code(kind, rate).decoder.searches
+        assert [len(cand) for _, cand, _ in searches] == CANDIDATE_BUDGET[kind](rate), (kind, rate)
+
+
+def test_candidate_budget():
+    assert sorted(CANDIDATE_BUDGET) == sorted(ENUMERABLE)
+    _assert_budget("single")
+    _assert_budget("ac")
+
+
 def test_ostbc_candidate_budget():
-    assert build_code("ostbc", 1).decoder.cand_x1.size == 2 ** (4 * 1 - 2)
-    assert build_code("ostbc", 2).decoder.cand_x1.size == 2 ** (4 * 2 - 2)  # 64 pairs + 4 phases
+    _assert_budget("ostbc")
 
 
 def test_qostbc_ciod_candidate_budget():
-    assert build_code("qostbc", 1).decoder.cand_a.size * 2 == 2 ** (2 * 1 + 1)
-    assert build_code("ciod", 1).decoder.s1_parts[0].size * 2 == 2 ** (2 * 1 + 1)
+    _assert_budget("qostbc")
+    _assert_budget("ciod")
+
+
+def _group_codebook(code, group):
+    """Every symbol vector that is zero outside ``group`` (lowest index
+    first) and its codeword, over the whole constellation of each member."""
+    points = [code.constellations[k].points for k in group]
+    cand = np.indices([len(p) for p in points]).reshape(len(group), -1).T
+    x = np.zeros((len(cand), len(code.constellations)), dtype=complex)
+    for j, k in enumerate(group):
+        x[:, k] = points[j][cand[:, j]]
+    return x, code.assemble(x)
+
+
+@pytest.mark.parametrize("rate", [1, 2])
+@pytest.mark.parametrize("kind", ENUMERABLE)
+def test_decoder_groups_decouple(kind, rate):
+    """The decoder's groups make per-group search exact ML for every g:
+    each codeword is the sum of its groups' parts, and any two parts X_a,
+    X_b of different groups have X_a X_b^H + X_b X_a^H = 0, so the cross
+    terms of ||y - g X||^2 vanish.  Checked over the whole codebook."""
+    code = build_code(kind, rate)
+    groups = code.decoder.groups
+    n_sym = len(code.constellations)
+    assert sorted(itertools.chain(*groups)) == list(range(n_sym))
+    everything, matrices = _group_codebook(code, range(n_sym))
+    parts = 0
+    for group in groups:
+        masked = np.zeros_like(everything)
+        masked[:, group] = everything[:, group]
+        parts = parts + code.assemble(masked)
+    np.testing.assert_allclose(parts, matrices, rtol=0, atol=1e-12)
+    for ga, gb in itertools.combinations(groups, 2):
+        xa, xb = _group_codebook(code, ga)[1], _group_codebook(code, gb)[1]
+        cross = np.einsum("ant,bmt->abnm", xa, xb.conj())
+        np.testing.assert_allclose(cross + cross.conj().swapaxes(2, 3), 0, atol=1e-12)
 
 
 def test_ml_phase_rotation_invariance():
@@ -154,7 +217,8 @@ def test_ml_phase_rotation_invariance():
 
 def test_deterministic_tie_break():
     # zero observation with a unit channel: +1 and -1 are equidistant from 0
-    idx, aborted = SingleDecoder(make_psk(2)).decode_batch(np.zeros((1, 1)), np.ones((1, 1)))
+    decoder = SingleDecoder(build_code("single", 1).assemble, [make_psk(2)])
+    idx, aborted = decoder.decode_batch(np.zeros((1, 1)), np.ones((1, 1)))
     np.testing.assert_array_equal(idx, [[0]])  # lowest index wins
     assert not aborted.any()
 
@@ -176,7 +240,7 @@ def test_zf_noiseless_exhaustive_payloads(kind, l_sym, n_ports):
     psk = make_psk(4)
     make = codes.nze_tc_tables if kind == "nze_tc" else codes.nze_oac_tables
     tables = make(l_sym, n_ports)
-    decoder = NzeZfDecoder(tables, psk)
+    decoder = NzeZfDecoder(tables.build, [psk] * l_sym)
     idx = np.indices((4,) * l_sym).reshape(l_sym, -1).T  # 256 payloads
     matrices = tables.build(psk.points[idx])
     rng = np.random.default_rng(10)
@@ -248,8 +312,8 @@ def test_zf_gram_full_rank_margin(kind, l_sym, n_ports):
 @pytest.mark.parametrize("kind", ["nze_tc", "nze_oac"])
 def test_zf_matches_least_squares(kind):
     """ZF equals a per-trial least-squares solve of the real 2T x 2L system,
-    built here from the codewords of the unit symbol vectors; only the
-    planted zero channel aborts."""
+    built here from the code's codewords of the unit symbol vectors; only
+    the planted zero channel aborts."""
     code = build_code(kind, 2, 12, 4)
     rng = np.random.default_rng(13)
     bits = rng.integers(0, 2, (64, code.nbits))
@@ -259,13 +323,13 @@ def test_zf_matches_least_squares(kind):
     idx, aborted = code.decoder.decode_batch(y, g)
     np.testing.assert_array_equal(aborted, np.arange(len(bits)) == 5)
 
-    tables = code.decoder.tables
-    unit = np.eye(tables.n_sym)
-    basis = tables.build(np.concatenate([unit, 1j * unit]))  # (2L, N, T)
-    points = code.decoder.constellation.points
+    n_sym = len(code.constellations)
+    unit = np.eye(n_sym)
+    basis = code.assemble(np.concatenate([unit, 1j * unit]))  # (2L, N, T)
+    points = code.constellations[0].points
     for k in np.flatnonzero(~aborted):
         cols = np.einsum("n,knt->tk", g[k], basis)
         a = np.vstack([cols.real, cols.imag])
         sol = np.linalg.lstsq(a, np.concatenate([y[k].real, y[k].imag]), rcond=None)[0]
-        xhat = sol[: tables.n_sym] + 1j * sol[tables.n_sym :]
+        xhat = sol[:n_sym] + 1j * sol[n_sym:]
         np.testing.assert_array_equal(idx[k], np.argmin(np.abs(xhat[:, None] - points), axis=1))

@@ -11,6 +11,7 @@ encoder applied to a batch of one.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,11 +145,17 @@ def ostbc_constellations(rate):
     return make_pam(2 ** (2 * rate - 2)), make_psk(4)
 
 
-def _encode_payload(kind, bits, rate):
-    """One payload through the registry's batched encoder."""
+@lru_cache(maxsize=None)
+def _payload_code(kind, rate):
+    """The registry's Code of ``kind`` at ``rate``, built once per process."""
     from .kinds import build_code  # the registry imports this module
 
-    code = build_code(kind, rate)
+    return build_code(kind, rate)
+
+
+def _encode_payload(kind, bits, rate):
+    """One payload through the registry's batched encoder."""
+    code = _payload_code(kind, int(rate))
     bits = np.asarray(bits)
     if bits.size != code.nbits:
         raise ValueError(f"expected {code.nbits} bits, got {bits.size}")

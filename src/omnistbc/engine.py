@@ -13,7 +13,9 @@ accumulated error count, so it never biases the estimate.
 
 A trial draws only what the receiver sees: the N-dimensional effective
 channel h^H W, from an N x N factor of W^H R W, and the T noise samples.
-Its cost does not depend on the array size M.
+Its cost does not depend on the array size M.  The set-up forms W^H R W
+from the covariance's M lags and never the M x M matrix R, so its cost
+grows as M log M.
 
 A point's set-up (the code and that factor) is built once in the sweep
 process and sent with every batch to the pool workers, which never build
@@ -96,8 +98,7 @@ def _point_setup(cfg, theta0_deg):
         math.radians(theta0_deg),
         math.radians(cfg.sigma_deg),
     )
-    w = prec.w_matrix
-    return _PointSetup(covariance_factor(w.conj().T @ cov.matrix @ w).conj().T, code)
+    return _PointSetup(covariance_factor(cov.project(prec.w_matrix)).conj().T, code)
 
 
 def _trial_words(cfg, snr_db, theta0_deg, t_lo, t_hi, n_words):

@@ -188,7 +188,7 @@ def test_criterion_06_decoder_oracle_equivalence():
     _report(
         6,
         ok,
-        f"two-step/pair-wise/separate ML vs full search: {mismatches} mismatches "
+        f"joint/pair-wise/per-symbol ML vs full search: {mismatches} mismatches "
         f"over 3000 noisy trials, {noiseless_errors} noiseless errors",
     )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from omnistbc.channel import (
+    DEFAULT_SPACING_RATIO,
     ChannelSpec,
     CovarianceModel,
     PasSpec,
@@ -14,6 +15,7 @@ from omnistbc.channel import (
     one_ring_covariance,
     steering_vector,
 )
+from omnistbc.channel import _composite_nodes, _lag_quadrature
 from omnistbc.precoding import precoder_for_code
 
 SIGMA5 = math.radians(5.0)
@@ -106,3 +108,49 @@ def test_effective_channel_energy_approaches_unit():
         energies[m] = float(np.trace(sigma).real)
     assert abs(energies[256] - 1.0) < abs(energies[16] - 1.0) + 0.05
     assert energies[256] == pytest.approx(1.0, abs=0.1)
+
+
+def _direct_lag_sums(n_antennas, n_panels, pas_specs):
+    """Reference lags by the direct sum r_k = sum_j wp_j exp(-i 2 pi d k
+    sin theta_j) on the composite rule, one column per PAS; the phase
+    matrix is shared and built a block of lags at a time."""
+    theta, weights = _composite_nodes(n_panels)
+    wp = np.stack([weights * pas.density(theta) for pas in pas_specs], axis=1)
+    wp /= wp.sum(axis=0)
+    k = np.arange(n_antennas)
+    out = np.empty((n_antennas, len(pas_specs)), dtype=complex)
+    for lo in range(0, n_antennas, 64):
+        phase = np.outer(k[lo : lo + 64], np.sin(theta))
+        out[lo : lo + 64] = np.exp(-2j * np.pi * DEFAULT_SPACING_RATIO * phase) @ wp
+    return out
+
+
+# 8 panels is below the bandwidth 2 pi d (M - 1) of every M here, 1024 is
+# above it for M = 16 and 64 and below it for M = 1024.
+@pytest.mark.parametrize("n_panels", [8, 1024])
+@pytest.mark.parametrize("n_antennas", [16, 64, 1024])
+def test_nufft_lags_match_direct_sum(n_antennas, n_panels):
+    pas_specs = [
+        PasSpec(math.radians(theta0), math.radians(sigma))
+        for theta0 in (-60, -45, 0, 30, 60)
+        for sigma in (1, 5, 20)
+    ]
+    want = _direct_lag_sums(n_antennas, n_panels, pas_specs)
+    for col, pas in enumerate(pas_specs):
+        got = _lag_quadrature(ChannelSpec(n_antennas, pas=pas), n_panels)
+        assert np.abs(got - want[:, col]).max() <= 1e-12, pas
+
+
+def test_projection_matches_dense_product():
+    model = covariance_for(40, DEFAULT_SPACING_RATIO, -0.3, SIGMA5)
+    w = np.random.default_rng(2).standard_normal((40, 3, 2)).view(complex)[..., 0]
+    np.testing.assert_allclose(
+        model.project(w), w.conj().T @ model.matrix @ w, rtol=0, atol=1e-13
+    )
+
+
+def test_model_keeps_a_toeplitz_matrix_as_its_lags():
+    model = covariance_for(8, DEFAULT_SPACING_RATIO, 0.2, SIGMA5)
+    assert np.array_equal(CovarianceModel(model.matrix).lags, model.lags)
+    with pytest.raises(ValueError):
+        CovarianceModel(np.diag(np.arange(1.0, 5.0)))

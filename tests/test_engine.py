@@ -2,13 +2,14 @@ import functools
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnistbc import engine
+from omnistbc import channel, engine
 from omnistbc.analysis import BerPoint
 from omnistbc.channel import covariance_for
 from omnistbc.config import ConfigError, SimConfig
@@ -19,7 +20,7 @@ from omnistbc.engine import (
     run_ber_sweep,
     run_trial,
 )
-from omnistbc.precoding import precoder_for_code
+from omnistbc.precoding import prbs_phase_vector, precoder_for_code
 
 
 def small_cfg(**kw):
@@ -175,18 +176,57 @@ def test_any_batch_split_gives_same_totals(kind, n, cuts):
     assert tuple(map(sum, zip(*parts))) == engine._run_batch(cfg, setup, 2.0, 10.0, 0, n)
 
 
+# (config overrides, N): every kind's port count, the NZE shapes at their
+# gate sizes, the PRBS precoder override and one massive array.
+_SETUP_CASES = [
+    (dict(code="single"), 1),
+    (dict(code="ac"), 2),
+    (dict(code="ac", precoder_override="prbs"), 2),
+    (dict(code="ostbc", m=64), 4),
+    (dict(code="qostbc", m=1024), 4),
+    (dict(code="ciod", m=64), 4),
+    (dict(code="nze_oac", nze_l=6, nze_n=3, m=72), 3),
+    (dict(code="nze_tc", nze_l=30, nze_n=8, m=64), 8),
+]
+
+
 def test_point_setup_keeps_an_n_by_n_factor():
-    """At M = 1024 the set-up holds only an N x N factor of W^H R W."""
-    cfg = small_cfg(code="qostbc", m=1024)
-    setup = engine._point_setup(cfg, 10.0)
-    w = precoder_for_code("qostbc", 1024, cfg.gamma, n_ports=4).w_matrix
-    r = covariance_for(
-        1024, cfg.spacing_ratio, math.radians(10.0), math.radians(cfg.sigma_deg)
-    ).matrix
-    assert setup.g_map.shape == (4, 4)
-    np.testing.assert_allclose(
-        setup.g_map.conj().T @ setup.g_map, w.conj().T @ r @ w, rtol=0, atol=1e-12
-    )
+    """The set-up holds only an N x N factor of W^H R W, equal to the dense
+    product with the M x M covariance, for every kind's N."""
+    for overrides, n_ports in _SETUP_CASES:
+        cfg = small_cfg(**overrides)
+        setup = engine._point_setup(cfg, 10.0)
+        phase = None
+        if cfg.precoder_override == "prbs":
+            phase = prbs_phase_vector(cfg.m, (cfg.master_seed, engine._PRBS_TAG))
+        w = precoder_for_code(
+            cfg.code, cfg.m, cfg.gamma, n_ports=n_ports, phase_vector=phase
+        ).w_matrix
+        r = covariance_for(
+            cfg.m, cfg.spacing_ratio, math.radians(10.0), math.radians(cfg.sigma_deg)
+        ).matrix
+        assert setup.g_map.shape == (n_ports, n_ports), overrides
+        np.testing.assert_allclose(
+            setup.g_map.conj().T @ setup.g_map,
+            w.conj().T @ r @ w,
+            rtol=0,
+            atol=1e-12,
+            err_msg=str(overrides),
+        )
+
+
+def test_point_setup_never_forms_the_covariance():
+    """At M = 4096 one M x M complex matrix is 256 MiB; the set-up, lag
+    quadrature included, peaks far below it."""
+    cfg = small_cfg(m=4096)
+    channel._cached_covariance.cache_clear()
+    tracemalloc.start()
+    try:
+        engine._point_setup(cfg, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"set-up peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_trial_draws_have_unit_moments():

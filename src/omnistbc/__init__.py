@@ -23,10 +23,9 @@ from .channel import (
     ChannelSpec,
     CovarianceModel,
     PasSpec,
+    covariance_for,
     dft_domain_leakage,
     isotropy_deviation,
-    one_ring_covariance,
-    steering_vector,
 )
 from .codes import (
     Codeword,
@@ -46,7 +45,7 @@ from .constellations import (
     min_sq_distance,
     qostbc_rotation,
 )
-from .engine import TrialOutcome, emit_csv, run_angle_sweep, run_ber_sweep, run_trial
+from .engine import emit_csv, run_angle_sweep, run_ber_sweep
 from .precoding import (
     Precoder,
     avg_receive_power,

@@ -38,7 +38,6 @@ class BerPoint:
     ber: float
     trials: int
     bit_errors: int
-    config_digest: str = ""
     code: str = ""
     rate_bps: float = 0.0
     n_antennas: int = 0
@@ -58,29 +57,26 @@ def check_pair_count(n_codes):
         raise ValueError(f"{n_pairs} codeword pairs exceed the enumeration cap {PAIR_CAP}")
 
 
-def _pair_gram_dets(mats):
-    """det(Delta Delta^H) for every ordered distinct pair, via eigenvalues."""
-    mats = np.asarray(mats, dtype=complex)
-    n_codes = mats.shape[0]
-    check_pair_count(n_codes)
-    dets = []
-    for i in range(n_codes):
+def _pair_gram_eigs(mats):
+    """For each codeword X_i of an (n_codes, N, T) array, the ascending
+    eigenvalues of (X_j - X_i)(X_j - X_i)^H for every j != i, as one
+    (n_codes - 1, N) array in order of j."""
+    check_pair_count(len(mats))
+    for i in range(len(mats)):
         diff = np.delete(mats, i, axis=0) - mats[i]
-        gram = np.einsum("knt,kmt->knm", diff, diff.conj())
-        eig = np.linalg.eigvalsh(gram)
-        dets.append(np.prod(np.clip(eig, 0.0, None), axis=1))
-    return np.concatenate(dets)
+        yield np.linalg.eigvalsh(np.einsum("knt,kmt->knm", diff, diff.conj()))
 
 
 def coding_gain(codebook):
-    """Minimum diversity product over the codebook; 0 flags a rank drop."""
-    mats = np.asarray([getattr(c, "matrix", c) for c in codebook], dtype=complex)
-    t_len = mats.shape[2]
-    dets = _pair_gram_dets(mats)
-    worst = float(dets.min())
+    """Minimum diversity product over a codebook of N x T arrays; 0 flags a
+    rank drop."""
+    mats = np.asarray(codebook, dtype=complex)
+    worst = min(
+        float(np.prod(np.clip(eig, 0.0, None), axis=1).min()) for eig in _pair_gram_eigs(mats)
+    )
     if worst < _RANK_TOL:
         return 0.0
-    return worst ** (1.0 / t_len)
+    return worst ** (1.0 / mats.shape[2])
 
 
 def qostbc_gain_closed_form(order):
@@ -114,7 +110,8 @@ def ostbc_gain_closed_form(rate):
 
 
 def pep_upper_bound(codebook, n_ports, sigma_n2, n_users=1):
-    """Union-style bound K (4 sigma^2)^N sum over pairs of prod 1/lambda_n.
+    """Union-style bound K (4 sigma^2)^N sum over pairs of prod 1/lambda_n,
+    for a codebook of N x T arrays.
 
     The lambda_n are the eigenvalues of (1/N) (X - X')(X - X')^H, the
     large-array limit of the effective difference covariance.  Every pair
@@ -122,14 +119,9 @@ def pep_upper_bound(codebook, n_ports, sigma_n2, n_users=1):
     """
     if sigma_n2 <= 0:
         raise ValueError("noise variance must be positive")
-    mats = np.asarray([getattr(c, "matrix", c) for c in codebook], dtype=complex)
-    n_codes = mats.shape[0]
-    check_pair_count(n_codes)
     total = 0.0
-    for i in range(n_codes):
-        diff = np.delete(mats, i, axis=0) - mats[i]
-        gram = np.einsum("knt,kmt->knm", diff, diff.conj()) / n_ports
-        eig = np.linalg.eigvalsh(gram)
+    for i, eig in enumerate(_pair_gram_eigs(np.asarray(codebook, dtype=complex))):
+        eig = eig / n_ports
         bad = np.nonzero(eig[:, 0] <= _RANK_TOL * np.maximum(eig[:, -1], 1.0))[0]
         if bad.size:
             j = bad[0] + (bad[0] >= i)

@@ -7,7 +7,7 @@ and is fixed by its M lags.  An adaptive composite Gauss-Legendre rule gives
 them, and each rule's lag sums over its nodes are one type-1 NUFFT, so a
 rule costs O(nodes + M log M), not O(nodes x M).  The effective covariance
 W^H R W comes from the lags by circulant embedding; R itself is formed only
-for the diagnostics (DFT leakage, isotropy, the full-array factor).
+by ``CovarianceModel.matrix``, for the DFT-leakage diagnostic and the tests.
 """
 
 import math
@@ -22,8 +22,7 @@ __all__ = [
     "ChannelSpec",
     "CovarianceModel",
     "DEFAULT_SPACING_RATIO",
-    "steering_vector",
-    "one_ring_covariance",
+    "covariance_for",
     "dft_domain_leakage",
     "covariance_factor",
     "isotropy_deviation",
@@ -78,17 +77,13 @@ class CovarianceModel:
 
     Its state is the lag vector ``lags``, the first column of R.  ``project``
     forms W^H R W from it directly; ``matrix`` builds R on each access and
-    serves the diagnostics only.  A Hermitian Toeplitz matrix is accepted in
-    place of the lags and kept as its first column.
+    serves the DFT-leakage diagnostic only.
     """
 
     def __init__(self, lags):
         lags = np.array(lags, dtype=complex)
-        if lags.ndim == 2:
-            column = lags[:, 0]
-            if not np.array_equal(toeplitz(column, column.conj()), lags):
-                raise ValueError("covariance matrix is not Hermitian Toeplitz")
-            lags = column
+        if lags.ndim != 1:
+            raise ValueError(f"covariance lags must be a 1-D vector, got shape {lags.shape}")
         lags.flags.writeable = False
         self.lags = lags
 
@@ -115,12 +110,6 @@ class CovarianceModel:
         column = np.concatenate([self.lags, [0.0], self.lags[:0:-1].conj()])
         spectrum = np.fft.fft(column)[:, None] * np.fft.fft(w, 2 * m_len, axis=0)
         return w.conj().T @ np.fft.ifft(spectrum, axis=0)[:m_len]
-
-
-def steering_vector(n_antennas, spacing_ratio, theta):
-    """ULA steering vector, element m = exp(-j 2 pi spacing m sin(theta))."""
-    m = np.arange(int(n_antennas))
-    return np.exp(-2j * np.pi * spacing_ratio * m * np.sin(theta))
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_QUAD_ORDER)
@@ -201,20 +190,16 @@ def _one_ring_lags(spec):
     return cur
 
 
-def one_ring_covariance(spec):
-    """Hermitian Toeplitz covariance from the quadrature lag vector."""
-    return CovarianceModel(_one_ring_lags(spec))
-
-
 # A model holds only its length-M lag vector, so a process that sweeps many
 # mean angles at large M grows by M, not M^2, per memoized angle.
 @lru_cache(maxsize=64)
 def _cached_covariance(n_antennas, spacing_ratio, theta0, sigma):
-    return one_ring_covariance(ChannelSpec(n_antennas, spacing_ratio, PasSpec(theta0, sigma)))
+    spec = ChannelSpec(n_antennas, spacing_ratio, PasSpec(theta0, sigma))
+    return CovarianceModel(_one_ring_lags(spec))
 
 
 def covariance_for(n_antennas, spacing_ratio, theta0, sigma):
-    """Covariance lookup used by sweeps and tests; the quadrature is memoized."""
+    """The one-ring covariance of an M-antenna ULA; the quadrature is memoized."""
     return _cached_covariance(int(n_antennas), float(spacing_ratio), float(theta0), float(sigma))
 
 
@@ -224,8 +209,7 @@ def dft_domain_leakage(model):
     Tends to zero as the array grows, which is the computable form of the
     asymptotic DFT eigenstructure of Toeplitz covariances.
     """
-    r = model.matrix if isinstance(model, CovarianceModel) else np.asarray(model)
-    m_len = r.shape[0]
+    r = model.matrix
     beam = np.fft.fft(np.fft.ifft(r, axis=1), axis=0)  # F R F^H, unitary pair
     total = float(np.sum(np.abs(beam) ** 2))
     if total == 0.0:
@@ -234,12 +218,11 @@ def dft_domain_leakage(model):
     return (total - diag) / total
 
 
-def covariance_factor(model):
-    """B with B B^H = R via Hermitian eigendecomposition.
+def covariance_factor(r):
+    """B with B B^H = r for a Hermitian matrix r, via its eigendecomposition.
 
     Tiny negative eigenvalues from quadrature roundoff are clipped at zero.
     """
-    r = model.matrix if isinstance(model, CovarianceModel) else np.asarray(model)
     vals, vecs = np.linalg.eigh(r)
     floor = -1e-9 * max(1.0, float(vals.max()))
     if vals.min() < floor:
@@ -253,10 +236,8 @@ def isotropy_deviation(precoder, model):
     """Frobenius distance of N (W^H R W) from the identity.
 
     Vanishes as M grows for any fixed port count, making the effective
-    channel asymptotically i.i.d. with per-port variance 1/N.
+    channel asymptotically i.i.d. with per-port variance 1/N.  W^H R W is
+    ``model.project``, the product the engine factors.
     """
-    r = model.matrix if isinstance(model, CovarianceModel) else np.asarray(model)
-    w = precoder.w_matrix
-    return float(
-        np.linalg.norm(precoder.n_ports * (w.conj().T @ r @ w) - np.eye(precoder.n_ports))
-    )
+    n_ports = precoder.n_ports
+    return float(np.linalg.norm(n_ports * model.project(precoder.w_matrix) - np.eye(n_ports)))

@@ -216,9 +216,7 @@ def _nze_tc_index_sign(n_sym, n_ports):
     Requires L >= n_ports - 1 so the top wrap stays inside the band.
     """
     if n_sym < n_ports - 1:
-        raise ValueError(
-            f"need at least {n_ports - 1} symbols for {n_ports} ports, got {n_sym}"
-        )
+        raise ValueError(f"nze.l: must be at least {n_ports - 1}")
     t_len = n_sym + n_ports - 1
     m = np.arange(t_len)[:, None]
     n = np.arange(n_ports)[None, :]
@@ -254,7 +252,18 @@ class NzeTables:
         return out
 
 
+# The NZE table builders state each kind's (L, N) rule once; config validation
+# reports their messages, which name the key.
+def _check_nze_counts(n_sym, n_ports):
+    if n_sym < 1 or n_ports < 1:
+        raise ValueError("nze.l, nze.n: required for Toeplitz-family codes")
+
+
 def nze_tc_tables(n_sym, n_ports):
+    """Toeplitz tables; L >= N keeps every symbol on every port."""
+    _check_nze_counts(n_sym, n_ports)
+    if n_sym < n_ports:
+        raise ValueError("nze.l: must be at least nze.n")
     idx, sign = _nze_tc_index_sign(n_sym, n_ports)
     valid = np.ones_like(sign, dtype=bool)
     conj = np.zeros_like(valid)
@@ -289,8 +298,9 @@ def nze_oac_tables(n_sym, n_ports):
     """Overlapped-Alamouti tables; the even-port code is carved out of the
     odd (n_ports + 1)-port one by dropping its first column and the first
     and last rows of what remains."""
+    _check_nze_counts(n_sym, n_ports)
     if n_sym % 2 != 0:
-        raise ValueError(f"symbol count must be even, got {n_sym}")
+        raise ValueError("nze.l: must be even for the overlapped code")
     if n_ports % 2 == 1:
         layers = _nze_oac_layers_tall(n_sym, n_ports)
     else:
@@ -312,8 +322,6 @@ def encode_nze_tc(x, n_sym, n_ports, bits=None):
     x = np.asarray(x, dtype=complex)
     if x.size != n_sym:
         raise ValueError(f"expected {n_sym} symbols, got {x.size}")
-    if n_sym < n_ports:
-        raise ValueError(f"need at least {n_ports} symbols, got {n_sym}")
     _check_psk_symbols(x)
     tables = nze_tc_tables(n_sym, n_ports)
     return Codeword("nze_tc", tables.build(x), payload_bits=bits)
@@ -324,8 +332,6 @@ def encode_nze_oac(x, n_sym, n_ports, bits=None):
     x = np.asarray(x, dtype=complex)
     if x.size != n_sym:
         raise ValueError(f"expected {n_sym} symbols, got {x.size}")
-    if n_sym % 2 != 0:
-        raise ValueError(f"symbol count must be even, got {n_sym}")
     _check_psk_symbols(x)
     tables = nze_oac_tables(n_sym, n_ports)
     return Codeword("nze_oac", tables.build(x), payload_bits=bits)

@@ -39,8 +39,6 @@ from .kinds import Code, build_code
 from .precoding import precoder_for_code, prbs_phase_vector
 
 __all__ = [
-    "TrialOutcome",
-    "run_trial",
     "run_ber_sweep",
     "run_angle_sweep",
     "emit_csv",
@@ -54,13 +52,6 @@ _U64 = (1 << 64) - 1
 _BLOCK_WORDS = 4  # Philox4x64 gives four 64-bit words per counter step
 
 CSV_HEADER = "code,rate_bps,M,snr_db,theta0_deg,trials,bit_errors,ber,seed"
-
-
-@dataclass
-class TrialOutcome:
-    bits_sent: int
-    bit_errors: int
-    aborted: bool = False
 
 
 def _quantize(value):
@@ -144,17 +135,6 @@ def _run_batch(cfg, setup, snr_db, theta0_deg, t_lo, t_hi):
     return int(ok.sum()), errors, int(aborted.sum())
 
 
-def run_trial(cfg, snr_db, theta0_deg, trial_index):
-    """One end-to-end trial, deterministic in (seed, index, snr, theta0)."""
-    cfg.validate()
-    setup = _point_setup(cfg, theta0_deg)
-    counted, errors, aborted = _run_batch(
-        cfg, setup, snr_db, theta0_deg, trial_index, trial_index + 1
-    )
-    nbits = setup.code.nbits if counted else 0
-    return TrialOutcome(bits_sent=nbits, bit_errors=errors, aborted=bool(aborted))
-
-
 def _run_point(cfg, setup, snr_db, theta0_deg, map_batches):
     """One point, wave by wave; ``map_batches`` is ``map`` or a pool's map."""
     batch = partial(_run_batch, cfg, setup, snr_db, theta0_deg)
@@ -175,7 +155,6 @@ def _run_point(cfg, setup, snr_db, theta0_deg, map_batches):
         ber=ber,
         trials=counted,
         bit_errors=errors,
-        config_digest=cfg.digest(),
         code=cfg.code,
         rate_bps=setup.code.rate_bps,
         n_antennas=cfg.m,

@@ -111,7 +111,8 @@ class CodeSpec:
     entries (the orthogonal and coordinate-interleaved designs have zero
     entries and need Hadamard mixing to spread symbols over all ports).
     ``rules(nze_l, nze_n)`` returns a message naming the offending config
-    key, or None when L and N suit the kind.  ``closed_form_gain(rate)``
+    key, or None when L and N suit the kind; for the NZE kinds it is the
+    table builder's own error.  ``closed_form_gain(rate)``
     exists for the enumerable kinds whose coding gain has a closed form.
     """
 
@@ -193,26 +194,15 @@ def _nze(make_tables):
     return build
 
 
-_NZE_REQUIRED = "nze.l, nze.n: required for Toeplitz-family codes"
+def _nze_rules(make_tables):
+    def rules(nze_l, nze_n):
+        try:
+            make_tables(nze_l, nze_n)
+        except ValueError as exc:
+            return str(exc)
+        return None
 
-
-def _nze_tc_rules(nze_l, nze_n):
-    if nze_l < 1 or nze_n < 1:
-        return _NZE_REQUIRED
-    if nze_l < nze_n:
-        return "nze.l: must be at least nze.n"
-    return None
-
-
-def _nze_oac_rules(nze_l, nze_n):
-    if nze_l < 1 or nze_n < 1:
-        return _NZE_REQUIRED
-    if nze_l % 2 != 0:
-        return "nze.l: must be even for the overlapped code"
-    floor = nze_n - 1 if nze_n % 2 == 1 else nze_n
-    if nze_l < floor:
-        return f"nze.l: must be at least {floor}"
-    return None
+    return rules
 
 
 REGISTRY = {
@@ -245,8 +235,8 @@ REGISTRY = {
                 ciod_constellation(rate).scale
             ),
         ),
-        CodeSpec("nze_tc", _nze(nze_tc_tables), rules=_nze_tc_rules),
-        CodeSpec("nze_oac", _nze(nze_oac_tables), rules=_nze_oac_rules),
+        CodeSpec("nze_tc", _nze(nze_tc_tables), rules=_nze_rules(nze_tc_tables)),
+        CodeSpec("nze_oac", _nze(nze_oac_tables), rules=_nze_rules(nze_oac_tables)),
     )
 }
 

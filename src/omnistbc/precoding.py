@@ -25,21 +25,22 @@ UNITARY_TOL = 1e-10
 
 
 class Precoder:
-    """M x N precoding matrix with its generating pieces."""
+    """M x N precoding matrix W, read-only."""
 
-    def __init__(self, n_antennas, n_ports, gamma, v_matrix, w_matrix, phase_vector):
-        self.n_antennas = n_antennas
-        self.n_ports = n_ports
-        self.gamma = gamma
-        self.v_matrix = v_matrix
+    def __init__(self, w_matrix):
         self.w_matrix = w_matrix
-        self.phase_vector = phase_vector
         self.w_matrix.flags.writeable = False
 
+    @property
+    def n_antennas(self):
+        return self.w_matrix.shape[0]
+
+    @property
+    def n_ports(self):
+        return self.w_matrix.shape[1]
+
     def __repr__(self):
-        return (
-            f"Precoder(M={self.n_antennas}, N={self.n_ports}, gamma={self.gamma})"
-        )
+        return f"Precoder(M={self.n_antennas}, N={self.n_ports})"
 
 
 def build_precoder(n_antennas, n_ports, gamma, v_matrix, phase_vector=None):
@@ -67,7 +68,7 @@ def build_precoder(n_antennas, n_ports, gamma, v_matrix, phase_vector=None):
         if phase_vector.size != m_len:
             raise ValueError("phase vector length must equal the antenna count")
     w = phase_vector[:, None] * np.tile(v_matrix, (m_len // n_len, 1))
-    return Precoder(m_len, n_len, int(gamma), v_matrix, w, phase_vector)
+    return Precoder(w)
 
 
 def precoder_for_code(kind, n_antennas, gamma=1, n_ports=None, phase_vector=None):
@@ -88,14 +89,11 @@ def prbs_phase_vector(n_antennas, seed):
     return signs.astype(complex) / np.sqrt(n_antennas)
 
 
-def transmit(precoder, codeword):
-    """Antenna-domain signal W X (M x T)."""
-    matrix = codeword.matrix if hasattr(codeword, "matrix") else np.asarray(codeword)
-    if matrix.shape[0] != precoder.n_ports:
-        raise ValueError(
-            f"codeword has {matrix.shape[0]} ports, precoder expects {precoder.n_ports}"
-        )
-    return precoder.w_matrix @ matrix
+def transmit(precoder, x):
+    """Antenna-domain signal W X (M x T) of an N x T codeword array X."""
+    if x.shape[0] != precoder.n_ports:
+        raise ValueError(f"codeword has {x.shape[0]} ports, precoder expects {precoder.n_ports}")
+    return precoder.w_matrix @ x
 
 
 def check_requirements(signal, tol=1e-9):

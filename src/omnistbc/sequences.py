@@ -15,7 +15,6 @@ __all__ = [
     "ZcSequence",
     "zc_generate",
     "unitary_dft",
-    "unitary_idft",
     "hadamard2",
     "is_constant_amplitude",
     "is_cazac",
@@ -84,14 +83,6 @@ def unitary_dft(v):
 def hadamard2():
     """The 2 x 2 unitary Hadamard matrix."""
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
-
-def unitary_idft(v):
-    """Inverse of :func:`unitary_dft`."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("input must be a nonempty 1-D vector")
-    return np.fft.ifft(v) * np.sqrt(v.size)
 
 
 def is_constant_amplitude(v, tol=DEFAULT_AMPLITUDE_TOL):

@@ -24,7 +24,12 @@ from omnistbc.analysis import (
     pep_upper_bound,
     qostbc_gain_closed_form,
 )
-from omnistbc.channel import covariance_for, dft_domain_leakage, isotropy_deviation
+from omnistbc.channel import (
+    CovarianceModel,
+    covariance_for,
+    dft_domain_leakage,
+    isotropy_deviation,
+)
 from omnistbc.config import SimConfig
 from omnistbc.constellations import make_psk, min_sq_distance
 from omnistbc.engine import emit_csv, run_angle_sweep, run_ber_sweep
@@ -92,17 +97,15 @@ def test_criterion_02_gain_orderings():
 
 def _requirement_cases():
     psk2 = make_psk(2)
-    yield "single", 4, 1, None, lambda b: codes.Codeword(
-        "single", np.array([[psk2.encode(b)]])
-    )
+    yield "single", 4, 1, None, lambda b: np.array([[psk2.encode(b)]])
     yield "ac", 4, 2, None, lambda b: codes.ac_matrix(
         psk2.encode(b[:1]), psk2.encode(b[1:])
     )
-    yield "ostbc", 16, 4, None, lambda b: codes.encode_ostbc(b, 1)
-    yield "qostbc", 16, 4, None, lambda b: codes.encode_qostbc(b, 1)
-    yield "ciod", 16, 4, None, lambda b: codes.encode_ciod(b, 1)
-    yield "nze_tc", 64, 8, 8, lambda b: codes.encode_nze_tc(psk2.points[b], 8, 8)
-    yield "nze_oac", 64, 8, 8, lambda b: codes.encode_nze_oac(psk2.points[b], 8, 8)
+    yield "ostbc", 16, 4, None, lambda b: codes.encode_ostbc(b, 1).matrix
+    yield "qostbc", 16, 4, None, lambda b: codes.encode_qostbc(b, 1).matrix
+    yield "ciod", 16, 4, None, lambda b: codes.encode_ciod(b, 1).matrix
+    yield "nze_tc", 64, 8, 8, lambda b: codes.encode_nze_tc(psk2.points[b], 8, 8).matrix
+    yield "nze_oac", 64, 8, 8, lambda b: codes.encode_nze_oac(psk2.points[b], 8, 8).matrix
 
 
 def test_criterion_03_requirements_suite():
@@ -116,7 +119,7 @@ def test_criterion_03_requirements_suite():
                 ok = False
     phase = prbs_phase_vector(64, (11, 0x50524253))
     prbs_prec = precoder_for_code("single", 64, phase_vector=phase)
-    signal = transmit(prbs_prec, codes.Codeword("single", np.eye(1, dtype=complex)))
+    signal = transmit(prbs_prec, np.eye(1, dtype=complex))
     prbs_omni, _ = check_requirements(signal, 1e-9)
     ok &= not prbs_omni
     elapsed = time.time() - start
@@ -151,7 +154,7 @@ def test_criterion_05_asymptotic_convergence():
         prec = precoder_for_code("qostbc", m_len)
         leaks[m_len] = dft_domain_leakage(model)
         devs[m_len] = isotropy_deviation(prec, model)
-        ok &= isotropy_deviation(prec, np.eye(m_len)) < 1e-10
+        ok &= isotropy_deviation(prec, CovarianceModel(np.eye(m_len)[0])) < 1e-10
     ok &= leaks[1024] <= 0.5 * leaks[16]
     ok &= devs[1024] <= 0.5 * devs[16]
     _report(

@@ -12,22 +12,11 @@ from omnistbc.channel import (
     covariance_for,
     dft_domain_leakage,
     isotropy_deviation,
-    one_ring_covariance,
-    steering_vector,
 )
 from omnistbc.channel import _composite_nodes, _lag_quadrature
 from omnistbc.precoding import precoder_for_code
 
 SIGMA5 = math.radians(5.0)
-
-
-def test_steering_vector():
-    np.testing.assert_allclose(steering_vector(4, 0.5, 0.0), np.ones(4))
-    np.testing.assert_allclose(
-        steering_vector(2, 0.5, math.pi / 2), [1, -1], atol=1e-12
-    )
-    v = steering_vector(16, 1 / math.sqrt(3), 0.42)
-    np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-14)
 
 
 def test_pas_spec_validation():
@@ -53,13 +42,12 @@ def test_covariance_invariants_grid(theta0_deg, sigma_deg):
 
 
 def test_covariance_point_source_limit():
-    spec = ChannelSpec(8, pas=PasSpec(0.0, 1e-4))
-    r = one_ring_covariance(spec).matrix
+    r = covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, 1e-4).matrix
     assert np.abs(r - np.ones((8, 8))).max() < 1e-4
 
 
 def test_leakage_identity_and_range():
-    assert dft_domain_leakage(CovarianceModel(np.eye(16))) == 0.0
+    assert dft_domain_leakage(CovarianceModel(np.eye(16)[0])) == 0.0
     model = covariance_for(32, 1 / math.sqrt(3), 0.0, SIGMA5)
     leak = dft_domain_leakage(model)
     assert 0.0 <= leak <= 1.0
@@ -87,14 +75,14 @@ def test_isotropy_deviation_decreases_with_array_size():
 def test_isotropy_identity_covariance_is_exact():
     for m in (16, 64, 256):
         prec = precoder_for_code("qostbc", m)
-        assert isotropy_deviation(prec, np.eye(m)) < 1e-10
+        assert isotropy_deviation(prec, CovarianceModel(np.eye(m)[0])) < 1e-10
 
 
 def test_draw_channel_statistics():
     """A channel drawn as factor @ w, w i.i.d. unit circular Gaussian, has
     covariance factor @ factor^H, which must equal R."""
     model = covariance_for(8, 1 / math.sqrt(3), 0.2, SIGMA5)
-    factor = covariance_factor(model)
+    factor = covariance_factor(model.matrix)
     assert np.abs(factor @ factor.conj().T - model.matrix).max() < 1e-10
 
 
@@ -142,15 +130,28 @@ def test_nufft_lags_match_direct_sum(n_antennas, n_panels):
 
 
 def test_projection_matches_dense_product():
+    """``project`` against the dense W^H R W, on a random W and on the ZC
+    precoders of N = 1, 2, 4 and 8 ports, and ``isotropy_deviation``,
+    which goes through ``project``, against the dense ||N W^H R W - I||."""
     model = covariance_for(40, DEFAULT_SPACING_RATIO, -0.3, SIGMA5)
     w = np.random.default_rng(2).standard_normal((40, 3, 2)).view(complex)[..., 0]
     np.testing.assert_allclose(
         model.project(w), w.conj().T @ model.matrix @ w, rtol=0, atol=1e-13
     )
+    for m in (64, 1024):
+        model = covariance_for(m, DEFAULT_SPACING_RATIO, -0.3, SIGMA5)
+        for kind, n_ports in (("single", None), ("ac", None), ("qostbc", None), ("nze_tc", 8)):
+            prec = precoder_for_code(kind, m, n_ports=n_ports)
+            w = prec.w_matrix
+            dense = w.conj().T @ model.matrix @ w
+            np.testing.assert_allclose(model.project(w), dense, rtol=0, atol=1e-12)
+            want = np.linalg.norm(prec.n_ports * dense - np.eye(prec.n_ports))
+            assert abs(isotropy_deviation(prec, model) - want) <= 1e-12, (kind, m)
 
 
-def test_model_keeps_a_toeplitz_matrix_as_its_lags():
+def test_model_rejects_a_matrix():
     model = covariance_for(8, DEFAULT_SPACING_RATIO, 0.2, SIGMA5)
-    assert np.array_equal(CovarianceModel(model.matrix).lags, model.lags)
+    with pytest.raises(ValueError):
+        CovarianceModel(model.matrix)
     with pytest.raises(ValueError):
         CovarianceModel(np.diag(np.arange(1.0, 5.0)))

@@ -137,6 +137,22 @@ def test_nze_errors():
         codes.encode_nze_tc(np.array([1.0, 0.0]), 2, 2)  # zero-amplitude symbol
 
 
+@pytest.mark.parametrize("kind", ["nze_tc", "nze_oac"])
+def test_nze_rules_accept_exactly_what_builds(kind):
+    """The config rules and the code builder state one shape rule: on the
+    grid L <= 40, N <= 12, rules(L, N) is None exactly when the code builds."""
+    rules = REGISTRY[kind].rules
+    for nze_l in range(41):
+        for nze_n in range(13):
+            try:
+                build_code(kind, 1, nze_l, nze_n)
+            except ValueError:
+                built = False
+            else:
+                built = True
+            assert (rules(nze_l, nze_n) is None) == built, (nze_l, nze_n)
+
+
 # Every registered kind; single and ac at R = 2 (QPSK), the others at R = 1.
 ENERGY_RATES = {"single": 2, "ac": 2}
 NZE_8_4 = {"nze_l": 8, "nze_n": 4}

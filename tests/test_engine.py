@@ -18,7 +18,6 @@ from omnistbc.engine import (
     emit_csv,
     run_angle_sweep,
     run_ber_sweep,
-    run_trial,
 )
 from omnistbc.precoding import prbs_phase_vector, precoder_for_code
 
@@ -37,12 +36,19 @@ def small_cfg(**kw):
     return SimConfig(**base)
 
 
+def one_trial(cfg, snr_db, theta0_deg, t):
+    """(bits_sent, bit_errors, aborted) of trial t alone, on its own set-up."""
+    setup = engine._point_setup(cfg.validate(), theta0_deg)
+    counted, errors, aborted = engine._run_batch(cfg, setup, snr_db, theta0_deg, t, t + 1)
+    return counted * setup.code.nbits, errors, aborted
+
+
 def test_run_trial_deterministic():
     cfg = small_cfg()
-    a = run_trial(cfg, 8.0, 0.0, 1234)
-    b = run_trial(cfg, 8.0, 0.0, 1234)
+    a = one_trial(cfg, 8.0, 0.0, 1234)
+    b = one_trial(cfg, 8.0, 0.0, 1234)
     assert a == b
-    assert a.bits_sent == 2
+    assert a[0] == 2
 
     def words(snr_db, trial):
         return engine._trial_words(cfg, snr_db, 0.0, trial, trial + 1, 10)
@@ -55,15 +61,15 @@ def test_run_trial_deterministic():
 def test_run_trial_noiseless_is_error_free():
     cfg = small_cfg()
     for idx in range(200):
-        out = run_trial(cfg, float("inf"), 0.0, idx)
-        assert out.bit_errors == 0 and not out.aborted
+        _, errors, aborted = one_trial(cfg, float("inf"), 0.0, idx)
+        assert errors == 0 and not aborted
 
 
 def test_run_trial_matches_sweep_accounting():
     """The sweep aggregates exactly the per-trial outcomes, in index order."""
     cfg = small_cfg(max_trials=64, min_bit_errors=10**9, snr_db=(4.0,))
     point = run_ber_sweep(cfg)[0]
-    total = sum(run_trial(cfg, 4.0, 0.0, k).bit_errors for k in range(64))
+    total = sum(one_trial(cfg, 4.0, 0.0, k)[1] for k in range(64))
     assert point.bit_errors == total
     assert point.trials == 64
 

@@ -76,9 +76,8 @@ def test_build_precoder_errors():
 def test_transmit_dimension_check():
     prec = precoder_for_code("ac", 4)
     with pytest.raises(ValueError):
-        transmit(prec, codes.encode_qostbc(np.zeros(4, dtype=int), 1))
-    z = codes.Codeword("ac", np.zeros((2, 2)))
-    np.testing.assert_allclose(transmit(prec, z), np.zeros((4, 2)))
+        transmit(prec, codes.encode_qostbc(np.zeros(4, dtype=int), 1).matrix)
+    np.testing.assert_allclose(transmit(prec, np.zeros((2, 2))), np.zeros((4, 2)))
 
 
 def test_transmit_identity_lift_columns():
@@ -95,9 +94,9 @@ def test_transmit_identity_lift_columns():
     [
         ("single", 4, 1, None, None),
         ("ac", 4, 2, None, None),
-        ("ostbc", 16, 4, None, lambda b: codes.encode_ostbc(b, 1)),
-        ("qostbc", 16, 4, None, lambda b: codes.encode_qostbc(b, 1)),
-        ("ciod", 16, 4, None, lambda b: codes.encode_ciod(b, 1)),
+        ("ostbc", 16, 4, None, lambda b: codes.encode_ostbc(b, 1).matrix),
+        ("qostbc", 16, 4, None, lambda b: codes.encode_qostbc(b, 1).matrix),
+        ("ciod", 16, 4, None, lambda b: codes.encode_ciod(b, 1).matrix),
         ("nze_tc", 64, 8, 8, None),
         ("nze_oac", 64, 8, 8, None),
     ],
@@ -106,13 +105,13 @@ def test_requirements_exhaustive(kind, m_len, nbits, n_ports, builder):
     psk2 = make_psk(2)
     if builder is None:
         if kind == "single":
-            builder = lambda b: codes.Codeword("single", np.array([[psk2.encode(b)]]))
+            builder = lambda b: np.array([[psk2.encode(b)]])
         elif kind == "ac":
             builder = lambda b: codes.ac_matrix(psk2.encode(b[:1]), psk2.encode(b[1:]))
         elif kind == "nze_tc":
-            builder = lambda b: codes.encode_nze_tc(psk2.points[b], 8, 8)
+            builder = lambda b: codes.encode_nze_tc(psk2.points[b], 8, 8).matrix
         else:
-            builder = lambda b: codes.encode_nze_oac(psk2.points[b], 8, 8)
+            builder = lambda b: codes.encode_nze_oac(psk2.points[b], 8, 8).matrix
     prec = precoder_for_code(kind, m_len, n_ports=n_ports)
     for bits in payloads(nbits):
         omni, per_antenna = check_requirements(transmit(prec, builder(bits)), 1e-9)
@@ -121,7 +120,7 @@ def test_requirements_exhaustive(kind, m_len, nbits, n_ports, builder):
 
 def test_raw_ostbc_fails_per_antenna():
     prec = build_precoder(16, 4, 1, np.eye(4))
-    signal = transmit(prec, codes.encode_ostbc(np.array([0, 1, 1, 0]), 1))
+    signal = transmit(prec, codes.encode_ostbc(np.array([0, 1, 1, 0]), 1).matrix)
     omni, per_antenna = check_requirements(signal, 1e-9)
     assert not per_antenna
 
@@ -129,7 +128,7 @@ def test_raw_ostbc_fails_per_antenna():
 def test_prbs_fails_omni():
     phase = prbs_phase_vector(64, 2024)
     prec = precoder_for_code("single", 64, phase_vector=phase)
-    signal = transmit(prec, codes.Codeword("single", np.eye(1, dtype=complex)))
+    signal = transmit(prec, np.eye(1, dtype=complex))
     omni, per_antenna = check_requirements(signal, 1e-9)
     assert per_antenna and not omni
 

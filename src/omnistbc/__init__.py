@@ -20,9 +20,7 @@ from .analysis import (
     qostbc_gain_closed_form,
 )
 from .channel import (
-    ChannelSpec,
     CovarianceModel,
-    PasSpec,
     covariance_for,
     dft_domain_leakage,
     isotropy_deviation,
@@ -54,7 +52,6 @@ from .precoding import (
     transmit,
 )
 from .sequences import (
-    ZcSequence,
     is_cazac,
     is_constant_amplitude,
     lift,

@@ -8,18 +8,17 @@ them, and each rule's lag sums over its nodes are one type-1 NUFFT, so a
 rule costs O(nodes + M log M), not O(nodes x M).  The effective covariance
 W^H R W comes from the lags by circulant embedding; R itself is formed only
 by ``CovarianceModel.matrix``, for the DFT-leakage diagnostic and the tests.
+``covariance_for`` takes the array size, spacing, mean angle and spread as
+plain numbers and runs the quadrature on every call; the engine calls it
+once per sweep point.
 """
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import toeplitz
 
 __all__ = [
-    "PasSpec",
-    "ChannelSpec",
     "CovarianceModel",
     "DEFAULT_SPACING_RATIO",
     "covariance_for",
@@ -29,7 +28,6 @@ __all__ = [
 ]
 
 DEFAULT_SPACING_RATIO = 1.0 / math.sqrt(3.0)
-DEFAULT_SIGMA_RAD = math.radians(5.0)
 
 _QUAD_REL_TOL = 1e-8
 _QUAD_ORDER = 16
@@ -40,36 +38,6 @@ _QUAD_MAX_PANELS = 1 << 16
 # Against the direct sum, M up to 1024: 16 (and 14) agree to 3.5e-13, the
 # phase roundoff of both sums, while 12 drifts to 1e-11.
 _NUFFT_SPREAD = 16
-
-
-@dataclass(frozen=True)
-class PasSpec:
-    """Truncated-Gaussian power azimuth spectrum on [-pi/2, pi/2]."""
-
-    theta0: float = 0.0
-    sigma: float = DEFAULT_SIGMA_RAD
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"angle spread must be positive, got {self.sigma}")
-        if not -math.pi / 2 <= self.theta0 <= math.pi / 2:
-            raise ValueError(f"mean angle {self.theta0} outside [-pi/2, pi/2]")
-
-    def density(self, theta):
-        return np.exp(-((theta - self.theta0) ** 2) / (2.0 * self.sigma**2))
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    n_antennas: int
-    spacing_ratio: float = DEFAULT_SPACING_RATIO
-    pas: PasSpec = PasSpec()
-
-    def __post_init__(self):
-        if self.n_antennas < 1:
-            raise ValueError("need at least one antenna")
-        if self.spacing_ratio <= 0:
-            raise ValueError("antenna spacing must be positive")
 
 
 class CovarianceModel:
@@ -152,16 +120,22 @@ def _lag_sum(x, c, m_len):
     return np.sqrt(np.pi / tau) * np.exp(tau * q**2) * coeffs
 
 
-def _lag_quadrature(spec, n_panels):
-    """Weighted lag integrals r_k, k = 0..M-1, on a composite Gauss rule.
+def _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels):
+    """Weighted lag integrals r_k, k = 0..M-1, on a composite Gauss rule,
+    or None when every node misses the spread (zero total weight).
 
     Normalizing by the quadrature of the PAS itself makes r_0 = 1, hence
     trace(R) = M, up to the NUFFT's roundoff of about 1e-13.
     """
     theta, weights = _composite_nodes(n_panels)
-    wp = weights * spec.pas.density(theta)
-    wp = wp / wp.sum()
-    return _lag_sum(2.0 * np.pi * spec.spacing_ratio * np.sin(theta), wp, spec.n_antennas)
+    # Far below the node spacing the exponent overflows, or the variance
+    # underflows to zero: either way the node weighs zero.
+    with np.errstate(divide="ignore", over="ignore"):
+        wp = weights * np.exp(-((theta - theta0) ** 2) / (2.0 * sigma**2))
+    total = wp.sum()
+    if total == 0.0:
+        return None
+    return _lag_sum(2.0 * np.pi * spacing_ratio * np.sin(theta), wp / total, n_antennas)
 
 
 def _lag_frobenius(lags):
@@ -171,36 +145,38 @@ def _lag_frobenius(lags):
     return math.sqrt(float(np.sum(weights * np.abs(lags) ** 2)))
 
 
-def _one_ring_lags(spec):
-    """Lag vector by adaptive quadrature, panel count doubling until it is
-    stable to 1e-8 in the induced Frobenius norm."""
+def _one_ring_lags(n_antennas, spacing_ratio, theta0, sigma):
+    """Lag vector by adaptive quadrature, panel count doubling until two
+    successive rules agree to 1e-8 in the induced Frobenius norm.  A rule
+    with zero total weight has not converged."""
+    prev = None
     n_panels = _QUAD_START_PANELS
-    prev = _lag_quadrature(spec, n_panels)
-    while True:
-        n_panels *= 2
-        if n_panels > _QUAD_MAX_PANELS:
-            raise RuntimeError(
-                f"covariance quadrature did not converge within {_QUAD_MAX_PANELS} panels"
-            )
-        cur = _lag_quadrature(spec, n_panels)
-        err = _lag_frobenius(cur - prev)
-        if err <= _QUAD_REL_TOL * _lag_frobenius(cur):
-            break
+    while n_panels <= _QUAD_MAX_PANELS:
+        cur = _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels)
+        if cur is not None and prev is not None:
+            if _lag_frobenius(cur - prev) <= _QUAD_REL_TOL * _lag_frobenius(cur):
+                return cur
         prev = cur
-    return cur
-
-
-# A model holds only its length-M lag vector, so a process that sweeps many
-# mean angles at large M grows by M, not M^2, per memoized angle.
-@lru_cache(maxsize=64)
-def _cached_covariance(n_antennas, spacing_ratio, theta0, sigma):
-    spec = ChannelSpec(n_antennas, spacing_ratio, PasSpec(theta0, sigma))
-    return CovarianceModel(_one_ring_lags(spec))
+        n_panels *= 2
+    raise RuntimeError(f"covariance quadrature did not converge within {_QUAD_MAX_PANELS} panels")
 
 
 def covariance_for(n_antennas, spacing_ratio, theta0, sigma):
-    """The one-ring covariance of an M-antenna ULA; the quadrature is memoized."""
-    return _cached_covariance(int(n_antennas), float(spacing_ratio), float(theta0), float(sigma))
+    """The one-ring covariance of an M-antenna ULA with antenna spacing
+    ``spacing_ratio`` wavelengths, under a truncated-Gaussian power azimuth
+    spectrum of mean ``theta0`` and spread ``sigma`` (radians).
+
+    Raises RuntimeError when the quadrature does not converge.
+    """
+    if n_antennas < 1:
+        raise ValueError("need at least one antenna")
+    if not spacing_ratio > 0:
+        raise ValueError("antenna spacing must be positive")
+    if not sigma > 0:
+        raise ValueError(f"angle spread must be positive, got {sigma}")
+    if not -math.pi / 2 <= theta0 <= math.pi / 2:
+        raise ValueError(f"mean angle {theta0} outside [-pi/2, pi/2]")
+    return CovarianceModel(_one_ring_lags(int(n_antennas), spacing_ratio, theta0, sigma))
 
 
 def dft_domain_leakage(model):

@@ -47,19 +47,9 @@ __all__ = [
 
 @dataclass
 class Codeword:
-    """An N x T codeword tagged with its kind and carried payload."""
+    """An N x T codeword."""
 
-    kind: str
     matrix: np.ndarray
-    payload_bits: np.ndarray | None = None
-
-    @property
-    def n_ports(self):
-        return self.matrix.shape[0]
-
-    @property
-    def n_slots(self):
-        return self.matrix.shape[1]
 
 
 def _conj(x):
@@ -159,7 +149,7 @@ def _encode_payload(kind, bits, rate):
     bits = np.asarray(bits)
     if bits.size != code.nbits:
         raise ValueError(f"expected {code.nbits} bits, got {bits.size}")
-    return Codeword(kind, code.encode(bits.reshape(1, -1))[0], payload_bits=bits)
+    return Codeword(code.encode(bits.reshape(1, -1))[0])
 
 
 def encode_ostbc(bits, rate):
@@ -187,7 +177,7 @@ def qostbc_constellations(rate):
 
 
 def _rotate_constellation(c, theta):
-    return Constellation(c.kind, c.order, c.points * np.exp(1j * theta), c.scale, theta)
+    return Constellation(c.order, c.points * np.exp(1j * theta), c.scale)
 
 
 def encode_qostbc(bits, rate):
@@ -225,31 +215,23 @@ def _nze_tc_index_sign(n_sym, n_ports):
     return idx, sign
 
 
+@dataclass(frozen=True, eq=False)
 class NzeTables:
-    """Layered gather tables describing a no-zero-entry codeword.
+    """Gather table of a no-zero-entry codeword.
 
-    Each layer holds, per (port, slot) entry: whether the layer is active
-    there, which symbol it reads, the sign, and whether it conjugates.
-    ``build`` sums the layers; exactly one layer is active per entry for
-    the shipped constructions, which is what makes the matrices zero-free.
+    Every entry (n, t) is +-x_k or +-conj(x_k) of exactly one symbol:
+    ``idx`` names k, ``sign`` the sign and ``conj`` whether it conjugates,
+    each an (N, T) array.
     """
 
-    def __init__(self, kind, n_sym, n_ports, layers):
-        self.kind = kind
-        self.n_sym = n_sym
-        self.n_ports = n_ports
-        self.layers = layers  # list of (valid, idx, sign, conj), each (N, T)
-        self.n_slots = layers[0][0].shape[1]
+    idx: np.ndarray
+    sign: np.ndarray
+    conj: np.ndarray
 
     def build(self, x):
-        """Codeword matrix for symbols ``x`` of shape (..., n_sym)."""
-        x = np.asarray(x, dtype=complex)
-        out = np.zeros(x.shape[:-1] + (self.n_ports, self.n_slots), dtype=complex)
-        for valid, idx, sign, conj in self.layers:
-            vals = x[..., idx]
-            vals = np.where(conj, np.conjugate(vals), vals)
-            out += np.where(valid, sign * vals, 0.0)
-        return out
+        """Codeword matrix for symbols ``x`` of shape (..., L)."""
+        vals = np.asarray(x, dtype=complex)[..., self.idx]
+        return self.sign * np.where(self.conj, np.conjugate(vals), vals)
 
 
 # The NZE table builders state each kind's (L, N) rule once; config validation
@@ -259,39 +241,36 @@ def _check_nze_counts(n_sym, n_ports):
         raise ValueError("nze.l, nze.n: required for Toeplitz-family codes")
 
 
+def _tables(idx, sign, conj):
+    """NzeTables from time x ports arrays."""
+    return NzeTables(*(np.ascontiguousarray(np.transpose(a)) for a in (idx, sign, conj)))
+
+
 def nze_tc_tables(n_sym, n_ports):
     """Toeplitz tables; L >= N keeps every symbol on every port."""
     _check_nze_counts(n_sym, n_ports)
     if n_sym < n_ports:
         raise ValueError("nze.l: must be at least nze.n")
     idx, sign = _nze_tc_index_sign(n_sym, n_ports)
-    valid = np.ones_like(sign, dtype=bool)
-    conj = np.zeros_like(valid)
-    layer = (valid.T, idx.T, sign.T, conj.T)
-    return NzeTables("nze_tc", n_sym, n_ports, [layer])
+    return _tables(idx, sign, np.zeros(idx.shape, dtype=bool))
 
 
-def _nze_oac_layers_tall(n_sym, n_ports):
-    """Odd-port overlapped-Alamouti layers in time x ports orientation.
+def _nze_oac_tall(n_sym, n_ports):
+    """Odd-port overlapped-Alamouti table in time x ports orientation.
 
-    Layer one reads odd-position symbols through the columns of the base
-    code, conjugating odd columns; layer two reads even-position symbols
-    through the reversed columns with alternating negation and conjugation.
+    Entry (m, n) with m - n even reads the base Toeplitz code, conjugated
+    on even columns; with m - n odd it reads the base code's reversed
+    column N - 1 - n, negated and conjugated on odd columns.  Since L is
+    even, the base symbol (m - n) mod L has the parity of m - n, so the
+    even-position and odd-position symbols fill complementary entries.
     """
-    base_idx, base_sign = _nze_tc_index_sign(n_sym, n_ports)
+    idx, sign = _nze_tc_index_sign(n_sym, n_ports)
     cols = np.arange(n_ports)
-
-    valid_o = base_idx % 2 == 0
-    conj_o = np.broadcast_to(cols % 2 == 0, base_idx.shape)
-    layer_o = (valid_o, base_idx, base_sign.copy(), conj_o)
-
     src = n_ports - 1 - cols
-    idx_e = base_idx[:, src]
-    sign_e = base_sign[:, src] * np.where(cols % 2 == 0, 1.0, -1.0)
-    valid_e = idx_e % 2 == 1
-    conj_e = np.broadcast_to(cols % 2 == 1, idx_e.shape)
-    layer_e = (valid_e, idx_e, sign_e, conj_e)
-    return [layer_o, layer_e]
+    odd = idx % 2 == 1
+    sign = np.where(odd, sign[:, src] * np.where(cols % 2 == 0, 1.0, -1.0), sign)
+    idx = np.where(odd, idx[:, src], idx)
+    return idx, sign, odd == (cols % 2 == 1)
 
 
 def nze_oac_tables(n_sym, n_ports):
@@ -302,14 +281,8 @@ def nze_oac_tables(n_sym, n_ports):
     if n_sym % 2 != 0:
         raise ValueError("nze.l: must be even for the overlapped code")
     if n_ports % 2 == 1:
-        layers = _nze_oac_layers_tall(n_sym, n_ports)
-    else:
-        layers = _nze_oac_layers_tall(n_sym, n_ports + 1)
-        layers = [
-            tuple(a[1:-1, 1:] for a in layer) for layer in layers
-        ]
-    layers = [tuple(np.ascontiguousarray(a.T) for a in layer) for layer in layers]
-    return NzeTables("nze_oac", n_sym, n_ports, layers)
+        return _tables(*_nze_oac_tall(n_sym, n_ports))
+    return _tables(*(a[1:-1, 1:] for a in _nze_oac_tall(n_sym, n_ports + 1)))
 
 
 def _check_psk_symbols(x):
@@ -317,22 +290,22 @@ def _check_psk_symbols(x):
         raise ValueError("zero-amplitude symbol violates the constant-power constraint")
 
 
-def encode_nze_tc(x, n_sym, n_ports, bits=None):
+def encode_nze_tc(x, n_sym, n_ports):
     """No-zero-entry Toeplitz codeword, stored ports x time."""
     x = np.asarray(x, dtype=complex)
     if x.size != n_sym:
         raise ValueError(f"expected {n_sym} symbols, got {x.size}")
     _check_psk_symbols(x)
     tables = nze_tc_tables(n_sym, n_ports)
-    return Codeword("nze_tc", tables.build(x), payload_bits=bits)
+    return Codeword(tables.build(x))
 
 
-def encode_nze_oac(x, n_sym, n_ports, bits=None):
+def encode_nze_oac(x, n_sym, n_ports):
     """No-zero-entry overlapped-Alamouti codeword, stored ports x time."""
     x = np.asarray(x, dtype=complex)
     if x.size != n_sym:
         raise ValueError(f"expected {n_sym} symbols, got {x.size}")
     _check_psk_symbols(x)
     tables = nze_oac_tables(n_sym, n_ports)
-    return Codeword("nze_oac", tables.build(x), payload_bits=bits)
+    return Codeword(tables.build(x))
 

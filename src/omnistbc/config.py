@@ -56,8 +56,8 @@ class SimConfig:
             raise ConfigError(f"m: {self.m} is not a multiple of N^2 = {n * n}")
         if not 1 <= self.gamma < self.m or math.gcd(self.gamma, self.m) != 1:
             raise ConfigError(f"gamma: {self.gamma} is not a valid ZC root for m = {self.m}")
-        if not self.spacing_ratio > 0:
-            raise ConfigError("spacing_ratio: must be positive")
+        if not 0 < self.spacing_ratio < math.inf:
+            raise ConfigError("spacing_ratio: must be positive and finite")
         if not self.sigma_deg > 0:
             raise ConfigError("pas.sigma_deg: must be positive")
         if not -90.0 <= self.theta0_deg <= 90.0:

@@ -43,14 +43,12 @@ class Constellation:
 
     points[i] carries bit pattern gray_encode(i) (MSB first).  ``scale`` is
     the normalization factor d applied to the integer lattice for PAM/QAM
-    (1.0 for PSK), ``rotation`` the common phase in radians.
+    (1.0 for PSK).
     """
 
-    kind: str
     order: int
     points: np.ndarray
     scale: float = 1.0
-    rotation: float = 0.0
     bit_width: int = field(init=False)
 
     def __post_init__(self):
@@ -106,7 +104,7 @@ def make_psk(order):
     if order < 2:
         raise ValueError(f"PSK order must be at least 2, got {order}")
     points = np.exp(2j * np.pi * np.arange(order) / order)
-    return Constellation("PSK", order, points)
+    return Constellation(order, points)
 
 
 def make_pam(half_order):
@@ -120,7 +118,7 @@ def make_pam(half_order):
         raise ValueError(f"half_order must be positive, got {half_order}")
     levels = np.arange(-(2 * half_order - 1), 2 * half_order, 2, dtype=float)
     d = math.sqrt(3.0 / (4 * half_order * half_order - 1))
-    return Constellation("PAM", 2 * half_order, (d * levels).astype(complex), scale=d)
+    return Constellation(2 * half_order, (d * levels).astype(complex), scale=d)
 
 
 def make_rotated_qam(order, rotation=0.0):
@@ -144,7 +142,7 @@ def make_rotated_qam(order, rotation=0.0):
         q_axis = gray_decode(g & (side - 1))
         points[i] = d * (levels[i_axis] + 1j * levels[q_axis])
     points *= np.exp(1j * rotation)
-    return Constellation("QAM", order, points, scale=d, rotation=float(rotation))
+    return Constellation(order, points, scale=d)
 
 
 def qostbc_rotation(order):

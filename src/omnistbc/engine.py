@@ -83,12 +83,12 @@ def _point_setup(cfg, theta0_deg):
     prec = precoder_for_code(
         cfg.code, cfg.m, cfg.gamma, n_ports=code.n_ports, phase_vector=phase
     )
-    cov = covariance_for(
-        cfg.m,
-        cfg.spacing_ratio,
-        math.radians(theta0_deg),
-        math.radians(cfg.sigma_deg),
-    )
+    try:
+        cov = covariance_for(
+            cfg.m, cfg.spacing_ratio, math.radians(theta0_deg), math.radians(cfg.sigma_deg)
+        )
+    except RuntimeError as exc:
+        raise ConfigError(f"spacing_ratio, pas.sigma_deg: {exc}") from None
     return _PointSetup(covariance_factor(cov.project(prec.w_matrix)).conj().T, code)
 
 

@@ -53,17 +53,18 @@ class Code:
     ``groups`` lists (constellation, count) in payload order: the payload
     bits are cut into ``count`` Gray-labelled symbols of each constellation
     in turn, and ``assemble`` maps those (B, symbols) to (B, N, T)
-    codewords.  ``constellations`` has one entry per symbol, and the
-    decoder is ``decoder_cls(assemble, constellations)``; it returns symbol
-    indices in the same order, and ``decode`` reads their bits back through
-    the same labels.
+    codewords; N and T are read off one assembled row.  ``constellations``
+    has one entry per symbol, and the decoder is
+    ``decoder_cls(assemble, constellations)``; it returns symbol indices in
+    the same order, and ``decode`` reads their bits back through the same
+    labels.
     """
 
-    def __init__(self, n_ports, n_slots, groups, assemble, decoder_cls):
-        self.n_ports = n_ports
-        self.n_slots = n_slots
+    def __init__(self, groups, assemble, decoder_cls):
         self.assemble = assemble
         self.constellations = [c for c, count in groups for _ in range(count)]
+        zero_row = np.zeros((1, len(self.constellations)), dtype=complex)
+        self.n_ports, self.n_slots = assemble(zero_row).shape[1:]
         self.decoder = decoder_cls(assemble, self.constellations)
         self._groups = [
             (c.bit_width, count, c.index_table(), c.points, c.bits_table())
@@ -144,7 +145,7 @@ def _single_assemble(x):
 
 def _single(rate, nze_l, nze_n):
     psk = make_psk(2**rate)
-    return Code(1, 1, [(psk, 1)], _single_assemble, SingleDecoder)
+    return Code([(psk, 1)], _single_assemble, SingleDecoder)
 
 
 def _ac_assemble(x):
@@ -153,7 +154,7 @@ def _ac_assemble(x):
 
 def _ac(rate, nze_l, nze_n):
     psk = make_psk(2**rate)
-    return Code(2, 2, [(psk, 2)], _ac_assemble, AcDecoder)
+    return Code([(psk, 2)], _ac_assemble, AcDecoder)
 
 
 def _ostbc_assemble(x):
@@ -164,7 +165,7 @@ def _ostbc_assemble(x):
 
 def _ostbc(rate, nze_l, nze_n):
     pam, qpsk = ostbc_constellations(rate)
-    return Code(4, 4, [(pam, 2), (qpsk, 1)], _ostbc_assemble, OstbcDecoder)
+    return Code([(pam, 2), (qpsk, 1)], _ostbc_assemble, OstbcDecoder)
 
 
 def _qostbc_assemble(x):
@@ -173,7 +174,7 @@ def _qostbc_assemble(x):
 
 def _qostbc(rate, nze_l, nze_n):
     psk, rotated = qostbc_constellations(rate)
-    return Code(4, 4, [(psk, 2), (rotated, 2)], _qostbc_assemble, QostbcDecoder)
+    return Code([(psk, 2), (rotated, 2)], _qostbc_assemble, QostbcDecoder)
 
 
 def _ciod_assemble(x):
@@ -182,14 +183,13 @@ def _ciod_assemble(x):
 
 def _ciod(rate, nze_l, nze_n):
     qam = ciod_constellation(rate)
-    return Code(4, 4, [(qam, 2)], _ciod_assemble, CiodDecoder)
+    return Code([(qam, 2)], _ciod_assemble, CiodDecoder)
 
 
 def _nze(make_tables):
     def build(rate, nze_l, nze_n):
         tables = make_tables(nze_l, nze_n)
-        psk = make_psk(2**rate)
-        return Code(tables.n_ports, tables.n_slots, [(psk, nze_l)], tables.build, NzeZfDecoder)
+        return Code([(make_psk(2**rate), nze_l)], tables.build, NzeZfDecoder)
 
     return build
 

@@ -8,11 +8,10 @@ Total transmit power is normalized: trace(W W^H) = 1 and W^H W = I_N / N.
 import numpy as np
 
 from .kinds import spec_for
-from .sequences import hadamard2, is_constant_amplitude, zc_generate
+from .sequences import is_constant_amplitude, zc_generate
 
 __all__ = [
     "Precoder",
-    "hadamard2",
     "build_precoder",
     "precoder_for_code",
     "prbs_phase_vector",
@@ -62,7 +61,7 @@ def build_precoder(n_antennas, n_ports, gamma, v_matrix, phase_vector=None):
     if np.max(np.abs(gram - np.eye(n_len))) > UNITARY_TOL:
         raise ValueError("V is not unitary")
     if phase_vector is None:
-        phase_vector = zc_generate(m_len, gamma).values
+        phase_vector = zc_generate(m_len, gamma)
     else:
         phase_vector = np.asarray(phase_vector, dtype=complex)
         if phase_vector.size != m_len:

@@ -24,10 +24,10 @@ def check_zc_family():
             if math.gcd(gamma, m_len) != 1:
                 continue
             seq = sequences.zc_generate(m_len, gamma)
-            if not sequences.is_cazac(seq.values, 1e-9):
+            if not sequences.is_cazac(seq, 1e-9):
                 return False, f"zc({m_len},{gamma}) is not CAZAC"
             for shift in range(1, m_len):
-                if abs(sequences.periodic_autocorr(seq.values, shift)) > 1e-10:
+                if abs(sequences.periodic_autocorr(seq, shift)) > 1e-10:
                     return False, f"zc({m_len},{gamma}) autocorrelation at {shift}"
     return True, "ZC family CAZAC + zero autocorrelation"
 

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "ZcSequence",
     "zc_generate",
     "unitary_dft",
     "hadamard2",
@@ -25,30 +24,13 @@ __all__ = [
 DEFAULT_AMPLITUDE_TOL = 1e-9
 
 
-class InvalidRootError(ValueError):
-    """Raised when a ZC root is out of range or not coprime with the length."""
-
-
-class ZcSequence:
-    """Length-M Zadoff-Chu sequence with unit total energy.
+def zc_generate(m_len, gamma):
+    """The root-``gamma`` Zadoff-Chu sequence of length ``m_len`` as a
+    read-only array with unit total energy.
 
     Every element has magnitude 1/sqrt(M), the periodic autocorrelation is
     zero at every nonzero cyclic shift, and the unitary DFT again has all
     magnitudes equal to 1/sqrt(M).
-    """
-
-    def __init__(self, length, root, values):
-        self.length = int(length)
-        self.root = int(root)
-        self.values = np.asarray(values, dtype=complex)
-        self.values.flags.writeable = False
-
-    def __repr__(self):
-        return f"ZcSequence(length={self.length}, root={self.root})"
-
-
-def zc_generate(m_len, gamma):
-    """Generate the root-``gamma`` Zadoff-Chu sequence of length ``m_len``.
 
     The phase exponent is gamma*m^2/M for even M and gamma*m*(m+1)/M for
     odd M, evaluated in exact integer arithmetic modulo 2M before the
@@ -57,11 +39,11 @@ def zc_generate(m_len, gamma):
     m_len = int(m_len)
     gamma = int(gamma)
     if m_len < 1:
-        raise InvalidRootError(f"sequence length must be positive, got {m_len}")
+        raise ValueError(f"sequence length must be positive, got {m_len}")
     if not 1 <= gamma < m_len:
-        raise InvalidRootError(f"root {gamma} outside [1, {m_len})")
+        raise ValueError(f"root {gamma} outside [1, {m_len})")
     if math.gcd(gamma, m_len) != 1:
-        raise InvalidRootError(f"root {gamma} is not coprime with length {m_len}")
+        raise ValueError(f"root {gamma} is not coprime with length {m_len}")
 
     m = np.arange(m_len, dtype=np.int64)
     if m_len % 2 == 0:
@@ -69,7 +51,8 @@ def zc_generate(m_len, gamma):
     else:
         exponent = (gamma * (m * (m + 1))) % (2 * m_len)
     values = np.exp(1j * np.pi * exponent / m_len) / np.sqrt(m_len)
-    return ZcSequence(m_len, gamma, values)
+    values.flags.writeable = False
+    return values
 
 
 def unitary_dft(v):
@@ -124,14 +107,14 @@ def periodic_autocorr(v, shift):
 
 
 def lift(c, x):
-    """Modulate replicas of ``x`` onto the ZC sequence ``c``.
+    """Modulate replicas of ``x`` onto the ZC sequence array ``c``.
 
     Returns diag(c) (1_{M/N} kron x).  With M an integer multiple of N^2,
     the output is CAZAC exactly when all entries of ``x`` share one
     amplitude.
     """
     x = np.asarray(x, dtype=complex)
-    m_len = c.length
+    m_len = c.size
     n_len = x.size
     if n_len == 0:
         raise ValueError("x must be nonempty")
@@ -139,4 +122,4 @@ def lift(c, x):
         raise ValueError(
             f"sequence length {m_len} is not a multiple of N^2 = {n_len * n_len}"
         )
-    return c.values * np.tile(x, m_len // n_len)
+    return c * np.tile(x, m_len // n_len)

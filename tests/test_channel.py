@@ -1,13 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from omnistbc.channel import (
     DEFAULT_SPACING_RATIO,
-    ChannelSpec,
     CovarianceModel,
-    PasSpec,
     covariance_factor,
     covariance_for,
     dft_domain_leakage,
@@ -20,12 +19,18 @@ SIGMA5 = math.radians(5.0)
 
 
 def test_pas_spec_validation():
-    with pytest.raises(ValueError):
-        PasSpec(0.0, 0.0)
-    with pytest.raises(ValueError):
-        PasSpec(2.0, SIGMA5)
-    with pytest.raises(ValueError):
-        ChannelSpec(0)
+    with pytest.raises(ValueError, match="angle spread"):
+        covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, 0.0)
+    with pytest.raises(ValueError, match="mean angle"):
+        covariance_for(8, DEFAULT_SPACING_RATIO, 2.0, SIGMA5)
+    with pytest.raises(ValueError, match="antenna"):
+        covariance_for(0, DEFAULT_SPACING_RATIO, 0.0, SIGMA5)
+    with pytest.raises(ValueError, match="spacing"):
+        covariance_for(8, 0.0, 0.0, SIGMA5)
+    with pytest.raises(ValueError, match="spacing"):
+        covariance_for(8, math.nan, 0.0, SIGMA5)
+    with pytest.raises(ValueError, match="angle spread"):
+        covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, math.nan)
 
 
 @pytest.mark.parametrize("theta0_deg", np.linspace(-60, 60, 13))
@@ -44,6 +49,19 @@ def test_covariance_invariants_grid(theta0_deg, sigma_deg):
 def test_covariance_point_source_limit():
     r = covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, 1e-4).matrix
     assert np.abs(r - np.ones((8, 8))).max() < 1e-4
+
+
+def test_narrow_spread_quadrature():
+    """A rule whose nodes all miss the spread has not converged: a
+    0.001-degree spread converges on finer rules without a floating-point
+    warning on the way, and one far below the finest rule's node spacing
+    raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, math.radians(1e-3)).matrix
+        assert abs(np.trace(r).real - 8) < 1e-9
+        with pytest.raises(RuntimeError, match="did not converge"):
+            covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, math.radians(1e-300))
 
 
 def test_leakage_identity_and_range():
@@ -100,10 +118,13 @@ def test_effective_channel_energy_approaches_unit():
 
 def _direct_lag_sums(n_antennas, n_panels, pas_specs):
     """Reference lags by the direct sum r_k = sum_j wp_j exp(-i 2 pi d k
-    sin theta_j) on the composite rule, one column per PAS; the phase
-    matrix is shared and built a block of lags at a time."""
+    sin theta_j) on the composite rule, one column per (theta0, sigma) of
+    the Gaussian PAS; the phase matrix is shared and built a block of lags
+    at a time."""
     theta, weights = _composite_nodes(n_panels)
-    wp = np.stack([weights * pas.density(theta) for pas in pas_specs], axis=1)
+    wp = np.stack(
+        [weights * np.exp(-((theta - t0) ** 2) / (2.0 * s**2)) for t0, s in pas_specs], axis=1
+    )
     wp /= wp.sum(axis=0)
     k = np.arange(n_antennas)
     out = np.empty((n_antennas, len(pas_specs)), dtype=complex)
@@ -119,13 +140,13 @@ def _direct_lag_sums(n_antennas, n_panels, pas_specs):
 @pytest.mark.parametrize("n_antennas", [16, 64, 1024])
 def test_nufft_lags_match_direct_sum(n_antennas, n_panels):
     pas_specs = [
-        PasSpec(math.radians(theta0), math.radians(sigma))
+        (math.radians(theta0), math.radians(sigma))
         for theta0 in (-60, -45, 0, 30, 60)
         for sigma in (1, 5, 20)
     ]
     want = _direct_lag_sums(n_antennas, n_panels, pas_specs)
     for col, pas in enumerate(pas_specs):
-        got = _lag_quadrature(ChannelSpec(n_antennas, pas=pas), n_panels)
+        got = _lag_quadrature(n_antennas, DEFAULT_SPACING_RATIO, *pas, n_panels)
         assert np.abs(got - want[:, col]).max() <= 1e-12, pas
 
 

@@ -103,6 +103,18 @@ def test_out_of_range_angle_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_unresolvable_spread_is_config_error(tmp_path, capsys):
+    """A spread that no quadrature rule resolves stops the sweep with a
+    config error that names the keys, before any CSV is written."""
+    cfg = write_cfg(tmp_path, AC_CONFIG + "pas.sigma_deg = 1e-300\n")
+    out = tmp_path / "x.csv"
+    assert cli(["ber-sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: spacing_ratio, pas.sigma_deg: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write_cfg(tmp_path)
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))

@@ -7,7 +7,8 @@ from helpers import payloads
 
 from omnistbc import codes
 from omnistbc.constellations import make_psk
-from omnistbc.kinds import REGISTRY, build_code
+from omnistbc.kinds import REGISTRY, build_code, spec_for
+from omnistbc.sequences import hadamard2
 
 
 def test_ac_examples():
@@ -30,7 +31,7 @@ def test_ostbc_example_r1():
         x = cw.matrix
         np.testing.assert_allclose(x @ x.conj().T, 4 * np.eye(4), atol=1e-12)
     cw = codes.encode_ostbc(np.array([0, 0, 0, 0]), 1)
-    assert cw.n_slots == 4 and cw.payload_bits.size == 4  # 1 bps/Hz at R=1
+    assert cw.matrix.shape[1] == 4 and build_code("ostbc", 1).nbits == 4  # 1 bps/Hz at R=1
 
 
 @pytest.mark.parametrize("rate", [1, 2])
@@ -88,8 +89,6 @@ def test_ciod_interleave_example():
 
 
 def test_ciod_precoded_form_has_no_zeros():
-    from omnistbc.precoding import hadamard2
-
     v = np.kron(hadamard2(), hadamard2())
     for bits in payloads(4):
         m = codes.encode_ciod(bits, 1).matrix
@@ -151,6 +150,73 @@ def test_nze_rules_accept_exactly_what_builds(kind):
             else:
                 built = True
             assert (rules(nze_l, nze_n) is None) == built, (nze_l, nze_n)
+
+
+def _layered_nze(kind, n_sym, n_ports):
+    """Reference NZE construction as masked layers (valid, idx, sign, conj),
+    each ports x time, whose entries are summed: NZE-TC is one Toeplitz
+    layer.  Odd-port NZE-OAC reads the odd-position symbols (even index)
+    through the Toeplitz columns, conjugating even columns, and the
+    even-position symbols through the reversed columns with alternating
+    negation and conjugation; the even-port code is carved out of the
+    (N + 1)-port one by dropping its first column and first and last rows."""
+    n_tall = n_ports + (kind == "nze_oac" and n_ports % 2 == 0)
+    m = np.arange(n_sym + n_tall - 1)[:, None]
+    n = np.arange(n_tall)[None, :]
+    idx = (m - n) % n_sym
+    sign = np.where(m >= n + n_sym, -1.0, 1.0)
+    if kind == "nze_tc":
+        layers = [(np.ones(idx.shape, bool), idx, sign, np.zeros(idx.shape, bool))]
+    else:
+        cols = np.arange(n_tall)
+        src = n_tall - 1 - cols
+        idx_e = idx[:, src]
+        layers = [
+            (idx % 2 == 0, idx, sign, np.broadcast_to(cols % 2 == 0, idx.shape)),
+            (
+                idx_e % 2 == 1,
+                idx_e,
+                sign[:, src] * np.where(cols % 2 == 0, 1.0, -1.0),
+                np.broadcast_to(cols % 2 == 1, idx.shape),
+            ),
+        ]
+        if n_tall != n_ports:
+            layers = [tuple(a[1:-1, 1:] for a in layer) for layer in layers]
+    return [tuple(a.T for a in layer) for layer in layers]
+
+
+def _layered_build(layers, x):
+    out = np.zeros(x.shape[:-1] + layers[0][0].shape, dtype=complex)
+    for valid, idx, sign, conj in layers:
+        vals = x[..., idx]
+        vals = np.where(conj, np.conjugate(vals), vals)
+        out += np.where(valid, sign * vals, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("kind,n_shapes", [("nze_tc", 414), ("nze_oac", 215)])
+def test_nze_tables_match_layered_reference(kind, n_shapes):
+    """On every buildable shape with L <= 40, N <= 12, exactly one reference
+    layer is active at each entry, and the gather table gives the layered
+    codewords bit for bit at R = 1 and 2."""
+    make_tables = getattr(codes, f"{kind}_tables")
+    rng = np.random.default_rng(11)
+    shapes = 0
+    for nze_l in range(41):
+        for nze_n in range(13):
+            try:
+                tables = make_tables(nze_l, nze_n)
+            except ValueError:
+                continue
+            layers = _layered_nze(kind, nze_l, nze_n)
+            assert (sum(valid.astype(int) for valid, *_ in layers) == 1).all(), (nze_l, nze_n)
+            for rate in (1, 2):
+                x = make_psk(2**rate).points[rng.integers(0, 2**rate, (8, nze_l))]
+                got, want = tables.build(x), _layered_build(layers, x)
+                assert got.shape == want.shape, (nze_l, nze_n)
+                assert got.tobytes() == want.tobytes(), (nze_l, nze_n, rate)
+            shapes += 1
+    assert shapes == n_shapes
 
 
 # Every registered kind; single and ac at R = 2 (QPSK), the others at R = 1.
@@ -272,3 +338,4 @@ def test_code_shapes(kind, rate, nze_l, nze_n, nbits, n_slots, rate_bps):
     code = build_code(kind, rate, nze_l, nze_n)
     assert (code.nbits, code.n_slots) == (nbits, n_slots)
     assert code.rate_bps == pytest.approx(rate_bps)
+    assert spec_for(kind).ports(nze_n) == code.n_ports

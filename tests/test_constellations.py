@@ -114,5 +114,5 @@ def test_ostbc_distance_balance():
         pam, qpsk = ostbc_constellations(rate)
         d_pam = min_sq_distance(pam)
         amp = np.abs(pam.points[:, None] + 1j * pam.points[None, :]).min()
-        ring = Constellation("PSK", 4, amp * qpsk.points)
+        ring = Constellation(4, amp * qpsk.points)
         assert min_sq_distance(ring) == pytest.approx(d_pam, rel=1e-12)

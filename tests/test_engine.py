@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnistbc import channel, engine
+from omnistbc import engine
 from omnistbc.analysis import BerPoint
 from omnistbc.channel import covariance_for
 from omnistbc.config import ConfigError, SimConfig
@@ -225,7 +225,6 @@ def test_point_setup_never_forms_the_covariance():
     """At M = 4096 one M x M complex matrix is 256 MiB; the set-up, lag
     quadrature included, peaks far below it."""
     cfg = small_cfg(m=4096)
-    channel._cached_covariance.cache_clear()
     tracemalloc.start()
     try:
         engine._point_setup(cfg, 10.0)

@@ -9,13 +9,12 @@ from omnistbc.precoding import (
     avg_receive_power,
     build_precoder,
     check_requirements,
-    hadamard2,
     precoder_for_code,
     prbs_phase_vector,
     transmit,
 )
 from omnistbc.kinds import spec_for
-from omnistbc.sequences import lift, zc_generate
+from omnistbc.sequences import hadamard2, lift, zc_generate
 
 
 def test_preset_shapes():
@@ -54,7 +53,7 @@ def test_precoder_invariants(kind, m_len, n_ports):
 def test_build_precoder_structure():
     v = np.eye(2, dtype=complex)
     prec = build_precoder(4, 2, 1, v)
-    c = zc_generate(4, 1).values
+    c = zc_generate(4, 1)
     for m in range(4):
         expected = np.zeros(2, dtype=complex)
         expected[m % 2] = c[m]
@@ -63,7 +62,7 @@ def test_build_precoder_structure():
 
 def test_build_precoder_single_stream_is_zc():
     prec = precoder_for_code("single", 8)
-    np.testing.assert_allclose(prec.w_matrix[:, 0], zc_generate(8, 1).values)
+    np.testing.assert_allclose(prec.w_matrix[:, 0], zc_generate(8, 1))
 
 
 def test_build_precoder_errors():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from omnistbc.sequences import (
-    InvalidRootError,
     is_cazac,
     is_constant_amplitude,
     lift,
@@ -17,21 +16,21 @@ from omnistbc.sequences import (
 def test_zc_even_length_example():
     seq = zc_generate(4, 1)
     expected = 0.5 * np.array([1, np.exp(1j * np.pi / 4), -1, np.exp(1j * np.pi / 4)])
-    np.testing.assert_allclose(seq.values, expected, atol=1e-15)
+    np.testing.assert_allclose(seq, expected, atol=1e-15)
 
 
 def test_zc_odd_length_example():
     seq = zc_generate(3, 1)
     expected = np.array([1, np.exp(2j * np.pi / 3), 1]) / np.sqrt(3)
-    np.testing.assert_allclose(seq.values, expected, atol=1e-15)
+    np.testing.assert_allclose(seq, expected, atol=1e-15)
 
 
 def test_zc_rejects_bad_roots():
-    with pytest.raises(InvalidRootError):
+    with pytest.raises(ValueError, match="not coprime"):
         zc_generate(4, 2)  # gcd(2, 4) = 2
-    with pytest.raises(InvalidRootError):
+    with pytest.raises(ValueError, match="outside"):
         zc_generate(8, 0)
-    with pytest.raises(InvalidRootError):
+    with pytest.raises(ValueError, match="outside"):
         zc_generate(8, 8)
 
 
@@ -41,17 +40,17 @@ def test_zc_family_is_cazac(m_len):
         if math.gcd(gamma, m_len) != 1:
             continue
         seq = zc_generate(m_len, gamma)
-        mags = np.abs(seq.values)
+        mags = np.abs(seq)
         assert np.max(np.abs(mags - 1 / np.sqrt(m_len))) < 1e-12
-        assert is_cazac(seq.values, 1e-9)
+        assert is_cazac(seq, 1e-9)
 
 
 @pytest.mark.parametrize("m_len,gamma", [(8, 3), (9, 2), (64, 7), (127, 5)])
 def test_zc_perfect_autocorrelation(m_len, gamma):
     seq = zc_generate(m_len, gamma)
-    assert periodic_autocorr(seq.values, 0) == pytest.approx(1.0, abs=1e-12)
+    assert periodic_autocorr(seq, 0) == pytest.approx(1.0, abs=1e-12)
     for shift in range(1, m_len):
-        assert abs(periodic_autocorr(seq.values, shift)) < 1e-10
+        assert abs(periodic_autocorr(seq, shift)) < 1e-10
 
 
 def test_autocorr_all_ones():
@@ -60,7 +59,7 @@ def test_autocorr_all_ones():
 
 
 def test_autocorr_shift_range():
-    v = zc_generate(8, 3).values
+    v = zc_generate(8, 3)
     with pytest.raises(ValueError):
         periodic_autocorr(v, 8)
     with pytest.raises(ValueError):
@@ -73,7 +72,7 @@ def test_unitary_dft_impulse_and_constant():
 
 
 def test_unitary_dft_zc_magnitudes():
-    spectrum = unitary_dft(zc_generate(4, 1).values)
+    spectrum = unitary_dft(zc_generate(4, 1))
     np.testing.assert_allclose(np.abs(spectrum), 0.5, atol=1e-12)
 
 
@@ -94,14 +93,14 @@ def test_unitary_dft_empty_errors():
 def test_is_constant_amplitude():
     assert is_constant_amplitude([1, 1j, -1])
     assert not is_constant_amplitude([1, 0])
-    assert is_constant_amplitude(zc_generate(16, 1).values)
+    assert is_constant_amplitude(zc_generate(16, 1))
     assert not is_constant_amplitude([0, 0, 0])
     with pytest.raises(ValueError):
         is_constant_amplitude([1, 1], tol=0)
 
 
 def test_is_cazac():
-    assert is_cazac(zc_generate(16, 1).values)
+    assert is_cazac(zc_generate(16, 1))
     assert not is_cazac([1, 0, 0, 0])  # flat spectrum but impulsive in time
     assert not is_cazac([1, 1, 1, 1])  # impulsive spectrum
 

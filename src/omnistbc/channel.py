@@ -25,6 +25,7 @@ __all__ = [
     "dft_domain_leakage",
     "covariance_factor",
     "isotropy_deviation",
+    "max_spacing_ratio",
 ]
 
 DEFAULT_SPACING_RATIO = 1.0 / math.sqrt(3.0)
@@ -161,6 +162,17 @@ def _one_ring_lags(n_antennas, spacing_ratio, theta0, sigma):
     raise RuntimeError(f"covariance quadrature did not converge within {_QUAD_MAX_PANELS} panels")
 
 
+def max_spacing_ratio(n_antennas):
+    """Largest antenna spacing, in wavelengths, whose lag phases double
+    precision resolves for an M-antenna array.
+
+    The phase of lag M - 1, 2 pi d (M - 1) sin(theta), is rounded to about
+    2^-52 of its size, an error that reaches half a turn at d (M - 1) =
+    2^51; past that every lag sum is noise.
+    """
+    return 2.0**51 / max(n_antennas - 1, 1)
+
+
 def covariance_for(n_antennas, spacing_ratio, theta0, sigma):
     """The one-ring covariance of an M-antenna ULA with antenna spacing
     ``spacing_ratio`` wavelengths, under a truncated-Gaussian power azimuth
@@ -170,8 +182,9 @@ def covariance_for(n_antennas, spacing_ratio, theta0, sigma):
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
-    if not spacing_ratio > 0:
-        raise ValueError("antenna spacing must be positive")
+    limit = max_spacing_ratio(n_antennas)
+    if not 0 < spacing_ratio <= limit:
+        raise ValueError(f"antenna spacing must be positive and at most {limit:.6g}")
     if not sigma > 0:
         raise ValueError(f"angle spread must be positive, got {sigma}")
     if not -math.pi / 2 <= theta0 <= math.pi / 2:

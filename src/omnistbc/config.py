@@ -9,6 +9,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
+from .channel import max_spacing_ratio
 from .kinds import REGISTRY
 
 __all__ = ["SimConfig", "ConfigError", "parse_config", "load_config", "CODE_KINDS"]
@@ -56,8 +57,11 @@ class SimConfig:
             raise ConfigError(f"m: {self.m} is not a multiple of N^2 = {n * n}")
         if not 1 <= self.gamma < self.m or math.gcd(self.gamma, self.m) != 1:
             raise ConfigError(f"gamma: {self.gamma} is not a valid ZC root for m = {self.m}")
-        if not 0 < self.spacing_ratio < math.inf:
-            raise ConfigError("spacing_ratio: must be positive and finite")
+        limit = max_spacing_ratio(self.m)
+        if not 0 < self.spacing_ratio <= limit:
+            raise ConfigError(
+                f"spacing_ratio: must be positive and at most {limit:.6g} for m = {self.m}"
+            )
         if not self.sigma_deg > 0:
             raise ConfigError("pas.sigma_deg: must be positive")
         if not -90.0 <= self.theta0_deg <= 90.0:

@@ -8,8 +8,8 @@ Every decoder is built from the code's own encoder, ``assemble`` (symbols
 symbol position in payload order; no decoder writes a codeword formula
 of its own.  The enumerable kinds share one exact-ML kernel that searches
 each group of symbol positions that decouples in the metric; the NZE
-kinds use widely-linear zero forcing on the real map that ``assemble``
-probes out.
+kinds use zero forcing, a complex least-squares solve after conjugating
+the conjugated slots, on the map that ``assemble`` probes out.
 
 Every decoder has one call, ``decode_batch(y, g) -> (idx, aborted)``, over
 a batch of trials: y is (B, T), g is (B, N), ``idx`` is (B, n_symbols)
@@ -133,54 +133,71 @@ class CiodDecoder(_GroupSearch):
 
 
 class NzeZfDecoder:
-    """Unregularized least squares over the real expansion of an NZE code.
+    """Complex least squares after conjugating the conjugated slots.
 
-    Conjugated entries make the map y = f(x) widely linear, so the 2T real
-    observations are expressed against the 2L real symbol coordinates and
-    solved by normal equations; each recovered symbol is then sliced to its
-    constellation.  The real map is probed out of ``assemble`` once: the
-    codewords of e_0, j e_0, e_1, j e_1, ... are its 2L columns per port,
-    and a port's channel coefficient g_n = u + j v adds u times them and v
-    times j times them.  So ``basis`` (2N, 2T 2L) holds the real and
-    imaginary parts of both, slot by slot, and the design matrix is the
-    batch's [Re g, Im g] times ``basis``.
+    Every entry of an NZE codeword is +-x_k or +-conj(x_k), and each slot
+    is all plain or all conjugated.  Conjugating y in the conjugated slots
+    gives y' = H(g) x + z' with H complex T x L and z' still white and
+    circular, so zero forcing solves (H^H H) x = H^H y' and slices each
+    recovered symbol to its constellation.  This is the least-squares
+    solution of the real 2T x 2L widely-linear system, at half its size per
+    side.
 
-    The system has full rank for every nonzero channel, so only an all-zero
-    channel row aborts.  For NZE-TC this is exact: with p(z) = g(z) x(z),
-    slot t carries p_t + p_{t+L} for t < N - 1, p_t - p_{t-L} for t >= L
-    and p_t in between, an invertible map of p since L >= N - 1, and
-    multiplication by a nonzero g(z) is injective.  For NZE-OAC a margin
-    test over the shapes the tests and workloads use guards the claim.
+    The map is probed out of ``assemble`` (A) once: entry (n, t) has the
+    coefficient P_{k,n,t} = (A(e_k) - j A(j e_k)) / 2 of x_k and
+    Q_{k,n,t} = (A(e_k) + j A(j e_k)) / 2 of conj(x_k).  A slot with a
+    nonzero Q is conjugated (``conj_slots``); one with both a nonzero P and
+    a nonzero Q is refused.  A plain slot's y_t has the x_k coefficient
+    sum_n g_n P_{k,n,t} and a conjugated slot's conj(y_t) has
+    sum_n conj(g_n) conj(Q_{k,n,t}), so ``coeffs`` (2N, T L) holds
+    [P; conj(Q)] and H is [g, conj(g)] @ ``coeffs``.
+
+    H has full column rank for every nonzero channel, so only an all-zero
+    channel row aborts.  NZE-TC and odd-N NZE-OAC wrap a zero-padded code
+    whose slot sequence p has L + N - 1 = T terms: slot t carries
+    p_t + p_{t+L} for t < N - 1, p_t - p_{t-L} for t >= L and p_t in
+    between, an invertible map of p since L >= N - 1.  So H has full rank
+    when x -> p (after the conjugation) is injective.
+    - NZE-TC: p(z) = g(z) x(z), and multiplying by a nonzero g(z) is
+      injective.
+    - NZE-OAC, N = 2K + 1, after Shang & Xia (IEEE Trans. IT, 2008): with
+      w = z^2, even symbols e(w), odd symbols o(w), a(w) = sum_i g_{2i+1}
+      w^i and c(w) = sum_i conj(g_{2i}) w^i, the odd slots carry
+      e a + o b and the conjugated even slots e c - w o d, where
+      b = w^K conj(c(1/conj w)) and d = w^(K-1) conj(a(1/conj w)).  The
+      determinant -(w a d + b c) equals -w^K (|a|^2 + |c|^2) on |w| = 1,
+      which vanishes at finitely many points unless g = 0.  So it is a
+      nonzero polynomial, and (e, o) -> p is injective.
+    - NZE-OAC, even N: the (N + 1)-port code with g_0 = 0, whose p lies on
+      its slots 1 .. L + N - 2, the ones kept.  There slots N - 1 and L
+      carry p_{N-1} and p_L alone, and the rest pair up as above.
+    The margin test checks the conditioning on the shapes in use.
     """
 
     def __init__(self, assemble, constellations):
         self.points = np.stack([c.points for c in constellations])
-        l_len = len(self.points)
-        probes = np.zeros((2 * l_len, l_len), dtype=complex)
-        probes[0::2] = np.eye(l_len)
-        probes[1::2] = 1j * np.eye(l_len)
-        cols = assemble(probes).transpose(1, 2, 0)  # (N, T, 2L)
-        self.n_slots = cols.shape[1]
-        re_g = np.stack([cols.real, cols.imag], axis=2)  # (N, T, 2, 2L)
-        im_g = np.stack([-cols.imag, cols.real], axis=2)
-        self.basis = np.concatenate([re_g, im_g]).reshape(2 * len(cols), -1)  # (2N, 2T 2L)
+        unit = np.eye(len(self.points))
+        re_probe, im_probe = assemble(unit), assemble(1j * unit)  # (L, N, T)
+        plain = (re_probe - 1j * im_probe) / 2.0
+        conj = (re_probe + 1j * im_probe) / 2.0
+        has_plain, has_conj = plain.any(axis=(0, 1)), conj.any(axis=(0, 1))
+        if np.any(has_plain & has_conj):
+            raise ValueError("every slot must be all plain or all conjugated")
+        self.conj_slots = has_conj
+        tables = np.concatenate([plain, conj.conj()], axis=1)  # (L, 2N, T)
+        self.coeffs = tables.transpose(1, 2, 0).reshape(tables.shape[1], -1)
 
-    def design_matrix(self, g):
-        """Real 2T x 2L system matrices for a batch of channels."""
-        a = np.concatenate([g.real, g.imag], axis=1) @ self.basis
-        return a.reshape(len(g), 2 * self.n_slots, -1)
+    def system(self, g):
+        """Complex T x L system matrices H for a batch of channels (B, N)."""
+        h = np.concatenate([g, g.conj()], axis=1) @ self.coeffs
+        return h.reshape(len(g), len(self.conj_slots), -1)
 
     def decode_batch(self, y, g):
-        a = self.design_matrix(g)
-        b, two_t, two_l = a.shape
-        yr = np.empty((b, two_t))
-        yr[:, 0::2] = y.real
-        yr[:, 1::2] = y.imag
-        a_t = a.transpose(0, 2, 1)
-        gram = a_t @ a
-        rhs = (a_t @ yr[..., None])[..., 0]
+        h = self.system(g)
+        h_adj = h.conj().transpose(0, 2, 1)
+        gram = h_adj @ h
+        rhs = h_adj @ np.where(self.conj_slots, y.conj(), y)[..., None]
         aborted = _zero_rows(g)
-        gram[aborted] = np.eye(two_l)
-        sol = np.linalg.solve(gram, rhs[..., None])[..., 0]
-        xhat = sol[:, 0::2] + 1j * sol[:, 1::2]
+        gram[aborted] = np.eye(gram.shape[1])
+        xhat = np.linalg.solve(gram, rhs)[..., 0]
         return np.argmin(np.abs(xhat[..., None] - self.points), axis=-1), aborted

@@ -29,6 +29,8 @@ def test_pas_spec_validation():
         covariance_for(8, 0.0, 0.0, SIGMA5)
     with pytest.raises(ValueError, match="spacing"):
         covariance_for(8, math.nan, 0.0, SIGMA5)
+    with pytest.raises(ValueError, match="spacing"):
+        covariance_for(8, 1e300, 0.0, SIGMA5)
     with pytest.raises(ValueError, match="angle spread"):
         covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, math.nan)
 

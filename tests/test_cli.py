@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -112,6 +113,23 @@ def test_unresolvable_spread_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: spacing_ratio, pas.sigma_deg: " in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spacing", ["1e20", "1e300", "1e308"])
+def test_unresolvable_spacing_is_config_error(spacing, tmp_path, capsys):
+    """A spacing whose lag phases double precision cannot resolve stops the
+    sweep with only a config error naming the key: no floating-point
+    warning, no traceback and no CSV."""
+    cfg = write_cfg(tmp_path, AC_CONFIG + f"spacing_ratio = {spacing}\n")
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["ber-sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: spacing_ratio: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists()
 
 

@@ -114,6 +114,7 @@ def test_digest_tracks_content():
         ("pas.sigma_deg = nan", "pas.sigma_deg"),
         ("spacing_ratio = nan", "spacing_ratio"),
         ("spacing_ratio = inf", "spacing_ratio"),
+        ("spacing_ratio = 1e300", "spacing_ratio"),
         ("min_bit_errors = 0", "min_bit_errors"),
         ("k = 7", "k"),
     ],

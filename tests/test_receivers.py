@@ -280,9 +280,9 @@ NZE_SHAPES = [
 
 
 def _gram_ratio(decoder, g):
-    """lambda_min / lambda_max of the ZF Gram for each channel row."""
-    a = decoder.design_matrix(g)
-    eigs = np.linalg.eigvalsh(a.transpose(0, 2, 1) @ a)
+    """lambda_min / lambda_max of the ZF Gram H^H H for each channel row."""
+    h = decoder.system(g)
+    eigs = np.linalg.eigvalsh(h.conj().transpose(0, 2, 1) @ h)
     return eigs[:, 0] / eigs[:, -1]
 
 
@@ -309,15 +309,19 @@ def test_zf_gram_full_rank_margin(kind, l_sym, n_ports):
     assert worst >= 1e-8
 
 
-@pytest.mark.parametrize("kind", ["nze_tc", "nze_oac"])
-def test_zf_matches_least_squares(kind):
+@pytest.mark.parametrize(
+    "kind,l_sym,n_ports",
+    [("nze_tc", 12, 4), ("nze_oac", 12, 4), ("nze_tc", 30, 8), ("nze_oac", 30, 8)],
+    ids=["nze_tc", "nze_oac", "nze_tc_30_8", "nze_oac_30_8"],
+)
+def test_zf_matches_least_squares(kind, l_sym, n_ports):
     """ZF equals a per-trial least-squares solve of the real 2T x 2L system,
     built here from the code's codewords of the unit symbol vectors; only
     the planted zero channel aborts."""
-    code = build_code(kind, 2, 12, 4)
+    code = build_code(kind, 2, l_sym, n_ports)
     rng = np.random.default_rng(13)
     bits = rng.integers(0, 2, (64, code.nbits))
-    g = channels(rng, len(bits), 4)
+    g = channels(rng, len(bits), n_ports)
     g[5] = 0.0
     y = observe(code.encode(bits), g, 0.2, rng)
     idx, aborted = code.decoder.decode_batch(y, g)
@@ -333,3 +337,27 @@ def test_zf_matches_least_squares(kind):
         sol = np.linalg.lstsq(a, np.concatenate([y[k].real, y[k].imag]), rcond=None)[0]
         xhat = sol[:n_sym] + 1j * sol[n_sym:]
         np.testing.assert_array_equal(idx[k], np.argmin(np.abs(xhat[:, None] - points), axis=1))
+
+
+def test_zf_refuses_mixed_slot():
+    """A slot that carries x_0 and conj(x_1) has no complex form: refused."""
+
+    def assemble(x):
+        x0, x1 = x[..., 0], x[..., 1]
+        return np.stack([np.stack([x0, x1], -1), np.stack([np.conjugate(x1), x0], -1)], -2)
+
+    with pytest.raises(ValueError, match="slot"):
+        NzeZfDecoder(assemble, [make_psk(4)] * 2)
+
+
+@pytest.mark.parametrize(
+    "kind,l_sym,n_ports", NZE_SHAPES, ids=[f"{k}_{l}_{n}" for k, l, n in NZE_SHAPES]
+)
+def test_zf_conjugated_slots_follow_table(kind, l_sym, n_ports):
+    """Each slot of the gather table is all plain or all conjugated, and the
+    decoder's probed slot flags equal that column of the table."""
+    make = codes.nze_tc_tables if kind == "nze_tc" else codes.nze_oac_tables
+    conj = make(l_sym, n_ports).conj
+    assert np.all(conj.all(axis=0) | ~conj.any(axis=0))
+    decoder = build_code(kind, 1, l_sym, n_ports).decoder
+    np.testing.assert_array_equal(decoder.conj_slots, conj[0])

@@ -7,7 +7,8 @@ and is fixed by its M lags.  An adaptive composite Gauss-Legendre rule gives
 them, and each rule's lag sums over its nodes are one type-1 NUFFT, so a
 rule costs O(nodes + M log M), not O(nodes x M).  The effective covariance
 W^H R W comes from the lags by circulant embedding; R itself is formed only
-by ``CovarianceModel.matrix``, for the DFT-leakage diagnostic and the tests.
+by ``CovarianceModel.matrix``, with NumPy alone, for the DFT-leakage
+diagnostic and the tests, never on the sweep path.
 ``covariance_for`` takes the array size, spacing, mean angle and spread as
 plain numbers and runs the quadrature on every call; the engine calls it
 once per sweep point.
@@ -16,7 +17,6 @@ once per sweep point.
 import math
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 __all__ = [
     "CovarianceModel",
@@ -62,7 +62,15 @@ class CovarianceModel:
 
     @property
     def matrix(self):
-        r = toeplitz(self.lags, self.lags.conj())
+        """R[i, j] = r_{i-j} on and below the diagonal, conj(r_{j-i}) above.
+
+        Row i is [r_i, ..., r_1, r_0, conj(r_1), ..., conj(r_{M-1-i})], the
+        window at M - 1 - i of [r_{M-1}, ..., r_1, r_0, conj(r_1), ...,
+        conj(r_{M-1})]; the copy of the windows is a fresh read-only array.
+        """
+        m_len = self.n_antennas
+        line = np.concatenate([self.lags[:0:-1], self.lags[:1], self.lags[1:].conj()])
+        r = np.lib.stride_tricks.sliding_window_view(line, m_len)[::-1].copy()
         r.flags.writeable = False
         return r
 

@@ -149,8 +149,10 @@ class NzeZfDecoder:
     nonzero Q is conjugated (``conj_slots``); one with both a nonzero P and
     a nonzero Q is refused.  A plain slot's y_t has the x_k coefficient
     sum_n g_n P_{k,n,t} and a conjugated slot's conj(y_t) has
-    sum_n conj(g_n) conj(Q_{k,n,t}), so ``coeffs`` (2N, T L) holds
-    [P; conj(Q)] and H is [g, conj(g)] @ ``coeffs``.
+    sum_n conj(g_n) conj(Q_{k,n,t}), so H is [g, conj(g)] @ [P; conj(Q)].
+    Only the rows of [P; conj(Q)] that are nonzero somewhere are kept, as
+    ``coeffs``, with their indices ``rows`` into [g, conj(g)]: NZE-TC has
+    no conjugates, so its N conj(Q) rows drop out of every product.
 
     H has full column rank for every nonzero channel, so only an all-zero
     channel row aborts.  NZE-TC and odd-N NZE-OAC wrap a zero-padded code
@@ -185,11 +187,13 @@ class NzeZfDecoder:
             raise ValueError("every slot must be all plain or all conjugated")
         self.conj_slots = has_conj
         tables = np.concatenate([plain, conj.conj()], axis=1)  # (L, 2N, T)
-        self.coeffs = tables.transpose(1, 2, 0).reshape(tables.shape[1], -1)
+        coeffs = tables.transpose(1, 2, 0).reshape(tables.shape[1], -1)
+        self.rows = np.flatnonzero(coeffs.any(axis=1))
+        self.coeffs = coeffs[self.rows]
 
     def system(self, g):
         """Complex T x L system matrices H for a batch of channels (B, N)."""
-        h = np.concatenate([g, g.conj()], axis=1) @ self.coeffs
+        h = np.concatenate([g, g.conj()], axis=1)[:, self.rows] @ self.coeffs
         return h.reshape(len(g), len(self.conj_slots), -1)
 
     def decode_batch(self, y, g):

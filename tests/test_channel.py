@@ -172,6 +172,29 @@ def test_projection_matches_dense_product():
             assert abs(isotropy_deviation(prec, model) - want) <= 1e-12, (kind, m)
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 64])
+def test_matrix_is_toeplitz_of_lags(m):
+    """R[i, j] = r_{i-j} for i >= j and conj(r_{j-i}) above the diagonal,
+    Hermitian when r_0 is real, read-only and a new array on each access."""
+    rng = np.random.default_rng(m)
+    lags = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    lag = np.subtract.outer(np.arange(m), np.arange(m))  # i - j
+    want = np.where(lag >= 0, lags[np.abs(lag)], lags[np.abs(lag)].conj())
+    np.testing.assert_array_equal(CovarianceModel(lags).matrix, want)
+
+    lags[0] = lags[0].real
+    model = CovarianceModel(lags)
+    r = model.matrix
+    np.testing.assert_array_equal(r, r.conj().T)
+    assert not r.flags.writeable
+    with pytest.raises(ValueError):
+        r[0, 0] = 0.0
+    again = model.matrix
+    assert again is not r
+    assert not np.shares_memory(again, r)
+    assert not np.shares_memory(r, model.lags)
+
+
 def test_model_rejects_a_matrix():
     model = covariance_for(8, DEFAULT_SPACING_RATIO, 0.2, SIGMA5)
     with pytest.raises(ValueError):

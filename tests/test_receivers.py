@@ -310,6 +310,26 @@ def test_zf_gram_full_rank_margin(kind, l_sym, n_ports):
 
 
 @pytest.mark.parametrize(
+    "kind,l_sym,n_ports", NZE_SHAPES, ids=[f"{k}_{l}_{n}" for k, l, n in NZE_SHAPES]
+)
+def test_zf_system_reproduces_observation(kind, l_sym, n_ports):
+    """H(g) x is the noiseless observation g X(x) with the conjugated slots
+    conjugated, for complex x off the constellation; only the nonzero rows
+    of [P; conj(Q)] are kept, which for NZE-TC are its N plain rows."""
+    code = build_code(kind, 1, l_sym, n_ports)
+    decoder = code.decoder
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((16, l_sym)) + 1j * rng.standard_normal((16, l_sym))
+    g = channels(rng, len(x), n_ports)
+    y = np.einsum("bn,bnt->bt", g, code.assemble(x))
+    got = (decoder.system(g) @ x[..., None])[..., 0]
+    np.testing.assert_allclose(got, np.where(decoder.conj_slots, y.conj(), y), rtol=0, atol=1e-12)
+    assert np.all(np.any(decoder.coeffs, axis=1))
+    if kind == "nze_tc":
+        np.testing.assert_array_equal(decoder.rows, np.arange(n_ports))
+
+
+@pytest.mark.parametrize(
     "kind,l_sym,n_ports",
     [("nze_tc", 12, 4), ("nze_oac", 12, 4), ("nze_tc", 30, 8), ("nze_oac", 30, 8)],
     ids=["nze_tc", "nze_oac", "nze_tc_30_8", "nze_oac_30_8"],

@@ -26,8 +26,9 @@ def _enumerable_code(args):
             f"code: {args.code!r} has no enumerable codebook at practical sizes; "
             f"choose one of {names}"
         )
-    if args.rate < 1:
-        raise ConfigError(f"--rate: must be a positive integer, got {args.rate}")
+    problem = spec.rate_problem(args.rate)
+    if problem:
+        raise ConfigError(f"--rate: {problem}")
     code = build_code(args.code, args.rate)
     try:
         check_pair_count(2**code.nbits)

@@ -177,7 +177,7 @@ def qostbc_constellations(rate):
 
 
 def _rotate_constellation(c, theta):
-    return Constellation(c.order, c.points * np.exp(1j * theta), c.scale)
+    return Constellation(c.points * np.exp(1j * theta), c.scale)
 
 
 def encode_qostbc(bits, rate):

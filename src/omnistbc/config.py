@@ -12,9 +12,7 @@ from dataclasses import dataclass, fields, replace
 from .channel import max_spacing_ratio
 from .kinds import REGISTRY
 
-__all__ = ["SimConfig", "ConfigError", "parse_config", "load_config", "CODE_KINDS"]
-
-CODE_KINDS = tuple(REGISTRY)
+__all__ = ["SimConfig", "ConfigError", "parse_config", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -47,8 +45,9 @@ class SimConfig:
         spec = REGISTRY.get(self.code)
         if spec is None:
             raise ConfigError(f"code: unknown kind {self.code!r}")
-        if self.rate < 1:
-            raise ConfigError(f"rate: must be a positive integer, got {self.rate}")
+        problem = spec.rate_problem(self.rate)
+        if problem:
+            raise ConfigError(f"rate: {problem}")
         problem = spec.rules(self.nze_l, self.nze_n)
         if problem:
             raise ConfigError(problem)

@@ -2,10 +2,11 @@
 
 Every fact that differs between the kinds lives here: the port count, the
 preset unitary V in W = diag(c) (1 kron V), the kind's own config rules,
-whether its codebook is small enough to enumerate, its closed-form coding
-gain, and, per (rate, L, N), a Code holding the slot count, the
-constellations with their Gray bit labels, the batched encoder and the
-batched decoder.  Adding a kind means adding one CodeSpec to REGISTRY.
+its largest buildable rate, whether its codebook is small enough to
+enumerate, its closed-form coding gain, and, per (rate, L, N), a Code
+holding the slot count, the constellations in bit-word order, the batched
+encoder and the batched decoder.  Adding a kind means adding one CodeSpec
+to REGISTRY.
 """
 
 from dataclasses import dataclass
@@ -39,6 +40,9 @@ from .sequences import hadamard2
 
 __all__ = ["Code", "CodeSpec", "REGISTRY", "spec_for", "build_code", "payloads"]
 
+# No alphabet and no ML candidate group may exceed 2^MAX_SEARCH_BITS points.
+MAX_SEARCH_BITS = 16
+
 
 def payloads(nbits):
     """Every bit vector of length ``nbits`` (MSB first) in ascending word
@@ -51,13 +55,12 @@ class Code:
     """One kind at one (rate, L, N): its shapes, batched encoder and decoder.
 
     ``groups`` lists (constellation, count) in payload order: the payload
-    bits are cut into ``count`` Gray-labelled symbols of each constellation
-    in turn, and ``assemble`` maps those (B, symbols) to (B, N, T)
-    codewords; N and T are read off one assembled row.  ``constellations``
-    has one entry per symbol, and the decoder is
-    ``decoder_cls(assemble, constellations)``; it returns symbol indices in
-    the same order, and ``decode`` reads their bits back through the same
-    labels.
+    bits are cut into ``count`` bit words of each constellation's width in
+    turn, each word picks its symbol, and ``assemble`` maps those
+    (B, symbols) to (B, N, T) codewords; N and T are read off one assembled
+    row.  ``constellations`` has one entry per symbol, and the decoder is
+    ``decoder_cls(assemble, constellations)``; it returns the symbols' bit
+    words in the same order, and ``decode`` unpacks them to bits.
     """
 
     def __init__(self, groups, assemble, decoder_cls):
@@ -66,11 +69,8 @@ class Code:
         zero_row = np.zeros((1, len(self.constellations)), dtype=complex)
         self.n_ports, self.n_slots = assemble(zero_row).shape[1:]
         self.decoder = decoder_cls(assemble, self.constellations)
-        self._groups = [
-            (c.bit_width, count, c.index_table(), c.points, c.bits_table())
-            for c, count in groups
-        ]
-        self.nbits = sum(width * count for width, count, *_ in self._groups)
+        self._groups = [(c.bit_width, count, c.points) for c, count in groups]
+        self.nbits = sum(width * count for width, count, _ in self._groups)
 
     @property
     def rate_bps(self):
@@ -79,10 +79,10 @@ class Code:
     def encode(self, bits):
         """Payloads (B, nbits) -> codewords (B, N, T)."""
         parts, start = [], 0
-        for width, count, table, points, _ in self._groups:
+        for width, count, points in self._groups:
             stop = start + width * count
             words = bits[:, start:stop].reshape(len(bits), count, width)
-            parts.append(points[table[words @ (1 << np.arange(width - 1, -1, -1))]])
+            parts.append(points[words @ (1 << np.arange(width - 1, -1, -1))])
             start = stop
         return self.assemble(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
 
@@ -91,8 +91,8 @@ class Code:
         aborted (B,)); the bits of an aborted trial mean nothing."""
         idx, aborted = self.decoder.decode_batch(y, g)
         parts, start = [], 0
-        for _, count, _, _, labels in self._groups:
-            parts.append(labels[idx[:, start : start + count]].reshape(len(idx), -1))
+        for width, count, _ in self._groups:
+            parts.append(payloads(width)[idx[:, start : start + count]].reshape(len(idx), -1))
             start += count
         return np.concatenate(parts, axis=1), aborted
 
@@ -113,8 +113,11 @@ class CodeSpec:
     entries and need Hadamard mixing to spread symbols over all ports).
     ``rules(nze_l, nze_n)`` returns a message naming the offending config
     key, or None when L and N suit the kind; for the NZE kinds it is the
-    table builder's own error.  ``closed_form_gain(rate)``
-    exists for the enumerable kinds whose coding gain has a closed form.
+    table builder's own error.  ``search_bits`` is the bit count, per unit
+    of rate, of the kind's largest alphabet or ML candidate group, which
+    fixes the largest rate ``rate_problem`` accepts.
+    ``closed_form_gain(rate)`` exists for the enumerable kinds whose coding
+    gain has a closed form.
     """
 
     kind: str
@@ -122,8 +125,22 @@ class CodeSpec:
     n_ports: int = None
     v_matrix: np.ndarray = None
     rules: Callable = lambda nze_l, nze_n: None
+    search_bits: int = 1
     enumerable: bool = False
     closed_form_gain: Callable = None
+
+    def rate_problem(self, rate):
+        """Why ``rate`` cannot be built, or None; checked before any array
+        is allocated."""
+        largest = MAX_SEARCH_BITS // self.search_bits
+        if rate < 1:
+            return f"must be a positive integer, got {rate}"
+        if rate > largest:
+            return (
+                f"{rate} is above {largest}, the largest rate at which every "
+                f"{self.kind} alphabet and ML search has at most 2^{MAX_SEARCH_BITS} points"
+            )
+        return None
 
     def ports(self, nze_n):
         return self.n_ports or nze_n
@@ -215,6 +232,7 @@ REGISTRY = {
             _ostbc,
             n_ports=4,
             v_matrix=np.kron(np.eye(2, dtype=complex), hadamard2()),
+            search_bits=4,
             enumerable=True,
             closed_form_gain=analysis.ostbc_gain_closed_form,
         ),
@@ -222,6 +240,7 @@ REGISTRY = {
             "qostbc",
             _qostbc,
             n_ports=4,
+            search_bits=2,
             enumerable=True,
             closed_form_gain=lambda rate: analysis.qostbc_gain_closed_form(2**rate),
         ),
@@ -230,6 +249,7 @@ REGISTRY = {
             _ciod,
             n_ports=4,
             v_matrix=np.kron(hadamard2(), hadamard2()),
+            search_bits=2,
             enumerable=True,
             closed_form_gain=lambda rate: analysis.ciod_gain_closed_form(
                 ciod_constellation(rate).scale

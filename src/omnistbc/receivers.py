@@ -13,10 +13,12 @@ the conjugated slots, on the map that ``assemble`` probes out.
 
 Every decoder has one call, ``decode_batch(y, g) -> (idx, aborted)``, over
 a batch of trials: y is (B, T), g is (B, N), ``idx`` is (B, n_symbols)
-symbol indices into the code's constellations in payload order, and
+bit words, one per symbol in payload order (a constellation stores its
+points in bit-word order, so an index into it is the word it carries), and
 ``aborted`` is a (B,) mask of trials whose channel row is all zero; their
-indices mean nothing.  The registry's ``Code.decode`` maps the indices to
-bits.  Ties in any candidate search resolve to the lowest candidate index.
+words mean nothing.  The registry's ``Code.decode`` unpacks the words to
+bits.  Ties in any candidate search resolve to the lowest word, in payload
+order, as in an exhaustive search over the codebook.
 """
 
 import numpy as np
@@ -45,7 +47,7 @@ class _GroupSearch:
     ||y - g X||^2 then vanish for every g, and the metric is a sum of one
     term per group.
 
-    At construction each group's candidates, lowest index first, are
+    At construction each group's candidates, lowest word first, are
     encoded once with the other symbols at zero, giving the sub-codebook
     X_c (C, N, T), its ``book`` (N T, C) and ``gram`` = X_c X_c^H (N^2, C).
     A batch scores every candidate by

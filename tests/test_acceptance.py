@@ -97,10 +97,8 @@ def test_criterion_02_gain_orderings():
 
 def _requirement_cases():
     psk2 = make_psk(2)
-    yield "single", 4, 1, None, lambda b: np.array([[psk2.encode(b)]])
-    yield "ac", 4, 2, None, lambda b: codes.ac_matrix(
-        psk2.encode(b[:1]), psk2.encode(b[1:])
-    )
+    yield "single", 4, 1, None, lambda b: np.array([psk2.points[b]])
+    yield "ac", 4, 2, None, lambda b: codes.ac_matrix(*psk2.points[b])
     yield "ostbc", 16, 4, None, lambda b: codes.encode_ostbc(b, 1).matrix
     yield "qostbc", 16, 4, None, lambda b: codes.encode_qostbc(b, 1).matrix
     yield "ciod", 16, 4, None, lambda b: codes.encode_ciod(b, 1).matrix

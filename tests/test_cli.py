@@ -133,6 +133,26 @@ def test_unresolvable_spacing_is_config_error(spacing, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unbuildable_rate_is_config_error(tmp_path, capsys):
+    """A rate whose alphabet no array could hold stops the sweep with one
+    config error line naming the key, before any CSV is written."""
+    cfg = write_cfg(tmp_path, AC_CONFIG.replace("rate = 1", "rate = 64"))
+    out = tmp_path / "x.csv"
+    assert cli(["ber-sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: rate: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unbuildable_rate_flag_is_config_error(capsys):
+    assert cli(["coding-gain", "--code", "ac", "--rate", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --rate: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write_cfg(tmp_path)
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))

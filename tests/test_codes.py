@@ -259,8 +259,13 @@ def test_code_pickles(kind, rate, extra):
     np.testing.assert_array_equal(got_aborted, want_aborted)
 
 
+def _symbol(constellation, bits):
+    """The point that carries ``bits``: its bit word, read MSB first, is its index."""
+    return complex(constellation.points[int("".join(str(int(b)) for b in bits), 2)])
+
+
 def _symbols(constellation, bits, width):
-    return [constellation.encode(bits[k : k + width]) for k in range(0, len(bits), width)]
+    return [_symbol(constellation, bits[k : k + width]) for k in range(0, len(bits), width)]
 
 
 def _psk_symbols(bits, rate):
@@ -270,9 +275,9 @@ def _psk_symbols(bits, rate):
 def _scalar_ostbc(bits, rate):
     pam, qpsk = codes.ostbc_constellations(rate)
     k = 2 * rate - 1
-    x1 = pam.encode(bits[:k])
-    x2 = 1j * pam.encode(bits[k : 2 * k])
-    x3 = abs(x1 + x2) * qpsk.encode(bits[2 * k :])
+    x1 = _symbol(pam, bits[:k])
+    x2 = 1j * _symbol(pam, bits[k : 2 * k])
+    x3 = abs(x1 + x2) * _symbol(qpsk, bits[2 * k :])
     return codes.ostbc_matrix(x1, x2, x3)
 
 
@@ -289,8 +294,8 @@ def _scalar_ciod(bits, rate):
     return codes.ciod_matrix(*codes.ciod_interleave(*_symbols(qam, bits, 2 * rate)))
 
 
-# Symbol-by-symbol encoders (bits, R, L, N) -> X built from the constellations'
-# scalar API: the reference for the registry's batched encoders.
+# Symbol-by-symbol encoders (bits, R, L, N) -> X that look each symbol up by its
+# bit word: the reference for the registry's batched encoders.
 SCALAR_ENCODERS = {
     "single": lambda b, r, l, n: np.array([_psk_symbols(b, r)]),
     "ac": lambda b, r, l, n: codes.ac_matrix(*_psk_symbols(b, r)),

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -135,3 +136,21 @@ def test_validate_direct():
         SimConfig(code="ac", workers=0).validate()
     with pytest.raises(ConfigError):
         SimConfig(code="ac", max_trials=0).validate()
+
+
+# The largest rate at which each kind's largest alphabet or ML candidate group
+# stays within 2^16 points: 2^R points for single, ac and the NZE kinds,
+# 2^(2R) for qostbc pairs and ciod QAM, 2^(4R) for the joint ostbc search.
+LARGEST_RATE = {
+    "single": 16, "ac": 16, "nze_tc": 16, "nze_oac": 16, "qostbc": 8, "ciod": 8, "ostbc": 4
+}
+
+
+@pytest.mark.parametrize("kind,largest", sorted(LARGEST_RATE.items()))
+def test_rate_bound(kind, largest):
+    """Validation accepts a kind's largest rate and refuses the next one,
+    naming the key; it builds no code, so neither rate allocates a search."""
+    shape = SimConfig(code=kind, nze_l=8, nze_n=4)
+    assert replace(shape, rate=largest).validate().rate == largest
+    with pytest.raises(ConfigError, match=f"^rate: {largest + 1} is above {largest},"):
+        replace(shape, rate=largest + 1).validate()

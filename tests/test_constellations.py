@@ -11,18 +11,27 @@ from omnistbc.constellations import (
     min_sq_distance,
     qostbc_rotation,
 )
+from omnistbc.kinds import REGISTRY, build_code
 
 
 def test_psk_points():
+    """The PSK set is the phase-ordered e^{j 2 pi l / order}, and word b sits
+    at phase index l = rank(b), the inverse Gray code of b."""
     bpsk = make_psk(2)
     np.testing.assert_allclose(bpsk.points, [1, -1], atol=1e-15)
     qpsk = make_psk(4)
-    np.testing.assert_allclose(qpsk.points, [1, 1j, -1, -1j], atol=1e-15)
+    np.testing.assert_allclose(qpsk.points, [1, 1j, -1j, -1], atol=1e-15)
     psk8 = make_psk(8)
     assert psk8.points[0] == pytest.approx(1.0)
     np.testing.assert_allclose(np.abs(psk8.points), 1.0, atol=1e-15)
+    by_phase = psk8.points[np.argsort(np.angle(psk8.points) % (2 * np.pi))]
+    np.testing.assert_allclose(by_phase, np.exp(2j * np.pi * np.arange(8) / 8), atol=1e-15)
+    rank = [0, 1, 3, 2, 7, 6, 4, 5]
+    np.testing.assert_allclose(psk8.points, np.exp(2j * np.pi * np.array(rank) / 8), atol=1e-15)
     with pytest.raises(ValueError):
         make_psk(1)
+    with pytest.raises(ValueError):
+        make_psk(3)  # no integral bit labels
 
 
 def test_pam_normalization():
@@ -64,25 +73,19 @@ def test_min_sq_distance():
     assert min_sq_distance(make_psk(4)) == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize(
-    "constellation",
-    [make_psk(2), make_psk(4), make_psk(8), make_pam(2), make_pam(4), make_rotated_qam(16, 0.3)],
-)
-def test_bits_round_trip(constellation):
-    for i in range(constellation.order):
-        bits = constellation.bits_of_index(i)
-        assert constellation.index_of_bits(bits) == i
+def _flips(a, b):
+    return bin(int(a) ^ int(b)).count("1")
 
 
 def test_gray_adjacency_pam_psk():
     for c in (make_pam(2), make_pam(4)):
-        labels = [c.bits_of_index(i) for i in range(c.order)]
-        for a, b in zip(labels, labels[1:]):
-            assert int(np.sum(a != b)) == 1
+        words = np.argsort(c.points.real)  # ascending levels
+        for a, b in zip(words, words[1:]):
+            assert _flips(a, b) == 1
     for c in (make_psk(4), make_psk(8)):
-        labels = [c.bits_of_index(i) for i in range(c.order)]
-        for k in range(c.order):
-            assert int(np.sum(labels[k] != labels[(k + 1) % c.order])) == 1
+        words = np.argsort(np.angle(c.points) % (2 * np.pi))  # ascending phases
+        for k in range(len(words)):
+            assert _flips(words[k], words[(k + 1) % len(words)]) == 1
 
 
 def test_qam_per_axis_gray():
@@ -95,14 +98,37 @@ def test_qam_per_axis_gray():
             if abs(abs(delta) - step) < 1e-12 and (
                 abs(delta.real) < 1e-12 or abs(delta.imag) < 1e-12
             ):
-                flips = int(np.sum(qam.bits_of_index(i) != qam.bits_of_index(j)))
-                assert flips == 1
+                assert _flips(i, j) == 1
 
 
 def test_all_points_distinct():
     for c in (make_psk(8), make_pam(4), make_rotated_qam(16, 0.1)):
         pts = np.round(c.points, 12)
-        assert len(set(zip(pts.real, pts.imag))) == c.order
+        assert len(set(zip(pts.real, pts.imag))) == 2**c.bit_width
+
+
+def _registry_alphabets():
+    """Every distinct alphabet the registry builds at rates 1 to 3."""
+    seen = {}
+    for kind, spec in REGISTRY.items():
+        for rate in (1, 2, 3):
+            code = build_code(kind, rate, 6, 3) if spec.n_ports is None else build_code(kind, rate)
+            for c in code.constellations:
+                seen.setdefault(c.points.tobytes(), pytest.param(c, id=f"{kind}-R{rate}"))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("constellation", _registry_alphabets())
+def test_gray_neighbours(constellation):
+    """Geometric neighbours carry words that differ in exactly one bit:
+    adjacent PAM levels, adjacent PSK phases and QAM neighbours along one
+    axis are the point pairs at the minimum distance."""
+    pts = constellation.points
+    d2 = np.abs(pts[:, None] - pts[None, :]) ** 2
+    near = np.argwhere(np.triu(np.isclose(d2, min_sq_distance(constellation), rtol=1e-9), 1))
+    assert len(near) >= len(pts) - 1
+    for a, b in near:
+        assert _flips(a, b) == 1, (a, b)
 
 
 def test_ostbc_distance_balance():
@@ -114,5 +140,5 @@ def test_ostbc_distance_balance():
         pam, qpsk = ostbc_constellations(rate)
         d_pam = min_sq_distance(pam)
         amp = np.abs(pam.points[:, None] + 1j * pam.points[None, :]).min()
-        ring = Constellation(4, amp * qpsk.points)
+        ring = Constellation(amp * qpsk.points)
         assert min_sq_distance(ring) == pytest.approx(d_pam, rel=1e-12)

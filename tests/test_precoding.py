@@ -104,9 +104,9 @@ def test_requirements_exhaustive(kind, m_len, nbits, n_ports, builder):
     psk2 = make_psk(2)
     if builder is None:
         if kind == "single":
-            builder = lambda b: np.array([[psk2.encode(b)]])
+            builder = lambda b: np.array([psk2.points[b]])
         elif kind == "ac":
-            builder = lambda b: codes.ac_matrix(psk2.encode(b[:1]), psk2.encode(b[1:]))
+            builder = lambda b: codes.ac_matrix(*psk2.points[b])
         elif kind == "nze_tc":
             builder = lambda b: codes.encode_nze_tc(psk2.points[b], 8, 8).matrix
         else:

@@ -78,6 +78,26 @@ def test_ac_noiseless_roundtrip_all_payloads():
 
 @pytest.mark.parametrize("rate", [1, 2])
 @pytest.mark.parametrize("kind", ENUMERABLE)
+def test_decoder_returns_payload_words(kind, rate):
+    """Noiseless, every decoder returns each symbol's own bit word: the
+    payload's bits for that symbol, read MSB first."""
+    code = build_code(kind, rate)
+    rng = np.random.default_rng(29)
+    bits = payloads(code.nbits)
+    g = channels(rng, len(bits), code.n_ports)
+    idx, aborted = code.decoder.decode_batch(observe(code.encode(bits), g), g)
+    assert not aborted.any()
+    start = 0
+    for k, c in enumerate(code.constellations):
+        chunk = bits[:, start : start + c.bit_width]
+        words = [int("".join(map(str, row)), 2) for row in chunk]
+        np.testing.assert_array_equal(idx[:, k], words)
+        start += c.bit_width
+    assert start == code.nbits
+
+
+@pytest.mark.parametrize("rate", [1, 2])
+@pytest.mark.parametrize("kind", ENUMERABLE)
 @settings(max_examples=10, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2**64 - 1), snr_db=st.floats(-3.0, 12.0))
 def test_decode_matches_exhaustive_ml(kind, rate, seed, snr_db):

@@ -1,15 +1,18 @@
 """Codeword construction for the six space-time block code designs.
 
-All codewords are stored ports x time (N x T).  The Toeplitz-family
-matrices are written time x ports in their defining index formulas and are
-transposed on construction.
-
-Matrix builders accept scalars or arrays with a leading batch axis, so the
+All codewords are stored ports x time (N x T).  Every design is one
+gather table, ``NzeTables``: each entry is 0, +-x_k or +-conj(x_k) of one
+symbol.  The single-port, Alamouti, orthogonal, quasi-orthogonal and
+coordinate-interleaved tables are written out below in the paper's
+notation; the Toeplitz-family tables follow from their defining index
+formulas, which are written time x ports and transposed on construction.
+A table's ``build`` maps symbols (..., k) to codewords (..., N, T), so the
 batched encoders of the code registry (``omnistbc.kinds``) map thousands of
 payloads in one call.  The bit-driven scalar encoders are that batched
 encoder applied to a batch of one.
 """
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,10 +34,11 @@ __all__ = [
     "encode_ciod",
     "encode_nze_tc",
     "encode_nze_oac",
-    "ac_matrix",
-    "ostbc_matrix",
-    "qostbc_matrix",
-    "ciod_matrix",
+    "SINGLE_TABLE",
+    "AC_TABLE",
+    "OSTBC_TABLE",
+    "QOSTBC_TABLE",
+    "CIOD_TABLE",
     "ciod_interleave",
     "ostbc_constellations",
     "qostbc_constellations",
@@ -52,75 +56,82 @@ class Codeword:
     matrix: np.ndarray
 
 
-def _conj(x):
-    return np.conjugate(x)
+@dataclass(frozen=True, eq=False)
+class NzeTables:
+    """Gather table of a codeword whose entries are 0, +-x_k or +-conj(x_k).
+
+    ``idx`` names k, ``sign`` the sign (0 for a zero entry) and ``conj``
+    whether the entry conjugates, each an (N, T) array.  The name predates
+    the zero entries; perfbench/spans.py wraps ``NzeTables.build``.
+    """
+
+    idx: np.ndarray
+    sign: np.ndarray
+    conj: np.ndarray
+
+    def build(self, x):
+        """Codeword matrices (..., N, T) for symbols ``x`` of shape (..., k)."""
+        x = np.asarray(x, dtype=complex)
+        both = np.concatenate([x, x.conj()], axis=-1)
+        return self.sign * both[..., self.idx + x.shape[-1] * self.conj]
 
 
-def ac_matrix(x1, x2):
-    """Alamouti matrix [[x1, x2*], [x2, -x1*]] (batch-aware)."""
-    x1 = np.asarray(x1, dtype=complex)
-    x2 = np.asarray(x2, dtype=complex)
-    row0 = np.stack([x1, _conj(x2)], axis=-1)
-    row1 = np.stack([x2, -_conj(x1)], axis=-1)
-    return np.stack([row0, row1], axis=-2)
+def _table(*rows):
+    """The gather table of a codeword written as one string per port, its
+    entries in slot order, each 0, xk, -xk, xk* or -xk*."""
+    cells = [[re.fullmatch(r"0|(-?)x(\d)(\*?)", e).groups() for e in row.split()] for row in rows]
+    idx = [[int(k) - 1 if k else 0 for _, k, _ in row] for row in cells]
+    sign = [[0.0 if not k else -1.0 if minus else 1.0 for minus, k, _ in row] for row in cells]
+    conj = [[star == "*" for _, _, star in row] for row in cells]
+    return NzeTables(np.array(idx), np.array(sign), np.array(conj))
 
 
-def ostbc_matrix(x1, x2, x3):
-    """Rate-3/4 orthogonal design for four ports (batch-aware)."""
-    x1 = np.asarray(x1, dtype=complex)
-    x2 = np.asarray(x2, dtype=complex)
-    x3 = np.asarray(x3, dtype=complex)
-    z = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
-    rows = [
-        np.stack([x1, _conj(x2), _conj(x3), z], axis=-1),
-        np.stack([x2, -_conj(x1), z, _conj(x3)], axis=-1),
-        np.stack([x3, z, -_conj(x1), -_conj(x2)], axis=-1),
-        np.stack([z, x3, -x2, x1], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
+SINGLE_TABLE = _table("x1")
+
+# Alamouti.
+AC_TABLE = _table(
+    "x1  x2*",
+    "x2 -x1*",
+)
+
+# Rate-3/4 orthogonal design for four ports.
+OSTBC_TABLE = _table(
+    "x1  x2*  x3*   0 ",
+    "x2 -x1*   0   x3*",
+    "x3   0  -x1* -x2*",
+    " 0  x3  -x2   x1 ",
+)
+
+# TBH quasi-orthogonal design: blocks [[A, B], [B, A]] of Alamouti pairs.
+QOSTBC_TABLE = _table(
+    "x1  x2*  x3  x4*",
+    "x2 -x1*  x4 -x3*",
+    "x3  x4*  x1  x2*",
+    "x4 -x3*  x2 -x1*",
+)
+
+# Block-diagonal pair of Alamouti blocks, fed by ``ciod_interleave``.
+CIOD_TABLE = _table(
+    "x1  x2*   0   0 ",
+    "x2 -x1*   0   0 ",
+    " 0   0   x3  x4*",
+    " 0   0   x4 -x3*",
+)
+
+# The four tables' builders under their former names, kept because
+# perfbench/spans.py wraps these names.
+ac_matrix = AC_TABLE.build
+ostbc_matrix = OSTBC_TABLE.build
+qostbc_matrix = QOSTBC_TABLE.build
+ciod_matrix = CIOD_TABLE.build
 
 
-def qostbc_matrix(x1, x2, x3, x4):
-    """TBH quasi-orthogonal design: blocks [[A, B], [B, A]] of Alamouti pairs."""
-    x1 = np.asarray(x1, dtype=complex)
-    x2 = np.asarray(x2, dtype=complex)
-    x3 = np.asarray(x3, dtype=complex)
-    x4 = np.asarray(x4, dtype=complex)
-    rows = [
-        np.stack([x1, _conj(x2), x3, _conj(x4)], axis=-1),
-        np.stack([x2, -_conj(x1), x4, -_conj(x3)], axis=-1),
-        np.stack([x3, _conj(x4), x1, _conj(x2)], axis=-1),
-        np.stack([x4, -_conj(x3), x2, -_conj(x1)], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
-
-
-def ciod_matrix(x1, x2, x3, x4):
-    """Block-diagonal pair of Alamouti blocks (batch-aware)."""
-    x1 = np.asarray(x1, dtype=complex)
-    x2 = np.asarray(x2, dtype=complex)
-    x3 = np.asarray(x3, dtype=complex)
-    x4 = np.asarray(x4, dtype=complex)
-    z = np.zeros(np.broadcast(x1, x2, x3, x4).shape, dtype=complex)
-    rows = [
-        np.stack([x1, _conj(x2), z, z], axis=-1),
-        np.stack([x2, -_conj(x1), z, z], axis=-1),
-        np.stack([z, z, x3, _conj(x4)], axis=-1),
-        np.stack([z, z, x4, -_conj(x3)], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
-
-
-def ciod_interleave(s1, s2):
-    """Coordinate interleaver mapping (s1, s2) to the four matrix symbols."""
-    s1 = np.asarray(s1, dtype=complex)
-    s2 = np.asarray(s2, dtype=complex)
-    r2 = np.sqrt(2.0)
-    x1 = r2 * (1 + 1j) * s1.real
-    x2 = r2 * (1 - 1j) * s2.real
-    x3 = r2 * (1 + 1j) * s1.imag
-    x4 = r2 * (1j - 1) * s2.imag
-    return x1, x2, x3, x4
+def ciod_interleave(s):
+    """Coordinate interleaver: symbols (s1, s2) (..., 2) to the table's (..., 4),
+    sqrt(2) ((1 + j) Re s1, (1 - j) Re s2, (1 + j) Im s1, (j - 1) Im s2)."""
+    s = np.asarray(s, dtype=complex)
+    scale = np.sqrt(2.0) * np.array([1 + 1j, 1 - 1j, 1 + 1j, 1j - 1])
+    return scale * np.concatenate([s.real, s.imag], axis=-1)
 
 
 def ostbc_constellations(rate):
@@ -173,11 +184,7 @@ def qostbc_constellations(rate):
         raise ValueError(f"bit rate must be at least 1, got {rate}")
     order = 2**rate
     psk = make_psk(order)
-    return psk, _rotate_constellation(psk, qostbc_rotation(order))
-
-
-def _rotate_constellation(c, theta):
-    return Constellation(c.points * np.exp(1j * theta), c.scale)
+    return psk, Constellation(psk.points * np.exp(1j * qostbc_rotation(order)), psk.scale)
 
 
 def encode_qostbc(bits, rate):
@@ -213,25 +220,6 @@ def _nze_tc_index_sign(n_sym, n_ports):
     idx = (m - n) % n_sym
     sign = np.where(m >= n + n_sym, -1.0, 1.0)
     return idx, sign
-
-
-@dataclass(frozen=True, eq=False)
-class NzeTables:
-    """Gather table of a no-zero-entry codeword.
-
-    Every entry (n, t) is +-x_k or +-conj(x_k) of exactly one symbol:
-    ``idx`` names k, ``sign`` the sign and ``conj`` whether it conjugates,
-    each an (N, T) array.
-    """
-
-    idx: np.ndarray
-    sign: np.ndarray
-    conj: np.ndarray
-
-    def build(self, x):
-        """Codeword matrix for symbols ``x`` of shape (..., L)."""
-        vals = np.asarray(x, dtype=complex)[..., self.idx]
-        return self.sign * np.where(self.conj, np.conjugate(vals), vals)
 
 
 # The NZE table builders state each kind's (L, N) rule once; config validation
@@ -285,27 +273,21 @@ def nze_oac_tables(n_sym, n_ports):
     return _tables(*(a[1:-1, 1:] for a in _nze_oac_tall(n_sym, n_ports + 1)))
 
 
-def _check_psk_symbols(x):
+def _nze_codeword(make_tables, x, n_sym, n_ports):
+    """One codeword of L constant-amplitude symbols through ``make_tables``."""
+    x = np.asarray(x, dtype=complex)
+    if x.size != n_sym:
+        raise ValueError(f"expected {n_sym} symbols, got {x.size}")
     if np.any(np.abs(x) < 1e-12):
         raise ValueError("zero-amplitude symbol violates the constant-power constraint")
+    return Codeword(make_tables(n_sym, n_ports).build(x))
 
 
 def encode_nze_tc(x, n_sym, n_ports):
     """No-zero-entry Toeplitz codeword, stored ports x time."""
-    x = np.asarray(x, dtype=complex)
-    if x.size != n_sym:
-        raise ValueError(f"expected {n_sym} symbols, got {x.size}")
-    _check_psk_symbols(x)
-    tables = nze_tc_tables(n_sym, n_ports)
-    return Codeword(tables.build(x))
+    return _nze_codeword(nze_tc_tables, x, n_sym, n_ports)
 
 
 def encode_nze_oac(x, n_sym, n_ports):
     """No-zero-entry overlapped-Alamouti codeword, stored ports x time."""
-    x = np.asarray(x, dtype=complex)
-    if x.size != n_sym:
-        raise ValueError(f"expected {n_sym} symbols, got {x.size}")
-    _check_psk_symbols(x)
-    tables = nze_oac_tables(n_sym, n_ports)
-    return Codeword(tables.build(x))
-
+    return _nze_codeword(nze_oac_tables, x, n_sym, n_ports)

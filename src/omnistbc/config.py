@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 from .channel import max_spacing_ratio
 from .kinds import REGISTRY
+from .receivers import MAX_BLOCK_BYTES
 
 __all__ = ["SimConfig", "ConfigError", "parse_config", "load_config"]
 
@@ -42,16 +43,31 @@ class SimConfig:
         return REGISTRY[self.code].ports(self.nze_n)
 
     def validate(self):
+        from .engine import TRIALS_PER_BATCH  # the engine imports this module
+
         spec = REGISTRY.get(self.code)
         if spec is None:
             raise ConfigError(f"code: unknown kind {self.code!r}")
         problem = spec.rate_problem(self.rate)
         if problem:
             raise ConfigError(f"rate: {problem}")
+        cap = f"{MAX_BLOCK_BYTES >> 20} MiB"
+        largest = math.isqrt(MAX_BLOCK_BYTES // (16 * TRIALS_PER_BATCH))
+        if self.nze_l > largest:
+            raise ConfigError(
+                f"nze.l: {self.nze_l} is above {largest}, the largest L whose "
+                f"{TRIALS_PER_BATCH}-trial ZF Gram (L x L complex per trial) fits in {cap}"
+            )
         problem = spec.rules(self.nze_l, self.nze_n)
         if problem:
             raise ConfigError(problem)
         n = self.n_ports()
+        largest = MAX_BLOCK_BYTES // (32 * n)
+        if not 0 < self.m <= largest:
+            raise ConfigError(
+                f"m: must be positive and at most {largest} for N = {n}, so that the "
+                f"set-up's 2M x N complex FFT fits in {cap}"
+            )
         if self.m % (n * n) != 0:
             raise ConfigError(f"m: {self.m} is not a multiple of N^2 = {n * n}")
         if not 1 <= self.gamma < self.m or math.gcd(self.gamma, self.m) != 1:

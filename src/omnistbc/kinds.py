@@ -16,16 +16,17 @@ import numpy as np
 
 from . import analysis
 from .codes import (
-    ac_matrix,
+    AC_TABLE,
+    CIOD_TABLE,
+    OSTBC_TABLE,
+    QOSTBC_TABLE,
+    SINGLE_TABLE,
     ciod_constellation,
     ciod_interleave,
-    ciod_matrix,
     nze_oac_tables,
     nze_tc_tables,
     ostbc_constellations,
-    ostbc_matrix,
     qostbc_constellations,
-    qostbc_matrix,
 )
 from .constellations import make_psk
 from .receivers import (
@@ -56,21 +57,27 @@ class Code:
 
     ``groups`` lists (constellation, count) in payload order: the payload
     bits are cut into ``count`` bit words of each constellation's width in
-    turn, each word picks its symbol, and ``assemble`` maps those
-    (B, symbols) to (B, N, T) codewords; N and T are read off one assembled
-    row.  ``constellations`` has one entry per symbol, and the decoder is
-    ``decoder_cls(assemble, constellations)``; it returns the symbols' bit
-    words in the same order, and ``decode`` unpacks them to bits.
+    turn, and each word picks its symbol.  ``assemble`` maps those symbols
+    (B, symbols) to (B, N, T) codewords: the optional ``premap`` (symbols
+    to the table's symbols), then the gather ``table``, whose shape is
+    (N, T).  ``constellations`` has one entry per symbol,
+    and the decoder is ``decoder_cls(assemble, constellations)``; it
+    returns the symbols' bit words in the same order, and ``decode``
+    unpacks them to bits.
     """
 
-    def __init__(self, groups, assemble, decoder_cls):
-        self.assemble = assemble
+    def __init__(self, groups, table, decoder_cls, premap=None):
+        self.table = table
+        self.premap = premap
         self.constellations = [c for c, count in groups for _ in range(count)]
-        zero_row = np.zeros((1, len(self.constellations)), dtype=complex)
-        self.n_ports, self.n_slots = assemble(zero_row).shape[1:]
-        self.decoder = decoder_cls(assemble, self.constellations)
+        self.n_ports, self.n_slots = table.idx.shape
+        self.decoder = decoder_cls(self.assemble, self.constellations)
         self._groups = [(c.bit_width, count, c.points) for c, count in groups]
         self.nbits = sum(width * count for width, count, _ in self._groups)
+
+    def assemble(self, x):
+        """Symbols (B, symbols) -> codewords (B, N, T)."""
+        return self.table.build(x if self.premap is None else self.premap(x))
 
     @property
     def rate_bps(self):
@@ -154,59 +161,41 @@ class CodeSpec:
         return self.v_matrix.copy()
 
 
-# The assembly steps are module-level functions, not lambdas, so that a Code
-# pickles and can be sent to pool workers.
-def _single_assemble(x):
-    return x[:, :, None]
-
-
 def _single(rate, nze_l, nze_n):
-    psk = make_psk(2**rate)
-    return Code([(psk, 1)], _single_assemble, SingleDecoder)
-
-
-def _ac_assemble(x):
-    return ac_matrix(x[:, 0], x[:, 1])
+    return Code([(make_psk(2**rate), 1)], SINGLE_TABLE, SingleDecoder)
 
 
 def _ac(rate, nze_l, nze_n):
-    psk = make_psk(2**rate)
-    return Code([(psk, 2)], _ac_assemble, AcDecoder)
+    return Code([(make_psk(2**rate), 2)], AC_TABLE, AcDecoder)
 
 
-def _ostbc_assemble(x):
+# The pre-maps are module-level functions, not lambdas, so that a Code
+# pickles and can be sent to pool workers.
+def _ostbc_premap(x):
     """x2 carries j times the PAM set; x3 = |x1 + x2| times the QPSK x3'."""
     x1, x2 = x[:, 0], 1j * x[:, 1]
-    return ostbc_matrix(x1, x2, np.abs(x1 + x2) * x[:, 2])
+    return np.stack([x1, x2, np.abs(x1 + x2) * x[:, 2]], axis=1)
 
 
 def _ostbc(rate, nze_l, nze_n):
     pam, qpsk = ostbc_constellations(rate)
-    return Code([(pam, 2), (qpsk, 1)], _ostbc_assemble, OstbcDecoder)
-
-
-def _qostbc_assemble(x):
-    return qostbc_matrix(*x.T)
+    return Code([(pam, 2), (qpsk, 1)], OSTBC_TABLE, OstbcDecoder, _ostbc_premap)
 
 
 def _qostbc(rate, nze_l, nze_n):
     psk, rotated = qostbc_constellations(rate)
-    return Code([(psk, 2), (rotated, 2)], _qostbc_assemble, QostbcDecoder)
-
-
-def _ciod_assemble(x):
-    return ciod_matrix(*ciod_interleave(x[:, 0], x[:, 1]))
+    return Code([(psk, 2), (rotated, 2)], QOSTBC_TABLE, QostbcDecoder)
 
 
 def _ciod(rate, nze_l, nze_n):
     qam = ciod_constellation(rate)
-    return Code([(qam, 2)], _ciod_assemble, CiodDecoder)
+    return Code([(qam, 2)], CIOD_TABLE, CiodDecoder, ciod_interleave)
 
 
 def _nze(make_tables):
     def build(rate, nze_l, nze_n):
         tables = make_tables(nze_l, nze_n)
-        return Code([(make_psk(2**rate), nze_l)], tables.build, NzeZfDecoder)
+        return Code([(make_psk(2**rate), nze_l)], tables, NzeZfDecoder)
 
     return build
 

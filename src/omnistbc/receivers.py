@@ -32,6 +32,11 @@ __all__ = [
     "NzeZfDecoder",
 ]
 
+# The most bytes one per-batch array may take.  The ML search scores a batch
+# in blocks of metrics under it; config validation refuses an L whose batch
+# ZF Gram, or an M whose set-up 2M x N FFT, would pass it.
+MAX_BLOCK_BYTES = 1 << 26
+
 
 def _zero_rows(g):
     """Trials whose effective channel is identically zero."""
@@ -55,7 +60,8 @@ class _GroupSearch:
     gg = g (x) conj(g) and gy = g (x) conj(y).  Since Re(a b) = Re a Re b -
     Im a Im b, that is one real product of the batch's features
     [Re gg, Im gg, Re gy, Im gy] with the group's constant ``weights``.
-    A zero channel row scores every candidate 0.
+    A zero channel row scores every candidate 0.  The batch's rows are
+    scored in blocks whose metrics take at most MAX_BLOCK_BYTES.
     """
 
     groups = ()
@@ -84,7 +90,10 @@ class _GroupSearch:
         features = np.concatenate([gg.real, gg.imag, gy.real, gy.imag], axis=1)
         idx = np.empty((b, self.n_symbols), dtype=np.intp)
         for group, cand, weights in self.searches:
-            idx[:, group] = cand[np.argmin(features @ weights, axis=1)]
+            rows = max(1, MAX_BLOCK_BYTES // (weights.itemsize * len(cand)))
+            for lo in range(0, b, rows):
+                block = features[lo : lo + rows] @ weights
+                idx[lo : lo + rows, group] = cand[np.argmin(block, axis=1)]
         return idx, _zero_rows(g)
 
 

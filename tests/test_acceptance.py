@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import codebook, exhaustive_ml, payloads, random_effective_channel
+from helpers import codebook, exhaustive_ml, random_effective_channel
 
 from omnistbc import codes
 from omnistbc.analysis import (
@@ -96,23 +96,20 @@ def test_criterion_02_gain_orderings():
 
 
 def _requirement_cases():
-    psk2 = make_psk(2)
-    yield "single", 4, 1, None, lambda b: np.array([psk2.points[b]])
-    yield "ac", 4, 2, None, lambda b: codes.ac_matrix(*psk2.points[b])
-    yield "ostbc", 16, 4, None, lambda b: codes.encode_ostbc(b, 1).matrix
-    yield "qostbc", 16, 4, None, lambda b: codes.encode_qostbc(b, 1).matrix
-    yield "ciod", 16, 4, None, lambda b: codes.encode_ciod(b, 1).matrix
-    yield "nze_tc", 64, 8, 8, lambda b: codes.encode_nze_tc(psk2.points[b], 8, 8).matrix
-    yield "nze_oac", 64, 8, 8, lambda b: codes.encode_nze_oac(psk2.points[b], 8, 8).matrix
+    """(kind, M, Code) for every kind at R = 1, with L = N = 8 for the NZE
+    kinds, on the smallest array of at least four antennas that N^2 divides."""
+    for kind in ("single", "ac", "ostbc", "qostbc", "ciod", "nze_tc", "nze_oac"):
+        code = build_code(kind, 1, 8, 8)
+        yield kind, max(4, code.n_ports**2), code
 
 
 def test_criterion_03_requirements_suite():
     start = time.time()
     ok = True
-    for kind, m_len, nbits, n_ports, build in _requirement_cases():
-        prec = precoder_for_code(kind, m_len, n_ports=n_ports)
-        for bits in payloads(nbits):
-            omni, per_antenna = check_requirements(transmit(prec, build(bits)), 1e-9)
+    for kind, m_len, code in _requirement_cases():
+        prec = precoder_for_code(kind, m_len, n_ports=code.n_ports)
+        for matrix in code.codebook()[1]:
+            omni, per_antenna = check_requirements(transmit(prec, matrix), 1e-9)
             if not (omni and per_antenna):
                 ok = False
     phase = prbs_phase_vector(64, (11, 0x50524253))
@@ -304,8 +301,7 @@ def test_criterion_09_omnidirectionality():
 
 
 def test_criterion_10_pep_bound_behavior():
-    psk2 = make_psk(2)
-    ac_book = [codes.ac_matrix(a, b) for a in psk2.points for b in psk2.points]
+    ac_book = [m for _, m in codebook("ac", 1)]
     qo_book = [m for _, m in codebook("qostbc", 1)]
     ok = True
     for book, n_ports in ((ac_book, 2), (qo_book, 4)):

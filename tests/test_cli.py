@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 from omnistbc.cli import cli
+from omnistbc.selfcheck import CHECKS
 
 AC_CONFIG = """
 code = ac
@@ -143,6 +144,32 @@ def test_unbuildable_rate_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: rate: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("code = nze_tc\nnze.l = 10000000000000\nnze.n = 4\nsnr_db = 10\n", "nze.l"),
+        ("code = nze_tc\nnze.l = 8\nnze.n = 10000000000000\nsnr_db = 10\n", "nze.l"),
+        (AC_CONFIG.replace("m = 16", "m = 1099511627776"), "m"),
+    ],
+    ids=["nze.l", "nze.n", "m"],
+)
+def test_unbounded_size_is_config_error(text, key, tmp_path, capsys):
+    """An L, N or M whose arrays would not fit in memory stops the sweep
+    with one config error line naming the key, before any CSV is written."""
+    out = tmp_path / "x.csv"
+    assert cli(["ber-sweep", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_validate_passes_every_check(capsys):
+    assert cli(["validate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.partition(":")[0] for line in lines] == [f"[PASS] {name}" for name, _ in CHECKS]
 
 
 def test_unbuildable_rate_flag_is_config_error(capsys):

@@ -12,15 +12,36 @@ from omnistbc.sequences import hadamard2
 
 
 def test_ac_examples():
-    np.testing.assert_allclose(codes.ac_matrix(1, 1), [[1, 1], [1, -1]])
-    np.testing.assert_allclose(codes.ac_matrix(1, 1j), [[1, -1j], [1j, -1]])
+    np.testing.assert_allclose(codes.AC_TABLE.build([1, 1]), [[1, 1], [1, -1]])
+    np.testing.assert_allclose(codes.AC_TABLE.build([1, 1j]), [[1, -1j], [1j, -1]])
+
+
+def test_ostbc_example():
+    np.testing.assert_allclose(
+        codes.OSTBC_TABLE.build([1j, 2, 3j]),
+        [[1j, 2, -3j, 0], [2, 1j, 0, -3j], [3j, 0, 1j, -2], [0, 3j, -2, 1j]],
+    )
+
+
+def test_qostbc_example():
+    np.testing.assert_allclose(
+        codes.QOSTBC_TABLE.build([1, 1j, 2, 2j]),
+        [[1, -1j, 2, -2j], [1j, -1, 2j, -2], [2, -2j, 1, -1j], [2j, -2, 1j, -1]],
+    )
+
+
+def test_ciod_example():
+    np.testing.assert_allclose(
+        codes.CIOD_TABLE.build([1, 1j, 2, 2j]),
+        [[1, -1j, 0, 0], [1j, -1, 0, 0], [0, 0, 2, -2j], [0, 0, 2j, -2]],
+    )
 
 
 def test_ac_orthogonality():
     psk = make_psk(4)
     for a in psk.points:
         for b in psk.points:
-            x = codes.ac_matrix(a, b)
+            x = codes.AC_TABLE.build([a, b])
             np.testing.assert_allclose(x @ x.conj().T, 2 * np.eye(2), atol=1e-12)
 
 
@@ -82,7 +103,7 @@ def test_ciod_modulus_conditions(rate):
 
 
 def test_ciod_interleave_example():
-    x1, x2, x3, x4 = codes.ciod_interleave(1.0 + 0.5j, 1.0 - 0.25j)
+    x1, x2, x3, x4 = codes.ciod_interleave([1.0 + 0.5j, 1.0 - 0.25j])
     assert x1 == pytest.approx(np.sqrt(2) * (1 + 1j))
     assert x2 == pytest.approx(np.sqrt(2) * (1 - 1j))
     assert abs(x1 + x2) == pytest.approx(abs(x1 - x2))
@@ -278,27 +299,27 @@ def _scalar_ostbc(bits, rate):
     x1 = _symbol(pam, bits[:k])
     x2 = 1j * _symbol(pam, bits[k : 2 * k])
     x3 = abs(x1 + x2) * _symbol(qpsk, bits[2 * k :])
-    return codes.ostbc_matrix(x1, x2, x3)
+    return codes.OSTBC_TABLE.build([x1, x2, x3])
 
 
 def _scalar_qostbc(bits, rate):
     psk, rotated = codes.qostbc_constellations(rate)
     half = 2 * rate
-    return codes.qostbc_matrix(
-        *_symbols(psk, bits[:half], rate), *_symbols(rotated, bits[half:], rate)
+    return codes.QOSTBC_TABLE.build(
+        _symbols(psk, bits[:half], rate) + _symbols(rotated, bits[half:], rate)
     )
 
 
 def _scalar_ciod(bits, rate):
     qam = codes.ciod_constellation(rate)
-    return codes.ciod_matrix(*codes.ciod_interleave(*_symbols(qam, bits, 2 * rate)))
+    return codes.CIOD_TABLE.build(codes.ciod_interleave(_symbols(qam, bits, 2 * rate)))
 
 
 # Symbol-by-symbol encoders (bits, R, L, N) -> X that look each symbol up by its
 # bit word: the reference for the registry's batched encoders.
 SCALAR_ENCODERS = {
     "single": lambda b, r, l, n: np.array([_psk_symbols(b, r)]),
-    "ac": lambda b, r, l, n: codes.ac_matrix(*_psk_symbols(b, r)),
+    "ac": lambda b, r, l, n: codes.AC_TABLE.build(_psk_symbols(b, r)),
     "ostbc": lambda b, r, l, n: _scalar_ostbc(b, r),
     "qostbc": lambda b, r, l, n: _scalar_qostbc(b, r),
     "ciod": lambda b, r, l, n: _scalar_ciod(b, r),

@@ -81,7 +81,7 @@ def test_transmit_dimension_check():
 
 def test_transmit_identity_lift_columns():
     prec = precoder_for_code("ac", 8)
-    cw = codes.ac_matrix(1j, -1)
+    cw = codes.AC_TABLE.build([1j, -1])
     signal = transmit(prec, cw)
     c = zc_generate(8, 1)
     for t in range(2):
@@ -106,7 +106,7 @@ def test_requirements_exhaustive(kind, m_len, nbits, n_ports, builder):
         if kind == "single":
             builder = lambda b: np.array([psk2.points[b]])
         elif kind == "ac":
-            builder = lambda b: codes.ac_matrix(*psk2.points[b])
+            builder = lambda b: codes.AC_TABLE.build(psk2.points[b])
         elif kind == "nze_tc":
             builder = lambda b: codes.encode_nze_tc(psk2.points[b], 8, 8).matrix
         else:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import codebook, exhaustive_ml, payloads
 
-from omnistbc import codes
+from omnistbc import codes, receivers
 from omnistbc.constellations import make_psk
 from omnistbc.kinds import REGISTRY, build_code
 from omnistbc.receivers import (
@@ -59,7 +59,7 @@ def test_single_decoder_roundtrip():
 
 def test_ac_matched_filter_identity_channel():
     psk = make_psk(4)
-    cw = codes.ac_matrix(psk.points[1], psk.points[3])
+    cw = codes.AC_TABLE.build(psk.points[[1, 3]])
     g = np.array([[1.0 + 0j, 0.0]])
     idx, aborted = AcDecoder(build_code("ac", 2).assemble, [psk, psk]).decode_batch(g @ cw, g)
     np.testing.assert_array_equal(idx, [[1, 3]])
@@ -241,6 +241,22 @@ def test_deterministic_tie_break():
     idx, aborted = decoder.decode_batch(np.zeros((1, 1)), np.ones((1, 1)))
     np.testing.assert_array_equal(idx, [[0]])  # lowest index wins
     assert not aborted.any()
+
+
+@pytest.mark.parametrize("kind", ["ostbc", "qostbc"])
+def test_blocked_search_matches_one_block(kind, monkeypatch):
+    """Under a metric cap that splits a noisy batch into four blocks, the
+    search returns the same words as in one block."""
+    code = build_code(kind, 2)
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2, (1000, code.nbits))
+    g = channels(rng, len(bits), code.n_ports)
+    y = observe(code.encode(bits), g, 0.3, rng)
+    whole, _ = code.decoder.decode_batch(y, g)
+    n_cand = {len(cand) for _, cand, _ in code.decoder.searches}.pop()
+    monkeypatch.setattr(receivers, "MAX_BLOCK_BYTES", 8 * n_cand * 300)  # 300 rows a block
+    blocked, _ = code.decoder.decode_batch(y, g)
+    np.testing.assert_array_equal(blocked, whole)
 
 
 @pytest.mark.parametrize("kind,l_sym,n_ports", [("nze_tc", 4, 2), ("nze_tc", 12, 4), ("nze_oac", 4, 3), ("nze_oac", 12, 4)])

@@ -5,7 +5,11 @@ truncated-Gaussian power azimuth spectrum on [-pi/2, pi/2].  Because the
 (m, n) integrand depends only on m - n, the matrix R is Hermitian Toeplitz
 and is fixed by its M lags.  An adaptive composite Gauss-Legendre rule gives
 them, and each rule's lag sums over its nodes are one type-1 NUFFT, so a
-rule costs O(nodes + M log M), not O(nodes x M).  The effective covariance
+rule costs O(nodes + M log M), not O(nodes x M).  Its Gaussian spreading is
+Greengard & Lee's fast gridding: two real exps per node, then one multiply
+and one bincount per grid offset onto an extended grid of 2M + 31 points
+that one bincount folds onto the 2M-point circle.  Every factor is bounded
+independently of M, so nothing overflows.  The effective covariance
 W^H R W comes from the lags by circulant embedding; R itself is formed only
 by ``CovarianceModel.matrix``, with NumPy alone, for the DFT-leakage
 diagnostic and the tests, never on the sweep path.
@@ -102,6 +106,15 @@ def _composite_nodes(n_panels):
     return theta, weights
 
 
+def _interleaved(idx):
+    """Indices (2 i, 2 i + 1) per entry of ``idx``, in the order of a complex
+    array's float view, so one real bincount sums real and imaginary parts."""
+    pairs = np.empty((idx.size, 2), dtype=np.int64)
+    pairs[:, 0] = 2 * idx
+    pairs[:, 1] = pairs[:, 0] + 1
+    return pairs.ravel()
+
+
 def _lag_sum(x, c, m_len):
     """r_k = sum_j c_j exp(-i k x_j) for k = 0..m_len-1, by a type-1 NUFFT.
 
@@ -111,19 +124,46 @@ def _lag_sum(x, c, m_len):
     the grid's Fourier coefficients, and dividing by the Gaussian's own
     coefficients e^{-q^2 tau} sqrt(tau/pi) leaves the sum.  Modulating the
     weights by exp(-i s x_j), s = M // 2, centres the modes at q = k - s.
+
+    The spreading is their fast Gaussian gridding (section 3).  With grid
+    step h, nearest grid point below n_j h and d_j = x_j - n_j h in [0, h),
+    the kernel at grid point n_j + o factors as
+
+        exp(-(d - o h)^2 / 4 tau) = exp(-d^2 / 4 tau) E^o exp(-(o h)^2 / 4 tau),
+
+    E = exp(d h / 2 tau).  So a node costs two real exps, its value at the
+    first offset and E, in place of one per offset; each further offset is
+    one in-place multiply by E and one real bincount, and the node-free
+    factor exp(-(o h)^2 / 4 tau) scales the binned sums.  Since
+    h^2 / 4 tau = 3 pi / (4 x spread) for every M, the node values stay
+    within e^{+-3 pi / 2} of c_j and E at most e^{3 pi / 32}: nothing
+    overflows.  A node's bins are n_j mod 2M plus the offset's rank, an
+    extended grid of 2M + 2 x spread - 1 points, which one bincount folds
+    back onto the 2M-point circle at the end.
     """
     shift = m_len // 2
     c = c * np.exp(-1j * shift * x)
     n_grid = 2 * m_len
     step = 2.0 * np.pi / n_grid
     tau = np.pi * _NUFFT_SPREAD / (3.0 * m_len**2)  # oversampling R = 2
-    near = np.floor(x / step).astype(np.int64)
-    grid = np.zeros(n_grid, dtype=complex)
-    for offset in range(1 - _NUFFT_SPREAD, _NUFFT_SPREAD + 1):
-        node = near + offset
-        val = c * np.exp(-((node * step - x) ** 2) / (4.0 * tau))
-        idx = node % n_grid
-        grid += np.bincount(idx, val.real, n_grid) + 1j * np.bincount(idx, val.imag, n_grid)
+    near = np.floor(x / step)
+    d = x - near * step
+    first = 1 - _NUFFT_SPREAD
+    cur = c * np.exp(d * (2.0 * first * step - d) / (4.0 * tau))
+    ratio = np.exp(d * (step / (2.0 * tau)))
+    pairs = _interleaved(near.astype(np.int64) % n_grid)
+    n_ext = n_grid + 2 * _NUFFT_SPREAD - 1
+    ext = np.zeros(2 * n_ext)
+    for rank in range(2 * _NUFFT_SPREAD):
+        if rank:
+            np.multiply(cur, ratio, out=cur)
+        scale = math.exp(-(((first + rank) * step) ** 2) / (4.0 * tau))
+        ext[2 * rank : 2 * (rank + n_grid)] += scale * np.bincount(
+            pairs, cur.view(float), 2 * n_grid
+        )
+    # Extended bin i is grid point (i + first) mod 2M.
+    fold = _interleaved((np.arange(n_ext) + first) % n_grid)
+    grid = np.bincount(fold, ext, 2 * n_grid).view(complex)
     q = np.arange(m_len) - shift
     coeffs = np.fft.fft(grid)[q % n_grid] / n_grid
     return np.sqrt(np.pi / tau) * np.exp(tau * q**2) * coeffs

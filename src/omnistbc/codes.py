@@ -210,10 +210,9 @@ def _nze_tc_index_sign(n_sym, n_ports):
 
     Wrapping the Toeplitz band cyclically gives entry (m, n) the symbol
     (m - n) mod L, negated once the band has wrapped past the bottom.
-    Requires L >= n_ports - 1 so the top wrap stays inside the band.
+    Requires L >= n_ports - 1 so the top wrap stays inside the band; the
+    public builders check it in the user's nze.n.
     """
-    if n_sym < n_ports - 1:
-        raise ValueError(f"nze.l: must be at least {n_ports - 1}")
     t_len = n_sym + n_ports - 1
     m = np.arange(t_len)[:, None]
     n = np.arange(n_ports)[None, :]
@@ -268,6 +267,11 @@ def nze_oac_tables(n_sym, n_ports):
     _check_nze_counts(n_sym, n_ports)
     if n_sym % 2 != 0:
         raise ValueError("nze.l: must be even for the overlapped code")
+    # The tall code has n_ports | 1 ports and needs L >= its port count - 1.
+    if n_ports % 2 == 0 and n_sym < n_ports:
+        raise ValueError("nze.l, nze.n: the overlapped code needs nze.l >= nze.n for even nze.n")
+    if n_ports % 2 == 1 and n_sym < n_ports - 1:
+        raise ValueError("nze.l, nze.n: the overlapped code needs nze.l >= nze.n - 1 for odd nze.n")
     if n_ports % 2 == 1:
         return _tables(*_nze_oac_tall(n_sym, n_ports))
     return _tables(*(a[1:-1, 1:] for a in _nze_oac_tall(n_sym, n_ports + 1)))

@@ -118,38 +118,72 @@ def test_effective_channel_energy_approaches_unit():
     assert energies[256] == pytest.approx(1.0, abs=0.1)
 
 
-def _direct_lag_sums(n_antennas, n_panels, pas_specs):
-    """Reference lags by the direct sum r_k = sum_j wp_j exp(-i 2 pi d k
-    sin theta_j) on the composite rule, one column per (theta0, sigma) of
-    the Gaussian PAS; the phase matrix is shared and built a block of lags
-    at a time."""
+def _direct_lag_sums(n_antennas, n_panels, spacing_ratio, pas_specs):
+    """Reference lags by the direct sum r_k = sum_j wp_j exp(-i k x_j) on the
+    composite rule's nodes x_j = 2 pi d sin theta_j, one column per
+    (theta0, sigma) of the Gaussian PAS.
+
+    Each phase k x_j is exact, so the sum is correct to roundoff at any M:
+    x_j splits as hi + lo with hi on 39 bits, k hi is then an exact double
+    for k < 2^13 that ``exp`` reduces correctly, and the rounding of k lo is
+    far below 2^-52.  Rounding k x_j itself would err by 2^-53 |k x_j|, 1e-12
+    at M = 4096, the size of what the test bounds.  The phase matrix is
+    shared and built a block of lags at a time.
+    """
+    assert n_antennas <= 1 << 13
     theta, weights = _composite_nodes(n_panels)
     wp = np.stack(
         [weights * np.exp(-((theta - t0) ** 2) / (2.0 * s**2)) for t0, s in pas_specs], axis=1
     )
     wp /= wp.sum(axis=0)
+    x = 2.0 * np.pi * spacing_ratio * np.sin(theta)
+    mantissa, exponent = np.frexp(x)
+    hi = np.ldexp(np.round(np.ldexp(mantissa, 39)), exponent - 39)
+    lo = x - hi
     k = np.arange(n_antennas)
     out = np.empty((n_antennas, len(pas_specs)), dtype=complex)
-    for lo in range(0, n_antennas, 64):
-        phase = np.outer(k[lo : lo + 64], np.sin(theta))
-        out[lo : lo + 64] = np.exp(-2j * np.pi * DEFAULT_SPACING_RATIO * phase) @ wp
+    for lo_k in range(0, n_antennas, 64):
+        block = k[lo_k : lo_k + 64]
+        phase = np.exp(-1j * np.outer(block, hi)) * np.exp(-1j * np.outer(block, lo))
+        out[lo_k : lo_k + 64] = phase @ wp
     return out
 
 
-# 8 panels is below the bandwidth 2 pi d (M - 1) of every M here, 1024 is
-# above it for M = 16 and 64 and below it for M = 1024.
-@pytest.mark.parametrize("n_panels", [8, 1024])
-@pytest.mark.parametrize("n_antennas", [16, 64, 1024])
-def test_nufft_lags_match_direct_sum(n_antennas, n_panels):
+def _assert_lags_match_direct_sum(n_antennas, n_panels, spacing_ratio):
     pas_specs = [
         (math.radians(theta0), math.radians(sigma))
         for theta0 in (-60, -45, 0, 30, 60)
         for sigma in (1, 5, 20)
     ]
-    want = _direct_lag_sums(n_antennas, n_panels, pas_specs)
+    want = _direct_lag_sums(n_antennas, n_panels, spacing_ratio, pas_specs)
     for col, pas in enumerate(pas_specs):
-        got = _lag_quadrature(n_antennas, DEFAULT_SPACING_RATIO, *pas, n_panels)
+        got = _lag_quadrature(n_antennas, spacing_ratio, *pas, n_panels)
         assert np.abs(got - want[:, col]).max() <= 1e-12, pas
+
+
+# 8 panels is below the bandwidth 2 pi d (M - 1) of every M here, 1024 is
+# above it for M = 16 and 64 and below it for M = 1024.  At M <= 3 the
+# NUFFT's extended grid of 2M + 31 points spans several 2M-point periods,
+# so its fold adds many extended bins onto each grid point.
+@pytest.mark.parametrize("n_panels", [8, 1024])
+@pytest.mark.parametrize("n_antennas", [1, 2, 3, 16, 64, 1024])
+def test_nufft_lags_match_direct_sum(n_antennas, n_panels):
+    _assert_lags_match_direct_sum(n_antennas, n_panels, DEFAULT_SPACING_RATIO)
+
+
+@pytest.mark.parametrize("n_panels", [8, 64])
+def test_nufft_lags_match_direct_sum_massive_array(n_panels):
+    """M = 4096, the paper's massive-array regime, where a few panels keep
+    the direct sum cheap."""
+    _assert_lags_match_direct_sum(4096, n_panels, DEFAULT_SPACING_RATIO)
+
+
+@pytest.mark.parametrize("n_panels", [8, 1024])
+@pytest.mark.parametrize("n_antennas", [1, 2, 3, 16, 64, 1024])
+def test_nufft_lags_match_direct_sum_wrapping_nodes(n_antennas, n_panels):
+    """At 2.5 wavelengths the nodes x = 5 pi sin(theta) span five periods of
+    the 2 pi grid, so nodes far apart land on the same grid points."""
+    _assert_lags_match_direct_sum(n_antennas, n_panels, 2.5)
 
 
 def test_projection_matches_dense_product():

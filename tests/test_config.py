@@ -84,6 +84,20 @@ def test_nze_requirements():
     assert cfg.n_ports() == 8
 
 
+@pytest.mark.parametrize(
+    ("nze_n", "rule"),
+    [(10000000000000, "nze.l >= nze.n for even"), (11, "nze.l >= nze.n - 1 for odd")],
+)
+def test_nze_oac_port_rule_names_nze_n(nze_n, rule):
+    """Too many ports for L blames both keys and states the rule in nze.n:
+    an even-N code is carved out of an (N + 1)-port one, so it needs L >= N,
+    an odd-N code L >= N - 1."""
+    with pytest.raises(ConfigError, match=r"nze\.n") as err:
+        parse_config(f"code = nze_oac\nm = 64\nnze.l = 8\nnze.n = {nze_n}\n")
+    assert rule in str(err.value)
+    parse_config("code = nze_oac\nm = 968\nnze.l = 10\nnze.n = 11\n")
+
+
 def test_precoder_override_values():
     assert parse_config("code = ac\nprecoder_override = prbs\n").precoder_override == "prbs"
     with pytest.raises(ConfigError, match="precoder_override"):

@@ -10,9 +10,10 @@ Greengard & Lee's fast gridding: two real exps per node, then one multiply
 and one bincount per grid offset onto an extended grid of 2M + 31 points
 that one bincount folds onto the 2M-point circle.  Every factor is bounded
 independently of M, so nothing overflows.  The effective covariance
-W^H R W comes from the lags by circulant embedding; R itself is formed only
-by ``CovarianceModel.matrix``, with NumPy alone, for the DFT-leakage
-diagnostic and the tests, never on the sweep path.
+W^H R W comes from the lags by circulant embedding, and the DFT-leakage
+diagnostic from one FFT of the folded lags.  R itself is formed only by
+``CovarianceModel.matrix``, the dense reference that tests compare the
+lag-domain paths against; no library code calls it.
 ``covariance_for`` takes the array size, spacing, mean angle and spread as
 plain numbers and runs the quadrature on every call; the engine calls it
 once per sweep point.
@@ -49,8 +50,8 @@ class CovarianceModel:
     """M x M Hermitian Toeplitz channel covariance with trace M.
 
     Its state is the lag vector ``lags``, the first column of R.  ``project``
-    forms W^H R W from it directly; ``matrix`` builds R on each access and
-    serves the DFT-leakage diagnostic only.
+    forms W^H R W from it directly; ``matrix`` builds R on each access, as
+    the dense reference that tests check the lag-domain paths against.
     """
 
     def __init__(self, lags):
@@ -187,11 +188,12 @@ def _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels):
     return _lag_sum(2.0 * np.pi * spacing_ratio * np.sin(theta), wp / total, n_antennas)
 
 
-def _lag_frobenius(lags):
+def _lag_energy(lags):
+    """||R||_F^2 of the Hermitian Toeplitz R with these lags."""
     m_len = lags.size
     weights = m_len - np.arange(m_len)
     weights[1:] *= 2  # each nonzero lag appears on two diagonals
-    return math.sqrt(float(np.sum(weights * np.abs(lags) ** 2)))
+    return float(np.sum(weights * np.abs(lags) ** 2))
 
 
 def _one_ring_lags(n_antennas, spacing_ratio, theta0, sigma):
@@ -203,7 +205,7 @@ def _one_ring_lags(n_antennas, spacing_ratio, theta0, sigma):
     while n_panels <= _QUAD_MAX_PANELS:
         cur = _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels)
         if cur is not None and prev is not None:
-            if _lag_frobenius(cur - prev) <= _QUAD_REL_TOL * _lag_frobenius(cur):
+            if math.sqrt(_lag_energy(cur - prev)) <= _QUAD_REL_TOL * math.sqrt(_lag_energy(cur)):
                 return cur
         prev = cur
         n_panels *= 2
@@ -244,14 +246,22 @@ def dft_domain_leakage(model):
     """Off-diagonal share of the Frobenius energy of F_M R F_M^H.
 
     Tends to zero as the array grows, which is the computable form of the
-    asymptotic DFT eigenstructure of Toeplitz covariances.
+    asymptotic DFT eigenstructure of Toeplitz covariances.  Both energies
+    follow from the lags, without forming R: the unitary F keeps
+    ||R||_F, and entry q of diag(F R F^H) sums R's diagonals d = i - j,
+    each M - |d| long, against exp(-2 pi i q d / M).  Folding lag -k onto
+    M - k makes that fft(a) / M, with a_0 = M r_0 and
+    a_k = (M - k) r_k + k conj(r_{M-k}).
     """
-    r = model.matrix
-    beam = np.fft.fft(np.fft.ifft(r, axis=1), axis=0)  # F R F^H, unitary pair
-    total = float(np.sum(np.abs(beam) ** 2))
+    lags = model.lags
+    total = _lag_energy(lags)
     if total == 0.0:
         return 0.0
-    diag = float(np.sum(np.abs(np.diagonal(beam)) ** 2))
+    m_len = lags.size
+    k = np.arange(m_len)
+    folded = (m_len - k) * lags
+    folded[1:] += k[1:] * lags[:0:-1].conj()
+    diag = float(np.sum(np.abs(np.fft.fft(folded) / m_len) ** 2))
     return (total - diag) / total
 
 

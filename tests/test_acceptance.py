@@ -14,16 +14,8 @@ import pytest
 
 from helpers import codebook, exhaustive_ml, random_effective_channel
 
-from omnistbc import codes
-from omnistbc.analysis import (
-    ciod_gain_closed_form,
-    coding_gain,
-    fit_diversity_order,
-    omni_flatness,
-    ostbc_gain_closed_form,
-    pep_upper_bound,
-    qostbc_gain_closed_form,
-)
+from omnistbc import codes, selfcheck
+from omnistbc.analysis import coding_gain, fit_diversity_order, omni_flatness
 from omnistbc.channel import (
     CovarianceModel,
     covariance_for,
@@ -31,16 +23,10 @@ from omnistbc.channel import (
     isotropy_deviation,
 )
 from omnistbc.config import SimConfig
-from omnistbc.constellations import make_psk, min_sq_distance
+from omnistbc.constellations import min_sq_distance
 from omnistbc.engine import emit_csv, run_angle_sweep, run_ber_sweep
 from omnistbc.kinds import build_code
-from omnistbc.precoding import (
-    check_requirements,
-    precoder_for_code,
-    prbs_phase_vector,
-    transmit,
-)
-from omnistbc.sequences import is_cazac, is_constant_amplitude, lift, zc_generate
+from omnistbc.precoding import precoder_for_code
 
 SPACING = 1.0 / math.sqrt(3.0)
 
@@ -48,6 +34,12 @@ SPACING = 1.0 / math.sqrt(3.0)
 def _report(num, ok, detail):
     print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {num:02d}: {detail}")
     assert ok, f"criterion {num}: {detail}"
+
+
+def _run_checks(*checks):
+    """Run ``selfcheck`` checks: whether all passed, and their details."""
+    results = [check() for check in checks]
+    return all(ok for ok, _ in results), "; ".join(detail for _, detail in results)
 
 
 def test_criterion_01_coding_gain_exactness():
@@ -73,71 +65,20 @@ def test_criterion_01_coding_gain_exactness():
 
 
 def test_criterion_02_gain_orderings():
-    enum = {
-        ("qostbc", 1): coding_gain([m for _, m in codebook("qostbc", 1)]),
-        ("qostbc", 2): coding_gain([m for _, m in codebook("qostbc", 2)]),
-        ("ciod", 1): coding_gain([m for _, m in codebook("ciod", 1)]),
-        ("ciod", 2): coding_gain([m for _, m in codebook("ciod", 2)]),
-        ("ostbc", 1): coding_gain([m for _, m in codebook("ostbc", 1)]),
-        ("ostbc", 2): coding_gain([m for _, m in codebook("ostbc", 2)]),
-    }
-    ok = True
-    for rate in (1, 2, 3, 4, 5, 6):
-        qo = qostbc_gain_closed_form(2**rate)
-        ci = ciod_gain_closed_form(codes.ciod_constellation(rate).scale)
-        os_ = ostbc_gain_closed_form(rate)
-        if rate <= 2:  # enumeration is under the pair cap here
-            ok &= abs(qo - enum[("qostbc", rate)]) < 1e-9
-            ok &= abs(ci - enum[("ciod", rate)]) < 1e-9
-            ok &= abs(os_ - enum[("ostbc", rate)]) < 1e-9
-        ok &= (qo >= ci) if rate <= 4 else (ci > qo)
-        ok &= abs(os_ - qo) < 1e-9 if rate == 1 else os_ < min(qo, ci)
-    _report(2, ok, "QOSTBC/CIOD/OSTBC gain orderings hold for R = 1..6")
-
-
-def _requirement_cases():
-    """(kind, M, Code) for every kind at R = 1, with L = N = 8 for the NZE
-    kinds, on the smallest array of at least four antennas that N^2 divides."""
-    for kind in ("single", "ac", "ostbc", "qostbc", "ciod", "nze_tc", "nze_oac"):
-        code = build_code(kind, 1, 8, 8)
-        yield kind, max(4, code.n_ports**2), code
+    _report(2, *_run_checks(selfcheck.check_coding_gains, selfcheck.check_gain_orderings))
 
 
 def test_criterion_03_requirements_suite():
     start = time.time()
-    ok = True
-    for kind, m_len, code in _requirement_cases():
-        prec = precoder_for_code(kind, m_len, n_ports=code.n_ports)
-        for matrix in code.codebook()[1]:
-            omni, per_antenna = check_requirements(transmit(prec, matrix), 1e-9)
-            if not (omni and per_antenna):
-                ok = False
-    phase = prbs_phase_vector(64, (11, 0x50524253))
-    prbs_prec = precoder_for_code("single", 64, phase_vector=phase)
-    signal = transmit(prbs_prec, np.eye(1, dtype=complex))
-    prbs_omni, _ = check_requirements(signal, 1e-9)
-    ok &= not prbs_omni
+    ok, detail = _run_checks(
+        selfcheck.check_requirements_all_kinds, selfcheck.check_prbs_fails_omni
+    )
     elapsed = time.time() - start
-    ok &= elapsed < 60.0
-    _report(3, ok, f"all kinds omnidirectional, prbs override is not, in {elapsed:.1f}s")
+    _report(3, ok and elapsed < 60.0, f"{detail} in {elapsed:.1f}s")
 
 
 def test_criterion_04_lift_equivalence():
-    qpsk = make_psk(4).points
-    checked = 0
-    ok = True
-    for n_len in (2, 4):
-        for m_len in (n_len * n_len, 4 * n_len * n_len):
-            seq = zc_generate(m_len, 1)
-            for word in range(4**n_len):
-                idx = [(word >> (2 * k)) & 3 for k in range(n_len)]
-                x = qpsk[idx]
-                ok &= is_constant_amplitude(x) and is_cazac(lift(seq, x))
-                bad = x.copy()
-                bad[word % n_len] *= 1.5
-                ok &= not is_constant_amplitude(bad) and not is_cazac(lift(seq, bad))
-                checked += 2
-    _report(4, ok, f"lift CAZAC iff constant amplitude, {checked} cases, 0 exceptions")
+    _report(4, *selfcheck.check_lift_equivalence())
 
 
 def test_criterion_05_asymptotic_convergence():
@@ -163,14 +104,9 @@ def test_criterion_05_asymptotic_convergence():
 def test_criterion_06_decoder_oracle_equivalence():
     rng = np.random.default_rng(606)
     mismatches = 0
-    noiseless_errors = 0
     for kind in ("ostbc", "qostbc", "ciod"):
         code = build_code(kind, 1)
         book = codebook(kind, 1)
-        bits, mats = (np.repeat(a, 5, axis=0) for a in code.codebook())
-        g = np.array([random_effective_channel(rng, 4) for _ in range(len(bits))])
-        decoded, aborted = code.decode(np.einsum("bn,bnt->bt", g, mats), g)
-        noiseless_errors += int(np.sum(np.any(decoded != bits, axis=1) | aborted))
         ys, gs, want = [], [], []
         for _ in range(1000):
             _, matrix = book[rng.integers(len(book))]
@@ -182,12 +118,12 @@ def test_criterion_06_decoder_oracle_equivalence():
             want.append(exhaustive_ml(y, g, book))
         decoded, aborted = code.decode(np.array(ys), np.array(gs))
         mismatches += int(np.sum(np.any(decoded != np.array(want), axis=1) | aborted))
-    ok = mismatches == 0 and noiseless_errors == 0
+    noiseless_ok, noiseless = selfcheck.check_decoder_roundtrips()
     _report(
         6,
-        ok,
+        mismatches == 0 and noiseless_ok,
         f"joint/pair-wise/per-symbol ML vs full search: {mismatches} mismatches "
-        f"over 3000 noisy trials, {noiseless_errors} noiseless errors",
+        f"over 3000 noisy trials; {noiseless}",
     )
 
 
@@ -301,15 +237,7 @@ def test_criterion_09_omnidirectionality():
 
 
 def test_criterion_10_pep_bound_behavior():
-    ac_book = [m for _, m in codebook("ac", 1)]
-    qo_book = [m for _, m in codebook("qostbc", 1)]
-    ok = True
-    for book, n_ports in ((ac_book, 2), (qo_book, 4)):
-        b_ref = pep_upper_bound(book, n_ports, 0.2, 1)
-        decade = pep_upper_bound(book, n_ports, 0.02, 1) / b_ref
-        ok &= abs(decade - 10.0**-n_ports) < 1e-9 * 10.0**-n_ports
-        ok &= abs(pep_upper_bound(book, n_ports, 0.2, 7) - 7 * b_ref) < 1e-9 * b_ref
-    _report(10, ok, "bound scales by 10^-N per SNR decade and linearly in K")
+    _report(10, *selfcheck.check_pep_scaling())
 
 
 def test_criterion_11_worker_determinism(tmp_path):

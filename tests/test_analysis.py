@@ -8,11 +8,9 @@ from helpers import codebook, payloads
 from omnistbc import codes
 from omnistbc.analysis import (
     BerPoint,
-    ciod_gain_closed_form,
     coding_gain,
     fit_diversity_order,
     omni_flatness,
-    ostbc_gain_closed_form,
     pep_upper_bound,
     qostbc_gain_closed_form,
 )
@@ -60,17 +58,6 @@ def test_coding_gain_pair_cap():
         coding_gain(book)
 
 
-def test_closed_forms_match_enumeration():
-    assert qostbc_gain_closed_form(2) == pytest.approx(coding_gain(mats("qostbc", 1)), abs=1e-9)
-    assert qostbc_gain_closed_form(4) == pytest.approx(coding_gain(mats("qostbc", 2)), abs=1e-9)
-    d1 = 1 / math.sqrt(2)
-    assert ciod_gain_closed_form(d1) == pytest.approx(coding_gain(mats("ciod", 1)), abs=1e-9)
-    d2 = 1 / math.sqrt(10)
-    assert ciod_gain_closed_form(d2) == pytest.approx(coding_gain(mats("ciod", 2)), abs=1e-9)
-    assert ostbc_gain_closed_form(1) == pytest.approx(coding_gain(mats("ostbc", 1)), abs=1e-9)
-    assert ostbc_gain_closed_form(2) == pytest.approx(coding_gain(mats("ostbc", 2)), abs=1e-9)
-
-
 def _qostbc_difference_sets(order):
     """Achievable pair differences for one jointly decoded symbol pair."""
     from omnistbc.constellations import qostbc_rotation
@@ -100,33 +87,6 @@ def test_qostbc_closed_form_matches_difference_enumeration_l8():
     nz = prod[(dset[:, 0][:, None] + dset[:, 1][:, None] + dset[:, 0][None, :] + dset[:, 1][None, :]) > 1e-12]
     gain = math.sqrt(float(nz.min()))
     assert gain == pytest.approx(qostbc_gain_closed_form(8), abs=1e-9)
-
-
-def test_fig1_gain_orderings():
-    """Coding-gain comparison across bit rates between the three designs."""
-    from omnistbc.codes import ciod_constellation
-
-    for rate in range(1, 7):
-        qo = qostbc_gain_closed_form(2**rate)
-        ci = ciod_gain_closed_form(ciod_constellation(rate).scale)
-        os_ = ostbc_gain_closed_form(rate)
-        if rate <= 4:
-            assert qo >= ci
-        else:
-            assert ci > qo
-        if rate == 1:
-            assert os_ == pytest.approx(qo, abs=1e-9)
-        else:
-            assert os_ < min(qo, ci)
-
-
-def test_pep_bound_scaling():
-    book = mats("ac", 1)
-    b1 = pep_upper_bound(book, 2, 0.1, 1)
-    assert pep_upper_bound(book, 2, 0.1, 2) == pytest.approx(2 * b1, rel=1e-12)
-    assert pep_upper_bound(book, 2, 0.01, 1) == pytest.approx(b1 * 1e-2, rel=1e-9)
-    b4 = pep_upper_bound(mats("qostbc", 1), 4, 0.1, 1)
-    assert pep_upper_bound(mats("qostbc", 1), 4, 0.01, 1) == pytest.approx(b4 * 1e-4, rel=1e-9)
 
 
 def test_pep_bound_against_direct_enumeration():

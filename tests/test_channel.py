@@ -73,6 +73,17 @@ def test_leakage_identity_and_range():
     assert 0.0 <= leak <= 1.0
 
 
+@pytest.mark.parametrize("m", [16, 64, 1024])
+def test_leakage_matches_dense_beamspace(m):
+    """The lag-domain leakage equals the off-diagonal share of F R F^H
+    formed from the dense R."""
+    model = covariance_for(m, DEFAULT_SPACING_RATIO, 0.3, SIGMA5)
+    beam = np.fft.fft(np.fft.ifft(model.matrix, axis=1), axis=0)  # F R F^H, unitary pair
+    total = float(np.sum(np.abs(beam) ** 2))
+    dense = (total - float(np.sum(np.abs(np.diagonal(beam)) ** 2))) / total
+    assert dft_domain_leakage(model) == pytest.approx(dense, rel=0, abs=1e-14)
+
+
 def test_leakage_decreases_with_array_size():
     leaks = [
         dft_domain_leakage(covariance_for(m, 1 / math.sqrt(3), 0.0, SIGMA5))

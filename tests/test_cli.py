@@ -167,9 +167,14 @@ def test_unbounded_size_is_config_error(text, key, tmp_path, capsys):
 
 
 def test_validate_passes_every_check(capsys):
-    assert cli(["validate"]) == 0
+    """Each check prints one line; a failing check's line, which names the
+    case that broke, is the assertion message."""
+    status = cli(["validate"])
     lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if not line.startswith("[PASS] ")]
+    assert not failed, "\n".join(failed)
     assert [line.partition(":")[0] for line in lines] == [f"[PASS] {name}" for name, _ in CHECKS]
+    assert status == 0
 
 
 def test_unbuildable_rate_flag_is_config_error(capsys):

@@ -252,17 +252,6 @@ REGISTRY_CASES = [
 
 
 @pytest.mark.parametrize("kind,rate,extra", REGISTRY_CASES)
-def test_energy_normalization(kind, rate, extra):
-    """Mean codeword Gram over random payloads is T I_N within 2%."""
-    code = build_code(kind, rate, **extra)
-    rng = np.random.default_rng(17)
-    bits = rng.integers(0, 2, (10_000, code.nbits))
-    x = code.encode(bits)
-    gram = np.einsum("bnt,bmt->nm", x, x.conj()) / len(bits)
-    assert np.abs(gram - code.n_slots * np.eye(code.n_ports)).max() <= 0.02 * code.n_slots
-
-
-@pytest.mark.parametrize("kind,rate,extra", REGISTRY_CASES)
 def test_code_pickles(kind, rate, extra):
     """Pool workers get the Code by pickle; the copy must encode and decode
     a random batch exactly as the original does."""

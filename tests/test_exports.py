@@ -45,25 +45,29 @@ def test_cold_import_loads_no_scipy():
 def test_perfbench_names_resolve():
     """Every name the benchmark harness reaches into the package for still
     exists: the attributes its tracer wraps (``perfbench/spans.py``'s
-    ``LAYERS``) and the functions its references call."""
+    ``LAYERS``), the functions its references call, and what its own tests
+    import and read, ``CovarianceModel.matrix`` among them."""
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
     where = importlib.util.spec_from_file_location(
         "perfbench_spans", os.path.join(root, "perfbench", "spans.py")
     )
     spans = importlib.util.module_from_spec(where)
     where.loader.exec_module(spans)  # standard library imports only
+    kinds = ("ostbc", "qostbc", "ciod", "nze_tc", "nze_oac")
+    used = [("omnistbc.codes", f"encode_{kind}") for kind in kinds]
+    used += [("omnistbc.constellations", "make_psk"), ("omnistbc.precoding", "precoder_for_code")]
+    used += [
+        ("omnistbc.channel", "covariance_for"),
+        ("omnistbc.channel", "CovarianceModel.matrix"),
+        ("omnistbc.config", "parse_config"),
+        ("omnistbc.engine", "run_ber_sweep"),
+    ]
     missing = []
-    for layer, targets in spans.LAYERS.items():
+    for layer, targets in [*spans.LAYERS.items(), ("used", used)]:
         for module_name, attr in targets:
             owner = importlib.import_module(module_name)
             for part in attr.split("."):
                 owner = getattr(owner, part, None)
             if owner is None:
                 missing.append(f"{layer}: {module_name}.{attr}")
-    kinds = ("ostbc", "qostbc", "ciod", "nze_tc", "nze_oac")
-    used = [("omnistbc.codes", f"encode_{kind}") for kind in kinds]
-    used += [("omnistbc.constellations", "make_psk"), ("omnistbc.precoding", "precoder_for_code")]
-    for module_name, attr in used:
-        if not hasattr(importlib.import_module(module_name), attr):
-            missing.append(f"{module_name}.{attr}")
     assert not missing, f"names the benchmark reads are gone: {missing}"

@@ -66,16 +66,6 @@ def test_ac_matched_filter_identity_channel():
     assert not aborted.any()
 
 
-def test_ac_noiseless_roundtrip_all_payloads():
-    code = build_code("ac", 2)
-    rng = np.random.default_rng(3)
-    bits = np.repeat(payloads(4), 50, axis=0)
-    g = channels(rng, len(bits), 2)
-    decoded, aborted = code.decode(observe(code.encode(bits), g), g)
-    assert not aborted.any()
-    np.testing.assert_array_equal(decoded, bits)
-
-
 @pytest.mark.parametrize("rate", [1, 2])
 @pytest.mark.parametrize("kind", ENUMERABLE)
 def test_decoder_returns_payload_words(kind, rate):

@@ -11,13 +11,10 @@ __version__ = "0.1.0"
 
 from .analysis import (
     BerPoint,
-    ciod_gain_closed_form,
     coding_gain,
     fit_diversity_order,
     omni_flatness,
-    ostbc_gain_closed_form,
     pep_upper_bound,
-    qostbc_gain_closed_form,
 )
 from .channel import (
     CovarianceModel,
@@ -36,12 +33,10 @@ from .codes import (
 from .config import ConfigError, SimConfig, load_config, parse_config
 from .constellations import (
     Constellation,
-    ciod_rotation,
     make_pam,
     make_psk,
     make_rotated_qam,
     min_sq_distance,
-    qostbc_rotation,
 )
 from .engine import emit_csv, run_angle_sweep, run_ber_sweep
 from .precoding import (

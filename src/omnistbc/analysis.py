@@ -4,10 +4,10 @@ Coding gain (diversity product) is the minimum over distinct codeword
 pairs of det((X - X')(X - X')^H)^(1/T).  Determinants come from the
 eigenvalues of the Hermitian difference Gram, which is stable for the
 4 x 4 designs, and pair enumeration is capped so constellation growth
-cannot silently blow up a test run.
+cannot silently blow up a test run.  The closed-form gains, one per kind,
+sit beside the kinds' builders in ``omnistbc.kinds``.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +17,6 @@ __all__ = [
     "PAIR_CAP",
     "check_pair_count",
     "coding_gain",
-    "qostbc_gain_closed_form",
-    "ciod_gain_closed_form",
-    "ostbc_gain_closed_form",
     "pep_upper_bound",
     "fit_diversity_order",
     "omni_flatness",
@@ -77,36 +74,6 @@ def coding_gain(codebook):
     if worst < _RANK_TOL:
         return 0.0
     return worst ** (1.0 / mats.shape[2])
-
-
-def qostbc_gain_closed_form(order):
-    """4 sin^2(pi/L) for L <= 6, 8 sin^3(pi/L) above."""
-    order = int(order)
-    if order < 2:
-        raise ValueError("PSK order must be at least 2")
-    s = math.sin(math.pi / order)
-    return 4.0 * s * s if order <= 6 else 8.0 * s**3
-
-
-def ciod_gain_closed_form(scale):
-    """16 d^2 cos(theta) sin(theta) at theta = arctan(2)/2, i.e. 16 d^2/sqrt(5)."""
-    if scale <= 0:
-        raise ValueError("constellation scale must be positive")
-    return 16.0 * scale * scale / math.sqrt(5.0)
-
-
-def ostbc_gain_closed_form(rate):
-    """Minimum squared constellation distance of the orthogonal design.
-
-    The Gram identity makes the coding gain equal the smallest squared
-    distance across the three symbol constellations, which the bit split
-    equalizes at (2d)^2 of the 2^(2R-1)-ary PAM set.
-    """
-    from .codes import ostbc_constellations
-    from .constellations import min_sq_distance
-
-    pam, _ = ostbc_constellations(rate)
-    return min_sq_distance(pam)
 
 
 def pep_upper_bound(codebook, n_ports, sigma_n2, n_users=1):

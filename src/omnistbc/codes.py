@@ -8,8 +8,9 @@ notation; the Toeplitz-family tables follow from their defining index
 formulas, which are written time x ports and transposed on construction.
 A table's ``build`` maps symbols (..., k) to codewords (..., N, T), so the
 batched encoders of the code registry (``omnistbc.kinds``) map thousands of
-payloads in one call.  The bit-driven scalar encoders are that batched
-encoder applied to a batch of one.
+payloads in one call.  The registry also holds what feeds the tables: each
+kind's constellations and its pre-map.  The bit-driven scalar encoders are
+that batched encoder applied to a batch of one.
 """
 
 import re
@@ -17,15 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .constellations import (
-    Constellation,
-    ciod_rotation,
-    make_pam,
-    make_psk,
-    make_rotated_qam,
-    qostbc_rotation,
-)
 
 __all__ = [
     "Codeword",
@@ -39,10 +31,6 @@ __all__ = [
     "OSTBC_TABLE",
     "QOSTBC_TABLE",
     "CIOD_TABLE",
-    "ciod_interleave",
-    "ostbc_constellations",
-    "qostbc_constellations",
-    "ciod_constellation",
     "NzeTables",
     "nze_tc_tables",
     "nze_oac_tables",
@@ -110,7 +98,7 @@ QOSTBC_TABLE = _table(
     "x4 -x3*  x2 -x1*",
 )
 
-# Block-diagonal pair of Alamouti blocks, fed by ``ciod_interleave``.
+# Block-diagonal pair of Alamouti blocks, fed by the coordinate interleaver.
 CIOD_TABLE = _table(
     "x1  x2*   0   0 ",
     "x2 -x1*   0   0 ",
@@ -124,26 +112,6 @@ ac_matrix = AC_TABLE.build
 ostbc_matrix = OSTBC_TABLE.build
 qostbc_matrix = QOSTBC_TABLE.build
 ciod_matrix = CIOD_TABLE.build
-
-
-def ciod_interleave(s):
-    """Coordinate interleaver: symbols (s1, s2) (..., 2) to the table's (..., 4),
-    sqrt(2) ((1 + j) Re s1, (1 - j) Re s2, (1 + j) Im s1, (j - 1) Im s2)."""
-    s = np.asarray(s, dtype=complex)
-    scale = np.sqrt(2.0) * np.array([1 + 1j, 1 - 1j, 1 + 1j, 1j - 1])
-    return scale * np.concatenate([s.real, s.imag], axis=-1)
-
-
-def ostbc_constellations(rate):
-    """(PAM for x1, QPSK for the phase of x3) at bit rate ``rate``.
-
-    x2 uses j times the same PAM set; the amplitude of x3 is slaved to
-    |x1 + x2| so only its QPSK phase carries bits.
-    """
-    rate = int(rate)
-    if rate < 1:
-        raise ValueError(f"bit rate must be at least 1, got {rate}")
-    return make_pam(2 ** (2 * rate - 2)), make_psk(4)
 
 
 @lru_cache(maxsize=None)
@@ -172,32 +140,9 @@ def encode_ostbc(bits, rate):
     return _encode_payload("ostbc", bits, rate)
 
 
-def qostbc_constellations(rate):
-    """(plain PSK for x1/x2, rotated PSK for x3/x4) at bit rate ``rate``.
-
-    ML decoding pairs (x1, x3) and (x2, x4), so the rotation goes on the
-    second symbol of each pair; that keeps every pairwise difference
-    matrix full rank.
-    """
-    rate = int(rate)
-    if rate < 1:
-        raise ValueError(f"bit rate must be at least 1, got {rate}")
-    order = 2**rate
-    psk = make_psk(order)
-    return psk, Constellation(psk.points * np.exp(1j * qostbc_rotation(order)), psk.scale)
-
-
 def encode_qostbc(bits, rate):
     """TBH quasi-orthogonal codeword carrying 4*rate bits over four slots."""
     return _encode_payload("qostbc", bits, rate)
-
-
-def ciod_constellation(rate):
-    """Rotated 2^(2*rate)-QAM carrying the bits of one CIOD symbol."""
-    rate = int(rate)
-    if rate < 1:
-        raise ValueError(f"bit rate must be at least 1, got {rate}")
-    return make_rotated_qam(2 ** (2 * rate), ciod_rotation())
 
 
 def encode_ciod(bits, rate):

@@ -104,34 +104,27 @@ class SimConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-_KEY_MAP = {
-    "code": ("code", str),
-    "rate": ("rate", int),
-    "m": ("m", int),
-    "gamma": ("gamma", int),
-    "spacing_ratio": ("spacing_ratio", float),
-    "pas.theta0_deg": ("theta0_deg", float),
-    "pas.sigma_deg": ("sigma_deg", float),
-    "snr_db": ("snr_db", "float_list"),
-    "theta0_deg_list": ("theta0_deg_list", "float_list"),
-    "max_trials": ("max_trials", int),
-    "min_bit_errors": ("min_bit_errors", int),
-    "master_seed": ("master_seed", int),
-    "workers": ("workers", int),
-    "nze.l": ("nze_l", int),
-    "nze.n": ("nze_n", int),
-    "precoder_override": ("precoder_override", str),
+# Config keys that are not their field's name; every other field is read
+# under its own name.
+_DOTTED = {
+    "theta0_deg": "pas.theta0_deg",
+    "sigma_deg": "pas.sigma_deg",
+    "nze_l": "nze.l",
+    "nze_n": "nze.n",
 }
+_FIELDS = {_DOTTED.get(f.name, f.name): f for f in fields(SimConfig)}
 
 
-def _convert(key, parse, raw):
+def _convert(key, default, raw):
+    """``raw`` parsed by the type of the field's ``default``; a tuple is a
+    comma-separated list of floats."""
     try:
-        if parse == "float_list":
+        if isinstance(default, tuple):
             items = [s for s in (p.strip() for p in raw.split(",")) if s]
             if not items:
                 raise ValueError("empty list")
             return tuple(float(s) for s in items)
-        return parse(raw)
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse value {raw!r} ({exc})") from None
 
@@ -147,12 +140,12 @@ def parse_config(text, **overrides):
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _KEY_MAP:
+        if key not in _FIELDS:
             raise ConfigError(f"{key}: unknown configuration key")
-        if key in values:
+        field = _FIELDS[key]
+        if field.name in values:
             raise ConfigError(f"{key}: duplicate key")
-        field_name, parse = _KEY_MAP[key]
-        values[field_name] = _convert(key, parse, raw.strip())
+        values[field.name] = _convert(key, field.default, raw.strip())
     cfg = SimConfig(**values)
     if overrides:
         cfg = replace(cfg, **overrides)

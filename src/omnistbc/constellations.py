@@ -18,22 +18,15 @@ __all__ = [
     "make_psk",
     "make_pam",
     "make_rotated_qam",
-    "qostbc_rotation",
-    "ciod_rotation",
     "min_sq_distance",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Finite symbol set in bit-word order: points[b] carries bit word b.
-
-    ``scale`` is the normalization factor d applied to the integer lattice
-    for PAM/QAM (1.0 for PSK).
-    """
+    """Finite symbol set in bit-word order: points[b] carries bit word b."""
 
     points: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         self.points.flags.writeable = False
@@ -77,7 +70,7 @@ def make_pam(half_order):
     rank = _gray_rank(2 * half_order, "PAM")
     levels = np.arange(-(2 * half_order - 1), 2 * half_order, 2, dtype=float)
     d = math.sqrt(3.0 / (4 * half_order * half_order - 1))
-    return Constellation((d * levels[rank]).astype(complex), scale=d)
+    return Constellation((d * levels[rank]).astype(complex))
 
 
 def make_rotated_qam(order, rotation=0.0):
@@ -96,22 +89,7 @@ def make_rotated_qam(order, rotation=0.0):
     words = np.arange(order)
     axis_bits = side.bit_length() - 1
     points = d * (levels[rank[words >> axis_bits]] + 1j * levels[rank[words & (side - 1)]])
-    return Constellation(points * np.exp(1j * rotation), scale=d)
-
-
-def qostbc_rotation(order):
-    """Coding-gain-maximizing rotation for PSK quasi-orthogonal pairs."""
-    order = int(order)
-    if order < 2:
-        raise ValueError(f"PSK order must be at least 2, got {order}")
-    if order % 2 == 0:
-        return math.pi / order
-    return math.pi / (2 * order)
-
-
-def ciod_rotation():
-    """Rotation angle arctan(2)/2 used by the coordinate-interleaved design."""
-    return math.atan(2.0) / 2.0
+    return Constellation(points * np.exp(1j * rotation))
 
 
 def min_sq_distance(constellation):

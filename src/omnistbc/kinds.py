@@ -3,32 +3,31 @@
 Every fact that differs between the kinds lives here: the port count, the
 preset unitary V in W = diag(c) (1 kron V), the kind's own config rules,
 its largest buildable rate, whether its codebook is small enough to
-enumerate, its closed-form coding gain, and, per (rate, L, N), a Code
-holding the slot count, the constellations in bit-word order, the batched
-encoder and the batched decoder.  Adding a kind means adding one CodeSpec
-to REGISTRY.
+enumerate, and, per (rate, L, N), a Code holding the slot count, the
+constellations in bit-word order, the batched encoder and the batched
+decoder.  Each kind's builder sits beside what only that kind uses: its
+constellations and their rotation, its pre-map (OSTBC's slaved x3, CIOD's
+coordinate interleaver) and its closed-form coding gain as a function of
+the rate.  The gather tables themselves are in ``omnistbc.codes``.
+Adding a kind means adding one CodeSpec to REGISTRY.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import analysis
 from .codes import (
     AC_TABLE,
     CIOD_TABLE,
     OSTBC_TABLE,
     QOSTBC_TABLE,
     SINGLE_TABLE,
-    ciod_constellation,
-    ciod_interleave,
     nze_oac_tables,
     nze_tc_tables,
-    ostbc_constellations,
-    qostbc_constellations,
 )
-from .constellations import make_psk
+from .constellations import Constellation, make_pam, make_psk, make_rotated_qam
 from .receivers import (
     AcDecoder,
     CiodDecoder,
@@ -178,18 +177,55 @@ def _ostbc_premap(x):
 
 
 def _ostbc(rate, nze_l, nze_n):
-    pam, qpsk = ostbc_constellations(rate)
-    return Code([(pam, 2), (qpsk, 1)], OSTBC_TABLE, OstbcDecoder, _ostbc_premap)
+    """x1 and x2 in one 2^(2R-1)-ary PAM set, and the QPSK phase of x3: the
+    bit split equalizes the three symbols' minimum distances."""
+    pam = make_pam(2 ** (2 * rate - 2))
+    return Code([(pam, 2), (make_psk(4), 1)], OSTBC_TABLE, OstbcDecoder, _ostbc_premap)
+
+
+def _ostbc_gain(rate):
+    """(2d)^2 of the PAM set, 12 / (2^(4R-2) - 1): the Gram identity makes
+    the coding gain the smallest squared distance of the three symbols."""
+    return 12.0 / (2 ** (4 * rate - 2) - 1)
 
 
 def _qostbc(rate, nze_l, nze_n):
-    psk, rotated = qostbc_constellations(rate)
+    """Plain 2^R-PSK for x1, x2 and the same PSK rotated by pi / 2^R for x3, x4.
+
+    ML decoding pairs (x1, x3) and (x2, x4), so the rotation goes on the
+    second symbol of each pair; that keeps every pairwise difference
+    matrix full rank (Tirkkonen, Boariu & Hottinen).
+    """
+    psk = make_psk(2**rate)
+    rotated = Constellation(psk.points * np.exp(1j * (math.pi / 2**rate)))
     return Code([(psk, 2), (rotated, 2)], QOSTBC_TABLE, QostbcDecoder)
 
 
+def _qostbc_gain(rate):
+    """4 sin^2(pi / 2^R) for R <= 2, 8 sin^3(pi / 2^R) above."""
+    s = math.sin(math.pi / 2**rate)
+    return 4.0 * s * s if rate <= 2 else 8.0 * s**3
+
+
+def _ciod_interleave(s):
+    """Coordinate interleaver: symbols (s1, s2) (..., 2) to the table's (..., 4),
+    sqrt(2) ((1 + j) Re s1, (1 - j) Re s2, (1 + j) Im s1, (j - 1) Im s2)."""
+    s = np.asarray(s, dtype=complex)
+    scale = np.sqrt(2.0) * np.array([1 + 1j, 1 - 1j, 1 + 1j, 1j - 1])
+    return scale * np.concatenate([s.real, s.imag], axis=-1)
+
+
 def _ciod(rate, nze_l, nze_n):
-    qam = ciod_constellation(rate)
-    return Code([(qam, 2)], CIOD_TABLE, CiodDecoder, ciod_interleave)
+    """s1 and s2 in 2^(2R)-QAM rotated by atan(2)/2 (Khan & Sundar Rajan),
+    each carrying 2R bits."""
+    qam = make_rotated_qam(2 ** (2 * rate), math.atan(2.0) / 2.0)
+    return Code([(qam, 2)], CIOD_TABLE, CiodDecoder, _ciod_interleave)
+
+
+def _ciod_gain(rate):
+    """16 d^2 cos(theta) sin(theta) at theta = atan(2)/2, where
+    d^2 = 3 / (2 (4^R - 1)) scales the QAM: 24 / ((4^R - 1) sqrt(5))."""
+    return 24.0 / ((4**rate - 1) * math.sqrt(5.0))
 
 
 def _nze(make_tables):
@@ -223,7 +259,7 @@ REGISTRY = {
             v_matrix=np.kron(np.eye(2, dtype=complex), hadamard2()),
             search_bits=4,
             enumerable=True,
-            closed_form_gain=analysis.ostbc_gain_closed_form,
+            closed_form_gain=_ostbc_gain,
         ),
         CodeSpec(
             "qostbc",
@@ -231,7 +267,7 @@ REGISTRY = {
             n_ports=4,
             search_bits=2,
             enumerable=True,
-            closed_form_gain=lambda rate: analysis.qostbc_gain_closed_form(2**rate),
+            closed_form_gain=_qostbc_gain,
         ),
         CodeSpec(
             "ciod",
@@ -240,9 +276,7 @@ REGISTRY = {
             v_matrix=np.kron(hadamard2(), hadamard2()),
             search_bits=2,
             enumerable=True,
-            closed_form_gain=lambda rate: analysis.ciod_gain_closed_form(
-                ciod_constellation(rate).scale
-            ),
+            closed_form_gain=_ciod_gain,
         ),
         CodeSpec("nze_tc", _nze(nze_tc_tables), rules=_nze_rules(nze_tc_tables)),
         CodeSpec("nze_oac", _nze(nze_oac_tables), rules=_nze_rules(nze_oac_tables)),
@@ -258,5 +292,13 @@ def spec_for(kind):
 
 
 def build_code(kind, rate, nze_l=0, nze_n=0):
-    """The Code of ``kind`` at bit rate ``rate`` (L and N for the NZE kinds)."""
-    return spec_for(kind).build(int(rate), nze_l, nze_n)
+    """The Code of ``kind`` at bit rate ``rate`` (L and N for the NZE kinds).
+
+    A rate that ``rate_problem`` refuses raises ValueError before any array
+    is allocated.
+    """
+    spec = spec_for(kind)
+    problem = spec.rate_problem(rate)
+    if problem:
+        raise ValueError(f"rate: {problem}")
+    return spec.build(int(rate), nze_l, nze_n)

@@ -42,17 +42,17 @@ class Precoder:
         return f"Precoder(M={self.n_antennas}, N={self.n_ports})"
 
 
-def build_precoder(n_antennas, n_ports, gamma, v_matrix, phase_vector=None):
-    """Assemble W = diag(c) (1_{M/N} kron V).
+def build_precoder(n_antennas, gamma, v_matrix, phase_vector=None):
+    """Assemble W = diag(c) (1_{M/N} kron V); the port count N is V's size.
 
     ``phase_vector`` overrides the ZC sequence (used for the non-omni
     pseudo-random baseline); it must still have 1/sqrt(M) magnitudes.
     """
     m_len = int(n_antennas)
-    n_len = int(n_ports)
     v_matrix = np.asarray(v_matrix, dtype=complex)
-    if v_matrix.shape != (n_len, n_len):
-        raise ValueError(f"V must be {n_len} x {n_len}, got {v_matrix.shape}")
+    if v_matrix.ndim != 2 or v_matrix.shape[0] != v_matrix.shape[1]:
+        raise ValueError(f"V must be square, got shape {v_matrix.shape}")
+    n_len = v_matrix.shape[0]
     if m_len % (n_len * n_len) != 0:
         raise ValueError(
             f"antenna count {m_len} is not a multiple of N^2 = {n_len * n_len}"
@@ -74,7 +74,7 @@ def precoder_for_code(kind, n_antennas, gamma=1, n_ports=None, phase_vector=None
     """Precoder with the preset V for ``kind``; ``n_ports`` is needed only
     by the kinds whose port count is configurable."""
     v = spec_for(kind).preset_v(n_ports)
-    return build_precoder(n_antennas, v.shape[0], gamma, v, phase_vector)
+    return build_precoder(n_antennas, gamma, v, phase_vector)
 
 
 def prbs_phase_vector(n_antennas, seed):
@@ -95,7 +95,7 @@ def transmit(precoder, x):
     return precoder.w_matrix @ x
 
 
-def check_requirements(signal, tol=1e-9):
+def check_requirements(signal):
     """(omni, per_antenna) flags for an antenna-domain M x T signal.
 
     omni: every column of F_M S is constant-amplitude (equal power in all
@@ -104,10 +104,8 @@ def check_requirements(signal, tol=1e-9):
     """
     signal = np.atleast_2d(np.asarray(signal, dtype=complex))
     spatial = np.fft.fft(signal, axis=0) / np.sqrt(signal.shape[0])
-    omni = all(is_constant_amplitude(spatial[:, t], tol) for t in range(signal.shape[1]))
-    per_antenna = all(
-        is_constant_amplitude(signal[:, t], tol) for t in range(signal.shape[1])
-    )
+    omni = all(is_constant_amplitude(spatial[:, t]) for t in range(signal.shape[1]))
+    per_antenna = all(is_constant_amplitude(signal[:, t]) for t in range(signal.shape[1]))
     return omni, per_antenna
 
 

@@ -54,7 +54,7 @@ def check_zc_family():
             name = f"zc({m_len},{gamma})"
             if not np.abs(np.abs(seq) - 1 / math.sqrt(m_len)).max() < 1e-12:
                 return False, f"{name} entries are not 1/sqrt(M) in magnitude"
-            if not is_cazac(seq, 1e-9):
+            if not is_cazac(seq):
                 return False, f"{name} is not CAZAC"
             if not abs(sequences.periodic_autocorr(seq, 0) - 1.0) <= 1e-12:
                 return False, f"{name} autocorrelation at 0 is not 1"
@@ -97,7 +97,7 @@ def check_requirements_all_kinds():
         prec = precoding.precoder_for_code(kind, m_len, n_ports=code.n_ports)
         for bits, matrix in zip(*code.codebook()):
             signal = precoding.transmit(prec, matrix)
-            omni, per_antenna = precoding.check_requirements(signal, 1e-9)
+            omni, per_antenna = precoding.check_requirements(signal)
             if not (omni and per_antenna):
                 return False, f"{kind} payload {bits.tolist()} at M={m_len}"
     return True, "both power requirements hold for every kind, exhaustively"
@@ -109,7 +109,7 @@ def check_prbs_fails_omni():
         phase = precoding.prbs_phase_vector(64, seed)
         prec = precoding.precoder_for_code("single", 64, phase_vector=phase)
         signal = precoding.transmit(prec, np.eye(1, dtype=complex))
-        omni, per_antenna = precoding.check_requirements(signal, 1e-9)
+        omni, per_antenna = precoding.check_requirements(signal)
         if omni or not per_antenna:
             return False, f"seed {seed}: omni {omni}, per-antenna {per_antenna}"
     return True, f"pseudo-random baseline fails the omni check only, {len(seeds)} seeds"

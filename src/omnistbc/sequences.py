@@ -21,7 +21,8 @@ __all__ = [
     "lift",
 ]
 
-DEFAULT_AMPLITUDE_TOL = 1e-9
+# Largest spread of magnitudes, relative to the peak, that counts as constant.
+AMPLITUDE_TOL = 1e-9
 
 
 def zc_generate(m_len, gamma):
@@ -68,29 +69,28 @@ def hadamard2():
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
-def is_constant_amplitude(v, tol=DEFAULT_AMPLITUDE_TOL):
-    """True iff all elements share one magnitude, relative to the max.
+def is_constant_amplitude(v):
+    """True iff all elements share one magnitude, within AMPLITUDE_TOL of
+    the max.
 
     An all-zero vector is not constant-amplitude: zero amplitude carries
     no signal.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     mags = np.abs(np.asarray(v, dtype=complex))
     if mags.size == 0:
         raise ValueError("input must be nonempty")
     peak = mags.max()
     if peak == 0.0:
         return False
-    return bool(mags.max() - mags.min() <= tol * peak)
+    return bool(mags.max() - mags.min() <= AMPLITUDE_TOL * peak)
 
 
-def is_cazac(v, tol=DEFAULT_AMPLITUDE_TOL):
+def is_cazac(v):
     """True iff ``v`` and its unitary DFT are both constant-amplitude."""
     v = np.asarray(v, dtype=complex)
     if v.size == 0:
         raise ValueError("input must be nonempty")
-    return is_constant_amplitude(v, tol) and is_constant_amplitude(unitary_dft(v), tol)
+    return is_constant_amplitude(v) and is_constant_amplitude(unitary_dft(v))
 
 
 def periodic_autocorr(v, shift):

@@ -14,7 +14,7 @@ import pytest
 
 from helpers import codebook, exhaustive_ml, random_effective_channel
 
-from omnistbc import codes, selfcheck
+from omnistbc import selfcheck
 from omnistbc.analysis import coding_gain, fit_diversity_order, omni_flatness
 from omnistbc.channel import (
     CovarianceModel,
@@ -46,7 +46,7 @@ def test_criterion_01_coding_gain_exactness():
     start = time.time()
     gain_qo = coding_gain([m for _, m in codebook("qostbc", 1)])
     gain_ci = coding_gain([m for _, m in codebook("ciod", 1)])
-    dist_os = min_sq_distance(codes.ostbc_constellations(2)[0])
+    dist_os = min_sq_distance(build_code("ostbc", 2).constellations[0])
     gain_os = coding_gain([m for _, m in codebook("ostbc", 2)])
     elapsed = time.time() - start
     ok = (

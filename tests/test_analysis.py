@@ -12,9 +12,9 @@ from omnistbc.analysis import (
     fit_diversity_order,
     omni_flatness,
     pep_upper_bound,
-    qostbc_gain_closed_form,
 )
 from omnistbc.constellations import make_psk
+from omnistbc.kinds import spec_for
 
 
 def mats(kind, rate):
@@ -60,10 +60,8 @@ def test_coding_gain_pair_cap():
 
 def _qostbc_difference_sets(order):
     """Achievable pair differences for one jointly decoded symbol pair."""
-    from omnistbc.constellations import qostbc_rotation
-
     plain = np.exp(2j * np.pi * np.arange(order) / order)
-    rotated = plain * np.exp(1j * qostbc_rotation(order))
+    rotated = plain * np.exp(1j * math.pi / order)
     d_plain = (plain[:, None] - plain[None, :]).ravel()
     d_rot = (rotated[:, None] - rotated[None, :]).ravel()
     pairs = set()
@@ -86,7 +84,7 @@ def test_qostbc_closed_form_matches_difference_enumeration_l8():
     prod = p * r
     nz = prod[(dset[:, 0][:, None] + dset[:, 1][:, None] + dset[:, 0][None, :] + dset[:, 1][None, :]) > 1e-12]
     gain = math.sqrt(float(nz.min()))
-    assert gain == pytest.approx(qostbc_gain_closed_form(8), abs=1e-9)
+    assert gain == pytest.approx(spec_for("qostbc").closed_form_gain(3), abs=1e-9)
 
 
 def test_pep_bound_against_direct_enumeration():

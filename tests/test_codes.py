@@ -103,7 +103,7 @@ def test_ciod_modulus_conditions(rate):
 
 
 def test_ciod_interleave_example():
-    x1, x2, x3, x4 = codes.ciod_interleave([1.0 + 0.5j, 1.0 - 0.25j])
+    x1, x2, x3, x4 = build_code("ciod", 1).premap(np.array([1.0 + 0.5j, 1.0 - 0.25j]))
     assert x1 == pytest.approx(np.sqrt(2) * (1 + 1j))
     assert x2 == pytest.approx(np.sqrt(2) * (1 - 1j))
     assert abs(x1 + x2) == pytest.approx(abs(x1 - x2))
@@ -283,7 +283,7 @@ def _psk_symbols(bits, rate):
 
 
 def _scalar_ostbc(bits, rate):
-    pam, qpsk = codes.ostbc_constellations(rate)
+    pam, _, qpsk = build_code("ostbc", rate).constellations
     k = 2 * rate - 1
     x1 = _symbol(pam, bits[:k])
     x2 = 1j * _symbol(pam, bits[k : 2 * k])
@@ -292,7 +292,7 @@ def _scalar_ostbc(bits, rate):
 
 
 def _scalar_qostbc(bits, rate):
-    psk, rotated = codes.qostbc_constellations(rate)
+    psk, _, rotated, _ = build_code("qostbc", rate).constellations
     half = 2 * rate
     return codes.QOSTBC_TABLE.build(
         _symbols(psk, bits[:half], rate) + _symbols(rotated, bits[half:], rate)
@@ -300,8 +300,13 @@ def _scalar_qostbc(bits, rate):
 
 
 def _scalar_ciod(bits, rate):
-    qam = codes.ciod_constellation(rate)
-    return codes.CIOD_TABLE.build(codes.ciod_interleave(_symbols(qam, bits, 2 * rate)))
+    qam = build_code("ciod", rate).constellations[0]
+    s1, s2 = _symbols(qam, bits, 2 * rate)
+    # The coordinate interleaver, restated so the reference stays independent.
+    r = np.sqrt(2.0)
+    x = [r * (1 + 1j) * s1.real, r * (1 - 1j) * s2.real]
+    x += [r * (1 + 1j) * s1.imag, r * (1j - 1) * s2.imag]
+    return codes.CIOD_TABLE.build(x)
 
 
 # Symbol-by-symbol encoders (bits, R, L, N) -> X that look each symbol up by its
@@ -354,3 +359,15 @@ def test_code_shapes(kind, rate, nze_l, nze_n, nbits, n_slots, rate_bps):
     assert (code.nbits, code.n_slots) == (nbits, n_slots)
     assert code.rate_bps == pytest.approx(rate_bps)
     assert spec_for(kind).ports(nze_n) == code.n_ports
+
+
+@pytest.mark.parametrize(
+    "kind,rate,message",
+    [("ostbc", 5, "rate: 5 is above 4,"), ("ac", 0, "rate: must be a positive integer, got 0")],
+)
+def test_build_code_enforces_rate_rule(kind, rate, message):
+    """A rate the kind refuses fails in ``build_code`` itself, with the
+    message of ``rate_problem``, before a 2^20-candidate OSTBC search or
+    any other array is allocated."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build_code(kind, rate)

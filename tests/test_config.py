@@ -49,6 +49,8 @@ def test_unknown_key_is_hard_error():
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("code = ac\ncode = ciod\n")
+    with pytest.raises(ConfigError, match="^nze.l: duplicate key$"):
+        parse_config("code = nze_tc\nnze.n = 4\nnze.l = 8\nnze.l = 12\n")
 
 
 def test_bad_value_names_key():

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from omnistbc.constellations import (
-    ciod_rotation,
+    Constellation,
     make_pam,
     make_psk,
     make_rotated_qam,
     min_sq_distance,
-    qostbc_rotation,
 )
 from omnistbc.kinds import REGISTRY, build_code
 
@@ -37,32 +36,37 @@ def test_psk_points():
 def test_pam_normalization():
     bpsk_like = make_pam(1)
     np.testing.assert_allclose(sorted(bpsk_like.points.real), [-1, 1])
-    assert bpsk_like.scale == pytest.approx(1.0)
-    assert make_pam(2).scale == pytest.approx(1 / math.sqrt(5))
+    assert min_sq_distance(bpsk_like) == pytest.approx(4.0)
+    assert min_sq_distance(make_pam(2)) == pytest.approx(4 / 5)
     pam8 = make_pam(4)
-    assert pam8.scale == pytest.approx(1 / math.sqrt(21))
     assert min_sq_distance(pam8) == pytest.approx(4 / 21)
     assert np.mean(np.abs(pam8.points) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rotated_qam():
     qpsk = make_rotated_qam(4, 0.0)
-    assert qpsk.scale == pytest.approx(1 / math.sqrt(2))
+    assert min_sq_distance(qpsk) == pytest.approx(2.0)
     assert sorted(np.round(p, 6) for p in np.abs(qpsk.points)) == [1.0] * 4
     rot = make_rotated_qam(4, math.atan(2) / 2)
     np.testing.assert_allclose(np.abs(rot.points), np.abs(qpsk.points), atol=1e-12)
     qam16 = make_rotated_qam(16)
-    assert qam16.scale == pytest.approx(1 / math.sqrt(10))
+    assert min_sq_distance(qam16) == pytest.approx(4 / 10)
     assert np.mean(np.abs(qam16.points) ** 2) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         make_rotated_qam(8)  # not a square constellation
 
 
 def test_rotation_rules():
-    assert qostbc_rotation(2) == pytest.approx(math.pi / 2)
-    assert qostbc_rotation(4) == pytest.approx(math.pi / 4)
-    assert qostbc_rotation(3) == pytest.approx(math.pi / 6)
-    theta = ciod_rotation()
+    """QOSTBC rotates the second symbol of each pair by pi / 2^R, and CIOD
+    rotates its QAM by theta = atan(2)/2, where sin(2 theta) = 2/sqrt(5)."""
+    for rate, angle in ((1, math.pi / 2), (2, math.pi / 4)):
+        plain, _, rotated, _ = build_code("qostbc", rate).constellations
+        np.testing.assert_allclose(rotated.points, plain.points * np.exp(1j * angle), atol=1e-15)
+    qam = build_code("ciod", 1).constellations[0]
+    turns = qam.points / make_rotated_qam(4, 0.0).points
+    np.testing.assert_allclose(np.abs(turns), 1.0, atol=1e-12)
+    theta = float(np.angle(turns[0]))
+    np.testing.assert_allclose(np.angle(turns), theta, atol=1e-12)
     assert theta == pytest.approx(math.atan(2) / 2)
     assert math.sin(2 * theta) == pytest.approx(2 / math.sqrt(5))
     assert math.cos(2 * theta) == pytest.approx(1 / math.sqrt(5))
@@ -91,10 +95,10 @@ def test_gray_adjacency_pam_psk():
 def test_qam_per_axis_gray():
     qam = make_rotated_qam(16, 0.0)
     # stepping one level along either axis flips exactly one bit
+    step = math.sqrt(min_sq_distance(qam))
     for i in range(16):
         for j in range(16):
             delta = qam.points[i] - qam.points[j]
-            step = 2 * qam.scale
             if abs(abs(delta) - step) < 1e-12 and (
                 abs(delta.real) < 1e-12 or abs(delta.imag) < 1e-12
             ):
@@ -133,11 +137,8 @@ def test_gray_neighbours(constellation):
 
 def test_ostbc_distance_balance():
     """The PAM set and the smallest slaved QPSK ring share one minimum distance."""
-    from omnistbc.codes import ostbc_constellations
-    from omnistbc.constellations import Constellation
-
     for rate in (1, 2):
-        pam, qpsk = ostbc_constellations(rate)
+        pam, _, qpsk = build_code("ostbc", rate).constellations
         d_pam = min_sq_distance(pam)
         amp = np.abs(pam.points[:, None] + 1j * pam.points[None, :]).min()
         ring = Constellation(amp * qpsk.points)

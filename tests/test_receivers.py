@@ -29,11 +29,6 @@ def channels(rng, n_trials, n_ports):
     return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0 * n_ports)
 
 
-def _per_symbol(constellations, counts):
-    """One constellation per symbol position: ``counts[i]`` of the i-th."""
-    return [c for c, n in zip(constellations, counts) for _ in range(n)]
-
-
 def observe(matrices, g, sigma_n2=0.0, rng=None):
     """Observations y = g X (+ noise) for codewords (B, N, T), channels (B, N)."""
     y = np.einsum("bn,bnt->bt", g, matrices)
@@ -126,19 +121,20 @@ def test_zero_channel_aborts(kind):
 @pytest.mark.parametrize(
     "kind,rate,make_decoder",
     [
-        ("ostbc", 1, lambda f: OstbcDecoder(f, _per_symbol(codes.ostbc_constellations(1), (2, 1)))),
-        ("ostbc", 2, lambda f: OstbcDecoder(f, _per_symbol(codes.ostbc_constellations(2), (2, 1)))),
-        ("qostbc", 1, lambda f: QostbcDecoder(f, _per_symbol(codes.qostbc_constellations(1), (2, 2)))),
-        ("qostbc", 2, lambda f: QostbcDecoder(f, _per_symbol(codes.qostbc_constellations(2), (2, 2)))),
-        ("ciod", 1, lambda f: CiodDecoder(f, [codes.ciod_constellation(1)] * 2)),
-        ("ciod", 2, lambda f: CiodDecoder(f, [codes.ciod_constellation(2)] * 2)),
+        ("ostbc", 1, lambda f, cs: OstbcDecoder(f, cs)),
+        ("ostbc", 2, lambda f, cs: OstbcDecoder(f, cs)),
+        ("qostbc", 1, lambda f, cs: QostbcDecoder(f, cs)),
+        ("qostbc", 2, lambda f, cs: QostbcDecoder(f, cs)),
+        ("ciod", 1, lambda f, cs: CiodDecoder(f, cs)),
+        ("ciod", 2, lambda f, cs: CiodDecoder(f, cs)),
     ],
 )
 def test_noiseless_roundtrip(kind, rate, make_decoder):
-    """A decoder built from the code's encoder and the constellations of
-    ``codes`` recovers every payload of the code over random channels."""
+    """The kind's decoder class, built from the code's encoder and its
+    per-symbol constellations, recovers every payload of the code over
+    random channels."""
     code = build_code(kind, rate)
-    code.decoder = make_decoder(code.assemble)
+    code.decoder = make_decoder(code.assemble, code.constellations)
     rng = np.random.default_rng(5)
     bits, matrices = (np.repeat(a, 50 if rate == 1 else 5, axis=0) for a in code.codebook())
     g = channels(rng, len(bits), 4)

@@ -76,8 +76,6 @@ def test_is_constant_amplitude():
     assert not is_constant_amplitude([1, 0])
     assert is_constant_amplitude(zc_generate(16, 1))
     assert not is_constant_amplitude([0, 0, 0])
-    with pytest.raises(ValueError):
-        is_constant_amplitude([1, 1], tol=0)
 
 
 def test_is_cazac():

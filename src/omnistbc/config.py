@@ -56,7 +56,8 @@ class SimConfig:
         if self.nze_l > largest:
             raise ConfigError(
                 f"nze.l: {self.nze_l} is above {largest}, the largest L whose "
-                f"{TRIALS_PER_BATCH}-trial ZF Gram (L x L complex per trial) fits in {cap}"
+                f"{TRIALS_PER_BATCH}-trial ZF band (the Gram's upper band, at most "
+                f"L x L complex per trial) fits in {cap}"
             )
         problem = spec.rules(self.nze_l, self.nze_n)
         if problem:

@@ -13,6 +13,7 @@ Adding a kind means adding one CodeSpec to REGISTRY.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -139,8 +140,8 @@ class CodeSpec:
         """Why ``rate`` cannot be built, or None; checked before any array
         is allocated."""
         largest = MAX_SEARCH_BITS // self.search_bits
-        if rate < 1:
-            return f"must be a positive integer, got {rate}"
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Integral) or rate < 1:
+            return f"must be a positive integer, got {rate!r}"
         if rate > largest:
             return (
                 f"{rate} is above {largest}, the largest rate at which every "
@@ -301,4 +302,4 @@ def build_code(kind, rate, nze_l=0, nze_n=0):
     problem = spec.rate_problem(rate)
     if problem:
         raise ValueError(f"rate: {problem}")
-    return spec.build(int(rate), nze_l, nze_n)
+    return spec.build(rate, nze_l, nze_n)

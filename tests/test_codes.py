@@ -363,11 +363,24 @@ def test_code_shapes(kind, rate, nze_l, nze_n, nbits, n_slots, rate_bps):
 
 @pytest.mark.parametrize(
     "kind,rate,message",
-    [("ostbc", 5, "rate: 5 is above 4,"), ("ac", 0, "rate: must be a positive integer, got 0")],
+    [
+        ("ostbc", 5, "rate: 5 is above 4,"),
+        ("ac", 0, "rate: must be a positive integer, got 0"),
+        ("qostbc", 2.7, "rate: must be a positive integer, got 2.7"),
+        ("ac", True, "rate: must be a positive integer, got True"),
+    ],
 )
 def test_build_code_enforces_rate_rule(kind, rate, message):
     """A rate the kind refuses fails in ``build_code`` itself, with the
     message of ``rate_problem``, before a 2^20-candidate OSTBC search or
-    any other array is allocated."""
+    any other array is allocated.  A non-integral rate is refused, not
+    truncated to a smaller code."""
     with pytest.raises(ValueError, match=f"^{message}"):
         build_code(kind, rate)
+
+
+def test_build_code_takes_numpy_integer_rate():
+    """Any integral rate but a bool builds: a NumPy integer gives the code
+    of the equal int."""
+    code = build_code("qostbc", np.int64(2))
+    assert (code.nbits, code.rate_bps) == (8, 2.0)

@@ -154,6 +154,14 @@ def test_validate_direct():
         SimConfig(code="ac", max_trials=0).validate()
 
 
+@pytest.mark.parametrize("rate", [2.7, 2.0, True])
+def test_validate_refuses_non_integral_rate(rate):
+    """A config built in Python with a rate that is not an integer fails
+    validation, naming the key, rather than running a truncated code."""
+    with pytest.raises(ConfigError, match=f"^rate: must be a positive integer, got {rate!r}$"):
+        SimConfig(code="qostbc", rate=rate).validate()
+
+
 # The largest rate at which each kind's largest alphabet or ML candidate group
 # stays within 2^16 points: 2^R points for single, ac and the NZE kinds,
 # 2^(2R) for qostbc pairs and ciod QAM, 2^(4R) for the joint ostbc search.

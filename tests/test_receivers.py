@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -291,8 +292,10 @@ NZE_SHAPES = [
     ("nze_tc", 8, 8),
     ("nze_tc", 12, 4),
     ("nze_tc", 30, 8),
+    ("nze_tc", 32, 4),
     ("nze_oac", 4, 3),
     ("nze_oac", 4, 4),
+    ("nze_oac", 4, 5),
     ("nze_oac", 6, 3),
     ("nze_oac", 8, 4),
     ("nze_oac", 8, 8),
@@ -301,10 +304,28 @@ NZE_SHAPES = [
 ]
 
 
+def _system(code, g):
+    """The complex T x L systems H(g) (B, T, L) of y' = H x, built here from
+    the code's codewords of the unit symbol vectors: a plain slot's x_k
+    coefficient is sum_n g_n P_{k,n,t}, a conjugated slot's
+    sum_n conj(g_n) conj(Q_{k,n,t})."""
+    unit = np.eye(len(code.constellations))
+    re, im = code.assemble(unit), code.assemble(1j * unit)  # (L, N, T)
+    plain = np.einsum("bn,knt->btk", g, (re - 1j * im) / 2.0)
+    conj = np.einsum("bn,knt->btk", g.conj(), (re + 1j * im).conj() / 2.0)
+    return plain + conj
+
+
 def _gram_ratio(decoder, g):
-    """lambda_min / lambda_max of the ZF Gram H^H H for each channel row."""
-    h = decoder.system(g)
-    eigs = np.linalg.eigvalsh(h.conj().transpose(0, 2, 1) @ h)
+    """lambda_min / lambda_max of the decoder's ZF Gram, read from its
+    upper band, for each channel row."""
+    band = decoder.band(g)
+    width, n_sym, _ = band.shape
+    gram = np.zeros((len(g), n_sym, n_sym), dtype=complex)
+    for d in range(width):
+        k = np.arange(n_sym - d)
+        gram[:, k, k + d] = band[d, : n_sym - d].T
+    eigs = np.linalg.eigvalsh(gram, UPLO="U")
     return eigs[:, 0] / eigs[:, -1]
 
 
@@ -312,7 +333,7 @@ def _gram_ratio(decoder, g):
     "kind,l_sym,n_ports", NZE_SHAPES, ids=[f"{k}_{l}_{n}" for k, l, n in NZE_SHAPES]
 )
 def test_zf_gram_full_rank_margin(kind, l_sym, n_ports):
-    """The ZF system keeps full rank, with margin, on every nonzero channel
+    """The ZF Gram keeps full rank, with margin, on every nonzero channel
     tried: 20k seeded Gaussian ones, each unit vector e_k and each
     e_i + p e_j with p in {1, -1, j, -j}.  This is what lets the decoder
     abort on an all-zero channel only."""
@@ -335,31 +356,60 @@ def test_zf_gram_full_rank_margin(kind, l_sym, n_ports):
     "kind,l_sym,n_ports", NZE_SHAPES, ids=[f"{k}_{l}_{n}" for k, l, n in NZE_SHAPES]
 )
 def test_zf_system_reproduces_observation(kind, l_sym, n_ports):
-    """H(g) x is the noiseless observation g X(x) with the conjugated slots
-    conjugated, for complex x off the constellation; only the nonzero rows
-    of [P; conj(Q)] are kept, which for NZE-TC are its N plain rows."""
+    """H(g), built here from the code's probes, gives the noiseless
+    observation g X(x) with the decoder's conjugated slots conjugated, for
+    complex x off the constellation.  The decoder's band is the band of
+    H^H H, zero past column L - 1; H^H H is exactly zero outside it on
+    Gaussian-integer channels, where every product is exact, and reaches
+    its edge p, which is N - 1 for NZE-TC."""
     code = build_code(kind, 1, l_sym, n_ports)
     decoder = code.decoder
     rng = np.random.default_rng(14)
     x = rng.standard_normal((16, l_sym)) + 1j * rng.standard_normal((16, l_sym))
     g = channels(rng, len(x), n_ports)
     y = np.einsum("bn,bnt->bt", g, code.assemble(x))
-    got = (decoder.system(g) @ x[..., None])[..., 0]
+    h = _system(code, g)
+    got = (h @ x[..., None])[..., 0]
     np.testing.assert_allclose(got, np.where(decoder.conj_slots, y.conj(), y), rtol=0, atol=1e-12)
-    assert np.all(np.any(decoder.coeffs, axis=1))
+
+    p = decoder.p
+    band = decoder.band(g)
+    gram = h.conj().transpose(0, 2, 1) @ h
+    for d in range(p + 1):
+        diagonal = np.diagonal(gram, d, axis1=1, axis2=2)
+        np.testing.assert_allclose(band[d, : l_sym - d].T, diagonal, rtol=0, atol=1e-12)
+        assert not band[d, l_sym - d :].any()
+
+    h = _system(code, rng.integers(-3, 4, (64, n_ports)) + 1j * rng.integers(-3, 4, (64, n_ports)))
+    gram = h.conj().transpose(0, 2, 1) @ h
+    lag = np.abs(np.subtract.outer(np.arange(l_sym), np.arange(l_sym)))
+    assert not gram[:, lag > p].any()
+    assert gram[:, lag == p].any()
     if kind == "nze_tc":
-        np.testing.assert_array_equal(decoder.rows, np.arange(n_ports))
+        assert p == n_ports - 1
+
+
+LEAST_SQUARES_SHAPES = [
+    ("nze_tc", 12, 4),
+    ("nze_oac", 12, 4),
+    ("nze_tc", 30, 8),
+    ("nze_oac", 30, 8),
+    ("nze_tc", 8, 8),
+    ("nze_tc", 32, 4),
+    ("nze_oac", 4, 5),
+]
 
 
 @pytest.mark.parametrize(
     "kind,l_sym,n_ports",
-    [("nze_tc", 12, 4), ("nze_oac", 12, 4), ("nze_tc", 30, 8), ("nze_oac", 30, 8)],
-    ids=["nze_tc", "nze_oac", "nze_tc_30_8", "nze_oac_30_8"],
+    LEAST_SQUARES_SHAPES,
+    ids=["nze_tc", "nze_oac", "nze_tc_30_8", "nze_oac_30_8", "nze_tc_8_8", "nze_tc_32_4", "nze_oac_4_5"],
 )
 def test_zf_matches_least_squares(kind, l_sym, n_ports):
     """ZF equals a per-trial least-squares solve of the real 2T x 2L system,
     built here from the code's codewords of the unit symbol vectors; only
-    the planted zero channel aborts."""
+    the planted zero channel aborts.  The shapes span the narrowest band
+    (p = 2) to the widest (p = L - 1 at N = L)."""
     code = build_code(kind, 2, l_sym, n_ports)
     rng = np.random.default_rng(13)
     bits = rng.integers(0, 2, (64, code.nbits))
@@ -379,6 +429,31 @@ def test_zf_matches_least_squares(kind, l_sym, n_ports):
         sol = np.linalg.lstsq(a, np.concatenate([y[k].real, y[k].imag]), rcond=None)[0]
         xhat = sol[:n_sym] + 1j * sol[n_sym:]
         np.testing.assert_array_equal(idx[k], np.argmin(np.abs(xhat[:, None] - points), axis=1))
+
+
+@pytest.mark.parametrize(
+    "kind,rate,l_sym,n_ports,n_trials",
+    [("nze_tc", 12, 32, 4, 64), ("nze_tc", 1, 32, 32, 4096), ("nze_oac", 1, 32, 33, 4096)],
+    ids=["nze_tc_r12_32_4", "nze_tc_32_32", "nze_oac_32_33"],
+)
+def test_zf_batch_memory_is_capped(kind, rate, l_sym, n_ports, n_trials):
+    """One ZF batch at the largest L config validation allows peaks under
+    2 x MAX_BLOCK_BYTES of traced memory: the rows go through in blocks
+    whose largest array fits in the cap.  At R = 12 that array is the
+    slicing's L x 4096 distances per trial (2 MiB); at N = L = 32 and at
+    N = 33 it is the N T products conj(g_n) y_t, 138 MiB for a whole
+    4096-trial batch at N = 33."""
+    code = build_code(kind, rate, l_sym, n_ports)
+    rng = np.random.default_rng(15)
+    g = channels(rng, n_trials, n_ports)
+    y = observe(code.encode(rng.integers(0, 2, (n_trials, code.nbits))), g, 0.2, rng)
+    tracemalloc.start()
+    try:
+        code.decoder.decode_batch(y, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * receivers.MAX_BLOCK_BYTES
 
 
 def test_zf_refuses_mixed_slot():

@@ -5,15 +5,17 @@ truncated-Gaussian power azimuth spectrum on [-pi/2, pi/2].  Because the
 (m, n) integrand depends only on m - n, the matrix R is Hermitian Toeplitz
 and is fixed by its M lags.  An adaptive composite Gauss-Legendre rule gives
 them, and each rule's lag sums over its nodes are one type-1 NUFFT, so a
-rule costs O(nodes + M log M), not O(nodes x M).  Its Gaussian spreading is
-Greengard & Lee's fast gridding: two real exps per node, then one multiply
-and one bincount per grid offset onto an extended grid of 2M + 31 points
-that one bincount folds onto the 2M-point circle.  Every factor is bounded
-independently of M, so nothing overflows.  The effective covariance
-W^H R W comes from the lags by circulant embedding, and the DFT-leakage
-diagnostic from one FFT of the folded lags.  R itself is formed only by
-``CovarianceModel.matrix``, the dense reference that tests compare the
-lag-domain paths against; no library code calls it.
+rule costs O(nodes + M log M), not O(nodes x M).  The panel-doubling ladder
+starts at the first rule whose 16-node panels sample the fastest lag's phase
+at Nyquist, and dead panels, under 2^-53 of the PAS weight, skip the NUFFT.
+Its Gaussian spreading is Greengard & Lee's fast gridding: two real exps per
+node, then one multiply and one bincount per grid offset onto an extended
+grid of 2M + 31 points that one bincount folds onto the 2M-point circle.
+Every factor is bounded independently of M, so nothing overflows.  The
+effective covariance W^H R W comes from the lags by circulant embedding, and
+the DFT-leakage diagnostic from one FFT of the folded lags.  R itself is
+formed only by ``CovarianceModel.matrix``, the dense reference that tests
+compare the lag-domain paths against; no library code calls it.
 ``covariance_for`` takes the array size, spacing, mean angle and spread as
 plain numbers and runs the quadrature on every call; the engine calls it
 once per sweep point.
@@ -39,6 +41,8 @@ _QUAD_REL_TOL = 1e-8
 _QUAD_ORDER = 16
 _QUAD_START_PANELS = 8
 _QUAD_MAX_PANELS = 1 << 16
+# The Gaussian PAS falls below 2^-53 of its peak beyond this many spreads.
+_PAS_REACH = math.sqrt(106.0 * math.log(2.0))
 # Grid points that each quadrature node spreads onto, on either side, in the
 # lag sum's NUFFT; the Gaussian's truncation error is exp(-3 pi/4 x spread).
 # Against the direct sum, M up to 1024: 16 (and 14) agree to 3.5e-13, the
@@ -175,7 +179,10 @@ def _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels):
     or None when every node misses the spread (zero total weight).
 
     Normalizing by the quadrature of the PAS itself makes r_0 = 1, hence
-    trace(R) = M, up to the NUFFT's roundoff of about 1e-13.
+    trace(R) = M, up to the NUFFT's roundoff of about 1e-13.  Only the live
+    panels, each holding at least 2^-53 / n_panels of that total, reach the
+    NUFFT: the dead ones weigh under 2^-53 together, below one unit in the
+    last place of r_0.
     """
     theta, weights = _composite_nodes(n_panels)
     # Far below the node spacing the exponent overflows, or the variance
@@ -185,7 +192,10 @@ def _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels):
     total = wp.sum()
     if total == 0.0:
         return None
-    return _lag_sum(2.0 * np.pi * spacing_ratio * np.sin(theta), wp / total, n_antennas)
+    share = wp.reshape(n_panels, _QUAD_ORDER).sum(axis=1)
+    live = np.repeat(share >= total * 2.0**-53 / n_panels, _QUAD_ORDER)
+    x = 2.0 * np.pi * spacing_ratio * np.sin(theta[live])
+    return _lag_sum(x, wp[live] / total, n_antennas)
 
 
 def _lag_energy(lags):
@@ -199,9 +209,18 @@ def _lag_energy(lags):
 def _one_ring_lags(n_antennas, spacing_ratio, theta0, sigma):
     """Lag vector by adaptive quadrature, panel count doubling until two
     successive rules agree to 1e-8 in the induced Frobenius norm.  A rule
-    with zero total weight has not converged."""
-    prev = None
+    with zero total weight has not converged.  The ladder starts at the
+    first level, 8 panels at least, whose panels span at most 16 pi of the
+    fastest lag's phase 2 pi d (M - 1) sin(theta) on the live support
+    |theta - theta0| <= _PAS_REACH sigma: its 16 nodes sample each period
+    twice there, and coarser rules alias."""
+    reach = _PAS_REACH * sigma
+    broadside = min(max(0.0, theta0 - reach), theta0 + reach)  # live angle nearest broadside
+    rate = 2.0 * math.pi * spacing_ratio * (n_antennas - 1) * math.cos(broadside)
     n_panels = _QUAD_START_PANELS
+    while n_panels < _QUAD_MAX_PANELS and n_panels * _QUAD_ORDER < rate:
+        n_panels *= 2
+    prev = None
     while n_panels <= _QUAD_MAX_PANELS:
         cur = _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels)
         if cur is not None and prev is not None:

@@ -124,7 +124,7 @@ def _payload_code(kind, rate):
 
 def _encode_payload(kind, bits, rate):
     """One payload through the registry's batched encoder."""
-    code = _payload_code(kind, int(rate))
+    code = _payload_code(kind, rate)
     bits = np.asarray(bits)
     if bits.size != code.nbits:
         raise ValueError(f"expected {code.nbits} bits, got {bits.size}")

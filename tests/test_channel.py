@@ -12,7 +12,8 @@ from omnistbc.channel import (
     dft_domain_leakage,
     isotropy_deviation,
 )
-from omnistbc.channel import _composite_nodes, _lag_quadrature
+from omnistbc import channel
+from omnistbc.channel import _composite_nodes, _lag_energy, _lag_quadrature, _lag_sum
 from omnistbc.precoding import precoder_for_code
 
 SIGMA5 = math.radians(5.0)
@@ -195,6 +196,74 @@ def test_nufft_lags_match_direct_sum_wrapping_nodes(n_antennas, n_panels):
     """At 2.5 wavelengths the nodes x = 5 pi sin(theta) span five periods of
     the 2 pi grid, so nodes far apart land on the same grid points."""
     _assert_lags_match_direct_sum(n_antennas, n_panels, 2.5)
+
+
+def _full_ladder_lags(n_antennas, spacing_ratio, theta0, sigma):
+    """Reference ladder: doubling from 8 panels, every node of every rule
+    through the NUFFT, to the same 1e-8 agreement test."""
+    prev = None
+    n_panels = 8
+    while n_panels <= 1 << 16:
+        theta, weights = _composite_nodes(n_panels)
+        with np.errstate(divide="ignore", over="ignore"):
+            wp = weights * np.exp(-((theta - theta0) ** 2) / (2.0 * sigma**2))
+        cur = None
+        if wp.sum() > 0.0:
+            x = 2.0 * np.pi * spacing_ratio * np.sin(theta)
+            cur = _lag_sum(x, wp / wp.sum(), n_antennas)
+        if cur is not None and prev is not None:
+            if math.sqrt(_lag_energy(cur - prev)) <= 1e-8 * math.sqrt(_lag_energy(cur)):
+                return cur
+        prev = cur
+        n_panels *= 2
+    raise AssertionError("reference ladder did not converge")
+
+
+@pytest.mark.parametrize("n_antennas", [64, 72, 1024])
+def test_lags_match_full_ladder_at_workload_setups(n_antennas):
+    """At the pinned CSVs' and the benchmark's set-ups the ladder converges
+    on the reference's own rule, and the dead panels move no lag by more
+    than roundoff."""
+    for theta0 in (-45, 0, 10, 30):
+        pas = (math.radians(theta0), SIGMA5)
+        got = covariance_for(n_antennas, DEFAULT_SPACING_RATIO, *pas).lags
+        want = _full_ladder_lags(n_antennas, DEFAULT_SPACING_RATIO, *pas)
+        assert np.abs(got - want).max() <= 1e-15, theta0
+
+
+@pytest.mark.parametrize("n_antennas", [16, 256, 4096])
+def test_lags_match_full_ladder_toward_endfire(n_antennas):
+    """Toward endfire the live support turns slowly, so the ladder may start
+    above the rule the reference converges on and stop on a finer one."""
+    for theta0 in (-89, -85, -75, 60, 80, 88, 89):
+        for sigma in (0.5, 1.0, 5.0):
+            pas = (math.radians(theta0), math.radians(sigma))
+            got = covariance_for(n_antennas, DEFAULT_SPACING_RATIO, *pas).lags
+            want = _full_ladder_lags(n_antennas, DEFAULT_SPACING_RATIO, *pas)
+            assert np.abs(got - want).max() <= 1e-12, pas
+
+
+def test_ladder_starts_at_nyquist_and_spreads_live_panels(monkeypatch):
+    """At M = 1024, d = 1/sqrt(3), 30 degrees and a 5-degree spread the
+    fastest live phase asks for 256 panels, so the ladder evaluates the
+    256-, 512- and 1024-panel rules only, and the last spreads at most 55%
+    of its 16384 nodes."""
+    rules, nodes = [], []
+
+    def quadrature(*args):
+        rules.append(args[-1])
+        return _lag_quadrature(*args)
+
+    def lag_sum(x, c, m_len):
+        nodes.append(x.size)
+        return _lag_sum(x, c, m_len)
+
+    monkeypatch.setattr(channel, "_lag_quadrature", quadrature)
+    monkeypatch.setattr(channel, "_lag_sum", lag_sum)
+    covariance_for(1024, DEFAULT_SPACING_RATIO, math.radians(30.0), SIGMA5)
+    assert rules == [256, 512, 1024]
+    assert len(nodes) == 3
+    assert nodes[-1] <= 0.55 * 1024 * 16
 
 
 def test_projection_matches_dense_product():

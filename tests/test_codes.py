@@ -72,6 +72,13 @@ def test_ostbc_bit_length_error():
         codes.encode_ostbc(np.zeros(5, dtype=int), 1)
 
 
+def test_legacy_encoder_refuses_non_integral_rate():
+    """The payload encoders pass the rate on unchanged, so ``build_code``
+    refuses 2.7 rather than truncating it to the R = 2 code."""
+    with pytest.raises(ValueError, match="^rate: must be a positive integer, got 2.7"):
+        codes.encode_qostbc(np.zeros(8, dtype=int), 2.7)
+
+
 @pytest.mark.parametrize("rate", [1, 2])
 def test_qostbc_structure(rate):
     for bits in payloads(4 * rate):

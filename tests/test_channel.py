@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from omnistbc import channel
 from omnistbc.channel import (
     DEFAULT_SPACING_RATIO,
     CovarianceModel,
@@ -12,7 +13,6 @@ from omnistbc.channel import (
     dft_domain_leakage,
     isotropy_deviation,
 )
-from omnistbc import channel
 from omnistbc.channel import _composite_nodes, _lag_energy, _lag_quadrature, _lag_sum
 from omnistbc.precoding import precoder_for_code
 

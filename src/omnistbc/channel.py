@@ -14,8 +14,9 @@ grid of 2M + 31 points that one bincount folds onto the 2M-point circle.
 Every factor is bounded independently of M, so nothing overflows.  The
 effective covariance W^H R W comes from the lags by circulant embedding, and
 the DFT-leakage diagnostic from one FFT of the folded lags.  R itself is
-formed only by ``CovarianceModel.matrix``, the dense reference that tests
-compare the lag-domain paths against; no library code calls it.
+formed only by ``CovarianceModel.matrix``, which no library code calls; its
+one reader is perfbench/tests/test_perfbench.py, and ROADMAP item 10 deletes
+it once that test reads ``project``.
 ``covariance_for`` takes the array size, spacing, mean angle and spread as
 plain numbers and runs the quadrature on every call; the engine calls it
 once per sweep point.
@@ -76,6 +77,8 @@ class CovarianceModel:
         Row i is [r_i, ..., r_1, r_0, conj(r_1), ..., conj(r_{M-1-i})], the
         window at M - 1 - i of [r_{M-1}, ..., r_1, r_0, conj(r_1), ...,
         conj(r_{M-1})]; the copy of the windows is a fresh read-only array.
+        Kept only for perfbench/tests/test_perfbench.py, its one reader;
+        ROADMAP item 10 deletes it once that test reads ``project``.
         """
         m_len = self.n_antennas
         line = np.concatenate([self.lags[:0:-1], self.lags[:1], self.lags[1:].conj()])

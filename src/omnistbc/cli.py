@@ -1,17 +1,15 @@
 """Command line front end.
 
 Subcommands: validate, ber-sweep, angle-sweep, coding-gain, pep-bound.
---seed and --workers override the config file; OMNISTBC_WORKERS is the
-environment fallback for --workers.
+--seed and --workers override the config file.
 """
 
 import argparse
 import math
-import os
 import sys
 
 from .analysis import check_pair_count, coding_gain, pep_upper_bound
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, snr_problem
 from .kinds import REGISTRY, build_code
 
 __all__ = ["main", "cli"]
@@ -54,16 +52,8 @@ def _load(args):
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("OMNISTBC_WORKERS")
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigError(f"OMNISTBC_WORKERS: cannot parse {env!r}")
-    if workers is not None:
-        overrides["workers"] = workers
+    if args.workers is not None:
+        overrides["workers"] = args.workers
     return load_config(args.config, **overrides)
 
 
@@ -103,8 +93,9 @@ def _cmd_coding_gain(args):
 
 def _cmd_pep_bound(args):
     _, code = _enumerable_code(args)
-    if not math.isfinite(args.snr_db):
-        raise ConfigError(f"--snr-db: {args.snr_db} is not a finite number")
+    problem = snr_problem(args.snr_db)
+    if problem:
+        raise ConfigError(f"--snr-db: {problem}")
     if args.k < 1:
         raise ConfigError(f"--k: must be at least 1, got {args.k}")
     sigma_n2 = 10.0 ** (-args.snr_db / 10.0)

@@ -37,13 +37,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class Codeword:
-    """An N x T codeword."""
-
-    matrix: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class NzeTables:
     """Gather table of a codeword whose entries are 0, +-x_k or +-conj(x_k).
@@ -112,42 +105,6 @@ ac_matrix = AC_TABLE.build
 ostbc_matrix = OSTBC_TABLE.build
 qostbc_matrix = QOSTBC_TABLE.build
 ciod_matrix = CIOD_TABLE.build
-
-
-@lru_cache(maxsize=None)
-def _payload_code(kind, rate):
-    """The registry's Code of ``kind`` at ``rate``, built once per process."""
-    from .kinds import build_code  # the registry imports this module
-
-    return build_code(kind, rate)
-
-
-def _encode_payload(kind, bits, rate):
-    """One payload through the registry's batched encoder."""
-    code = _payload_code(kind, rate)
-    bits = np.asarray(bits)
-    if bits.size != code.nbits:
-        raise ValueError(f"expected {code.nbits} bits, got {bits.size}")
-    return Codeword(code.encode(bits.reshape(1, -1))[0])
-
-
-def encode_ostbc(bits, rate):
-    """Orthogonal design carrying 4*rate bits over four slots.
-
-    2*rate-1 bits go to x1 in PAM, 2*rate-1 bits to x2 in j*PAM, and the
-    remaining 2 bits pick the QPSK phase of x3 = |x1+x2| * x3'.
-    """
-    return _encode_payload("ostbc", bits, rate)
-
-
-def encode_qostbc(bits, rate):
-    """TBH quasi-orthogonal codeword carrying 4*rate bits over four slots."""
-    return _encode_payload("qostbc", bits, rate)
-
-
-def encode_ciod(bits, rate):
-    """Coordinate-interleaved codeword: s1 and s2 each carry 2*rate bits."""
-    return _encode_payload("ciod", bits, rate)
 
 
 def _nze_tc_index_sign(n_sym, n_ports):
@@ -220,6 +177,52 @@ def nze_oac_tables(n_sym, n_ports):
     if n_ports % 2 == 1:
         return _tables(*_nze_oac_tall(n_sym, n_ports))
     return _tables(*(a[1:-1, 1:] for a in _nze_oac_tall(n_sym, n_ports + 1)))
+
+
+# The payload encoders below restate Code.encode for one payload.  Their only
+# reader is perfbench/run.py::_references; ROADMAP item 1 switches it to
+# build_code(kind, rate).encode and deletes them.
+@dataclass
+class Codeword:
+    """An N x T codeword."""
+
+    matrix: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _payload_code(kind, rate):
+    """The registry's Code of ``kind`` at ``rate``, built once per process."""
+    from .kinds import build_code  # the registry imports this module
+
+    return build_code(kind, rate)
+
+
+def _encode_payload(kind, bits, rate):
+    """One payload through the registry's batched encoder."""
+    code = _payload_code(kind, rate)
+    bits = np.asarray(bits)
+    if bits.size != code.nbits:
+        raise ValueError(f"expected {code.nbits} bits, got {bits.size}")
+    return Codeword(code.encode(bits.reshape(1, -1))[0])
+
+
+def encode_ostbc(bits, rate):
+    """Orthogonal design carrying 4*rate bits over four slots.
+
+    2*rate-1 bits go to x1 in PAM, 2*rate-1 bits to x2 in j*PAM, and the
+    remaining 2 bits pick the QPSK phase of x3 = |x1+x2| * x3'.
+    """
+    return _encode_payload("ostbc", bits, rate)
+
+
+def encode_qostbc(bits, rate):
+    """TBH quasi-orthogonal codeword carrying 4*rate bits over four slots."""
+    return _encode_payload("qostbc", bits, rate)
+
+
+def encode_ciod(bits, rate):
+    """Coordinate-interleaved codeword: s1 and s2 each carry 2*rate bits."""
+    return _encode_payload("ciod", bits, rate)
 
 
 def _nze_codeword(make_tables, x, n_sym, n_ports):

@@ -9,15 +9,27 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
-from .channel import max_spacing_ratio
+from .channel import DEFAULT_SPACING_RATIO, max_spacing_ratio
 from .kinds import REGISTRY
 from .receivers import MAX_BLOCK_BYTES
 
-__all__ = ["SimConfig", "ConfigError", "parse_config", "load_config"]
+__all__ = ["SimConfig", "ConfigError", "parse_config", "load_config", "snr_problem"]
 
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
+
+
+def snr_problem(snr_db):
+    """Why ``snr_db`` is no usable SNR in dB, or None; the caller names its key.
+
+    300 dB either way is far past any physical link, and keeps the noise
+    scale 10^(-snr/20), the PEP bound's 10^(-snr/10) and the engine's integer
+    key of the SNR finite and nonzero.
+    """
+    if not abs(snr_db) <= 300.0:
+        return f"must be a finite number in [-300, 300] dB, got {snr_db}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -26,7 +38,7 @@ class SimConfig:
     rate: int = 1
     m: int = 64
     gamma: int = 1
-    spacing_ratio: float = 1.0 / math.sqrt(3.0)
+    spacing_ratio: float = DEFAULT_SPACING_RATIO
     theta0_deg: float = 0.0
     sigma_deg: float = 5.0
     snr_db: tuple = ()
@@ -83,8 +95,9 @@ class SimConfig:
         if not -90.0 <= self.theta0_deg <= 90.0:
             raise ConfigError(f"pas.theta0_deg: {self.theta0_deg} outside [-90, 90] degrees")
         for snr in self.snr_db:
-            if not math.isfinite(snr):
-                raise ConfigError(f"snr_db: {snr} is not a finite number")
+            problem = snr_problem(snr)
+            if problem:
+                raise ConfigError(f"snr_db: {problem}")
         for theta in self.theta0_deg_list:
             if not -60.0 - 1e-9 <= theta <= 60.0 + 1e-9:
                 raise ConfigError(f"theta0_deg_list: {theta} outside [-60, 60] degrees")

@@ -34,7 +34,7 @@ from .analysis import BerPoint
 from .channel import covariance_factor, covariance_for
 # Unused here; kept importable because perfbench/spans.py traces them by these names.
 from .codes import ac_matrix, ciod_matrix, ostbc_matrix, qostbc_matrix  # noqa: F401
-from .config import ConfigError
+from .config import ConfigError, snr_problem
 from .kinds import Code, build_code
 from .precoding import precoder_for_code, prbs_phase_vector
 
@@ -188,8 +188,9 @@ def run_angle_sweep(cfg, snr_db):
     cfg.validate()
     if not cfg.theta0_deg_list:
         raise ConfigError("theta0_deg_list: list must be nonempty for an angle sweep")
-    if not math.isfinite(snr_db):
-        raise ConfigError(f"snr_db: {snr_db} is not a finite number")
+    problem = snr_problem(snr_db)
+    if problem:
+        raise ConfigError(f"snr_db: {problem}")
     thetas = cfg.theta0_deg_list
     points = _run_points(cfg, ((_point_setup(cfg, t), snr_db, t) for t in thetas))
     return list(zip(thetas, points))

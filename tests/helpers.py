@@ -1,4 +1,5 @@
-"""Shared test utilities: payload enumeration and the exhaustive ML oracle.
+"""Shared test utilities: payload enumeration, the exhaustive ML oracle and
+the dense covariance built from its lags.
 
 The oracle evaluates || y - g X ||^2 over a full codebook and is the single
 reference every reduced-complexity decoder is checked against.
@@ -26,3 +27,11 @@ def random_effective_channel(rng, n_ports):
     """One draw of the asymptotic effective channel, row convention."""
     z = rng.standard_normal(2 * n_ports)
     return (z[:n_ports] + 1j * z[n_ports:]) / np.sqrt(2.0 * n_ports)
+
+
+def hermitian_toeplitz(lags):
+    """The M x M matrix R[i, j] = r_{i-j} for i >= j and conj(r_{j-i})
+    above the diagonal: the dense covariance of a model's M lags."""
+    lags = np.asarray(lags)
+    lag = np.subtract.outer(np.arange(lags.size), np.arange(lags.size))  # i - j
+    return np.where(lag >= 0, lags[np.abs(lag)], lags[np.abs(lag)].conj())

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import hermitian_toeplitz
+
 from omnistbc import channel
 from omnistbc.channel import (
     DEFAULT_SPACING_RATIO,
@@ -40,7 +42,7 @@ def test_pas_spec_validation():
 @pytest.mark.parametrize("sigma_deg", [2.0, 5.0, 10.0])
 def test_covariance_invariants_grid(theta0_deg, sigma_deg):
     model = covariance_for(32, 1 / math.sqrt(3), math.radians(theta0_deg), math.radians(sigma_deg))
-    r = model.matrix
+    r = hermitian_toeplitz(model.lags)
     assert np.abs(r - r.conj().T).max() < 1e-12
     assert np.abs(np.diagonal(r) - 1).max() < 1e-9
     assert abs(np.trace(r).real - 32) < 1e-9
@@ -50,7 +52,7 @@ def test_covariance_invariants_grid(theta0_deg, sigma_deg):
 
 
 def test_covariance_point_source_limit():
-    r = covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, 1e-4).matrix
+    r = hermitian_toeplitz(covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, 1e-4).lags)
     assert np.abs(r - np.ones((8, 8))).max() < 1e-4
 
 
@@ -61,7 +63,8 @@ def test_narrow_spread_quadrature():
     raises."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        r = covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, math.radians(1e-3)).matrix
+        model = covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, math.radians(1e-3))
+        r = hermitian_toeplitz(model.lags)
         assert abs(np.trace(r).real - 8) < 1e-9
         with pytest.raises(RuntimeError, match="did not converge"):
             covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, math.radians(1e-300))
@@ -79,7 +82,8 @@ def test_leakage_matches_dense_beamspace(m):
     """The lag-domain leakage equals the off-diagonal share of F R F^H
     formed from the dense R."""
     model = covariance_for(m, DEFAULT_SPACING_RATIO, 0.3, SIGMA5)
-    beam = np.fft.fft(np.fft.ifft(model.matrix, axis=1), axis=0)  # F R F^H, unitary pair
+    r = hermitian_toeplitz(model.lags)
+    beam = np.fft.fft(np.fft.ifft(r, axis=1), axis=0)  # F R F^H, unitary pair
     total = float(np.sum(np.abs(beam) ** 2))
     dense = (total - float(np.sum(np.abs(np.diagonal(beam)) ** 2))) / total
     assert dft_domain_leakage(model) == pytest.approx(dense, rel=0, abs=1e-14)
@@ -114,8 +118,9 @@ def test_draw_channel_statistics():
     """A channel drawn as factor @ w, w i.i.d. unit circular Gaussian, has
     covariance factor @ factor^H, which must equal R."""
     model = covariance_for(8, 1 / math.sqrt(3), 0.2, SIGMA5)
-    factor = covariance_factor(model.matrix)
-    assert np.abs(factor @ factor.conj().T - model.matrix).max() < 1e-10
+    r = hermitian_toeplitz(model.lags)
+    factor = covariance_factor(r)
+    assert np.abs(factor @ factor.conj().T - r).max() < 1e-10
 
 
 def test_effective_channel_energy_approaches_unit():
@@ -124,7 +129,7 @@ def test_effective_channel_energy_approaches_unit():
     for m in (16, 256):
         prec = precoder_for_code("qostbc", m)
         model = covariance_for(m, 1 / math.sqrt(3), 0.0, SIGMA5)
-        sigma = prec.w_matrix.conj().T @ model.matrix @ prec.w_matrix
+        sigma = prec.w_matrix.conj().T @ hermitian_toeplitz(model.lags) @ prec.w_matrix
         energies[m] = float(np.trace(sigma).real)
     assert abs(energies[256] - 1.0) < abs(energies[16] - 1.0) + 0.05
     assert energies[256] == pytest.approx(1.0, abs=0.1)
@@ -273,14 +278,14 @@ def test_projection_matches_dense_product():
     model = covariance_for(40, DEFAULT_SPACING_RATIO, -0.3, SIGMA5)
     w = np.random.default_rng(2).standard_normal((40, 3, 2)).view(complex)[..., 0]
     np.testing.assert_allclose(
-        model.project(w), w.conj().T @ model.matrix @ w, rtol=0, atol=1e-13
+        model.project(w), w.conj().T @ hermitian_toeplitz(model.lags) @ w, rtol=0, atol=1e-13
     )
     for m in (64, 1024):
         model = covariance_for(m, DEFAULT_SPACING_RATIO, -0.3, SIGMA5)
         for kind, n_ports in (("single", None), ("ac", None), ("qostbc", None), ("nze_tc", 8)):
             prec = precoder_for_code(kind, m, n_ports=n_ports)
             w = prec.w_matrix
-            dense = w.conj().T @ model.matrix @ w
+            dense = w.conj().T @ hermitian_toeplitz(model.lags) @ w
             np.testing.assert_allclose(model.project(w), dense, rtol=0, atol=1e-12)
             want = np.linalg.norm(prec.n_ports * dense - np.eye(prec.n_ports))
             assert abs(isotropy_deviation(prec, model) - want) <= 1e-12, (kind, m)
@@ -292,9 +297,7 @@ def test_matrix_is_toeplitz_of_lags(m):
     Hermitian when r_0 is real, read-only and a new array on each access."""
     rng = np.random.default_rng(m)
     lags = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    lag = np.subtract.outer(np.arange(m), np.arange(m))  # i - j
-    want = np.where(lag >= 0, lags[np.abs(lag)], lags[np.abs(lag)].conj())
-    np.testing.assert_array_equal(CovarianceModel(lags).matrix, want)
+    np.testing.assert_array_equal(CovarianceModel(lags).matrix, hermitian_toeplitz(lags))
 
     lags[0] = lags[0].real
     model = CovarianceModel(lags)
@@ -312,6 +315,6 @@ def test_matrix_is_toeplitz_of_lags(m):
 def test_model_rejects_a_matrix():
     model = covariance_for(8, DEFAULT_SPACING_RATIO, 0.2, SIGMA5)
     with pytest.raises(ValueError):
-        CovarianceModel(model.matrix)
+        CovarianceModel(hermitian_toeplitz(model.lags))
     with pytest.raises(ValueError):
         CovarianceModel(np.diag(np.arange(1.0, 5.0)))

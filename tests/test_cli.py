@@ -166,6 +166,51 @@ def test_unbounded_size_is_config_error(text, key, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,snr,key",
+    [
+        ("ber-sweep", "-7000", "snr_db"),
+        ("ber-sweep", "1e303", "snr_db"),
+        ("angle-sweep", "-7000", "snr_db"),
+        ("angle-sweep", "1e303", "snr_db"),
+        ("pep-bound", "-7000", "--snr-db"),
+        ("pep-bound", "1e303", "--snr-db"),
+    ],
+)
+def test_out_of_range_snr_is_config_error(command, snr, key, tmp_path, capsys):
+    """An SNR past 300 dB either way, whose noise scale or integer key would
+    overflow, stops with one config error line naming the key, not a
+    traceback, before any CSV is written."""
+    out = tmp_path / "x.csv"
+    if command == "ber-sweep":
+        cfg = write_cfg(tmp_path, AC_CONFIG.replace("snr_db = 6, 10", f"snr_db = 6, {snr}"))
+        argv = [command, "--config", cfg, "--out", str(out)]
+    elif command == "angle-sweep":
+        cfg = write_cfg(tmp_path, AC_CONFIG + "theta0_deg_list = 0\n")
+        argv = [command, "--config", cfg, "--snr-db", snr, "--out", str(out)]
+    else:
+        argv = [command, "--code", "ac", "--rate", "1", "--snr-db", snr]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_snr_at_the_bound_runs_without_warning(tmp_path, capsys):
+    """At -300 and 300 dB every command runs, with no floating-point warning."""
+    cfg = write_cfg(tmp_path, AC_CONFIG.replace("6, 10", "-300, 300") + "theta0_deg_list = 0\n")
+    out = str(tmp_path / "x.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["ber-sweep", "--config", cfg, "--out", out]) == 0
+        for snr in ("-300", "300"):
+            assert cli(["angle-sweep", "--config", cfg, "--snr-db", snr, "--out", out]) == 0
+            for kind in ("single", "ac", "ostbc", "qostbc", "ciod"):
+                assert cli(["pep-bound", "--code", kind, "--rate", "1", "--snr-db", snr]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_validate_passes_every_check(capsys):
     """Each check prints one line; a failing check's line, which names the
     case that broke, is the assertion message."""
@@ -193,15 +238,6 @@ def test_seed_override_changes_output(tmp_path):
     assert cli(["ber-sweep", "--config", cfg, "--out", str(c), "--seed", "5"]) == 0
     assert a.read_bytes() != b.read_bytes()
     assert a.read_bytes() == c.read_bytes()
-
-
-def test_workers_env_fallback(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli(["ber-sweep", "--config", cfg, "--out", str(a)]) == 0
-    monkeypatch.setenv("OMNISTBC_WORKERS", "2")
-    assert cli(["ber-sweep", "--config", cfg, "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_angle_sweep_cli(tmp_path):

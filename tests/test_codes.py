@@ -47,18 +47,15 @@ def test_ac_orthogonality():
 
 def test_ostbc_example_r1():
     # payload with x1 = 1, x2 = j, x3' = 1 exists; check the Gram identity
-    for bits in payloads(4):
-        cw = codes.encode_ostbc(bits, 1)
-        x = cw.matrix
+    code = build_code("ostbc", 1)
+    for x in code.encode(payloads(4)):
         np.testing.assert_allclose(x @ x.conj().T, 4 * np.eye(4), atol=1e-12)
-    cw = codes.encode_ostbc(np.array([0, 0, 0, 0]), 1)
-    assert cw.matrix.shape[1] == 4 and build_code("ostbc", 1).nbits == 4  # 1 bps/Hz at R=1
+    assert code.n_slots == 4 and code.nbits == 4  # 1 bps/Hz at R=1
 
 
 @pytest.mark.parametrize("rate", [1, 2])
 def test_ostbc_amplitude_constraint(rate):
-    for bits in payloads(4 * rate):
-        m = codes.encode_ostbc(bits, rate).matrix
+    for m in build_code("ostbc", rate).encode(payloads(4 * rate)):
         x1, x2, x3 = m[0, 0], m[1, 0], m[2, 0]
         a = abs(x3)
         for v in (x1 + x2, x1 - x2, np.conj(x1) + x2, np.conj(x1) - x2):
@@ -81,8 +78,7 @@ def test_legacy_encoder_refuses_non_integral_rate():
 
 @pytest.mark.parametrize("rate", [1, 2])
 def test_qostbc_structure(rate):
-    for bits in payloads(4 * rate):
-        m = codes.encode_qostbc(bits, rate).matrix
+    for m in build_code("qostbc", rate).encode(payloads(4 * rate)):
         np.testing.assert_allclose(np.abs(m), 1.0, atol=1e-12)
         # rows 3,4 repeat rows 1,2 with the symbol pairs swapped
         np.testing.assert_allclose(m[2:, :2], m[:2, 2:], atol=1e-12)
@@ -91,8 +87,7 @@ def test_qostbc_structure(rate):
 
 def test_qostbc_r1_constellations():
     seen1, seen3 = set(), set()
-    for bits in payloads(4):
-        m = codes.encode_qostbc(bits, 1).matrix
+    for m in build_code("qostbc", 1).encode(payloads(4)):
         seen1.add(complex(np.round(m[0, 0], 9)))
         seen3.add(complex(np.round(m[2, 0], 9)))
     assert seen1 == {1 + 0j, -1 + 0j}
@@ -101,8 +96,7 @@ def test_qostbc_r1_constellations():
 
 @pytest.mark.parametrize("rate", [1, 2])
 def test_ciod_modulus_conditions(rate):
-    for bits in payloads(4 * rate):
-        m = codes.encode_ciod(bits, rate).matrix
+    for m in build_code("ciod", rate).encode(payloads(4 * rate)):
         x1, x2 = m[0, 0], m[1, 0]
         x3, x4 = m[2, 2], m[3, 2]
         assert abs(x1 + x2) == pytest.approx(abs(x1 - x2), abs=1e-12)
@@ -118,48 +112,47 @@ def test_ciod_interleave_example():
 
 def test_ciod_precoded_form_has_no_zeros():
     v = np.kron(hadamard2(), hadamard2())
-    for bits in payloads(4):
-        m = codes.encode_ciod(bits, 1).matrix
+    for m in build_code("ciod", 1).encode(payloads(4)):
         assert np.min(np.abs(v @ m)) > 0.1
 
 
 def test_nze_tc_small_example():
     x = np.array([1.0 + 0j, 1j])
-    cw = codes.encode_nze_tc(x, 2, 2)
+    cw = codes.nze_tc_tables(2, 2).build(x)
     # tall (time x ports) columns: [x1, x2, -x1] and [x2, x1, x2]
-    np.testing.assert_allclose(cw.matrix.T[:, 0], [1, 1j, -1])
-    np.testing.assert_allclose(cw.matrix.T[:, 1], [1j, 1, 1j])
+    np.testing.assert_allclose(cw.T[:, 0], [1, 1j, -1])
+    np.testing.assert_allclose(cw.T[:, 1], [1j, 1, 1j])
 
 
 def test_nze_tc_dimensions_and_rate():
     rng = np.random.default_rng(0)
     x = np.exp(2j * np.pi * rng.random(30))
-    cw = codes.encode_nze_tc(x, 30, 8)
-    assert cw.matrix.shape == (8, 37)
-    assert np.all(np.abs(cw.matrix) > 1 - 1e-9)
+    cw = codes.nze_tc_tables(30, 8).build(x)
+    assert cw.shape == (8, 37)
+    assert np.all(np.abs(cw) > 1 - 1e-9)
 
 
 def test_nze_oac_dimensions_and_rate():
     rng = np.random.default_rng(1)
     x = np.exp(2j * np.pi * rng.random(30))
-    cw = codes.encode_nze_oac(x, 30, 8)
-    assert cw.matrix.shape == (8, 36)
-    assert np.all(np.abs(cw.matrix) > 1 - 1e-9)
+    cw = codes.nze_oac_tables(30, 8).build(x)
+    assert cw.shape == (8, 36)
+    assert np.all(np.abs(cw) > 1 - 1e-9)
 
 
 def test_nze_oac_small_no_zero_entries():
     rng = np.random.default_rng(2)
     x = np.exp(2j * np.pi * rng.random(2))
-    cw = codes.encode_nze_oac(x, 2, 3)
-    assert cw.matrix.shape == (3, 4)
-    assert np.all(np.abs(cw.matrix) > 1 - 1e-9)
+    cw = codes.nze_oac_tables(2, 3).build(x)
+    assert cw.shape == (3, 4)
+    assert np.all(np.abs(cw) > 1 - 1e-9)
 
 
 def test_nze_errors():
     with pytest.raises(ValueError):
-        codes.encode_nze_tc(np.ones(2), 2, 3)  # L < N
+        codes.nze_tc_tables(2, 3)  # L < N
     with pytest.raises(ValueError):
-        codes.encode_nze_oac(np.ones(3), 3, 3)  # odd L
+        codes.nze_oac_tables(3, 3)  # odd L
     with pytest.raises(ValueError):
         codes.encode_nze_tc(np.array([1.0, 0.0]), 2, 2)  # zero-amplitude symbol
 
@@ -324,8 +317,8 @@ SCALAR_ENCODERS = {
     "ostbc": lambda b, r, l, n: _scalar_ostbc(b, r),
     "qostbc": lambda b, r, l, n: _scalar_qostbc(b, r),
     "ciod": lambda b, r, l, n: _scalar_ciod(b, r),
-    "nze_tc": lambda b, r, l, n: codes.encode_nze_tc(_psk_symbols(b, r), l, n).matrix,
-    "nze_oac": lambda b, r, l, n: codes.encode_nze_oac(_psk_symbols(b, r), l, n).matrix,
+    "nze_tc": lambda b, r, l, n: codes.nze_tc_tables(l, n).build(_psk_symbols(b, r)),
+    "nze_oac": lambda b, r, l, n: codes.nze_oac_tables(l, n).build(_psk_symbols(b, r)),
 }
 
 

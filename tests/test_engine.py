@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import hermitian_toeplitz
+
 from omnistbc import engine
 from omnistbc.analysis import BerPoint
 from omnistbc.channel import covariance_for
@@ -208,9 +210,10 @@ def test_point_setup_keeps_an_n_by_n_factor():
         w = precoder_for_code(
             cfg.code, cfg.m, cfg.gamma, n_ports=n_ports, phase_vector=phase
         ).w_matrix
-        r = covariance_for(
+        model = covariance_for(
             cfg.m, cfg.spacing_ratio, math.radians(10.0), math.radians(cfg.sigma_deg)
-        ).matrix
+        )
+        r = hermitian_toeplitz(model.lags)
         assert setup.g_map.shape == (n_ports, n_ports), overrides
         np.testing.assert_allclose(
             setup.g_map.conj().T @ setup.g_map,

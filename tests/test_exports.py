@@ -26,20 +26,40 @@ def test_module_exports_resolve(name):
     assert not missing, f"omnistbc.{name}.__all__ names missing attributes: {missing}"
 
 
-def test_cold_import_loads_no_scipy():
-    """A fresh process that imports the package, its CLI and its engine
-    loads NumPy only: SciPy's import is most of a sweep process's start-up."""
+def _loaded_in_fresh_process(statement, package):
+    """Sorted names of ``package`` and its submodules that a fresh Python
+    process has loaded after running ``statement``."""
     src = os.path.dirname(PACKAGE.submodule_search_locations[0])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = (
-        "import sys, omnistbc, omnistbc.cli, omnistbc.engine\n"
-        "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"import sys; {statement}\n"
+        f"print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == []
+    return out.stdout.split()
+
+
+def test_cold_import_loads_no_scipy():
+    """A fresh process that imports the package, its CLI and its engine
+    loads NumPy only: SciPy's import is most of a sweep process's start-up."""
+    assert _loaded_in_fresh_process("import omnistbc, omnistbc.cli, omnistbc.engine", "scipy") == []
+
+
+@pytest.mark.parametrize(
+    "statement,loaded",
+    [
+        ("import omnistbc", ["omnistbc"]),
+        ("import omnistbc.sequences", ["omnistbc", "omnistbc.sequences"]),
+    ],
+    ids=["root", "sequences"],
+)
+def test_import_loads_only_what_it_names(statement, loaded):
+    """The package root imports no submodule, so a fresh process that
+    imports one leaf module loads that module and the root alone."""
+    assert _loaded_in_fresh_process(statement, "omnistbc") == loaded
 
 
 def test_perfbench_names_resolve():

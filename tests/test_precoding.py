@@ -10,7 +10,7 @@ from omnistbc.precoding import (
     precoder_for_code,
     transmit,
 )
-from omnistbc.kinds import spec_for
+from omnistbc.kinds import build_code, spec_for
 from omnistbc.sequences import hadamard2, lift, zc_generate
 
 
@@ -54,7 +54,7 @@ def test_build_precoder_errors():
 def test_transmit_dimension_check():
     prec = precoder_for_code("ac", 4)
     with pytest.raises(ValueError):
-        transmit(prec, codes.encode_qostbc(np.zeros(4, dtype=int), 1).matrix)
+        transmit(prec, build_code("qostbc", 1).encode(np.zeros((1, 4), dtype=int))[0])
     np.testing.assert_allclose(transmit(prec, np.zeros((2, 2))), np.zeros((4, 2)))
 
 
@@ -69,7 +69,7 @@ def test_transmit_identity_lift_columns():
 
 def test_raw_ostbc_fails_per_antenna():
     prec = build_precoder(16, 1, np.eye(4))
-    signal = transmit(prec, codes.encode_ostbc(np.array([0, 1, 1, 0]), 1).matrix)
+    signal = transmit(prec, build_code("ostbc", 1).encode(np.array([[0, 1, 1, 0]]))[0])
     omni, per_antenna = check_requirements(signal)
     assert not per_antenna
 

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "BerPoint",
-    "PAIR_CAP",
     "check_pair_count",
     "coding_gain",
     "pep_upper_bound",

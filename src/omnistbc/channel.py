@@ -15,7 +15,7 @@ Every factor is bounded independently of M, so nothing overflows.  The
 effective covariance W^H R W comes from the lags by circulant embedding, and
 the DFT-leakage diagnostic from one FFT of the folded lags.  R itself is
 formed only by ``CovarianceModel.matrix``, which no library code calls; its
-one reader is perfbench/tests/test_perfbench.py, and ROADMAP item 10 deletes
+one reader is perfbench/tests/test_perfbench.py, and ROADMAP item 1 deletes
 it once that test reads ``project``.
 ``covariance_for`` takes the array size, spacing, mean angle and spread as
 plain numbers and runs the quadrature on every call; the engine calls it
@@ -78,7 +78,7 @@ class CovarianceModel:
         window at M - 1 - i of [r_{M-1}, ..., r_1, r_0, conj(r_1), ...,
         conj(r_{M-1})]; the copy of the windows is a fresh read-only array.
         Kept only for perfbench/tests/test_perfbench.py, its one reader;
-        ROADMAP item 10 deletes it once that test reads ``project``.
+        ROADMAP item 1 deletes it once that test reads ``project``.
         """
         m_len = self.n_antennas
         line = np.concatenate([self.lags[:0:-1], self.lags[:1], self.lags[1:].conj()])
@@ -308,5 +308,5 @@ def isotropy_deviation(precoder, model):
     channel asymptotically i.i.d. with per-port variance 1/N.  W^H R W is
     ``model.project``, the product the engine factors.
     """
-    n_ports = precoder.n_ports
+    n_ports = precoder.w_matrix.shape[1]
     return float(np.linalg.norm(n_ports * model.project(precoder.w_matrix) - np.eye(n_ports)))

@@ -51,9 +51,6 @@ class SimConfig:
     nze_n: int = 0
     precoder_override: str = "zc"
 
-    def n_ports(self):
-        return REGISTRY[self.code].ports(self.nze_n)
-
     def validate(self):
         from .engine import TRIALS_PER_BATCH  # the engine imports this module
 
@@ -74,7 +71,7 @@ class SimConfig:
         problem = spec.rules(self.nze_l, self.nze_n)
         if problem:
             raise ConfigError(problem)
-        n = self.n_ports()
+        n = spec.ports(self.nze_n)
         largest = MAX_BLOCK_BYTES // (32 * n)
         if not 0 < self.m <= largest:
             raise ConfigError(

@@ -55,10 +55,9 @@ CSV_HEADER = "code,rate_bps,M,snr_db,theta0_deg,trials,bit_errors,ber,seed"
 
 
 def _quantize(value):
-    """Stable integer key for a sweep coordinate (angles, SNR in dB)."""
-    if math.isfinite(value):
-        return int(round(value * 1e6)) & _U64
-    return (0x7F800000 if value > 0 else 0xFF800000) & _U64
+    """Stable integer key for a sweep coordinate (angles, SNR in dB), each
+    finite once the config is validated."""
+    return int(round(value * 1e6)) & _U64
 
 
 @dataclass(frozen=True)

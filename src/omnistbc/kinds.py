@@ -153,7 +153,7 @@ class CodeSpec:
         return self.n_ports or nze_n
 
     def preset_v(self, n_ports=None):
-        n = self.n_ports or n_ports
+        n = self.ports(n_ports)
         if n is None:
             raise ValueError(f"{self.kind} preset needs the port count")
         if self.v_matrix is None:

@@ -3,8 +3,9 @@
 A CAZAC sequence has constant amplitude in both the time domain and the
 DFT domain.  Zadoff-Chu sequences are the canonical family; they form the
 phase backbone of every precoder in this package.  The ``lift`` operation
-replicates a short vector across a long ZC sequence and is the mechanism
-by which per-port symbols inherit the CAZAC property.
+replicates a short vector, or a small matrix along its first axis, across a
+long ZC sequence.  It is the mechanism by which per-port symbols inherit the
+CAZAC property, and it builds the precoder itself: W = lift(c, V).
 """
 
 import math
@@ -107,19 +108,19 @@ def periodic_autocorr(v, shift):
 
 
 def lift(c, x):
-    """Modulate replicas of ``x`` onto the ZC sequence array ``c``.
+    """diag(c) (1_{M/N} kron x): replicas of ``x`` along its first axis,
+    modulated onto the ZC sequence array ``c``.
 
-    Returns diag(c) (1_{M/N} kron x).  With M an integer multiple of N^2,
-    the output is CAZAC exactly when all entries of ``x`` share one
-    amplitude.
+    ``x`` is a length-N symbol vector or an N x K matrix such as the
+    precoder's V.  With M a multiple of N^2, a lifted vector is CAZAC
+    exactly when all entries of ``x`` share one amplitude.
     """
     x = np.asarray(x, dtype=complex)
     m_len = c.size
-    n_len = x.size
+    n_len = x.shape[0] if x.ndim else 0
     if n_len == 0:
-        raise ValueError("x must be nonempty")
+        raise ValueError(f"x must have a nonempty first axis, got shape {x.shape}")
     if m_len % (n_len * n_len) != 0:
-        raise ValueError(
-            f"sequence length {m_len} is not a multiple of N^2 = {n_len * n_len}"
-        )
-    return c * np.tile(x, m_len // n_len)
+        raise ValueError(f"sequence length {m_len} is not a multiple of N^2 = {n_len * n_len}")
+    tail = (1,) * (x.ndim - 1)
+    return c.reshape(m_len, *tail) * np.tile(x, (m_len // n_len, *tail))

@@ -287,7 +287,7 @@ def test_projection_matches_dense_product():
             w = prec.w_matrix
             dense = w.conj().T @ hermitian_toeplitz(model.lags) @ w
             np.testing.assert_allclose(model.project(w), dense, rtol=0, atol=1e-12)
-            want = np.linalg.norm(prec.n_ports * dense - np.eye(prec.n_ports))
+            want = np.linalg.norm(w.shape[1] * dense - np.eye(w.shape[1]))
             assert abs(isotropy_deviation(prec, model) - want) <= 1e-12, (kind, m)
 
 

@@ -63,7 +63,7 @@ def test_run_trial_deterministic():
 def test_run_trial_noiseless_is_error_free():
     cfg = small_cfg()
     for idx in range(200):
-        _, errors, aborted = one_trial(cfg, float("inf"), 0.0, idx)
+        _, errors, aborted = one_trial(cfg, 300.0, 0.0, idx)
         assert errors == 0 and not aborted
 
 

@@ -66,7 +66,8 @@ def test_perfbench_names_resolve():
     """Every name the benchmark harness reaches into the package for still
     exists: the attributes its tracer wraps (``perfbench/spans.py``'s
     ``LAYERS``), the functions its references call, and what its own tests
-    import and read, ``CovarianceModel.matrix`` among them."""
+    import and read, ``CovarianceModel.matrix`` and the precoder's
+    ``.w_matrix`` among them."""
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
     where = importlib.util.spec_from_file_location(
         "perfbench_spans", os.path.join(root, "perfbench", "spans.py")
@@ -91,3 +92,5 @@ def test_perfbench_names_resolve():
             if owner is None:
                 missing.append(f"{layer}: {module_name}.{attr}")
     assert not missing, f"names the benchmark reads are gone: {missing}"
+    precoding = importlib.import_module("omnistbc.precoding")
+    assert precoding.precoder_for_code("ac", 4).w_matrix.shape == (4, 2)

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from omnistbc import codes
-from omnistbc.constellations import make_psk
-from omnistbc.precoding import (
-    avg_receive_power,
-    build_precoder,
-    check_requirements,
-    precoder_for_code,
-    transmit,
-)
-from omnistbc.kinds import build_code, spec_for
+from omnistbc.kinds import REGISTRY, build_code, spec_for
+from omnistbc.precoding import check_requirements, prbs_phase_vector, precoder_for_code
 from omnistbc.sequences import hadamard2, lift, zc_generate
 
 
@@ -28,13 +20,16 @@ def test_preset_shapes():
 
 
 def test_build_precoder_structure():
-    v = np.eye(2, dtype=complex)
-    prec = build_precoder(4, 1, v)
-    c = zc_generate(4, 1)
-    for m in range(4):
-        expected = np.zeros(2, dtype=complex)
-        expected[m % 2] = c[m]
-        np.testing.assert_allclose(prec.w_matrix[m], expected, atol=1e-15)
+    """W[m, j] = c[m] V[m mod N, j] exactly, for every kind, on ZC phases
+    of two roots and sizes and on a pseudo-random phase vector."""
+    cases = [(64, 7, None), (1024, 1, None), (64, 1, prbs_phase_vector(64, 5))]
+    for kind in REGISTRY:
+        v = spec_for(kind).preset_v(4)
+        for m_len, gamma, phase in cases:
+            w = precoder_for_code(kind, m_len, gamma, n_ports=4, phase_vector=phase).w_matrix
+            c = zc_generate(m_len, gamma) if phase is None else phase
+            rows = v[np.arange(m_len) % v.shape[0]]
+            assert np.array_equal(w, c[:, None] * rows), (kind, m_len, gamma, phase is None)
 
 
 def test_build_precoder_single_stream_is_zc():
@@ -43,66 +38,24 @@ def test_build_precoder_single_stream_is_zc():
 
 
 def test_build_precoder_errors():
-    with pytest.raises(ValueError):
-        build_precoder(6, 1, np.eye(2))  # 6 not a multiple of 4
-    with pytest.raises(ValueError):
-        build_precoder(4, 1, np.array([[1, 1], [0, 1]], dtype=complex))
-    with pytest.raises(ValueError, match="square"):
-        build_precoder(4, 1, np.eye(2)[:, :1])
-
-
-def test_transmit_dimension_check():
-    prec = precoder_for_code("ac", 4)
-    with pytest.raises(ValueError):
-        transmit(prec, build_code("qostbc", 1).encode(np.zeros((1, 4), dtype=int))[0])
-    np.testing.assert_allclose(transmit(prec, np.zeros((2, 2))), np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="multiple of N\\^2 = 4"):
+        precoder_for_code("ac", 6)
+    with pytest.raises(ValueError, match="phase vector length"):
+        precoder_for_code("ac", 8, phase_vector=prbs_phase_vector(4, 5))
 
 
 def test_transmit_identity_lift_columns():
-    prec = precoder_for_code("ac", 8)
-    cw = codes.AC_TABLE.build([1j, -1])
-    signal = transmit(prec, cw)
-    c = zc_generate(8, 1)
-    for t in range(2):
-        np.testing.assert_allclose(signal[:, t], lift(c, cw[:, t]), atol=1e-12)
+    """W X = lift(c, V X): precoding lifts the ports' signal onto c."""
+    c = zc_generate(64, 1)
+    for kind in ("ac", "ciod"):
+        w = precoder_for_code(kind, 64).w_matrix
+        v = spec_for(kind).preset_v()
+        for x in build_code(kind, 1).codebook()[1]:
+            np.testing.assert_allclose(w @ x, lift(c, v @ x), rtol=0, atol=1e-15)
 
 
 def test_raw_ostbc_fails_per_antenna():
-    prec = build_precoder(16, 1, np.eye(4))
-    signal = transmit(prec, build_code("ostbc", 1).encode(np.array([[0, 1, 1, 0]]))[0])
+    w = precoder_for_code("qostbc", 16).w_matrix  # V = I, no OSTBC pre-map
+    signal = w @ build_code("ostbc", 1).encode(np.array([[0, 1, 1, 0]]))[0]
     omni, per_antenna = check_requirements(signal)
     assert not per_antenna
-
-
-def test_avg_receive_power_invariance():
-    prec = precoder_for_code("ac", 16)
-    psk = make_psk(4)
-    x = np.array([psk.points[1], psk.points[2]])
-    lam_eye = np.ones(16)
-    assert avg_receive_power(prec, x, lam_eye) == pytest.approx(1.0, abs=1e-12)
-    rng = np.random.default_rng(8)
-    values = []
-    for _ in range(100):
-        lam = rng.random(16)
-        lam *= 16 / lam.sum()
-        values.append(avg_receive_power(prec, x, lam))
-    assert max(values) - min(values) < 1e-9
-
-    # a non-constant-amplitude input reacts to the direction weighting
-    bad = np.array([1.0 + 0j, 0.0])
-    lam1 = np.zeros(16)
-    lam1[0] = 16
-    lam2 = np.zeros(16)
-    lam2[1] = 16
-    assert abs(
-        avg_receive_power(prec, bad, lam1) - avg_receive_power(prec, bad, lam2)
-    ) > 1e-6
-
-
-def test_avg_receive_power_validation():
-    prec = precoder_for_code("ac", 16)
-    x = np.array([1.0, 1.0])
-    with pytest.raises(ValueError):
-        avg_receive_power(prec, x, -np.ones(16))
-    with pytest.raises(ValueError):
-        avg_receive_power(prec, x, np.ones(16) * 2)

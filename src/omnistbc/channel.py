@@ -301,12 +301,13 @@ def covariance_factor(r):
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def isotropy_deviation(precoder, model):
-    """Frobenius distance of N (W^H R W) from the identity.
+def isotropy_deviation(w, model):
+    """Frobenius distance of N (W^H R W) from the identity, for an M x N
+    precoder ``w``.
 
     Vanishes as M grows for any fixed port count, making the effective
     channel asymptotically i.i.d. with per-port variance 1/N.  W^H R W is
     ``model.project``, the product the engine factors.
     """
-    n_ports = precoder.w_matrix.shape[1]
-    return float(np.linalg.norm(n_ports * model.project(precoder.w_matrix) - np.eye(n_ports)))
+    n_ports = w.shape[1]
+    return float(np.linalg.norm(n_ports * model.project(w) - np.eye(n_ports)))

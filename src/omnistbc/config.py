@@ -15,6 +15,10 @@ from .receivers import MAX_BLOCK_BYTES
 
 __all__ = ["SimConfig", "ConfigError", "parse_config", "load_config", "snr_problem"]
 
+# Trials per engine batch.  Every per-batch array holds one row per trial,
+# so validation bounds each trial's share of MAX_BLOCK_BYTES by it.
+TRIALS_PER_BATCH = 4096
+
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
@@ -52,8 +56,6 @@ class SimConfig:
     precoder_override: str = "zc"
 
     def validate(self):
-        from .engine import TRIALS_PER_BATCH  # the engine imports this module
-
         spec = REGISTRY.get(self.code)
         if spec is None:
             raise ConfigError(f"code: unknown kind {self.code!r}")
@@ -61,17 +63,24 @@ class SimConfig:
         if problem:
             raise ConfigError(f"rate: {problem}")
         cap = f"{MAX_BLOCK_BYTES >> 20} MiB"
-        largest = math.isqrt(MAX_BLOCK_BYTES // (16 * TRIALS_PER_BATCH))
+        # The complex entries per trial that fit a batch in the cap: 1024.
+        entries = MAX_BLOCK_BYTES // (16 * TRIALS_PER_BATCH)
+        largest = math.isqrt(entries)
         if self.nze_l > largest:
             raise ConfigError(
-                f"nze.l: {self.nze_l} is above {largest}, the largest L whose "
-                f"{TRIALS_PER_BATCH}-trial ZF band (the Gram's upper band, at most "
-                f"L x L complex per trial) fits in {cap}"
+                f"nze.l: {self.nze_l} is above {largest}, the largest L with L x L "
+                f"within the {entries} complex entries per trial that a "
+                f"{TRIALS_PER_BATCH}-trial batch may hold in {cap}"
             )
-        problem = spec.rules(self.nze_l, self.nze_n)
-        if problem:
-            raise ConfigError(problem)
-        n = spec.ports(self.nze_n)
+        try:
+            n, slots = spec.table(self.nze_l, self.nze_n).idx.shape
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if n * slots > entries:
+            raise ConfigError(
+                f"nze.l, nze.n: the {n} x {slots} codeword has {n * slots} entries, above "
+                f"{entries}, the most whose {TRIALS_PER_BATCH}-trial batch fits in {cap}"
+            )
         largest = MAX_BLOCK_BYTES // (32 * n)
         if not 0 < self.m <= largest:
             raise ConfigError(

@@ -34,9 +34,9 @@ from .analysis import BerPoint
 from .channel import covariance_factor, covariance_for
 # Unused here; kept importable because perfbench/spans.py traces them by these names.
 from .codes import ac_matrix, ciod_matrix, ostbc_matrix, qostbc_matrix  # noqa: F401
-from .config import ConfigError, snr_problem
+from .config import TRIALS_PER_BATCH, ConfigError, snr_problem
 from .kinds import Code, build_code
-from .precoding import precoder_for_code, prbs_phase_vector
+from .precoding import PRBS_TAG, precoder_for_code, prbs_phase_vector
 
 __all__ = [
     "run_ber_sweep",
@@ -45,9 +45,7 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-TRIALS_PER_BATCH = 4096
 WAVE_BATCHES = 2
-_PRBS_TAG = 0x50524253
 _U64 = (1 << 64) - 1
 _BLOCK_WORDS = 4  # Philox4x64 gives four 64-bit words per counter step
 
@@ -77,7 +75,7 @@ class _PointSetup:
 def _point_setup(cfg, theta0_deg):
     phase = None
     if cfg.precoder_override == "prbs":
-        phase = prbs_phase_vector(cfg.m, (cfg.master_seed & _U64, _PRBS_TAG))
+        phase = prbs_phase_vector(cfg.m, (cfg.master_seed & _U64, PRBS_TAG))
     code = build_code(cfg.code, cfg.rate, cfg.nze_l, cfg.nze_n)
     prec = precoder_for_code(
         cfg.code, cfg.m, cfg.gamma, n_ports=code.n_ports, phase_vector=phase

@@ -14,8 +14,13 @@ __all__ = [
     "Precoder",
     "precoder_for_code",
     "prbs_phase_vector",
+    "PRBS_TAG",
     "check_requirements",
 ]
+
+# Second word of the engine's PRBS seed (master_seed, PRBS_TAG): "PRBS" in
+# ASCII, which keeps the baseline's phases apart from every trial stream.
+PRBS_TAG = 0x50524253
 
 
 class Precoder:

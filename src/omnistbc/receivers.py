@@ -4,9 +4,10 @@ Observation model: y_t = sum_n g_n X_{n,t} + z_t, where g is the
 receiver-side effective channel, the row vector h^H W.
 
 Every decoder is built from the code's own encoder, ``assemble`` (symbols
-(B, n_symbols) -> codewords (B, N, T)), and the constellation of each
-symbol position in payload order; no decoder writes a codeword formula
-of its own.  The enumerable kinds share one exact-ML kernel that searches
+(B, n_symbols) -> codewords (B, N, T) through the kind's pre-map and
+``GatherTable``, both in ``omnistbc.kinds``), and the constellation of
+each symbol position in payload order; no decoder writes a codeword
+formula of its own.  The enumerable kinds share one exact-ML kernel that searches
 each group of symbol positions that decouples in the metric; the NZE
 kinds use zero forcing after conjugating the conjugated slots, on the map
 that ``assemble`` probes out: the Gram of that map is a band, and a band
@@ -35,9 +36,8 @@ __all__ = [
 
 # The most bytes one per-batch array may take.  The ML search and ZF take a
 # batch in blocks of rows whose largest array fits under it.  Config
-# validation refuses an L whose full-batch ZF band (the Gram's upper band,
-# at most L x L complex per trial) would pass it, and an M whose set-up
-# 2M x N FFT would.
+# validation refuses an N x T codeword whose full batch would pass it, and
+# an M whose set-up 2M x N FFT would.
 MAX_BLOCK_BYTES = 1 << 26
 
 

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import analysis, precoding, sequences
 from .constellations import make_psk
-from .engine import _PRBS_TAG
 from .kinds import REGISTRY, build_code
 from .sequences import is_cazac, is_constant_amplitude, lift
 
@@ -104,7 +103,7 @@ def check_requirements_all_kinds():
 
 
 def check_prbs_fails_omni():
-    seeds = ((1, _PRBS_TAG), 2024, (11, _PRBS_TAG))
+    seeds = ((1, precoding.PRBS_TAG), 2024, (11, precoding.PRBS_TAG))
     for seed in seeds:
         phase = precoding.prbs_phase_vector(64, seed)
         prec = precoding.precoder_for_code("single", 64, phase_vector=phase)

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import codebook, payloads
 
-from omnistbc import codes
+from omnistbc import kinds
 from omnistbc.analysis import (
     BerPoint,
     coding_gain,
@@ -30,7 +30,7 @@ def test_coding_gain_reference_values():
 
 def test_coding_gain_ac_bpsk():
     psk = make_psk(2)
-    book = [codes.AC_TABLE.build([a, b]) for a in psk.points for b in psk.points]
+    book = [kinds.AC_TABLE.build([a, b]) for a in psk.points for b in psk.points]
     assert coding_gain(book) == pytest.approx(4.0, abs=1e-12)
 
 
@@ -90,7 +90,7 @@ def test_qostbc_closed_form_matches_difference_enumeration_l8():
 def test_pep_bound_against_direct_enumeration():
     """Independent oracle: accumulate the bound pair by pair from scratch."""
     psk = make_psk(2)
-    book = [codes.AC_TABLE.build([a, b]) for a in psk.points for b in psk.points]
+    book = [kinds.AC_TABLE.build([a, b]) for a in psk.points for b in psk.points]
     sigma_n2 = 0.1
     total = 0.0
     for i, xi in enumerate(book):

@@ -101,8 +101,8 @@ def test_leakage_decreases_with_array_size():
 def test_isotropy_deviation_decreases_with_array_size():
     devs = []
     for m in (16, 64, 256, 1024):
-        prec = precoder_for_code("qostbc", m)
-        devs.append(isotropy_deviation(prec, covariance_for(m, 1 / math.sqrt(3), 0.0, SIGMA5)))
+        w = precoder_for_code("qostbc", m).w_matrix
+        devs.append(isotropy_deviation(w, covariance_for(m, 1 / math.sqrt(3), 0.0, SIGMA5)))
     for small, big in zip(devs, devs[1:]):
         assert big <= 1.1 * small
     assert devs[-1] <= 0.5 * devs[0]
@@ -110,8 +110,8 @@ def test_isotropy_deviation_decreases_with_array_size():
 
 def test_isotropy_identity_covariance_is_exact():
     for m in (16, 64, 256):
-        prec = precoder_for_code("qostbc", m)
-        assert isotropy_deviation(prec, CovarianceModel(np.eye(m)[0])) < 1e-10
+        w = precoder_for_code("qostbc", m).w_matrix
+        assert isotropy_deviation(w, CovarianceModel(np.eye(m)[0])) < 1e-10
 
 
 def test_draw_channel_statistics():
@@ -283,12 +283,11 @@ def test_projection_matches_dense_product():
     for m in (64, 1024):
         model = covariance_for(m, DEFAULT_SPACING_RATIO, -0.3, SIGMA5)
         for kind, n_ports in (("single", None), ("ac", None), ("qostbc", None), ("nze_tc", 8)):
-            prec = precoder_for_code(kind, m, n_ports=n_ports)
-            w = prec.w_matrix
+            w = precoder_for_code(kind, m, n_ports=n_ports).w_matrix
             dense = w.conj().T @ hermitian_toeplitz(model.lags) @ w
             np.testing.assert_allclose(model.project(w), dense, rtol=0, atol=1e-12)
             want = np.linalg.norm(w.shape[1] * dense - np.eye(w.shape[1]))
-            assert abs(isotropy_deviation(prec, model) - want) <= 1e-12, (kind, m)
+            assert abs(isotropy_deviation(w, model) - want) <= 1e-12, (kind, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 64])

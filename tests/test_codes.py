@@ -5,34 +5,35 @@ import pytest
 
 from helpers import payloads
 
-from omnistbc import codes
+from omnistbc import codes, kinds
+from omnistbc.config import ConfigError, SimConfig
 from omnistbc.constellations import make_psk
 from omnistbc.kinds import REGISTRY, build_code, spec_for
 from omnistbc.sequences import hadamard2
 
 
 def test_ac_examples():
-    np.testing.assert_allclose(codes.AC_TABLE.build([1, 1]), [[1, 1], [1, -1]])
-    np.testing.assert_allclose(codes.AC_TABLE.build([1, 1j]), [[1, -1j], [1j, -1]])
+    np.testing.assert_allclose(kinds.AC_TABLE.build([1, 1]), [[1, 1], [1, -1]])
+    np.testing.assert_allclose(kinds.AC_TABLE.build([1, 1j]), [[1, -1j], [1j, -1]])
 
 
 def test_ostbc_example():
     np.testing.assert_allclose(
-        codes.OSTBC_TABLE.build([1j, 2, 3j]),
+        kinds.OSTBC_TABLE.build([1j, 2, 3j]),
         [[1j, 2, -3j, 0], [2, 1j, 0, -3j], [3j, 0, 1j, -2], [0, 3j, -2, 1j]],
     )
 
 
 def test_qostbc_example():
     np.testing.assert_allclose(
-        codes.QOSTBC_TABLE.build([1, 1j, 2, 2j]),
+        kinds.QOSTBC_TABLE.build([1, 1j, 2, 2j]),
         [[1, -1j, 2, -2j], [1j, -1, 2j, -2], [2, -2j, 1, -1j], [2j, -2, 1j, -1]],
     )
 
 
 def test_ciod_example():
     np.testing.assert_allclose(
-        codes.CIOD_TABLE.build([1, 1j, 2, 2j]),
+        kinds.CIOD_TABLE.build([1, 1j, 2, 2j]),
         [[1, -1j, 0, 0], [1j, -1, 0, 0], [0, 0, 2, -2j], [0, 0, 2j, -2]],
     )
 
@@ -41,7 +42,7 @@ def test_ac_orthogonality():
     psk = make_psk(4)
     for a in psk.points:
         for b in psk.points:
-            x = codes.AC_TABLE.build([a, b])
+            x = kinds.AC_TABLE.build([a, b])
             np.testing.assert_allclose(x @ x.conj().T, 2 * np.eye(2), atol=1e-12)
 
 
@@ -118,7 +119,7 @@ def test_ciod_precoded_form_has_no_zeros():
 
 def test_nze_tc_small_example():
     x = np.array([1.0 + 0j, 1j])
-    cw = codes.nze_tc_tables(2, 2).build(x)
+    cw = kinds.nze_tc_tables(2, 2).build(x)
     # tall (time x ports) columns: [x1, x2, -x1] and [x2, x1, x2]
     np.testing.assert_allclose(cw.T[:, 0], [1, 1j, -1])
     np.testing.assert_allclose(cw.T[:, 1], [1j, 1, 1j])
@@ -127,7 +128,7 @@ def test_nze_tc_small_example():
 def test_nze_tc_dimensions_and_rate():
     rng = np.random.default_rng(0)
     x = np.exp(2j * np.pi * rng.random(30))
-    cw = codes.nze_tc_tables(30, 8).build(x)
+    cw = kinds.nze_tc_tables(30, 8).build(x)
     assert cw.shape == (8, 37)
     assert np.all(np.abs(cw) > 1 - 1e-9)
 
@@ -135,7 +136,7 @@ def test_nze_tc_dimensions_and_rate():
 def test_nze_oac_dimensions_and_rate():
     rng = np.random.default_rng(1)
     x = np.exp(2j * np.pi * rng.random(30))
-    cw = codes.nze_oac_tables(30, 8).build(x)
+    cw = kinds.nze_oac_tables(30, 8).build(x)
     assert cw.shape == (8, 36)
     assert np.all(np.abs(cw) > 1 - 1e-9)
 
@@ -143,34 +144,41 @@ def test_nze_oac_dimensions_and_rate():
 def test_nze_oac_small_no_zero_entries():
     rng = np.random.default_rng(2)
     x = np.exp(2j * np.pi * rng.random(2))
-    cw = codes.nze_oac_tables(2, 3).build(x)
+    cw = kinds.nze_oac_tables(2, 3).build(x)
     assert cw.shape == (3, 4)
     assert np.all(np.abs(cw) > 1 - 1e-9)
 
 
 def test_nze_errors():
     with pytest.raises(ValueError):
-        codes.nze_tc_tables(2, 3)  # L < N
+        kinds.nze_tc_tables(2, 3)  # L < N
     with pytest.raises(ValueError):
-        codes.nze_oac_tables(3, 3)  # odd L
+        kinds.nze_oac_tables(3, 3)  # odd L
     with pytest.raises(ValueError):
         codes.encode_nze_tc(np.array([1.0, 0.0]), 2, 2)  # zero-amplitude symbol
 
 
 @pytest.mark.parametrize("kind", ["nze_tc", "nze_oac"])
 def test_nze_rules_accept_exactly_what_builds(kind):
-    """The config rules and the code builder state one shape rule: on the
-    grid L <= 40, N <= 12, rules(L, N) is None exactly when the code builds."""
-    rules = REGISTRY[kind].rules
-    for nze_l in range(41):
+    """Config validation and the code builder state one shape rule: on the
+    grid L <= 32, N <= 12, inside every size bound, validation accepts
+    (L, N) exactly when the code builds."""
+    for nze_l in range(33):
         for nze_n in range(13):
+            cfg = SimConfig(code=kind, nze_l=nze_l, nze_n=nze_n, m=4 * max(nze_n, 1) ** 2)
             try:
                 build_code(kind, 1, nze_l, nze_n)
             except ValueError:
                 built = False
             else:
                 built = True
-            assert (rules(nze_l, nze_n) is None) == built, (nze_l, nze_n)
+            try:
+                cfg.validate()
+            except ConfigError:
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == built, (nze_l, nze_n)
 
 
 def _layered_nze(kind, n_sym, n_ports):
@@ -220,7 +228,7 @@ def test_nze_tables_match_layered_reference(kind, n_shapes):
     """On every buildable shape with L <= 40, N <= 12, exactly one reference
     layer is active at each entry, and the gather table gives the layered
     codewords bit for bit at R = 1 and 2."""
-    make_tables = getattr(codes, f"{kind}_tables")
+    make_tables = getattr(kinds, f"{kind}_tables")
     rng = np.random.default_rng(11)
     shapes = 0
     for nze_l in range(41):
@@ -288,13 +296,13 @@ def _scalar_ostbc(bits, rate):
     x1 = _symbol(pam, bits[:k])
     x2 = 1j * _symbol(pam, bits[k : 2 * k])
     x3 = abs(x1 + x2) * _symbol(qpsk, bits[2 * k :])
-    return codes.OSTBC_TABLE.build([x1, x2, x3])
+    return kinds.OSTBC_TABLE.build([x1, x2, x3])
 
 
 def _scalar_qostbc(bits, rate):
     psk, _, rotated, _ = build_code("qostbc", rate).constellations
     half = 2 * rate
-    return codes.QOSTBC_TABLE.build(
+    return kinds.QOSTBC_TABLE.build(
         _symbols(psk, bits[:half], rate) + _symbols(rotated, bits[half:], rate)
     )
 
@@ -306,19 +314,19 @@ def _scalar_ciod(bits, rate):
     r = np.sqrt(2.0)
     x = [r * (1 + 1j) * s1.real, r * (1 - 1j) * s2.real]
     x += [r * (1 + 1j) * s1.imag, r * (1j - 1) * s2.imag]
-    return codes.CIOD_TABLE.build(x)
+    return kinds.CIOD_TABLE.build(x)
 
 
 # Symbol-by-symbol encoders (bits, R, L, N) -> X that look each symbol up by its
 # bit word: the reference for the registry's batched encoders.
 SCALAR_ENCODERS = {
     "single": lambda b, r, l, n: np.array([_psk_symbols(b, r)]),
-    "ac": lambda b, r, l, n: codes.AC_TABLE.build(_psk_symbols(b, r)),
+    "ac": lambda b, r, l, n: kinds.AC_TABLE.build(_psk_symbols(b, r)),
     "ostbc": lambda b, r, l, n: _scalar_ostbc(b, r),
     "qostbc": lambda b, r, l, n: _scalar_qostbc(b, r),
     "ciod": lambda b, r, l, n: _scalar_ciod(b, r),
-    "nze_tc": lambda b, r, l, n: codes.nze_tc_tables(l, n).build(_psk_symbols(b, r)),
-    "nze_oac": lambda b, r, l, n: codes.nze_oac_tables(l, n).build(_psk_symbols(b, r)),
+    "nze_tc": lambda b, r, l, n: kinds.nze_tc_tables(l, n).build(_psk_symbols(b, r)),
+    "nze_oac": lambda b, r, l, n: kinds.nze_oac_tables(l, n).build(_psk_symbols(b, r)),
 }
 
 

@@ -2,9 +2,12 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from omnistbc.config import ConfigError, SimConfig, parse_config
+from omnistbc import kinds
+from omnistbc.config import TRIALS_PER_BATCH, ConfigError, SimConfig, parse_config
+from omnistbc.receivers import MAX_BLOCK_BYTES
 
 GOOD = """
 # minimal Alamouti sweep
@@ -177,3 +180,42 @@ def test_rate_bound(kind, largest):
     assert replace(shape, rate=largest).validate().rate == largest
     with pytest.raises(ConfigError, match=f"^rate: {largest + 1} is above {largest},"):
         replace(shape, rate=largest + 1).validate()
+
+
+@pytest.mark.parametrize(
+    "kind,largest_accepted,first_refused",
+    [("nze_tc", (32, 20, 1020), (29, 21)), ("nze_oac", (26, 22, 1012), (30, 21))],
+    ids=["nze_tc", "nze_oac"],
+)
+def test_nze_codeword_batch_fits_block_cap(kind, largest_accepted, first_refused):
+    """Validation refuses exactly the NZE shapes, L <= 32 and N <= 33, whose
+    N x T codeword has more than the 1024 complex entries per trial that a
+    full batch may hold in MAX_BLOCK_BYTES, naming both keys.  At the largest
+    accepted shape a full batch of codewords, sized from an encoded pair,
+    fits in MAX_BLOCK_BYTES."""
+    entries = MAX_BLOCK_BYTES // (16 * TRIALS_PER_BATCH)
+    assert entries == 1024
+    make = getattr(kinds, f"{kind}_tables")
+    accepted, refused = [], []
+    for nze_n in range(1, 34):
+        for nze_l in range(1, 33):
+            try:
+                n_ports, n_slots = make(nze_l, nze_n).idx.shape
+            except ValueError:
+                continue
+            cfg = SimConfig(code=kind, nze_l=nze_l, nze_n=nze_n, m=4 * nze_n**2)
+            if n_ports * n_slots <= entries:
+                cfg.validate()
+                accepted.append((n_ports * n_slots, nze_l, nze_n))
+                continue
+            with pytest.raises(ConfigError, match=r"^nze\.l, nze\.n: ") as err:
+                cfg.validate()
+            assert f"{n_ports * n_slots} entries, above {entries}" in str(err.value)
+            refused.append((nze_l, nze_n))
+    assert refused[0] == first_refused
+    assert (32, 32) in refused and (kind != "nze_oac" or (32, 33) in refused)
+    size, nze_l, nze_n = max(accepted)
+    assert (nze_l, nze_n, size) == largest_accepted
+    code = kinds.build_code(kind, 1, nze_l, nze_n)
+    pair = code.encode(np.zeros((2, code.nbits), dtype=np.int64))
+    assert pair.nbytes // 2 * TRIALS_PER_BATCH <= MAX_BLOCK_BYTES

@@ -14,14 +14,14 @@ from helpers import hermitian_toeplitz
 from omnistbc import engine
 from omnistbc.analysis import BerPoint
 from omnistbc.channel import covariance_for
-from omnistbc.config import ConfigError, SimConfig
+from omnistbc.config import TRIALS_PER_BATCH, ConfigError, SimConfig
 from omnistbc.engine import (
     CSV_HEADER,
     emit_csv,
     run_angle_sweep,
     run_ber_sweep,
 )
-from omnistbc.precoding import prbs_phase_vector, precoder_for_code
+from omnistbc.precoding import PRBS_TAG, prbs_phase_vector, precoder_for_code
 
 
 def small_cfg(**kw):
@@ -206,7 +206,7 @@ def test_point_setup_keeps_an_n_by_n_factor():
         setup = engine._point_setup(cfg, 10.0)
         phase = None
         if cfg.precoder_override == "prbs":
-            phase = prbs_phase_vector(cfg.m, (cfg.master_seed, engine._PRBS_TAG))
+            phase = prbs_phase_vector(cfg.m, (cfg.master_seed, PRBS_TAG))
         w = precoder_for_code(
             cfg.code, cfg.m, cfg.gamma, n_ports=n_ports, phase_vector=phase
         ).w_matrix
@@ -241,8 +241,8 @@ def test_trial_draws_have_unit_moments():
     """Over one batch the payload bits are fair and the Gaussians are unit
     circular: E z = 0, E|z|^2 = 1 and E z^2 = 0, each within 5 sigma."""
     cfg, setup = _split_setup("ac")
-    bits, z = engine._draw_trials(cfg, setup.code, 2.0, 10.0, 0, engine.TRIALS_PER_BATCH)
-    assert bits.shape == (engine.TRIALS_PER_BATCH, setup.code.nbits)
+    bits, z = engine._draw_trials(cfg, setup.code, 2.0, 10.0, 0, TRIALS_PER_BATCH)
+    assert bits.shape == (TRIALS_PER_BATCH, setup.code.nbits)
     assert abs(bits.mean() - 0.5) < 5 * 0.5 / math.sqrt(bits.size)
     z = z.ravel()
     n = z.size

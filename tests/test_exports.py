@@ -2,6 +2,7 @@
 ``__all__`` entry or package import fails here, not in a user's
 ``from omnistbc.<module> import *``."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -94,3 +95,45 @@ def test_perfbench_names_resolve():
     assert not missing, f"names the benchmark reads are gone: {missing}"
     precoding = importlib.import_module("omnistbc.precoding")
     assert precoding.precoder_for_code("ac", 4).w_matrix.shape == (4, 2)
+    # The tracer wraps ``NzeTables.build`` to count encodes; a copy or a
+    # subclass of the registry's table class would leave that count at 0.
+    codes, kinds = (importlib.import_module(f"omnistbc.{m}") for m in ("codes", "kinds"))
+    assert codes.NzeTables is kinds.GatherTable
+
+
+def _package_imports():
+    """Each module of the package mapped to the set of package modules it
+    imports, at module level or inside a function."""
+    src = PACKAGE.submodule_search_locations[0]
+    graph = {}
+    for name in MODULES:
+        with open(os.path.join(src, f"{name}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        edges = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                edges |= {node.module} if node.module else {a.name for a in node.names}
+        graph[name] = edges & set(MODULES)
+    return graph
+
+
+def test_import_graph_is_acyclic():
+    """No module imports one that imports it, directly or through others,
+    so no import has to hide inside a function to break a cycle."""
+    graph = _package_imports()
+    assert graph["cli"] >= {"engine", "selfcheck"}  # function-level imports are edges
+    done, path, cycles = set(), [], []
+
+    def visit(name):
+        if name in path:
+            cycles.append(" -> ".join(path[path.index(name) :] + [name]))
+        elif name not in done:
+            path.append(name)
+            for dep in sorted(graph[name]):
+                visit(dep)
+            path.pop()
+            done.add(name)
+
+    for name in MODULES:
+        visit(name)
+    assert not cycles, f"import cycles: {cycles}"

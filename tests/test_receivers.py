@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import codebook, exhaustive_ml, payloads
 
-from omnistbc import codes, receivers
+from omnistbc import kinds, receivers
 from omnistbc.constellations import make_psk
 from omnistbc.kinds import REGISTRY, build_code
 from omnistbc.receivers import (
@@ -55,7 +55,7 @@ def test_single_decoder_roundtrip():
 
 def test_ac_matched_filter_identity_channel():
     psk = make_psk(4)
-    cw = codes.AC_TABLE.build(psk.points[[1, 3]])
+    cw = kinds.AC_TABLE.build(psk.points[[1, 3]])
     g = np.array([[1.0 + 0j, 0.0]])
     idx, aborted = AcDecoder(build_code("ac", 2).assemble, [psk, psk]).decode_batch(g @ cw, g)
     np.testing.assert_array_equal(idx, [[1, 3]])
@@ -261,7 +261,7 @@ def test_zf_noiseless_roundtrip(kind, l_sym, n_ports):
 def test_zf_noiseless_exhaustive_payloads(kind, l_sym, n_ports):
     """All QPSK payloads recover exactly over 50 random channels each."""
     psk = make_psk(4)
-    make = codes.nze_tc_tables if kind == "nze_tc" else codes.nze_oac_tables
+    make = kinds.nze_tc_tables if kind == "nze_tc" else kinds.nze_oac_tables
     tables = make(l_sym, n_ports)
     decoder = NzeZfDecoder(tables.build, [psk] * l_sym)
     idx = np.indices((4,) * l_sym).reshape(l_sym, -1).T  # 256 payloads
@@ -441,7 +441,8 @@ def test_zf_batch_memory_is_capped(kind, rate, l_sym, n_ports, n_trials):
     2 x MAX_BLOCK_BYTES of traced memory: the rows go through in blocks
     whose largest array fits in the cap.  At R = 12 that array is the
     slicing's L x 4096 distances per trial (2 MiB); at N = L = 32 and at
-    N = 33 it is the N T products conj(g_n) y_t, 138 MiB for a whole
+    N = 33, shapes past validation's N x T bound that the decoder still
+    takes, it is the N T products conj(g_n) y_t, 138 MiB for a whole
     4096-trial batch at N = 33."""
     code = build_code(kind, rate, l_sym, n_ports)
     rng = np.random.default_rng(15)
@@ -473,7 +474,7 @@ def test_zf_refuses_mixed_slot():
 def test_zf_conjugated_slots_follow_table(kind, l_sym, n_ports):
     """Each slot of the gather table is all plain or all conjugated, and the
     decoder's probed slot flags equal that column of the table."""
-    make = codes.nze_tc_tables if kind == "nze_tc" else codes.nze_oac_tables
+    make = kinds.nze_tc_tables if kind == "nze_tc" else kinds.nze_oac_tables
     conj = make(l_sym, n_ports).conj
     assert np.all(conj.all(axis=0) | ~conj.any(axis=0))
     decoder = build_code(kind, 1, l_sym, n_ports).decoder

@@ -52,10 +52,17 @@ class GatherTable:
     conj: np.ndarray
 
     def build(self, x):
-        """Codeword matrices (..., N, T) for symbols ``x`` of shape (..., k)."""
+        """Codeword matrices (..., N, T) for symbols ``x`` of shape (..., k).
+
+        One gather writes a C-ordered batch, each codeword's N x T entries
+        contiguous, and the sign multiplies it in place: the batch is the
+        only array of its size held at the peak.
+        """
         x = np.asarray(x, dtype=complex)
         both = np.concatenate([x, x.conj()], axis=-1)
-        return self.sign * both[..., self.idx + x.shape[-1] * self.conj]
+        out = np.take(both, self.idx + x.shape[-1] * self.conj, axis=-1)
+        out *= self.sign
+        return out
 
 
 def _table(*rows):
@@ -100,8 +107,10 @@ class Code:
         self.constellations = [c for c, count in groups for _ in range(count)]
         self.n_ports, self.n_slots = table.idx.shape
         self.decoder = decoder_cls(self.assemble, self.constellations)
-        self._groups = [(c.bit_width, count, c.points) for c, count in groups]
-        self.nbits = sum(width * count for width, count, _ in self._groups)
+        # Per group: bit width, symbol count, points, and the unpack table
+        # from each word to its bits.
+        self._groups = [(c.bit_width, count, c.points, payloads(c.bit_width)) for c, count in groups]
+        self.nbits = sum(width * count for width, count, _, _ in self._groups)
 
     def assemble(self, x):
         """Symbols (B, symbols) -> codewords (B, N, T)."""
@@ -114,7 +123,7 @@ class Code:
     def encode(self, bits):
         """Payloads (B, nbits) -> codewords (B, N, T)."""
         parts, start = [], 0
-        for width, count, points in self._groups:
+        for width, count, points, _ in self._groups:
             stop = start + width * count
             words = bits[:, start:stop].reshape(len(bits), count, width)
             parts.append(points[words @ (1 << np.arange(width - 1, -1, -1))])
@@ -126,10 +135,10 @@ class Code:
         aborted (B,)); the bits of an aborted trial mean nothing."""
         idx, aborted = self.decoder.decode_batch(y, g)
         parts, start = [], 0
-        for width, count, _ in self._groups:
-            parts.append(payloads(width)[idx[:, start : start + count]].reshape(len(idx), -1))
+        for _, count, _, unpack in self._groups:
+            parts.append(unpack[idx[:, start : start + count]].reshape(len(idx), -1))
             start += count
-        return np.concatenate(parts, axis=1), aborted
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), aborted
 
     def codebook(self):
         """(payloads, codewords) over every payload, in ascending word order."""

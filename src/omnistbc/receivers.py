@@ -57,12 +57,14 @@ class _GroupSearch:
 
     At construction each group's candidates, lowest word first, are
     encoded once with the other symbols at zero, giving the sub-codebook
-    X_c (C, N, T), its ``book`` (N T, C) and ``gram`` = X_c X_c^H (N^2, C).
-    A batch scores every candidate by
-    Re(gg @ gram) - 2 Re(gy @ book) = ||y - g X_c||^2 - ||y||^2, with
-    gg = g (x) conj(g) and gy = g (x) conj(y).  Since Re(a b) = Re a Re b -
-    Im a Im b, that is one real product of the batch's features
-    [Re gg, Im gg, Re gy, Im gy] with the group's constant ``weights``.
+    X_c (C, N, T) and ``gram`` = X_c X_c^H (N, N, C).  A batch scores
+    every candidate by Re(gg . gram) - 2 Re(gy . X_c) = ||y - g X_c||^2 -
+    ||y||^2, with gg = g (x) conj(g) and gy = g (x) conj(y), that is
+    Re(f . coef) for the trial's features f = g (x) conj([g, y]), (N, N + T),
+    and the group's ``coef`` = [gram, -2 X_c] (N, N + T, C).  Since
+    Re(a b) = Re a Re b - Im a Im b, that is one real product of f viewed
+    as floats, the real then the imaginary part of each (n, j), with the
+    constant ``weights``, whose rows are (Re coef, -Im coef) in that order.
     A zero channel row scores every candidate 0.  The batch's rows are
     scored in blocks whose metrics take at most MAX_BLOCK_BYTES.
     """
@@ -80,17 +82,16 @@ class _GroupSearch:
             for j, k in enumerate(group):
                 x[:, k] = points[k][cand[:, j]]
             sub = assemble(x)
-            n_cand, n_ports, _ = sub.shape
-            book = sub.reshape(n_cand, -1).T
-            gram = np.einsum("cnt,cmt->nmc", sub, sub.conj()).reshape(n_ports**2, n_cand)
-            weights = np.concatenate([gram.real, -gram.imag, -2.0 * book.real, 2.0 * book.imag])
+            gram = np.einsum("cnt,cmt->nmc", sub, sub.conj())
+            coef = np.concatenate([gram, -2.0 * sub.transpose(1, 2, 0)], axis=1)  # (N, N + T, C)
+            weights = np.stack([coef.real, -coef.imag], axis=2).reshape(-1, len(cand))
             self.searches.append((group, cand, weights))
 
     def decode_batch(self, y, g):
         b = len(g)
-        gg = (g[:, :, None] * g.conj()[:, None, :]).reshape(b, -1)
-        gy = (g[:, :, None] * y.conj()[:, None, :]).reshape(b, -1)
-        features = np.concatenate([gg.real, gg.imag, gy.real, gy.imag], axis=1)
+        g = np.asarray(g, dtype=complex)
+        row = np.concatenate([g, y], axis=1).conj()
+        features = (g[:, :, None] * row[:, None, :]).view(float).reshape(b, -1)
         idx = np.empty((b, self.n_symbols), dtype=np.intp)
         for group, cand, weights in self.searches:
             rows = max(1, MAX_BLOCK_BYTES // (weights.itemsize * len(cand)))
@@ -228,9 +229,14 @@ class NzeZfDecoder:
     - a band LDL^H (``_band_solve``), about L p^2 / 2 complex
       multiply-adds and 2 L p more for the substitutions, against T L^2
       for the dense Gram and L^3 / 3 for its factorization;
-    - nearest-point slicing, L x (points) distances.
+    - slicing by projection: for points of one modulus, the nearest point
+      to x_k is the one with the largest Re(x_k conj(p)) = Re x_k Re p +
+      Im x_k Im p, the first on a tie, so the lowest word wins as in a
+      nearest-point search.  The scores are one real product of each
+      (Re x_k, Im x_k) with its points' (Re p, Im p) columns: 2 L x
+      (points) multiply-adds, and no complex difference or modulus.
     The rows of a batch go through in blocks whose largest array (the N T
-    products, the band or the distances) fits in MAX_BLOCK_BYTES.
+    products, the band or the scores) fits in MAX_BLOCK_BYTES.
 
     H has full column rank for every nonzero channel, so only an all-zero
     channel row aborts; its band is set to the identity.  NZE-TC and odd-N
@@ -256,8 +262,11 @@ class NzeZfDecoder:
     """
 
     def __init__(self, assemble, constellations):
-        self.points = np.stack([c.points for c in constellations])
-        n_sym = len(self.points)
+        points = np.stack([c.points for c in constellations])
+        if not np.allclose(np.abs(points), 1.0):
+            raise ValueError("slicing by projection needs unit-modulus points")
+        self._axes = np.stack([points.real, points.imag], axis=1)  # (L, 2, points)
+        n_sym = len(points)
         unit = np.eye(n_sym)
         re_probe, im_probe = assemble(unit), assemble(1j * unit)  # (L, N, T)
         plain = (re_probe - 1j * im_probe) / 2.0
@@ -302,7 +311,8 @@ class NzeZfDecoder:
         mf = np.stack([coef.conj(), im_sign * coef.conj()], axis=-1)  # (N, L, T, 2)
         self._mf_weights = _real_weights(mf.transpose(0, 2, 3, 1).reshape(-1, n_sym))
 
-        row_bytes = 16 * max(n_ports * n_slots, self.points.size, len(self._band_index))
+        # Per trial: the complex N T products and band, and the real scores.
+        row_bytes = max(16 * n_ports * n_slots, 16 * len(self._band_index), 8 * points.size)
         self._block_rows = max(1, MAX_BLOCK_BYTES // row_bytes)
 
     def band(self, g):
@@ -316,7 +326,7 @@ class NzeZfDecoder:
     def decode_batch(self, y, g):
         g = np.asarray(g, dtype=complex)
         aborted = _zero_rows(g)
-        idx = np.empty((len(g), len(self.points)), dtype=np.intp)
+        idx = np.empty((len(g), len(self._axes)), dtype=np.intp)
         step = self._block_rows
         for lo in range(0, len(g), step):
             rows = slice(lo, lo + step)
@@ -332,5 +342,6 @@ class NzeZfDecoder:
         rhs = self._matched_filter(y, g)
         band = self.band(g)
         band[0][:, aborted] = 1.0
-        xhat = _band_solve(band, rhs).T
-        return np.argmin(np.abs(xhat[..., None] - self.points), axis=-1)
+        xhat = _band_solve(band, rhs)  # (L, B)
+        score = xhat.view(float).reshape(len(xhat), -1, 2) @ self._axes  # (L, B, points)
+        return np.argmax(score, axis=-1).T

@@ -330,13 +330,30 @@ SCALAR_ENCODERS = {
 }
 
 
-def test_batch_encoders_match_scalar():
+def _fancy_index_build(table, x):
+    """The gather as a fancy index and a signed copy: the reference for the
+    batch encoder's bytes."""
+    x = np.asarray(x, dtype=complex)
+    both = np.concatenate([x, x.conj()], axis=-1)
+    return table.sign * both[..., table.idx + x.shape[-1] * table.conj]
+
+
+def test_batch_encoders_match_scalar(monkeypatch):
+    """Each kind's batch is C-ordered, bit for bit the reference gather,
+    signed zeros included, and row by row its scalar encoder."""
     rng = np.random.default_rng(5)
     for kind in REGISTRY:
         for rate, nze_l, nze_n in ((1, 6, 3), (2, 8, 4)):
             code = build_code(kind, rate, nze_l, nze_n)
             bits = rng.integers(0, 2, (32, code.nbits))
             batch = code.encode(bits)
+            assert batch.flags.c_contiguous
+            with monkeypatch.context() as patch:
+                patch.setattr(kinds.GatherTable, "build", _fancy_index_build)
+                reference = code.encode(bits)
+            for ours, theirs in ((batch.real, reference.real), (batch.imag, reference.imag)):
+                np.testing.assert_array_equal(ours, theirs)
+                np.testing.assert_array_equal(np.signbit(ours), np.signbit(theirs))
             for row, payload in zip(batch, bits):
                 expected = SCALAR_ENCODERS[kind](payload, rate, nze_l, nze_n)
                 np.testing.assert_allclose(row, expected, atol=1e-12)

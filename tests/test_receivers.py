@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import codebook, exhaustive_ml, payloads
 
 from omnistbc import kinds, receivers
-from omnistbc.constellations import make_psk
+from omnistbc.constellations import make_psk, make_rotated_qam
 from omnistbc.kinds import REGISTRY, build_code
 from omnistbc.receivers import (
     AcDecoder,
@@ -389,28 +389,32 @@ def test_zf_system_reproduces_observation(kind, l_sym, n_ports):
         assert p == n_ports - 1
 
 
-LEAST_SQUARES_SHAPES = [
-    ("nze_tc", 12, 4),
-    ("nze_oac", 12, 4),
-    ("nze_tc", 30, 8),
-    ("nze_oac", 30, 8),
-    ("nze_tc", 8, 8),
-    ("nze_tc", 32, 4),
-    ("nze_oac", 4, 5),
-]
+LEAST_SQUARES_SHAPES = {
+    "nze_tc": ("nze_tc", 12, 4),
+    "nze_oac": ("nze_oac", 12, 4),
+    "nze_tc_30_8": ("nze_tc", 30, 8),
+    "nze_oac_30_8": ("nze_oac", 30, 8),
+    "nze_tc_8_8": ("nze_tc", 8, 8),
+    "nze_tc_32_4": ("nze_tc", 32, 4),
+    "nze_oac_4_5": ("nze_oac", 4, 5),
+}
 
 
 @pytest.mark.parametrize(
-    "kind,l_sym,n_ports",
-    LEAST_SQUARES_SHAPES,
-    ids=["nze_tc", "nze_oac", "nze_tc_30_8", "nze_oac_30_8", "nze_tc_8_8", "nze_tc_32_4", "nze_oac_4_5"],
+    "kind,l_sym,n_ports,rate",
+    [
+        pytest.param(*shape, rate, id=name if rate == 2 else f"{name}-r{rate}")
+        for name, shape in LEAST_SQUARES_SHAPES.items()
+        for rate in (1, 2, 3)
+    ],
 )
-def test_zf_matches_least_squares(kind, l_sym, n_ports):
+def test_zf_matches_least_squares(kind, l_sym, n_ports, rate):
     """ZF equals a per-trial least-squares solve of the real 2T x 2L system,
-    built here from the code's codewords of the unit symbol vectors; only
-    the planted zero channel aborts.  The shapes span the narrowest band
-    (p = 2) to the widest (p = L - 1 at N = L)."""
-    code = build_code(kind, 2, l_sym, n_ports)
+    built here from the code's codewords of the unit symbol vectors, sliced
+    to the nearest point of BPSK, QPSK or 8-PSK; only the planted zero
+    channel aborts.  The shapes span the narrowest band (p = 2) to the
+    widest (p = L - 1 at N = L)."""
+    code = build_code(kind, rate, l_sym, n_ports)
     rng = np.random.default_rng(13)
     bits = rng.integers(0, 2, (64, code.nbits))
     g = channels(rng, len(bits), n_ports)
@@ -440,7 +444,7 @@ def test_zf_batch_memory_is_capped(kind, rate, l_sym, n_ports, n_trials):
     """One ZF batch at the largest L config validation allows peaks under
     2 x MAX_BLOCK_BYTES of traced memory: the rows go through in blocks
     whose largest array fits in the cap.  At R = 12 that array is the
-    slicing's L x 4096 distances per trial (2 MiB); at N = L = 32 and at
+    slicing's L x 4096 real scores per trial (1 MiB); at N = L = 32 and at
     N = 33, shapes past validation's N x T bound that the decoder still
     takes, it is the N T products conj(g_n) y_t, 138 MiB for a whole
     4096-trial batch at N = 33."""
@@ -466,6 +470,13 @@ def test_zf_refuses_mixed_slot():
 
     with pytest.raises(ValueError, match="slot"):
         NzeZfDecoder(assemble, [make_psk(4)] * 2)
+
+
+def test_zf_refuses_points_of_two_moduli():
+    """Slicing by projection finds the nearest point only among points of
+    one modulus, so 16-QAM is refused."""
+    with pytest.raises(ValueError, match="unit-modulus"):
+        NzeZfDecoder(kinds.nze_tc_tables(4, 2).build, [make_rotated_qam(16)] * 4)
 
 
 @pytest.mark.parametrize(

@@ -123,8 +123,9 @@ def _run_batch(cfg, setup, snr_db, theta0_deg, t_lo, t_hi):
     n_ports = code.n_ports
     bits, z = _draw_trials(cfg, code, snr_db, theta0_deg, t_lo, t_hi)
     g_row = z[:, :n_ports] @ setup.g_map  # entries of h^H W
-    x = code.encode(bits)
-    y = np.einsum("bn,bnt->bt", g_row, x) + z[:, n_ports:] * 10.0 ** (-snr_db / 20.0)
+    noise = z[:, n_ports:] * 10.0 ** (-snr_db / 20.0)
+    # The codewords are freed once sent, before the decoder allocates its blocks.
+    y = np.einsum("bn,bnt->bt", g_row, code.encode(bits)) + noise
 
     bits_hat, aborted = code.decode(y, g_row)
     ok = ~aborted

@@ -109,7 +109,9 @@ class Code:
         self.decoder = decoder_cls(self.assemble, self.constellations)
         # Per group: bit width, symbol count, points, and the unpack table
         # from each word to its bits.
-        self._groups = [(c.bit_width, count, c.points, payloads(c.bit_width)) for c, count in groups]
+        self._groups = [
+            (c.bit_width, count, c.points, payloads(c.bit_width)) for c, count in groups
+        ]
         self.nbits = sum(width * count for width, count, _, _ in self._groups)
 
     def assemble(self, x):

@@ -222,7 +222,9 @@ def test_nze_codeword_batch_fits_block_cap(kind, largest_accepted, first_refused
     assert pair.nbytes // 2 * TRIALS_PER_BATCH <= MAX_BLOCK_BYTES
 
 
-@pytest.mark.parametrize("kind,nze_l,nze_n", [("nze_tc", 32, 20), ("nze_oac", 26, 22)], ids=["nze_tc", "nze_oac"])
+@pytest.mark.parametrize(
+    "kind,nze_l,nze_n", [("nze_tc", 32, 20), ("nze_oac", 26, 22)], ids=["nze_tc", "nze_oac"]
+)
 def test_nze_encode_peak_is_one_batch(kind, nze_l, nze_n):
     """At the largest accepted shape, encoding a full batch peaks under
     1.25 codeword batches of traced memory: the encoder writes the batch

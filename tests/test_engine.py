@@ -237,6 +237,25 @@ def test_point_setup_never_forms_the_covariance():
     assert peak < 32 * 2**20, f"set-up peaked at {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize(
+    "kind,nze_l,nze_n", [("nze_tc", 32, 20), ("nze_oac", 26, 22)], ids=["nze_tc", "nze_oac"]
+)
+def test_batch_frees_codewords_before_decoding(kind, nze_l, nze_n):
+    """At the largest NZE shapes validation accepts, one full batch peaks
+    under 1.5 codeword batches of traced memory: the codewords are freed
+    once transmitted, before the decoder allocates its blocks."""
+    cfg = small_cfg(code=kind, nze_l=nze_l, nze_n=nze_n, m=4 * nze_n**2).validate()
+    setup = engine._point_setup(cfg, 10.0)
+    batch_bytes = 16 * setup.code.n_ports * setup.code.n_slots * TRIALS_PER_BATCH
+    tracemalloc.start()
+    try:
+        engine._run_batch(cfg, setup, 2.0, 10.0, 0, TRIALS_PER_BATCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * batch_bytes, f"batch peaked at {peak / batch_bytes:.2f} codeword batches"
+
+
 def test_trial_draws_have_unit_moments():
     """Over one batch the payload bits are fair and the Gaussians are unit
     circular: E z = 0, E|z|^2 = 1 and E z^2 = 0, each within 5 sigma."""

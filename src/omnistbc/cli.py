@@ -6,6 +6,7 @@ Subcommands: validate, ber-sweep, angle-sweep, coding-gain, pep-bound.
 
 import argparse
 import math
+import os
 import sys
 
 from .analysis import check_pair_count, coding_gain, pep_upper_bound
@@ -48,32 +49,27 @@ def _cmd_validate(args):
     return 1 if failed else 0
 
 
-def _load(args):
+def _cmd_sweep(args):
+    from .engine import emit_csv, run_angle_sweep, run_ber_sweep
+
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
     if args.workers is not None:
         overrides["workers"] = args.workers
-    return load_config(args.config, **overrides)
-
-
-def _cmd_ber_sweep(args):
-    from .engine import emit_csv, run_ber_sweep
-
-    cfg = _load(args)
-    points = run_ber_sweep(cfg)
+    cfg = load_config(args.config, **overrides)
+    # An --out that cannot be written is refused before the sweep, not after.
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out: {args.out} is a directory")
+    parent = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out: directory {parent} does not exist")
+    if args.command == "angle-sweep":
+        points = [p for _, p in run_angle_sweep(cfg, args.snr_db)]
+    else:
+        points = run_ber_sweep(cfg)
     emit_csv(points, args.out)
     print(f"wrote {len(points)} points to {args.out}")
-    return 0
-
-
-def _cmd_angle_sweep(args):
-    from .engine import emit_csv, run_angle_sweep
-
-    cfg = _load(args)
-    pairs = run_angle_sweep(cfg, args.snr_db)
-    emit_csv([p for _, p in pairs], args.out)
-    print(f"wrote {len(pairs)} points to {args.out}")
     return 0
 
 
@@ -96,8 +92,8 @@ def _cmd_pep_bound(args):
     problem = snr_problem(args.snr_db)
     if problem:
         raise ConfigError(f"--snr-db: {problem}")
-    if args.k < 1:
-        raise ConfigError(f"--k: must be at least 1, got {args.k}")
+    if not 1 <= args.k <= sys.float_info.max:
+        raise ConfigError(f"--k: must be at least 1 and at most {sys.float_info.max:.6g}")
     sigma_n2 = 10.0 ** (-args.snr_db / 10.0)
     bound = pep_upper_bound(code.codebook()[1], code.n_ports, sigma_n2, args.k)
     print(f"{bound:.12g}")
@@ -113,7 +109,7 @@ def cli(argv=None):
 
     sub.add_parser("validate", help="run the invariant suite")
 
-    for name, fn in (("ber-sweep", _cmd_ber_sweep), ("angle-sweep", _cmd_angle_sweep)):
+    for name in ("ber-sweep", "angle-sweep"):
         p = sub.add_parser(name, help=f"run a {name.replace('-', ' ')}")
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", required=True, help="output CSV path")
@@ -121,7 +117,7 @@ def cli(argv=None):
         p.add_argument("--workers", type=int, default=None, help="override workers")
         if name == "angle-sweep":
             p.add_argument("--snr-db", type=float, required=True, help="fixed SNR in dB")
-        p.set_defaults(handler=fn)
+        p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("coding-gain", help="print the enumerated coding gain")
     p.add_argument("--code", required=True)

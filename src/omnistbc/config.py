@@ -173,5 +173,10 @@ def parse_config(text, **overrides):
 
 
 def load_config(path, **overrides):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), **overrides)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+    return parse_config(text, **overrides)

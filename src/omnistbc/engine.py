@@ -17,15 +17,15 @@ Its cost does not depend on the array size M.  The set-up forms W^H R W
 from the covariance's M lags and never the M x M matrix R, so its cost
 grows as M log M.
 
-A point's set-up (the code and that factor) is built once in the sweep
-process and sent with every batch to the pool workers, which never build
-one themselves.  So results do not depend on how the workers are started
-either.
+A sweep builds its set-up in the sweep process before its first trial:
+the code and W once, and that factor once per distinct angle.  Batches
+carry them to the pool workers, which build neither, so results do not
+depend on how the workers are started either.  A wave is all the pool is
+handed at once, so the pool is never wider than WAVE_BATCHES workers.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -35,7 +35,7 @@ from .channel import covariance_factor, covariance_for
 # Unused here; kept importable because perfbench/spans.py traces them by these names.
 from .codes import ac_matrix, ciod_matrix, ostbc_matrix, qostbc_matrix  # noqa: F401
 from .config import TRIALS_PER_BATCH, ConfigError, snr_problem
-from .kinds import Code, build_code
+from .kinds import build_code
 from .precoding import PRBS_TAG, precoder_for_code, prbs_phase_vector
 
 __all__ = [
@@ -58,35 +58,32 @@ def _quantize(value):
     return int(round(value * 1e6)) & _U64
 
 
-@dataclass(frozen=True)
-class _PointSetup:
-    """What every trial of one (config, theta0) point shares.
+def _sweep_setup(cfg, thetas):
+    """The sweep's Code and, for each distinct angle of ``thetas`` in
+    degrees, an N x N factor g_map with g_map^H g_map = W^H R W.
 
-    ``g_map`` is an N x N factor with g_map^H g_map = W^H R W.  Since
-    h ~ CN(0, R), the effective channel h^H W has the law of z @ g_map for
-    a row z of N i.i.d. unit circular Gaussians, so a trial draws z and
-    never forms the M-dimensional channel.
+    Since h ~ CN(0, R), the effective channel h^H W has the law of
+    z @ g_map for a row z of N i.i.d. unit circular Gaussians, so a trial
+    draws z and never forms the M-dimensional channel.  Neither the code
+    nor W depends on the angle, so each is built once.
     """
-
-    g_map: np.ndarray
-    code: Code
-
-
-def _point_setup(cfg, theta0_deg):
     phase = None
     if cfg.precoder_override == "prbs":
         phase = prbs_phase_vector(cfg.m, (cfg.master_seed & _U64, PRBS_TAG))
     code = build_code(cfg.code, cfg.rate, cfg.nze_l, cfg.nze_n)
-    prec = precoder_for_code(
+    w = precoder_for_code(
         cfg.code, cfg.m, cfg.gamma, n_ports=code.n_ports, phase_vector=phase
-    )
-    try:
-        cov = covariance_for(
-            cfg.m, cfg.spacing_ratio, math.radians(theta0_deg), math.radians(cfg.sigma_deg)
-        )
-    except RuntimeError as exc:
-        raise ConfigError(f"spacing_ratio, pas.sigma_deg: {exc}") from None
-    return _PointSetup(covariance_factor(cov.project(prec.w_matrix)).conj().T, code)
+    ).w_matrix
+    g_maps = {}
+    for theta0_deg in dict.fromkeys(thetas):
+        try:
+            cov = covariance_for(
+                cfg.m, cfg.spacing_ratio, math.radians(theta0_deg), math.radians(cfg.sigma_deg)
+            )
+        except RuntimeError as exc:
+            raise ConfigError(f"spacing_ratio, pas.sigma_deg: {exc}") from None
+        g_maps[theta0_deg] = covariance_factor(cov.project(w)).conj().T
+    return code, g_maps
 
 
 def _trial_words(cfg, snr_db, theta0_deg, t_lo, t_hi, n_words):
@@ -117,12 +114,11 @@ def _draw_trials(cfg, code, snr_db, theta0_deg, t_lo, t_hi):
     return bits, z
 
 
-def _run_batch(cfg, setup, snr_db, theta0_deg, t_lo, t_hi):
+def _run_batch(cfg, code, g_map, snr_db, theta0_deg, t_lo, t_hi):
     """Run trials [t_lo, t_hi); returns (counted, bit_errors, aborted)."""
-    code = setup.code
     n_ports = code.n_ports
     bits, z = _draw_trials(cfg, code, snr_db, theta0_deg, t_lo, t_hi)
-    g_row = z[:, :n_ports] @ setup.g_map  # entries of h^H W
+    g_row = z[:, :n_ports] @ g_map  # entries of h^H W
     noise = z[:, n_ports:] * 10.0 ** (-snr_db / 20.0)
     # The codewords are freed once sent, before the decoder allocates its blocks.
     y = np.einsum("bn,bnt->bt", g_row, code.encode(bits)) + noise
@@ -133,10 +129,10 @@ def _run_batch(cfg, setup, snr_db, theta0_deg, t_lo, t_hi):
     return int(ok.sum()), errors, int(aborted.sum())
 
 
-def _run_point(cfg, setup, snr_db, theta0_deg, map_batches):
+def _run_point(cfg, code, g_map, snr_db, theta0_deg, map_batches):
     """One point, wave by wave; ``map_batches`` is ``map`` or a pool's map."""
-    batch = partial(_run_batch, cfg, setup, snr_db, theta0_deg)
-    nbits = setup.code.nbits
+    batch = partial(_run_batch, cfg, code, g_map, snr_db, theta0_deg)
+    nbits = code.nbits
     attempted = counted = errors = aborted = 0
     while attempted < cfg.max_trials and errors < cfg.min_bit_errors:
         wave_end = min(attempted + WAVE_BATCHES * TRIALS_PER_BATCH, cfg.max_trials)
@@ -154,7 +150,7 @@ def _run_point(cfg, setup, snr_db, theta0_deg, map_batches):
         trials=counted,
         bit_errors=errors,
         code=cfg.code,
-        rate_bps=setup.code.rate_bps,
+        rate_bps=code.rate_bps,
         n_antennas=cfg.m,
         theta0_deg=float(theta0_deg),
         seed=cfg.master_seed,
@@ -163,13 +159,15 @@ def _run_point(cfg, setup, snr_db, theta0_deg, map_batches):
     )
 
 
-def _run_points(cfg, points):
-    """BerPoints for (setup, snr_db, theta0_deg) triples, in order, on one
-    process pool when ``cfg.workers`` > 1."""
+def _sweep(cfg, points):
+    """BerPoints of (snr_db, theta0_deg) pairs, in order, on ``map`` or on
+    one pool no wider than a wave; no trial runs until every factor is built."""
+    code, g_maps = _sweep_setup(cfg, [theta for _, theta in points])
+    runs = [partial(_run_point, cfg, code, g_maps[theta], snr, theta) for snr, theta in points]
     if cfg.workers <= 1:
-        return [_run_point(cfg, *point, map) for point in points]
-    with ProcessPoolExecutor(cfg.workers) as pool:
-        return [_run_point(cfg, *point, pool.map) for point in points]
+        return [run(map) for run in runs]
+    with ProcessPoolExecutor(min(cfg.workers, WAVE_BATCHES)) as pool:
+        return [run(pool.map) for run in runs]
 
 
 def run_ber_sweep(cfg):
@@ -177,8 +175,7 @@ def run_ber_sweep(cfg):
     cfg.validate()
     if not cfg.snr_db:
         raise ConfigError("snr_db: list must be nonempty for a BER sweep")
-    setup = _point_setup(cfg, cfg.theta0_deg)
-    return _run_points(cfg, [(setup, snr, cfg.theta0_deg) for snr in cfg.snr_db])
+    return _sweep(cfg, [(snr, cfg.theta0_deg) for snr in cfg.snr_db])
 
 
 def run_angle_sweep(cfg, snr_db):
@@ -190,8 +187,7 @@ def run_angle_sweep(cfg, snr_db):
     if problem:
         raise ConfigError(f"snr_db: {problem}")
     thetas = cfg.theta0_deg_list
-    points = _run_points(cfg, ((_point_setup(cfg, t), snr_db, t) for t in thetas))
-    return list(zip(thetas, points))
+    return list(zip(thetas, _sweep(cfg, [(snr_db, t) for t in thetas])))
 
 
 def _fmt(value):

@@ -57,8 +57,12 @@ def test_pep_bound_runs(capsys):
         (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "5", "--k", "0"], "--k"),
         (["coding-gain", "--code", "qostbc", "--rate", "4"], "--rate"),
         (["pep-bound", "--code", "qostbc", "--rate", "3", "--snr-db", "5"], "--rate"),
+        (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "10", "--k", "1" + "0" * 400], "--k"),
     ],
-    ids=["coding-gain-rate", "pep-bound-rate", "snr-nan", "snr-inf", "k", "coding-gain-cap", "pep-bound-cap"],
+    ids=[
+        "coding-gain-rate", "pep-bound-rate", "snr-nan", "snr-inf", "k", "coding-gain-cap",
+        "pep-bound-cap", "k-overflow",
+    ],
 )
 def test_bad_flag_is_config_error(argv, flag, capsys):
     assert cli(argv) == 2
@@ -95,6 +99,35 @@ def test_ber_sweep_config_error_names_key(tmp_path, capsys):
     assert cli(["ber-sweep", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "m:" in err or "multiple" in err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    """A config file that is not UTF-8 stops with one config error line
+    naming the file and the offending byte's offset."""
+    path = tmp_path / "sim.cfg"
+    path.write_bytes(b"code = ac\nsnr_db = 0\n\xff\xfe = 1\n")
+    assert cli(["ber-sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: byte 21 ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["no-parent", "directory"])
+def test_unwritable_out_is_refused_before_the_sweep(out, tmp_path, monkeypatch, capsys):
+    """An --out whose directory is missing, or that is a directory, stops
+    with one config error line naming --out before any trial runs."""
+    from omnistbc import engine
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(engine, "run_ber_sweep", no_sweep)
+    out = tmp_path / out
+    assert cli(["ber-sweep", "--config", write_cfg(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_out_of_range_angle_is_config_error(tmp_path, capsys):

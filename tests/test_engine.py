@@ -40,9 +40,11 @@ def small_cfg(**kw):
 
 def one_trial(cfg, snr_db, theta0_deg, t):
     """(bits_sent, bit_errors, aborted) of trial t alone, on its own set-up."""
-    setup = engine._point_setup(cfg.validate(), theta0_deg)
-    counted, errors, aborted = engine._run_batch(cfg, setup, snr_db, theta0_deg, t, t + 1)
-    return counted * setup.code.nbits, errors, aborted
+    code, g_maps = engine._sweep_setup(cfg.validate(), [theta0_deg])
+    counted, errors, aborted = engine._run_batch(
+        cfg, code, g_maps[theta0_deg], snr_db, theta0_deg, t, t + 1
+    )
+    return counted * code.nbits, errors, aborted
 
 
 def test_run_trial_deterministic():
@@ -162,11 +164,76 @@ def test_workers_never_rebuild_the_setup(tmp_path, monkeypatch):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def _count_calls(monkeypatch, names):
+    """Wrap each named engine global in a counter; returns name -> calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _name=name, _fn=getattr(engine, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+_SETUP_NAMES = ("build_code", "precoder_for_code", "covariance_for", "covariance_factor")
+
+
+def test_sweep_builds_code_and_precoder_once(monkeypatch):
+    """The code and W are built once per sweep, the covariance and its
+    factor once per distinct angle: never once per point."""
+    calls = _count_calls(monkeypatch, _SETUP_NAMES)
+    kw = dict(max_trials=64, min_bit_errors=10**9)
+    run_angle_sweep(small_cfg(theta0_deg_list=(-30.0, 0.0, 30.0), **kw), 6.0)
+    assert tuple(calls.values()) == (1, 1, 3, 3)
+    calls.update(dict.fromkeys(calls, 0))
+    run_ber_sweep(small_cfg(snr_db=(0.0, 4.0, 8.0), **kw))
+    assert tuple(calls.values()) == (1, 1, 1, 1)
+
+
+def test_unresolvable_angle_fails_before_the_first_trial(monkeypatch):
+    """Every angle's factor is built before any batch runs, so an angle the
+    quadrature cannot resolve stops the sweep even when it is listed last."""
+    calls = _count_calls(monkeypatch, ["_run_batch"])
+    cfg = small_cfg(code="qostbc", m=64, spacing_ratio=1000.0, theta0_deg_list=(60.0, 0.0))
+    with pytest.raises(ConfigError, match="spacing_ratio, pas.sigma_deg"):
+        run_angle_sweep(cfg, 6.0)
+    assert calls["_run_batch"] == 0
+
+
+def test_pool_is_no_wider_than_a_wave(tmp_path, monkeypatch):
+    """A wave hands the pool at most WAVE_BATCHES batches, so a larger
+    worker count builds a pool of WAVE_BATCHES workers.  The stand-in pool
+    maps in this process and starts none."""
+    widths = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    f1, f64 = tmp_path / "w1.csv", tmp_path / "w64.csv"
+    emit_csv(run_ber_sweep(small_cfg(workers=1)), f1)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    emit_csv(run_ber_sweep(small_cfg(workers=64)), f64)
+    assert widths == [engine.WAVE_BATCHES]
+    assert f1.read_bytes() == f64.read_bytes()
+
+
 @functools.lru_cache(maxsize=None)
 def _split_setup(kind):
     extra = dict(nze_l=4, nze_n=2) if kind == "nze_tc" else {}
     cfg = small_cfg(code=kind, **extra)
-    return cfg, engine._point_setup(cfg, 10.0)
+    code, g_maps = engine._sweep_setup(cfg, [10.0])
+    return cfg, code, g_maps[10.0]
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -178,10 +245,11 @@ def _split_setup(kind):
 def test_any_batch_split_gives_same_totals(kind, n, cuts):
     """Summing _run_batch over any partition of [0, n) gives the totals of
     one batch: a trial's outcome does not depend on its batch."""
-    cfg, setup = _split_setup(kind)
+    cfg, code, g_map = _split_setup(kind)
     edges = [0, *sorted(c for c in cuts if c < n), n]
-    parts = [engine._run_batch(cfg, setup, 2.0, 10.0, lo, hi) for lo, hi in zip(edges, edges[1:])]
-    assert tuple(map(sum, zip(*parts))) == engine._run_batch(cfg, setup, 2.0, 10.0, 0, n)
+    batch = functools.partial(engine._run_batch, cfg, code, g_map, 2.0, 10.0)
+    parts = [batch(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    assert tuple(map(sum, zip(*parts))) == batch(0, n)
 
 
 # (config overrides, N): every kind's port count, the NZE shapes at their
@@ -203,7 +271,7 @@ def test_point_setup_keeps_an_n_by_n_factor():
     product with the M x M covariance, for every kind's N."""
     for overrides, n_ports in _SETUP_CASES:
         cfg = small_cfg(**overrides)
-        setup = engine._point_setup(cfg, 10.0)
+        g_map = engine._sweep_setup(cfg, [10.0])[1][10.0]
         phase = None
         if cfg.precoder_override == "prbs":
             phase = prbs_phase_vector(cfg.m, (cfg.master_seed, PRBS_TAG))
@@ -214,9 +282,9 @@ def test_point_setup_keeps_an_n_by_n_factor():
             cfg.m, cfg.spacing_ratio, math.radians(10.0), math.radians(cfg.sigma_deg)
         )
         r = hermitian_toeplitz(model.lags)
-        assert setup.g_map.shape == (n_ports, n_ports), overrides
+        assert g_map.shape == (n_ports, n_ports), overrides
         np.testing.assert_allclose(
-            setup.g_map.conj().T @ setup.g_map,
+            g_map.conj().T @ g_map,
             w.conj().T @ r @ w,
             rtol=0,
             atol=1e-12,
@@ -230,7 +298,7 @@ def test_point_setup_never_forms_the_covariance():
     cfg = small_cfg(m=4096)
     tracemalloc.start()
     try:
-        engine._point_setup(cfg, 10.0)
+        engine._sweep_setup(cfg, [10.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -245,11 +313,11 @@ def test_batch_frees_codewords_before_decoding(kind, nze_l, nze_n):
     under 1.5 codeword batches of traced memory: the codewords are freed
     once transmitted, before the decoder allocates its blocks."""
     cfg = small_cfg(code=kind, nze_l=nze_l, nze_n=nze_n, m=4 * nze_n**2).validate()
-    setup = engine._point_setup(cfg, 10.0)
-    batch_bytes = 16 * setup.code.n_ports * setup.code.n_slots * TRIALS_PER_BATCH
+    code, g_maps = engine._sweep_setup(cfg, [10.0])
+    batch_bytes = 16 * code.n_ports * code.n_slots * TRIALS_PER_BATCH
     tracemalloc.start()
     try:
-        engine._run_batch(cfg, setup, 2.0, 10.0, 0, TRIALS_PER_BATCH)
+        engine._run_batch(cfg, code, g_maps[10.0], 2.0, 10.0, 0, TRIALS_PER_BATCH)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,9 +327,9 @@ def test_batch_frees_codewords_before_decoding(kind, nze_l, nze_n):
 def test_trial_draws_have_unit_moments():
     """Over one batch the payload bits are fair and the Gaussians are unit
     circular: E z = 0, E|z|^2 = 1 and E z^2 = 0, each within 5 sigma."""
-    cfg, setup = _split_setup("ac")
-    bits, z = engine._draw_trials(cfg, setup.code, 2.0, 10.0, 0, TRIALS_PER_BATCH)
-    assert bits.shape == (TRIALS_PER_BATCH, setup.code.nbits)
+    cfg, code, _ = _split_setup("ac")
+    bits, z = engine._draw_trials(cfg, code, 2.0, 10.0, 0, TRIALS_PER_BATCH)
+    assert bits.shape == (TRIALS_PER_BATCH, code.nbits)
     assert abs(bits.mean() - 0.5) < 5 * 0.5 / math.sqrt(bits.size)
     z = z.ravel()
     n = z.size
@@ -289,12 +357,12 @@ def test_trial_stream_known_answer():
 
 def test_all_aborted_point_reports_nan(tmp_path):
     """A point with no counted trial has no BER estimate: nan, never 0."""
-    cfg, setup = _split_setup("ac")
+    cfg, code, g_map = _split_setup("ac")
 
     def all_aborted(batch, lows, highs):
         return [(0, 0, hi - lo) for lo, hi in zip(lows, highs)]
 
-    point = engine._run_point(cfg, setup, 2.0, 10.0, all_aborted)
+    point = engine._run_point(cfg, code, g_map, 2.0, 10.0, all_aborted)
     assert math.isnan(point.ber)
     assert (point.trials, point.bit_errors, point.aborted) == (0, 0, cfg.max_trials)
     emit_csv([point], tmp_path / "nan.csv")

@@ -3,15 +3,23 @@
 The covariance is the integral of steering-vector outer products against a
 truncated-Gaussian power azimuth spectrum on [-pi/2, pi/2].  Because the
 (m, n) integrand depends only on m - n, the matrix R is Hermitian Toeplitz
-and is fixed by its M lags.  An adaptive composite Gauss-Legendre rule gives
-them, and each rule's lag sums over its nodes are one type-1 NUFFT, so a
-rule costs O(nodes + M log M), not O(nodes x M).  The panel-doubling ladder
-starts at the first rule whose 16-node panels sample the fastest lag's phase
-at Nyquist, and dead panels, under 2^-53 of the PAS weight, skip the NUFFT.
-Its Gaussian spreading is Greengard & Lee's fast gridding: two real exps per
-node, then one multiply and one bincount per grid offset onto an extended
-grid of 2M + 31 points that one bincount folds onto the 2M-point circle.
-Every factor is bounded independently of M, so nothing overflows.  The
+and is fixed by its M lags.  Two doubling ladders give them, each stopping
+when two successive rules agree.  When the PAS's live support, where the
+Gaussian is above 2^-53 of its peak, lies strictly inside (-pi/2, pi/2),
+the lags are the trapezoid rule in u = sin(theta) on the grid
+u_j = j / (d P): one Gaussian sample per grid point, one bincount that
+folds j mod P and one length-P real FFT, starting at the first P >= 2M
+whose step resolves the PAS.  A support that reaches endfire, or a rule
+past that ladder's budget of 2^20 samples and FFT points, takes an
+adaptive composite Gauss-Legendre rule in theta, whose lag sums over its
+nodes are one type-1 NUFFT, so a rule costs O(nodes + M log M), not
+O(nodes x M).  Its panel-doubling ladder starts at the first rule whose
+16-node panels sample the fastest lag's phase at Nyquist, and dead panels,
+under 2^-53 of the PAS weight, skip the NUFFT.  The NUFFT's Gaussian
+spreading is Greengard & Lee's fast gridding: two real exps per node, then
+one multiply and one bincount per grid offset onto an extended grid of
+2M + 31 points that one bincount folds onto the 2M-point circle.  Every
+factor is bounded independently of M, so nothing overflows.  The
 effective covariance W^H R W comes from the lags by circulant embedding, and
 the DFT-leakage diagnostic from one FFT of the folded lags.  R itself is
 formed only by ``CovarianceModel.matrix``, which no library code calls; its
@@ -42,6 +50,9 @@ _QUAD_REL_TOL = 1e-8
 _QUAD_ORDER = 16
 _QUAD_START_PANELS = 8
 _QUAD_MAX_PANELS = 1 << 16
+# Nodes of the finest Gauss-Legendre rule, 2^20; each sin-grid rule takes at
+# most as many samples and FFT points.
+_QUAD_MAX_POINTS = _QUAD_MAX_PANELS * _QUAD_ORDER
 # The Gaussian PAS falls below 2^-53 of its peak beyond this many spreads.
 _PAS_REACH = math.sqrt(106.0 * math.log(2.0))
 # Grid points that each quadrature node spreads onto, on either side, in the
@@ -209,12 +220,18 @@ def _lag_energy(lags):
     return float(np.sum(weights * np.abs(lags) ** 2))
 
 
-def _one_ring_lags(n_antennas, spacing_ratio, theta0, sigma):
-    """Lag vector by adaptive quadrature, panel count doubling until two
-    successive rules agree to 1e-8 in the induced Frobenius norm.  A rule
-    with zero total weight has not converged.  The ladder starts at the
-    first level, 8 panels at least, whose panels span at most 16 pi of the
-    fastest lag's phase 2 pi d (M - 1) sin(theta) on the live support
+def _converged(cur, prev):
+    """Whether two successive rules agree to _QUAD_REL_TOL in the induced
+    Frobenius norm."""
+    return math.sqrt(_lag_energy(cur - prev)) <= _QUAD_REL_TOL * math.sqrt(_lag_energy(cur))
+
+
+def _gauss_legendre_lags(n_antennas, spacing_ratio, theta0, sigma):
+    """Lag vector by adaptive Gauss-Legendre quadrature, panel count
+    doubling until two successive rules agree.  A rule with zero total
+    weight has not converged.  The ladder starts at the first level, 8
+    panels at least, whose panels span at most 16 pi of the fastest lag's
+    phase 2 pi d (M - 1) sin(theta) on the live support
     |theta - theta0| <= _PAS_REACH sigma: its 16 nodes sample each period
     twice there, and coarser rules alias."""
     reach = _PAS_REACH * sigma
@@ -226,12 +243,92 @@ def _one_ring_lags(n_antennas, spacing_ratio, theta0, sigma):
     prev = None
     while n_panels <= _QUAD_MAX_PANELS:
         cur = _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels)
-        if cur is not None and prev is not None:
-            if math.sqrt(_lag_energy(cur - prev)) <= _QUAD_REL_TOL * math.sqrt(_lag_energy(cur)):
-                return cur
+        if cur is not None and prev is not None and _converged(cur, prev):
+            return cur
         prev = cur
         n_panels *= 2
     raise RuntimeError(f"covariance quadrature did not converge within {_QUAD_MAX_PANELS} panels")
+
+
+def _sin_grid_samples(spacing_ratio, theta0, sigma, n_fft):
+    """Indices j and samples f_j = p(arcsin u_j) / sqrt(1 - u_j^2) of the
+    PAS's live support on the grid u_j = j / (d P), or None when they would
+    number more than _QUAD_MAX_POINTS."""
+    scale = spacing_ratio * n_fft
+    reach = _PAS_REACH * sigma
+    lo = math.ceil(scale * math.sin(theta0 - reach))
+    hi = math.floor(scale * math.sin(theta0 + reach))
+    if hi - lo >= _QUAD_MAX_POINTS:
+        return None
+    j = np.arange(lo, hi + 1)
+    u = j / scale
+    f = np.exp(-((np.arcsin(u) - theta0) ** 2) / (2.0 * sigma**2)) / np.sqrt((1.0 - u) * (1.0 + u))
+    return j, f
+
+
+def _sin_grid_rule(n_antennas, spacing_ratio, theta0, sigma, n_fft):
+    """Lags r_k, k = 0..M-1, by the trapezoid rule in u = sin(theta) on the
+    grid u_j = j / (d P), or None past the sample budget.
+
+    There the phase 2 pi d k u_j is 2 pi k j / P, so the rule's sum
+    sum_j f_j exp(-2 pi i k j / P) is one length-P DFT of the samples folded
+    j mod P.  P >= 2M, so the real FFT's first M outputs are the lags.
+    Normalizing by the k = 0 sum, the quadrature of the PAS itself, makes
+    r_0 = 1.
+    """
+    samples = _sin_grid_samples(spacing_ratio, theta0, sigma, n_fft)
+    if samples is None:
+        return None
+    j, f = samples
+    spectrum = np.fft.rfft(np.bincount(j % n_fft, f, n_fft))[:n_antennas]
+    return spectrum / spectrum[0].real
+
+
+def _sin_grid_lags(n_antennas, spacing_ratio, theta0, sigma):
+    """Lag vector by the trapezoid rule on a uniform sin(theta) grid, P
+    doubling until two successive rules agree, or None when no pair of
+    rules within the budget of _QUAD_MAX_POINTS samples and FFT points
+    does.  The ladder starts at the first P >= 2M whose step 1 / (d P) is
+    at most an eighth of the PAS's width in u, sigma cos(theta), at the
+    angle 4 sigma from theta0 farther from broadside."""
+    width = sigma * math.cos(min(math.pi / 2, abs(theta0) + 4.0 * sigma))
+    n_fft = 2 * n_antennas
+    while n_fft <= _QUAD_MAX_POINTS and spacing_ratio * n_fft * width < 8.0:
+        n_fft *= 2
+    if 2 * n_fft > _QUAD_MAX_POINTS:
+        return None  # no second rule would fit to check the first
+    prev = None
+    while n_fft <= _QUAD_MAX_POINTS:
+        cur = _sin_grid_rule(n_antennas, spacing_ratio, theta0, sigma, n_fft)
+        if cur is None:
+            return None
+        if prev is not None and _converged(cur, prev):
+            return cur
+        prev = cur
+        n_fft *= 2
+    return None
+
+
+def _one_ring_lags(n_antennas, spacing_ratio, theta0, sigma):
+    """Lag vector of the one-ring covariance, from the live support
+    |theta - theta0| <= _PAS_REACH sigma outside which the PAS is below
+    2^-53 of its peak.
+
+    With u = sin(theta), r_k is the integral of f(u) exp(-i 2 pi d k u) du,
+    f(u) = p(arcsin u) / sqrt(1 - u^2).  When the live support lies strictly
+    inside (-pi/2, pi/2), f is smooth there and negligible beyond it, so the
+    trapezoid rule in u converges exponentially (Trefethen & Weideman, "The
+    exponentially convergent trapezoidal rule", SIAM Review 2014), and on a
+    grid of step 1 / (d P) it is one FFT (``_sin_grid_lags``).  A support
+    that reaches endfire puts f's 1 / sqrt(1 - u^2) singularity inside it;
+    those, and rules past the FFT's budget, take the Gauss-Legendre ladder
+    in theta, which raises RuntimeError when it does not converge.
+    """
+    if abs(theta0) + _PAS_REACH * sigma < math.pi / 2:
+        lags = _sin_grid_lags(n_antennas, spacing_ratio, theta0, sigma)
+        if lags is not None:
+            return lags
+    return _gauss_legendre_lags(n_antennas, spacing_ratio, theta0, sigma)
 
 
 def max_spacing_ratio(n_antennas):

@@ -96,6 +96,11 @@ def _cmd_pep_bound(args):
         raise ConfigError(f"--k: must be at least 1 and at most {sys.float_info.max:.6g}")
     sigma_n2 = 10.0 ** (-args.snr_db / 10.0)
     bound = pep_upper_bound(code.codebook()[1], code.n_ports, sigma_n2, args.k)
+    if not math.isfinite(bound):
+        raise ConfigError(
+            f"--k, --snr-db: the bound at K = {args.k:.6g} and {args.snr_db:g} dB "
+            "overflows a double"
+        )
     print(f"{bound:.12g}")
     return 0
 

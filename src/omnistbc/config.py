@@ -36,6 +36,13 @@ def snr_problem(snr_db):
     return None
 
 
+def stream_key(value):
+    """Stable integer key for a sweep coordinate (angles, SNR in dB), each
+    finite once the config is validated; points whose keys match read the
+    same random stream."""
+    return int(round(value * 1e6)) & ((1 << 64) - 1)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     code: str = "ac"
@@ -107,6 +114,16 @@ class SimConfig:
         for theta in self.theta0_deg_list:
             if not -60.0 - 1e-9 <= theta <= 60.0 + 1e-9:
                 raise ConfigError(f"theta0_deg_list: {theta} outside [-60, 60] degrees")
+        for key, values in (("snr_db", self.snr_db), ("theta0_deg_list", self.theta0_deg_list)):
+            seen = {}
+            for value in values:
+                stream = stream_key(value)
+                if stream in seen:
+                    raise ConfigError(
+                        f"{key}: {value} repeats {seen[stream]}; both points would read "
+                        "the same random stream and give the same row"
+                    )
+                seen[stream] = value
         if self.max_trials < 1:
             raise ConfigError("max_trials: must be at least 1")
         if self.min_bit_errors < 1:

@@ -34,7 +34,7 @@ from .analysis import BerPoint
 from .channel import covariance_factor, covariance_for
 # Unused here; kept importable because perfbench/spans.py traces them by these names.
 from .codes import ac_matrix, ciod_matrix, ostbc_matrix, qostbc_matrix  # noqa: F401
-from .config import TRIALS_PER_BATCH, ConfigError, snr_problem
+from .config import TRIALS_PER_BATCH, ConfigError, snr_problem, stream_key
 from .kinds import build_code
 from .precoding import PRBS_TAG, precoder_for_code, prbs_phase_vector
 
@@ -50,12 +50,6 @@ _U64 = (1 << 64) - 1
 _BLOCK_WORDS = 4  # Philox4x64 gives four 64-bit words per counter step
 
 CSV_HEADER = "code,rate_bps,M,snr_db,theta0_deg,trials,bit_errors,ber,seed"
-
-
-def _quantize(value):
-    """Stable integer key for a sweep coordinate (angles, SNR in dB), each
-    finite once the config is validated."""
-    return int(round(value * 1e6)) & _U64
 
 
 def _sweep_setup(cfg, thetas):
@@ -92,7 +86,7 @@ def _trial_words(cfg, snr_db, theta0_deg, t_lo, t_hi, n_words):
     taking ``n_words`` words padded up to ``blocks`` whole 4-word blocks."""
     blocks = -(-n_words // _BLOCK_WORDS)
     key = np.random.SeedSequence(
-        (cfg.master_seed & _U64, _quantize(snr_db), _quantize(theta0_deg))
+        (cfg.master_seed & _U64, stream_key(snr_db), stream_key(theta0_deg))
     ).generate_state(2, np.uint64)
     stream = np.random.Philox(key=key, counter=t_lo * blocks)
     raw = stream.random_raw((t_hi - t_lo) * blocks * _BLOCK_WORDS)

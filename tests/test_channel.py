@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,13 @@ from omnistbc.channel import (
     dft_domain_leakage,
     isotropy_deviation,
 )
-from omnistbc.channel import _composite_nodes, _lag_energy, _lag_quadrature, _lag_sum
+from omnistbc.channel import (
+    _composite_nodes,
+    _lag_energy,
+    _lag_quadrature,
+    _lag_sum,
+    _sin_grid_rule,
+)
 from omnistbc.precoding import precoder_for_code
 
 SIGMA5 = math.radians(5.0)
@@ -224,14 +231,30 @@ def _full_ladder_lags(n_antennas, spacing_ratio, theta0, sigma):
     raise AssertionError("reference ladder did not converge")
 
 
+WORKLOAD_SETUPS = [
+    (m, math.radians(theta0), SIGMA5) for m in (64, 72, 1024) for theta0 in (-45, 0, 10, 30)
+]
+ENDFIRE_GRID = [
+    (m, math.radians(theta0), math.radians(sigma))
+    for m in (16, 256, 4096)
+    for theta0 in (-89, -85, -75, 60, 80, 88, 89)
+    for sigma in (0.5, 1.0, 5.0)
+]
+
+
+def _interior(theta0, sigma):
+    """Whether the PAS's live support lies strictly inside (-pi/2, pi/2)."""
+    return abs(theta0) + channel._PAS_REACH * sigma < math.pi / 2
+
+
 @pytest.mark.parametrize("n_antennas", [64, 72, 1024])
 def test_lags_match_full_ladder_at_workload_setups(n_antennas):
-    """At the pinned CSVs' and the benchmark's set-ups the ladder converges
-    on the reference's own rule, and the dead panels move no lag by more
-    than roundoff."""
+    """At the pinned CSVs' and the benchmark's set-ups the Gauss-Legendre
+    ladder converges on the reference's own rule, and the dead panels move
+    no lag by more than roundoff."""
     for theta0 in (-45, 0, 10, 30):
         pas = (math.radians(theta0), SIGMA5)
-        got = covariance_for(n_antennas, DEFAULT_SPACING_RATIO, *pas).lags
+        got = channel._gauss_legendre_lags(n_antennas, DEFAULT_SPACING_RATIO, *pas)
         want = _full_ladder_lags(n_antennas, DEFAULT_SPACING_RATIO, *pas)
         assert np.abs(got - want).max() <= 1e-15, theta0
 
@@ -250,9 +273,9 @@ def test_lags_match_full_ladder_toward_endfire(n_antennas):
 
 def test_ladder_starts_at_nyquist_and_spreads_live_panels(monkeypatch):
     """At M = 1024, d = 1/sqrt(3), 30 degrees and a 5-degree spread the
-    fastest live phase asks for 256 panels, so the ladder evaluates the
-    256-, 512- and 1024-panel rules only, and the last spreads at most 55%
-    of its 16384 nodes."""
+    fastest live phase asks for 256 panels, so the Gauss-Legendre ladder
+    evaluates the 256-, 512- and 1024-panel rules only, and the last
+    spreads at most 55% of its 16384 nodes."""
     rules, nodes = [], []
 
     def quadrature(*args):
@@ -265,10 +288,124 @@ def test_ladder_starts_at_nyquist_and_spreads_live_panels(monkeypatch):
 
     monkeypatch.setattr(channel, "_lag_quadrature", quadrature)
     monkeypatch.setattr(channel, "_lag_sum", lag_sum)
-    covariance_for(1024, DEFAULT_SPACING_RATIO, math.radians(30.0), SIGMA5)
+    channel._gauss_legendre_lags(1024, DEFAULT_SPACING_RATIO, math.radians(30.0), SIGMA5)
     assert rules == [256, 512, 1024]
     assert len(nodes) == 3
     assert nodes[-1] <= 0.55 * 1024 * 16
+
+
+def _no_gauss_legendre(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Gauss-Legendre ladder ran")
+
+    monkeypatch.setattr(channel, "_gauss_legendre_lags", refuse)
+    monkeypatch.setattr(channel, "_lag_sum", refuse)
+
+
+def test_sin_grid_lags_match_full_ladder(monkeypatch):
+    """Every workload set-up and every interior case of the endfire grid
+    takes the sin-grid FFT rule and lands within 1e-12 of the reference
+    Gauss-Legendre ladder."""
+    cases = WORKLOAD_SETUPS + [case for case in ENDFIRE_GRID if _interior(*case[1:])]
+    assert len(cases) == 12 + 3 * 7
+    wants = [_full_ladder_lags(m, DEFAULT_SPACING_RATIO, *pas) for m, *pas in cases]
+    _no_gauss_legendre(monkeypatch)
+    for (m, *pas), want in zip(cases, wants):
+        got = covariance_for(m, DEFAULT_SPACING_RATIO, *pas).lags
+        assert np.abs(got - want).max() <= 1e-12, (m, pas)
+
+
+@pytest.mark.parametrize("theta0", [-60, 0, 60])
+def test_sin_grid_rule_matches_exact_phase_sum(theta0):
+    """One sin-grid rule at M = 4096 against the direct sum over its own
+    samples, r_k = sum_j f_j exp(-2 pi i (k j mod P) / P) / sum_j f_j.  The
+    phase is reduced exactly in integers and read from a table of the P
+    roots of unity, so the sum is correct to roundoff; the FFT's error
+    measures at most 1.0e-15 here."""
+    m_len = 4096
+    sigma = math.radians(2.0)
+    n_fft = 4 * m_len
+    j, f = channel._sin_grid_samples(DEFAULT_SPACING_RATIO, math.radians(theta0), sigma, n_fft)
+    got = _sin_grid_rule(m_len, DEFAULT_SPACING_RATIO, math.radians(theta0), sigma, n_fft)
+    roots = np.exp(-2j * np.pi * np.arange(n_fft) / n_fft)
+    want = np.empty(m_len, dtype=complex)
+    for lo in range(0, m_len, 256):
+        k = np.arange(lo, lo + 256)
+        want[lo : lo + 256] = roots[np.outer(k, j) % n_fft] @ f
+    want /= f.sum()
+    assert np.abs(got - want).max() <= 2e-15
+
+
+def test_sin_grid_ladder_runs_two_rules(monkeypatch):
+    """At M = 1024, d = 1/sqrt(3), 30 degrees and a 5-degree spread the
+    sin-grid ladder starts at P = 2M, which already resolves the PAS, and
+    stops on the next rule; the NUFFT never runs."""
+    rules = []
+
+    def rule(*args):
+        rules.append(args[-1])
+        return _sin_grid_rule(*args)
+
+    _no_gauss_legendre(monkeypatch)
+    monkeypatch.setattr(channel, "_sin_grid_rule", rule)
+    covariance_for(1024, DEFAULT_SPACING_RATIO, math.radians(30.0), SIGMA5)
+    assert rules == [2048, 4096]
+
+
+def test_wide_spacing_at_broadside_decorrelates():
+    """At 1000 wavelengths the fastest lag's phase, 2 pi d (M - 1) sin(theta),
+    spans about 5e5 rad of the support, past the Gauss-Legendre ladder's
+    finest rule.  The sin-grid ladder resolves it on grids of 174k and 348k
+    samples: the PAS's transform at 2 pi d k is below roundoff for every
+    k >= 1, so R is the identity."""
+    lags = covariance_for(64, 1000.0, 0.0, SIGMA5).lags
+    assert lags[0] == 1.0
+    assert np.abs(lags[1:]).max() <= 1e-12
+    with pytest.raises(RuntimeError, match="did not converge"):
+        channel._gauss_legendre_lags(64, 1000.0, 0.0, SIGMA5)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_sin_grid_memory_is_bounded(monkeypatch):
+    """The largest rule the budget allows is P = 2^20 FFT points: at M = 8,
+    broadside and a 3e-5 rad spread the ladder runs P = 2^19 and 2^20 and
+    peaks under 20 MiB of traced memory, the folded samples and their half
+    spectrum at 8 MiB each.  Past the budget the ladder allocates no grid
+    and covariance_for takes the Gauss-Legendre ladder: a 1e-5 rad spread
+    would start at P = 2^21, and 1e5 wavelengths would take 2.2e6 samples,
+    which the Gauss-Legendre ladder cannot resolve either."""
+    rules = []
+
+    def rule(*args):
+        rules.append(args[-1])
+        return _sin_grid_rule(*args)
+
+    monkeypatch.setattr(channel, "_sin_grid_rule", rule)
+    lags, peak = _traced_peak(channel._sin_grid_lags, 8, DEFAULT_SPACING_RATIO, 0.0, 3e-5)
+    assert rules == [1 << 19, 1 << 20]
+    assert lags is not None and peak < 20 << 20
+
+    rules.clear()
+    lags, peak = _traced_peak(channel._sin_grid_lags, 8, DEFAULT_SPACING_RATIO, 0.0, 1e-5)
+    assert lags is None and rules == [] and peak < 1 << 20
+    np.testing.assert_array_equal(
+        covariance_for(8, DEFAULT_SPACING_RATIO, 0.0, 1e-5).lags,
+        channel._gauss_legendre_lags(8, DEFAULT_SPACING_RATIO, 0.0, 1e-5),
+    )
+
+    lags, peak = _traced_peak(channel._sin_grid_lags, 8, 1e5, 0.0, SIGMA5)
+    assert lags is None and peak < 1 << 20
+    with pytest.raises(RuntimeError, match="did not converge"):
+        covariance_for(8, 1e5, 0.0, SIGMA5)
 
 
 def test_projection_matches_dense_product():

@@ -58,10 +58,14 @@ def test_pep_bound_runs(capsys):
         (["coding-gain", "--code", "qostbc", "--rate", "4"], "--rate"),
         (["pep-bound", "--code", "qostbc", "--rate", "3", "--snr-db", "5"], "--rate"),
         (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "10", "--k", "1" + "0" * 400], "--k"),
+        (
+            ["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "-300", "--k", "1" + "0" * 300],
+            "--k, --snr-db",
+        ),
     ],
     ids=[
         "coding-gain-rate", "pep-bound-rate", "snr-nan", "snr-inf", "k", "coding-gain-cap",
-        "pep-bound-cap", "k-overflow",
+        "pep-bound-cap", "k-overflow", "bound-overflow",
     ],
 )
 def test_bad_flag_is_config_error(argv, flag, capsys):
@@ -223,6 +227,30 @@ def test_out_of_range_snr_is_config_error(command, snr, key, tmp_path, capsys):
         argv = [command, "--config", cfg, "--snr-db", snr, "--out", str(out)]
     else:
         argv = [command, "--code", "ac", "--rate", "1", "--snr-db", snr]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,text,key",
+    [
+        ("angle-sweep", AC_CONFIG + "theta0_deg_list = 0, 0\n", "theta0_deg_list"),
+        ("angle-sweep", AC_CONFIG + "theta0_deg_list = 30, -10, 30.0000001\n", "theta0_deg_list"),
+        ("ber-sweep", AC_CONFIG.replace("snr_db = 6, 10", "snr_db = 6, 10, 6"), "snr_db"),
+    ],
+    ids=["angle", "angle-same-key", "snr"],
+)
+def test_repeated_sweep_point_is_config_error(command, text, key, tmp_path, capsys):
+    """A sweep coordinate listed twice, or two whose stream keys (micro-units)
+    match, would read one random stream and write the same row twice: one
+    config error line naming the key, before any CSV is written."""
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", write_cfg(tmp_path, text), "--out", str(out)]
+    if command == "angle-sweep":
+        argv += ["--snr-db", "6"]
     assert cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: ")

@@ -194,9 +194,11 @@ def test_sweep_builds_code_and_precoder_once(monkeypatch):
 
 def test_unresolvable_angle_fails_before_the_first_trial(monkeypatch):
     """Every angle's factor is built before any batch runs, so an angle the
-    quadrature cannot resolve stops the sweep even when it is listed last."""
+    quadrature cannot resolve stops the sweep even when it is listed last.
+    At 2000 wavelengths broadside resolves, while 60 degrees, whose support
+    reaches endfire, does not."""
     calls = _count_calls(monkeypatch, ["_run_batch"])
-    cfg = small_cfg(code="qostbc", m=64, spacing_ratio=1000.0, theta0_deg_list=(60.0, 0.0))
+    cfg = small_cfg(code="qostbc", m=64, spacing_ratio=2000.0, theta0_deg_list=(0.0, 60.0))
     with pytest.raises(ConfigError, match="spacing_ratio, pas.sigma_deg"):
         run_angle_sweep(cfg, 6.0)
     assert calls["_run_batch"] == 0

@@ -41,6 +41,10 @@ class BerPoint:
     seed: int = 0
     aborted: int = 0
     bits_sent: int = 0
+    # Over counted trials, with e a trial's bit errors: sum of e^2, and the
+    # number of trials with e > 0.  Not written to the CSV.
+    bit_errors_sq: int = 0
+    frame_errors: int = 0
 
 
 def check_pair_count(n_codes):

@@ -20,8 +20,9 @@ grows as M log M.
 A sweep builds its set-up in the sweep process before its first trial:
 the code and W once, and that factor once per distinct angle.  Batches
 carry them to the pool workers, which build neither, so results do not
-depend on how the workers are started either.  A wave is all the pool is
-handed at once, so the pool is never wider than WAVE_BATCHES workers.
+depend on how the workers are started either.  The sweep process runs
+each wave's first batch itself and hands the pool the rest, so the pool
+is never wider than WAVE_BATCHES - 1 workers.
 """
 
 import math
@@ -29,6 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
+from numpy.random import Philox, SeedSequence
 
 from .analysis import BerPoint
 from .channel import covariance_factor, covariance_for
@@ -85,10 +87,10 @@ def _trial_words(cfg, snr_db, theta0_deg, t_lo, t_hi, n_words):
     point's Philox stream read from counter t_lo x blocks, each trial
     taking ``n_words`` words padded up to ``blocks`` whole 4-word blocks."""
     blocks = -(-n_words // _BLOCK_WORDS)
-    key = np.random.SeedSequence(
+    key = SeedSequence(
         (cfg.master_seed & _U64, stream_key(snr_db), stream_key(theta0_deg))
     ).generate_state(2, np.uint64)
-    stream = np.random.Philox(key=key, counter=t_lo * blocks)
+    stream = Philox(key=key, counter=t_lo * blocks)
     raw = stream.random_raw((t_hi - t_lo) * blocks * _BLOCK_WORDS)
     return raw.reshape(t_hi - t_lo, blocks * _BLOCK_WORDS)
 
@@ -98,44 +100,70 @@ def _draw_trials(cfg, code, snr_db, theta0_deg, t_lo, t_hi):
     trials [t_lo, t_hi): the channel draw, then the noise.
 
     Each bit is one word's top bit.  Each Gaussian takes two words, read as
-    u in (0, 1] from their top 53 bits: z = sqrt(-ln u1) exp(2 pi i u2)."""
+    u in (0, 1] from their top 53 bits: z = sqrt(-ln u1) exp(2 pi i u2).
+    Each array is allocated once and every later step runs in place, so a
+    batch's draw holds about three times its output at its peak."""
     n_normals = code.n_ports + code.n_slots
     n_words = code.nbits + 2 * n_normals
     words = _trial_words(cfg, snr_db, theta0_deg, t_lo, t_hi, n_words)
     bits = (words[:, : code.nbits] >> np.uint64(63)).astype(np.int64)
-    u = ((words[:, code.nbits : n_words] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    z = np.sqrt(-np.log(u[:, :n_normals])) * np.exp(2j * np.pi * u[:, n_normals:])
+    # A ufunc on a strided or differently typed operand adds an
+    # 8192-element buffer to the peak, so the strided words are copied
+    # first and the complex z is cast before it is scaled.
+    v = words[:, code.nbits : n_words].copy()
+    del words
+    v >>= np.uint64(11)
+    v += np.uint64(1)
+    u = v * 2.0**-53
+    del v
+    r = np.log(u[:, :n_normals])
+    np.negative(r, out=r)
+    np.sqrt(r, out=r)
+    z = u[:, n_normals:].astype(np.complex128)
+    del u
+    z *= 2j * np.pi
+    np.exp(z, out=z)
+    z *= r
     return bits, z
 
 
 def _run_batch(cfg, code, g_map, snr_db, theta0_deg, t_lo, t_hi):
-    """Run trials [t_lo, t_hi); returns (counted, bit_errors, aborted)."""
+    """Run trials [t_lo, t_hi); returns each trial's bit errors (B,), zero
+    for an aborted trial, and the abort mask (B,)."""
     n_ports = code.n_ports
     bits, z = _draw_trials(cfg, code, snr_db, theta0_deg, t_lo, t_hi)
     g_row = z[:, :n_ports] @ g_map  # entries of h^H W
-    noise = z[:, n_ports:] * 10.0 ** (-snr_db / 20.0)
+    z[:, n_ports:] *= 10.0 ** (-snr_db / 20.0)  # the noise
     # The codewords are freed once sent, before the decoder allocates its blocks.
-    y = np.einsum("bn,bnt->bt", g_row, code.encode(bits)) + noise
+    y = np.einsum("bn,bnt->bt", g_row, code.encode(bits))
+    y += z[:, n_ports:]
+    del z
 
     bits_hat, aborted = code.decode(y, g_row)
-    ok = ~aborted
-    errors = int(np.sum((bits_hat != bits) & ok[:, None]))
-    return int(ok.sum()), errors, int(aborted.sum())
+    errors = np.count_nonzero(bits_hat != bits, axis=1)
+    errors[aborted] = 0
+    return errors, aborted
 
 
 def _run_point(cfg, code, g_map, snr_db, theta0_deg, map_batches):
-    """One point, wave by wave; ``map_batches`` is ``map`` or a pool's map."""
+    """One point, wave by wave; ``map_batches`` is ``map`` or a pool's map.
+
+    Besides the CSV's totals it sums the counted trials' squared bit errors
+    and counts the frames with any bit error."""
     batch = partial(_run_batch, cfg, code, g_map, snr_db, theta0_deg)
     nbits = code.nbits
-    attempted = counted = errors = aborted = 0
+    attempted = counted = errors = errors_sq = frames = aborted = 0
     while attempted < cfg.max_trials and errors < cfg.min_bit_errors:
         wave_end = min(attempted + WAVE_BATCHES * TRIALS_PER_BATCH, cfg.max_trials)
         lows = range(attempted, wave_end, TRIALS_PER_BATCH)
         highs = [min(lo + TRIALS_PER_BATCH, wave_end) for lo in lows]
-        for cnt, err, abo in map_batches(batch, lows, highs):
-            counted += cnt
-            errors += err
-            aborted += abo
+        for trial_errors, trial_aborted in map_batches(batch, lows, highs):
+            n_aborted = int(np.count_nonzero(trial_aborted))
+            counted += len(trial_aborted) - n_aborted
+            aborted += n_aborted
+            errors += int(trial_errors.sum())
+            errors_sq += int(trial_errors @ trial_errors)
+            frames += int(np.count_nonzero(trial_errors))
         attempted = wave_end
     ber = errors / (counted * nbits) if counted else math.nan
     return BerPoint(
@@ -150,18 +178,28 @@ def _run_point(cfg, code, g_map, snr_db, theta0_deg, map_batches):
         seed=cfg.master_seed,
         aborted=aborted,
         bits_sent=counted * nbits,
+        bit_errors_sq=errors_sq,
+        frame_errors=frames,
     )
 
 
 def _sweep(cfg, points):
-    """BerPoints of (snr_db, theta0_deg) pairs, in order, on ``map`` or on
-    one pool no wider than a wave; no trial runs until every factor is built."""
+    """BerPoints of (snr_db, theta0_deg) pairs, in order, on ``map`` or with
+    a pool one narrower than a wave; no trial runs until every factor is built.
+
+    With a pool, each wave's first batch runs in the sweep process while the
+    pool runs the rest, so a wave of one batch starts no worker."""
     code, g_maps = _sweep_setup(cfg, [theta for _, theta in points])
     runs = [partial(_run_point, cfg, code, g_maps[theta], snr, theta) for snr, theta in points]
     if cfg.workers <= 1:
         return [run(map) for run in runs]
-    with ProcessPoolExecutor(min(cfg.workers, WAVE_BATCHES)) as pool:
-        return [run(pool.map) for run in runs]
+    with ProcessPoolExecutor(min(cfg.workers, WAVE_BATCHES) - 1) as pool:
+
+        def map_wave(batch, lows, highs):
+            rest = pool.map(batch, lows[1:], highs[1:])
+            return [batch(lows[0], highs[0]), *rest]
+
+        return [run(map_wave) for run in runs]
 
 
 def run_ber_sweep(cfg):

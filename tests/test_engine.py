@@ -41,10 +41,10 @@ def small_cfg(**kw):
 def one_trial(cfg, snr_db, theta0_deg, t):
     """(bits_sent, bit_errors, aborted) of trial t alone, on its own set-up."""
     code, g_maps = engine._sweep_setup(cfg.validate(), [theta0_deg])
-    counted, errors, aborted = engine._run_batch(
+    errors, aborted = engine._run_batch(
         cfg, code, g_maps[theta0_deg], snr_db, theta0_deg, t, t + 1
     )
-    return counted * code.nbits, errors, aborted
+    return int(not aborted[0]) * code.nbits, int(errors[0]), int(aborted[0])
 
 
 def test_run_trial_deterministic():
@@ -204,30 +204,60 @@ def test_unresolvable_angle_fails_before_the_first_trial(monkeypatch):
     assert calls["_run_batch"] == 0
 
 
-def test_pool_is_no_wider_than_a_wave(tmp_path, monkeypatch):
-    """A wave hands the pool at most WAVE_BATCHES batches, so a larger
-    worker count builds a pool of WAVE_BATCHES workers.  The stand-in pool
-    maps in this process and starts none."""
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor: maps in this process, starts no
+    worker, and records its width and every batch it is handed."""
+
     widths = []
+    batches = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            widths.append(max_workers)
+    def __init__(self, max_workers):
+        self.widths.append(max_workers)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        map = staticmethod(map)
+    def map(self, fn, lows, highs):
+        handed = list(zip(lows, highs))
+        self.batches.extend(handed)
+        return [fn(lo, hi) for lo, hi in handed]
 
+
+def test_pool_is_no_wider_than_a_wave(tmp_path, monkeypatch):
+    """The sweep process runs one batch of each wave, so a larger worker
+    count builds a pool of WAVE_BATCHES - 1 workers."""
+    monkeypatch.setattr(_RecordingPool, "widths", [])
     f1, f64 = tmp_path / "w1.csv", tmp_path / "w64.csv"
     emit_csv(run_ber_sweep(small_cfg(workers=1)), f1)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _RecordingPool)
     emit_csv(run_ber_sweep(small_cfg(workers=64)), f64)
-    assert widths == [engine.WAVE_BATCHES]
+    assert _RecordingPool.widths == [engine.WAVE_BATCHES - 1]
     assert f1.read_bytes() == f64.read_bytes()
+
+
+def test_sweep_process_runs_the_first_batch_of_each_wave(monkeypatch):
+    """Of a two-wave point the pool gets only the first wave's second
+    batch: the sweep process runs the first batch of every wave, and the
+    last wave, one batch long, hands the pool nothing."""
+    monkeypatch.setattr(_RecordingPool, "batches", [])
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _RecordingPool)
+    ran = []
+    run_batch = engine._run_batch
+
+    def recorded(cfg, code, g_map, snr_db, theta0_deg, t_lo, t_hi):
+        ran.append((t_lo, t_hi))
+        return run_batch(cfg, code, g_map, snr_db, theta0_deg, t_lo, t_hi)
+
+    monkeypatch.setattr(engine, "_run_batch", recorded)
+    n = TRIALS_PER_BATCH
+    cfg = small_cfg(workers=2, snr_db=(6.0,), max_trials=2 * n + 5, min_bit_errors=10**9)
+    point = run_ber_sweep(cfg)[0]
+    assert _RecordingPool.batches == [(n, 2 * n)]
+    assert [b for b in ran if b not in _RecordingPool.batches] == [(0, n), (2 * n, 2 * n + 5)]
+    assert point.trials == 2 * n + 5
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,13 +275,15 @@ def _split_setup(kind):
     cuts=st.sets(st.integers(1, 63), max_size=8),
 )
 def test_any_batch_split_gives_same_totals(kind, n, cuts):
-    """Summing _run_batch over any partition of [0, n) gives the totals of
-    one batch: a trial's outcome does not depend on its batch."""
+    """Joining _run_batch over any partition of [0, n) gives the per-trial
+    errors and aborts of one batch: a trial's outcome does not depend on
+    its batch."""
     cfg, code, g_map = _split_setup(kind)
     edges = [0, *sorted(c for c in cuts if c < n), n]
     batch = functools.partial(engine._run_batch, cfg, code, g_map, 2.0, 10.0)
     parts = [batch(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    assert tuple(map(sum, zip(*parts))) == batch(0, n)
+    for joined, whole in zip(zip(*parts), batch(0, n)):
+        np.testing.assert_array_equal(np.concatenate(joined), whole)
 
 
 # (config overrides, N): every kind's port count, the NZE shapes at their
@@ -345,6 +377,94 @@ def test_trial_draws_have_unit_moments():
         assert abs(value) < 5 * sd
 
 
+# (kind, rate, extra config): the fewest normals per word, the most
+# payload words per normal, and the largest benchmark NZE shape.
+_DRAW_CASES = [
+    ("single", 1, {}),
+    ("qostbc", 2, {}),
+    ("nze_tc", 1, dict(nze_l=30, nze_n=8)),
+]
+
+
+def _draw_case(kind, rate, extra):
+    cfg = small_cfg(code=kind, rate=rate, m=64, **extra).validate()
+    return cfg, engine.build_code(kind, rate, cfg.nze_l, cfg.nze_n)
+
+
+@pytest.mark.parametrize("kind,rate,extra", _DRAW_CASES, ids=[c[0] for c in _DRAW_CASES])
+def test_draw_is_the_gaussian_formula(kind, rate, extra):
+    """The in-place draw equals, bit for bit, the formula written out: each
+    bit a word's top bit, and z = sqrt(-ln u1) exp(2 pi i u2) with each u
+    in (0, 1] from a word's top 53 bits."""
+    cfg, code = _draw_case(kind, rate, extra)
+    n = code.n_ports + code.n_slots
+    bits, z = engine._draw_trials(cfg, code, 2.0, 10.0, 100, 1100)
+    words = engine._trial_words(cfg, 2.0, 10.0, 100, 1100, code.nbits + 2 * n)
+    u = ((words[:, code.nbits : code.nbits + 2 * n] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    expected = np.sqrt(-np.log(u[:, :n])) * np.exp(2j * np.pi * u[:, n:])
+    np.testing.assert_array_equal(bits, words[:, : code.nbits] >> np.uint64(63))
+    assert bits.dtype == np.int64
+    assert z.shape == expected.shape and z.dtype == expected.dtype
+    assert z.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind,rate,extra", _DRAW_CASES, ids=[c[0] for c in _DRAW_CASES])
+def test_draw_peaks_under_three_and_a_half_outputs(kind, rate, extra):
+    """A full batch's draw allocates each array once and works in place, so
+    it peaks under 3.5 times its Gaussians' bytes of traced memory."""
+    cfg, code = _draw_case(kind, rate, extra)
+    tracemalloc.start()
+    try:
+        _, z = engine._draw_trials(cfg, code, 2.0, 10.0, 0, TRIALS_PER_BATCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * z.nbytes, f"draw peaked at {peak / z.nbytes:.2f}x its output"
+
+
+def test_point_sums_match_a_per_trial_recount():
+    """A point's bit errors, squared bit errors and frames with any error
+    equal a recount of its trials run one at a time.  At 4 dB some trials
+    lose more than one bit, so the two sums differ."""
+    n_trials, snr = 300, 4.0
+    cfg = small_cfg(
+        code="ciod", rate=2, snr_db=(snr,), max_trials=n_trials, min_bit_errors=10**9
+    ).validate()
+    point = run_ber_sweep(cfg)[0]
+    code, g_maps = engine._sweep_setup(cfg, [cfg.theta0_deg])
+    errors = []
+    for t in range(n_trials):
+        err, aborted = engine._run_batch(
+            cfg, code, g_maps[cfg.theta0_deg], snr, cfg.theta0_deg, t, t + 1
+        )
+        if not aborted[0]:
+            errors.append(int(err[0]))
+    assert (point.trials, point.bit_errors, point.bit_errors_sq, point.frame_errors) == (
+        len(errors),
+        sum(errors),
+        sum(e * e for e in errors),
+        sum(e > 0 for e in errors),
+    )
+    assert point.bit_errors < point.bit_errors_sq
+    assert 0 < point.frame_errors < point.trials
+
+
+def test_point_sums_do_not_depend_on_workers():
+    """Every BerPoint field, the per-trial sums included, is the same for
+    one worker and for eight, over points of two waves."""
+    kw = dict(
+        code="qostbc",
+        rate=2,
+        snr_db=(2.0, 8.0),
+        max_trials=2 * TRIALS_PER_BATCH + 100,
+        min_bit_errors=10**9,
+    )
+    one = run_ber_sweep(small_cfg(workers=1, **kw))
+    eight = run_ber_sweep(small_cfg(workers=8, **kw))
+    assert one == eight
+    assert all(p.frame_errors > 0 and p.bit_errors_sq > p.bit_errors for p in one)
+
+
 def test_trial_stream_known_answer():
     """The first words of trials 0 and 1 for one fixed key.  A change in
     NumPy's Philox or SeedSequence fails here by name, not only in the CSV
@@ -362,7 +482,7 @@ def test_all_aborted_point_reports_nan(tmp_path):
     cfg, code, g_map = _split_setup("ac")
 
     def all_aborted(batch, lows, highs):
-        return [(0, 0, hi - lo) for lo, hi in zip(lows, highs)]
+        return [(np.zeros(hi - lo, int), np.ones(hi - lo, bool)) for lo, hi in zip(lows, highs)]
 
     point = engine._run_point(cfg, code, g_map, 2.0, 10.0, all_aborted)
     assert math.isnan(point.ber)

@@ -30,7 +30,6 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
-from numpy.random import Philox, SeedSequence
 
 from .analysis import BerPoint
 from .channel import covariance_factor, covariance_for
@@ -87,10 +86,10 @@ def _trial_words(cfg, snr_db, theta0_deg, t_lo, t_hi, n_words):
     point's Philox stream read from counter t_lo x blocks, each trial
     taking ``n_words`` words padded up to ``blocks`` whole 4-word blocks."""
     blocks = -(-n_words // _BLOCK_WORDS)
-    key = SeedSequence(
+    key = np.random.SeedSequence(
         (cfg.master_seed & _U64, stream_key(snr_db), stream_key(theta0_deg))
     ).generate_state(2, np.uint64)
-    stream = Philox(key=key, counter=t_lo * blocks)
+    stream = np.random.Philox(key=key, counter=t_lo * blocks)
     raw = stream.random_raw((t_hi - t_lo) * blocks * _BLOCK_WORDS)
     return raw.reshape(t_hi - t_lo, blocks * _BLOCK_WORDS)
 

@@ -199,10 +199,10 @@ def _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels):
     last place of r_0.
     """
     theta, weights = _composite_nodes(n_panels)
-    # Far below the node spacing the exponent overflows, or the variance
-    # underflows to zero: either way the node weighs zero.
+    # Far below the node spacing a node weighs zero (exponent overflow or zero
+    # variance); far above pi the NumPy power overflows to inf: the flat PAS.
     with np.errstate(divide="ignore", over="ignore"):
-        wp = weights * np.exp(-((theta - theta0) ** 2) / (2.0 * sigma**2))
+        wp = weights * np.exp(-((theta - theta0) ** 2) / (2.0 * np.float64(sigma) ** 2))
     total = wp.sum()
     if total == 0.0:
         return None

@@ -1,4 +1,4 @@
-"""Flat key = value simulation configs.
+"""Flat key = value simulation configs; everything from a # is a comment.
 
 Dotted keys express nesting (pas.sigma_deg, nze.l).  Unknown keys are hard
 errors: a silently ignored typo corrupts an experiment.  Angles are given
@@ -170,8 +170,8 @@ def parse_config(text, **overrides):
     """Parse config text; keyword overrides replace parsed fields."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")

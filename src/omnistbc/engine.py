@@ -17,16 +17,15 @@ Its cost does not depend on the array size M.  The set-up forms W^H R W
 from the covariance's M lags and never the M x M matrix R, so its cost
 grows as M log M.
 
-A sweep builds its set-up in the sweep process before its first trial:
-the code and W once, and that factor once per distinct angle.  Batches
-carry them to the pool workers, which build neither, so results do not
-depend on how the workers are started either.  The sweep process runs
-each wave's first batch itself and hands the pool the rest, so the pool
-is never wider than WAVE_BATCHES - 1 workers.
+A sweep builds its set-up before its first trial: the code and W once,
+and that factor once per distinct angle.  The sweep thread runs each
+wave's first batch and hands the rest to at most WAVE_BATCHES - 1 worker
+threads, which share the set-up; NumPy releases the GIL in the kernels
+where a trial spends its time.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -53,9 +52,9 @@ _BLOCK_WORDS = 4  # Philox4x64 gives four 64-bit words per counter step
 CSV_HEADER = "code,rate_bps,M,snr_db,theta0_deg,trials,bit_errors,ber,seed"
 
 
-def _sweep_setup(cfg, thetas):
-    """The sweep's Code and, for each distinct angle of ``thetas`` in
-    degrees, an N x N factor g_map with g_map^H g_map = W^H R W.
+def _sweep_setup(cfg, angle_key, thetas):
+    """The sweep's Code and, for each distinct angle of ``thetas`` (key
+    ``angle_key``, degrees), an N x N factor g_map with g_map^H g_map = W^H R W.
 
     Since h ~ CN(0, R), the effective channel h^H W has the law of
     z @ g_map for a row z of N i.i.d. unit circular Gaussians, so a trial
@@ -76,7 +75,9 @@ def _sweep_setup(cfg, thetas):
                 cfg.m, cfg.spacing_ratio, math.radians(theta0_deg), math.radians(cfg.sigma_deg)
             )
         except RuntimeError as exc:
-            raise ConfigError(f"spacing_ratio, pas.sigma_deg: {exc}") from None
+            raise ConfigError(
+                f"m, spacing_ratio, pas.sigma_deg, {angle_key}: {exc} at {theta0_deg:g} degrees"
+            ) from None
         g_maps[theta0_deg] = covariance_factor(cov.project(w)).conj().T
     return code, g_maps
 
@@ -144,8 +145,8 @@ def _run_batch(cfg, code, g_map, snr_db, theta0_deg, t_lo, t_hi):
     return errors, aborted
 
 
-def _run_point(cfg, code, g_map, snr_db, theta0_deg, map_batches):
-    """One point, wave by wave; ``map_batches`` is ``map`` or a pool's map.
+def _run_point(cfg, code, g_map, snr_db, theta0_deg, map_wave):
+    """One point, wave by wave; ``map_wave`` maps a wave's batches.
 
     Besides the CSV's totals it sums the counted trials' squared bit errors
     and counts the frames with any bit error."""
@@ -156,7 +157,7 @@ def _run_point(cfg, code, g_map, snr_db, theta0_deg, map_batches):
         wave_end = min(attempted + WAVE_BATCHES * TRIALS_PER_BATCH, cfg.max_trials)
         lows = range(attempted, wave_end, TRIALS_PER_BATCH)
         highs = [min(lo + TRIALS_PER_BATCH, wave_end) for lo in lows]
-        for trial_errors, trial_aborted in map_batches(batch, lows, highs):
+        for trial_errors, trial_aborted in map_wave(batch, lows, highs):
             n_aborted = int(np.count_nonzero(trial_aborted))
             counted += len(trial_aborted) - n_aborted
             aborted += n_aborted
@@ -182,23 +183,20 @@ def _run_point(cfg, code, g_map, snr_db, theta0_deg, map_batches):
     )
 
 
-def _sweep(cfg, points):
-    """BerPoints of (snr_db, theta0_deg) pairs, in order, on ``map`` or with
-    a pool one narrower than a wave; no trial runs until every factor is built.
-
-    With a pool, each wave's first batch runs in the sweep process while the
-    pool runs the rest, so a wave of one batch starts no worker."""
-    code, g_maps = _sweep_setup(cfg, [theta for _, theta in points])
-    runs = [partial(_run_point, cfg, code, g_maps[theta], snr, theta) for snr, theta in points]
-    if cfg.workers <= 1:
-        return [run(map) for run in runs]
-    with ProcessPoolExecutor(min(cfg.workers, WAVE_BATCHES) - 1) as pool:
+def _sweep(cfg, angle_key, points):
+    """BerPoints of (snr_db, theta0_deg) pairs, in order, once every factor
+    is built.  This thread runs each wave's first batch and hands the rest to
+    ``map`` or, for workers > 1, a pool thread, started at its first batch."""
+    code, g_maps = _sweep_setup(cfg, angle_key, [theta for _, theta in points])
+    width = min(cfg.workers, WAVE_BATCHES) - 1
+    with ThreadPoolExecutor(max(width, 1)) as pool:
+        map_rest = pool.map if width else map
 
         def map_wave(batch, lows, highs):
-            rest = pool.map(batch, lows[1:], highs[1:])
+            rest = map_rest(batch, lows[1:], highs[1:])
             return [batch(lows[0], highs[0]), *rest]
 
-        return [run(map_wave) for run in runs]
+        return [_run_point(cfg, code, g_maps[theta], snr, theta, map_wave) for snr, theta in points]
 
 
 def run_ber_sweep(cfg):
@@ -206,7 +204,7 @@ def run_ber_sweep(cfg):
     cfg.validate()
     if not cfg.snr_db:
         raise ConfigError("snr_db: list must be nonempty for a BER sweep")
-    return _sweep(cfg, [(snr, cfg.theta0_deg) for snr in cfg.snr_db])
+    return _sweep(cfg, "pas.theta0_deg", [(snr, cfg.theta0_deg) for snr in cfg.snr_db])
 
 
 def run_angle_sweep(cfg, snr_db):
@@ -218,7 +216,7 @@ def run_angle_sweep(cfg, snr_db):
     if problem:
         raise ConfigError(f"snr_db: {problem}")
     thetas = cfg.theta0_deg_list
-    return list(zip(thetas, _sweep(cfg, [(snr_db, t) for t in thetas])))
+    return list(zip(thetas, _sweep(cfg, "theta0_deg_list", [(snr_db, t) for t in thetas])))
 
 
 def _fmt(value):

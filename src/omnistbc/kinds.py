@@ -219,7 +219,7 @@ def _ac(rate, table):
 
 
 # The pre-maps are module-level functions, not lambdas, so that a Code
-# pickles and can be sent to pool workers.
+# pickles.
 def _ostbc_premap(x):
     """x2 carries j times the PAM set; x3 = |x1 + x2| times the QPSK x3'."""
     x1, x2 = x[:, 0], 1j * x[:, 1]

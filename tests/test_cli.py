@@ -149,9 +149,25 @@ def test_unresolvable_spread_is_config_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli(["ber-sweep", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error: spacing_ratio, pas.sigma_deg: " in err
+    assert "config error: m, spacing_ratio, pas.sigma_deg, pas.theta0_deg: " in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e200", "1e308"])
+def test_spread_past_any_angle_is_the_flat_pas(sigma, tmp_path, capsys):
+    """A spread too wide for 2 sigma^2 to be a finite float runs without a
+    warning and writes the CSV of an infinite spread, the flat PAS."""
+    rows = {}
+    for value in (sigma, "inf"):
+        cfg = write_cfg(tmp_path, AC_CONFIG + f"pas.sigma_deg = {value}\n")
+        out = tmp_path / f"{value}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli(["ber-sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows[value] = out.read_bytes()
+    assert rows[sigma] == rows["inf"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spacing", ["1e20", "1e300", "1e308"])

@@ -261,8 +261,8 @@ REGISTRY_CASES = [
 
 @pytest.mark.parametrize("kind,rate,extra", REGISTRY_CASES)
 def test_code_pickles(kind, rate, extra):
-    """Pool workers get the Code by pickle; the copy must encode and decode
-    a random batch exactly as the original does."""
+    """A Code pickles, and the copy encodes and decodes a random batch
+    exactly as the original does."""
     code = build_code(kind, rate, **extra)
     copy = pickle.loads(pickle.dumps(code))
     rng = np.random.default_rng(23)

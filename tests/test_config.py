@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -12,14 +13,14 @@ from omnistbc.receivers import MAX_BLOCK_BYTES
 
 GOOD = """
 # minimal Alamouti sweep
-code = ac
+code = ac   # Alamouti
 rate = 1
 m = 64
 gamma = 1
 spacing_ratio = 0.5773502692
 pas.theta0_deg = 0
 pas.sigma_deg = 5
-snr_db = 0, 4, 8
+snr_db = 0, 4, 8  # dB
 max_trials = 1000
 min_bit_errors = 50
 master_seed = 42
@@ -142,6 +143,16 @@ def test_digest_tracks_content():
 def test_bad_value_fails_validation(line, key):
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}:"):
         parse_config(f"code = ac\n{line}\n")
+
+
+def test_readme_config_example_parses():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```ini\n(.*?)^```$", fh.read(), re.M | re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0])
+    assert (cfg.code, cfg.rate, cfg.m, cfg.snr_db) == ("qostbc", 1, 64, (8.0, 10.0, 12.0, 14.0))
+    assert len(cfg.theta0_deg_list) == 13
 
 
 def test_angle_limits_are_inclusive():

@@ -1,7 +1,8 @@
 import functools
 import math
-import multiprocessing
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -40,7 +41,7 @@ def small_cfg(**kw):
 
 def one_trial(cfg, snr_db, theta0_deg, t):
     """(bits_sent, bit_errors, aborted) of trial t alone, on its own set-up."""
-    code, g_maps = engine._sweep_setup(cfg.validate(), [theta0_deg])
+    code, g_maps = engine._sweep_setup(cfg.validate(), "pas.theta0_deg", [theta0_deg])
     errors, aborted = engine._run_batch(
         cfg, code, g_maps[theta0_deg], snr_db, theta0_deg, t, t + 1
     )
@@ -141,27 +142,32 @@ def test_worker_count_invariance(tmp_path):
     assert f1.read_bytes() == f8.read_bytes()
 
 
-def test_workers_never_rebuild_the_setup(tmp_path, monkeypatch):
-    """Each point's set-up is built in the sweep process and sent to the pool
-    workers with its batches; a worker that built its own would call the
-    patched covariance_factor, which forked workers inherit, and fail."""
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patch reaches pool workers only when they are forked")
+def test_workers_run_every_trial_in_the_sweep_process(tmp_path, monkeypatch):
+    """A workers = 2 sweep runs every batch in the sweep process, some of
+    them on a second thread, and writes the same CSV as one worker, also
+    when the threads switch every microsecond."""
     kw = dict(theta0_deg_list=(-30.0, 0.0, 30.0), max_trials=6000, min_bit_errors=10**9)
     f1, f2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
     emit_csv([p for _, p in run_angle_sweep(small_cfg(**kw), 6.0)], f1)
 
-    owner = os.getpid()
-    factor = engine.covariance_factor
+    ran = []
+    run_batch = engine._run_batch
 
-    def sweep_process_only(model):
-        if os.getpid() != owner:
-            raise RuntimeError("covariance_factor called in a pool worker")
-        return factor(model)
+    def recorded(*args):
+        ran.append((os.getpid(), threading.get_ident()))
+        return run_batch(*args)
 
-    monkeypatch.setattr(engine, "covariance_factor", sweep_process_only)
-    emit_csv([p for _, p in run_angle_sweep(small_cfg(workers=2, **kw), 6.0)], f2)
+    monkeypatch.setattr(engine, "_run_batch", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        emit_csv([p for _, p in run_angle_sweep(small_cfg(workers=2, **kw), 6.0)], f2)
+    finally:
+        sys.setswitchinterval(interval)
     assert f1.read_bytes() == f2.read_bytes()
+    assert len(ran) == 6
+    assert {pid for pid, _ in ran} == {os.getpid()}
+    assert len({thread for _, thread in ran}) == 2
 
 
 def _count_calls(monkeypatch, names):
@@ -182,14 +188,17 @@ _SETUP_NAMES = ("build_code", "precoder_for_code", "covariance_for", "covariance
 
 def test_sweep_builds_code_and_precoder_once(monkeypatch):
     """The code and W are built once per sweep, the covariance and its
-    factor once per distinct angle: never once per point."""
+    factor once per distinct angle: never once per point, nor in a worker
+    thread."""
     calls = _count_calls(monkeypatch, _SETUP_NAMES)
-    kw = dict(max_trials=64, min_bit_errors=10**9)
-    run_angle_sweep(small_cfg(theta0_deg_list=(-30.0, 0.0, 30.0), **kw), 6.0)
-    assert tuple(calls.values()) == (1, 1, 3, 3)
-    calls.update(dict.fromkeys(calls, 0))
-    run_ber_sweep(small_cfg(snr_db=(0.0, 4.0, 8.0), **kw))
-    assert tuple(calls.values()) == (1, 1, 1, 1)
+    for workers in (1, 2):
+        kw = dict(max_trials=2 * TRIALS_PER_BATCH, min_bit_errors=10**9, workers=workers)
+        calls.update(dict.fromkeys(calls, 0))
+        run_angle_sweep(small_cfg(theta0_deg_list=(-30.0, 0.0, 30.0), **kw), 6.0)
+        assert tuple(calls.values()) == (1, 1, 3, 3)
+        calls.update(dict.fromkeys(calls, 0))
+        run_ber_sweep(small_cfg(snr_db=(0.0, 4.0, 8.0), **kw))
+        assert tuple(calls.values()) == (1, 1, 1, 1)
 
 
 def test_unresolvable_angle_fails_before_the_first_trial(monkeypatch):
@@ -199,14 +208,26 @@ def test_unresolvable_angle_fails_before_the_first_trial(monkeypatch):
     reaches endfire, does not."""
     calls = _count_calls(monkeypatch, ["_run_batch"])
     cfg = small_cfg(code="qostbc", m=64, spacing_ratio=2000.0, theta0_deg_list=(0.0, 60.0))
-    with pytest.raises(ConfigError, match="spacing_ratio, pas.sigma_deg"):
+    keys = "m, spacing_ratio, pas.sigma_deg, theta0_deg_list: "
+    with pytest.raises(ConfigError, match=f"^{keys}.* at 60 degrees$"):
         run_angle_sweep(cfg, 6.0)
     assert calls["_run_batch"] == 0
 
 
+def test_covariance_resolves_arrays_up_to_2_to_the_18():
+    """At the default spacing and spread the covariance resolves M = 2^18
+    at broadside; at M = 2^19, which validation accepts, the sweep stops
+    with a config error that names the array size and the angle's key."""
+    cfg = small_cfg(m=2**18).validate()
+    assert engine._sweep_setup(cfg, "pas.theta0_deg", [0.0])[1][0.0].shape == (2, 2)
+    cfg = small_cfg(m=2**19, snr_db=(6.0,)).validate()
+    with pytest.raises(ConfigError, match="^m, spacing_ratio, pas.sigma_deg, pas.theta0_deg: "):
+        run_ber_sweep(cfg)
+
+
 class _RecordingPool:
-    """Stand-in for ProcessPoolExecutor: maps in this process, starts no
-    worker, and records its width and every batch it is handed."""
+    """Stand-in for ThreadPoolExecutor: maps on the calling thread, starts
+    no worker, and records its width and every batch it is handed."""
 
     widths = []
     batches = []
@@ -227,12 +248,12 @@ class _RecordingPool:
 
 
 def test_pool_is_no_wider_than_a_wave(tmp_path, monkeypatch):
-    """The sweep process runs one batch of each wave, so a larger worker
-    count builds a pool of WAVE_BATCHES - 1 workers."""
+    """The sweep thread runs one batch of each wave, so a larger worker
+    count builds a pool of WAVE_BATCHES - 1 threads."""
     monkeypatch.setattr(_RecordingPool, "widths", [])
     f1, f64 = tmp_path / "w1.csv", tmp_path / "w64.csv"
     emit_csv(run_ber_sweep(small_cfg(workers=1)), f1)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _RecordingPool)
     emit_csv(run_ber_sweep(small_cfg(workers=64)), f64)
     assert _RecordingPool.widths == [engine.WAVE_BATCHES - 1]
     assert f1.read_bytes() == f64.read_bytes()
@@ -240,10 +261,10 @@ def test_pool_is_no_wider_than_a_wave(tmp_path, monkeypatch):
 
 def test_sweep_process_runs_the_first_batch_of_each_wave(monkeypatch):
     """Of a two-wave point the pool gets only the first wave's second
-    batch: the sweep process runs the first batch of every wave, and the
+    batch: the sweep thread runs the first batch of every wave, and the
     last wave, one batch long, hands the pool nothing."""
     monkeypatch.setattr(_RecordingPool, "batches", [])
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _RecordingPool)
     ran = []
     run_batch = engine._run_batch
 
@@ -264,7 +285,7 @@ def test_sweep_process_runs_the_first_batch_of_each_wave(monkeypatch):
 def _split_setup(kind):
     extra = dict(nze_l=4, nze_n=2) if kind == "nze_tc" else {}
     cfg = small_cfg(code=kind, **extra)
-    code, g_maps = engine._sweep_setup(cfg, [10.0])
+    code, g_maps = engine._sweep_setup(cfg, "pas.theta0_deg", [10.0])
     return cfg, code, g_maps[10.0]
 
 
@@ -305,7 +326,7 @@ def test_point_setup_keeps_an_n_by_n_factor():
     product with the M x M covariance, for every kind's N."""
     for overrides, n_ports in _SETUP_CASES:
         cfg = small_cfg(**overrides)
-        g_map = engine._sweep_setup(cfg, [10.0])[1][10.0]
+        g_map = engine._sweep_setup(cfg, "pas.theta0_deg", [10.0])[1][10.0]
         phase = None
         if cfg.precoder_override == "prbs":
             phase = prbs_phase_vector(cfg.m, (cfg.master_seed, PRBS_TAG))
@@ -332,7 +353,7 @@ def test_point_setup_never_forms_the_covariance():
     cfg = small_cfg(m=4096)
     tracemalloc.start()
     try:
-        engine._sweep_setup(cfg, [10.0])
+        engine._sweep_setup(cfg, "pas.theta0_deg", [10.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -347,7 +368,7 @@ def test_batch_frees_codewords_before_decoding(kind, nze_l, nze_n):
     under 1.5 codeword batches of traced memory: the codewords are freed
     once transmitted, before the decoder allocates its blocks."""
     cfg = small_cfg(code=kind, nze_l=nze_l, nze_n=nze_n, m=4 * nze_n**2).validate()
-    code, g_maps = engine._sweep_setup(cfg, [10.0])
+    code, g_maps = engine._sweep_setup(cfg, "pas.theta0_deg", [10.0])
     batch_bytes = 16 * code.n_ports * code.n_slots * TRIALS_PER_BATCH
     tracemalloc.start()
     try:
@@ -431,7 +452,7 @@ def test_point_sums_match_a_per_trial_recount():
         code="ciod", rate=2, snr_db=(snr,), max_trials=n_trials, min_bit_errors=10**9
     ).validate()
     point = run_ber_sweep(cfg)[0]
-    code, g_maps = engine._sweep_setup(cfg, [cfg.theta0_deg])
+    code, g_maps = engine._sweep_setup(cfg, "pas.theta0_deg", [cfg.theta0_deg])
     errors = []
     for t in range(n_trials):
         err, aborted = engine._run_batch(

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import receivers
 from .constellations import Constellation, make_pam, make_psk, make_rotated_qam
 from .receivers import (
     AcDecoder,
@@ -95,10 +96,11 @@ class Code:
     turn, and each word picks its symbol.  ``assemble`` maps those symbols
     (B, symbols) to (B, N, T) codewords: the optional ``premap`` (symbols
     to the table's symbols), then the gather ``table``, whose shape is
-    (N, T).  ``constellations`` has one entry per symbol,
-    and the decoder is ``decoder_cls(assemble, constellations)``; it
-    returns the symbols' bit words in the same order, and ``decode``
-    unpacks them to bits.
+    (N, T).  ``constellations`` has one entry per symbol, and the decoder
+    is ``decoder_cls(assemble, constellations)``.  ``decode`` holds the
+    batch policy that every decoder shares: it marks the trials whose
+    channel row is all zero as aborted, hands the decoder the batch in
+    blocks of rows, and unpacks the symbols' bit words to bits.
     """
 
     def __init__(self, groups, table, decoder_cls, premap=None):
@@ -107,12 +109,13 @@ class Code:
         self.constellations = [c for c, count in groups for _ in range(count)]
         self.n_ports, self.n_slots = table.idx.shape
         self.decoder = decoder_cls(self.assemble, self.constellations)
-        # Per group: bit width, symbol count, points, and the unpack table
-        # from each word to its bits.
-        self._groups = [
-            (c.bit_width, count, c.points, payloads(c.bit_width)) for c, count in groups
-        ]
-        self.nbits = sum(width * count for width, count, _, _ in self._groups)
+        # Per group: bit width, symbol count and points.
+        self._groups = [(c.bit_width, count, c.points) for c, count in groups]
+        self.nbits = sum(width * count for width, count, _ in self._groups)
+        # Payload bit j is bit _bit_shift[j] of symbol _bit_symbol[j]'s word.
+        widths = [c.bit_width for c in self.constellations]
+        self._bit_symbol = np.repeat(np.arange(len(widths)), widths)
+        self._bit_shift = np.concatenate([np.arange(w - 1, -1, -1) for w in widths])
 
     def assemble(self, x):
         """Symbols (B, symbols) -> codewords (B, N, T)."""
@@ -125,7 +128,7 @@ class Code:
     def encode(self, bits):
         """Payloads (B, nbits) -> codewords (B, N, T)."""
         parts, start = [], 0
-        for width, count, points, _ in self._groups:
+        for width, count, points in self._groups:
             stop = start + width * count
             words = bits[:, start:stop].reshape(len(bits), count, width)
             parts.append(points[words @ (1 << np.arange(width - 1, -1, -1))])
@@ -134,13 +137,20 @@ class Code:
 
     def decode(self, y, g):
         """Observations (B, T) through channels (B, N) -> (bits (B, nbits),
-        aborted (B,)); the bits of an aborted trial mean nothing."""
-        idx, aborted = self.decoder.decode_batch(y, g)
-        parts, start = [], 0
-        for _, count, _, unpack in self._groups:
-            parts.append(unpack[idx[:, start : start + count]].reshape(len(idx), -1))
-            start += count
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), aborted
+        aborted (B,)); a trial aborts when its channel row is all zero, and
+        its bits mean nothing.  The decoder takes the rows in blocks whose
+        largest array, ``row_bytes`` per row, fits in MAX_BLOCK_BYTES."""
+        g = np.asarray(g, dtype=complex)
+        aborted = ~g.any(axis=1)
+        words = np.empty((len(g), len(self.constellations)), dtype=np.intp)
+        step = max(1, receivers.MAX_BLOCK_BYTES // self.decoder.row_bytes)
+        for lo in range(0, len(g), step):
+            rows = slice(lo, lo + step)
+            words[rows] = self.decoder.decode_batch(y[rows], g[rows], aborted[rows])
+        bits = words[:, self._bit_symbol]
+        bits >>= self._bit_shift
+        bits &= 1
+        return bits, aborted
 
     def codebook(self):
         """(payloads, codewords) over every payload, in ascending word order."""

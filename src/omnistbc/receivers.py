@@ -13,14 +13,16 @@ kinds use zero forcing after conjugating the conjugated slots, on the map
 that ``assemble`` probes out: the Gram of that map is a band, and a band
 LDL^H solves it for the whole batch at once.
 
-Every decoder has one call, ``decode_batch(y, g) -> (idx, aborted)``, over
-a batch of trials: y is (B, T), g is (B, N), ``idx`` is (B, n_symbols)
+Every decoder has one call, ``decode_batch(y, g, aborted) -> words``, over
+a block of trials: y is (B, T), g is (B, N) complex, ``aborted`` the (B,)
+mask of trials whose channel row is all zero, and ``words`` (B, n_symbols)
 bit words, one per symbol in payload order (a constellation stores its
-points in bit-word order, so an index into it is the word it carries), and
-``aborted`` is a (B,) mask of trials whose channel row is all zero; their
-words mean nothing.  The registry's ``Code.decode`` unpacks the words to
-bits.  Ties in any candidate search resolve to the lowest word, in payload
-order, as in an exhaustive search over the codebook.
+points in bit-word order, so an index into it is the word it carries); an
+aborted trial's words mean nothing.  ``row_bytes`` is the bytes per trial
+of its largest per-block array.  The registry's ``Code.decode`` computes
+the mask, cuts a batch into blocks under MAX_BLOCK_BYTES and unpacks the
+words to bits.  Ties in any candidate search resolve to the lowest word,
+in payload order, as in an exhaustive search over the codebook.
 """
 
 import numpy as np
@@ -34,16 +36,11 @@ __all__ = [
     "NzeZfDecoder",
 ]
 
-# The most bytes one per-batch array may take.  The ML search and ZF take a
-# batch in blocks of rows whose largest array fits under it.  Config
-# validation refuses an N x T codeword whose full batch would pass it, and
-# an M whose set-up 2M x N FFT would.
+# The most bytes one per-batch array may take.  ``Code.decode`` hands a
+# decoder a batch in blocks of rows whose largest array fits under it.
+# Config validation refuses an N x T codeword whose full batch would pass
+# it, and an M whose set-up 2M x N FFT would.
 MAX_BLOCK_BYTES = 1 << 26
-
-
-def _zero_rows(g):
-    """Trials whose effective channel is identically zero."""
-    return ~np.any(g, axis=1)
 
 
 class _GroupSearch:
@@ -65,8 +62,8 @@ class _GroupSearch:
     Re(a b) = Re a Re b - Im a Im b, that is one real product of f viewed
     as floats, the real then the imaginary part of each (n, j), with the
     constant ``weights``, whose rows are (Re coef, -Im coef) in that order.
-    A zero channel row scores every candidate 0.  The batch's rows are
-    scored in blocks whose metrics take at most MAX_BLOCK_BYTES.
+    A zero channel row scores every candidate 0.  A block's largest array
+    is the metrics of the largest group, 8 bytes per candidate and trial.
     """
 
     groups = ()
@@ -86,19 +83,15 @@ class _GroupSearch:
             coef = np.concatenate([gram, -2.0 * sub.transpose(1, 2, 0)], axis=1)  # (N, N + T, C)
             weights = np.stack([coef.real, -coef.imag], axis=2).reshape(-1, len(cand))
             self.searches.append((group, cand, weights))
+        self.row_bytes = 8 * max(len(cand) for _, cand, _ in self.searches)
 
-    def decode_batch(self, y, g):
-        b = len(g)
-        g = np.asarray(g, dtype=complex)
+    def decode_batch(self, y, g, aborted):
         row = np.concatenate([g, y], axis=1).conj()
-        features = (g[:, :, None] * row[:, None, :]).view(float).reshape(b, -1)
-        idx = np.empty((b, self.n_symbols), dtype=np.intp)
+        features = (g[:, :, None] * row[:, None, :]).view(float).reshape(len(g), -1)
+        words = np.empty((len(g), self.n_symbols), dtype=np.intp)
         for group, cand, weights in self.searches:
-            rows = max(1, MAX_BLOCK_BYTES // (weights.itemsize * len(cand)))
-            for lo in range(0, b, rows):
-                block = features[lo : lo + rows] @ weights
-                idx[lo : lo + rows, group] = cand[np.argmin(block, axis=1)]
-        return idx, _zero_rows(g)
+            words[:, group] = cand[np.argmin(features @ weights, axis=1)]
+        return words
 
 
 class SingleDecoder(_GroupSearch):
@@ -235,8 +228,8 @@ class NzeZfDecoder:
       nearest-point search.  The scores are one real product of each
       (Re x_k, Im x_k) with its points' (Re p, Im p) columns: 2 L x
       (points) multiply-adds, and no complex difference or modulus.
-    The rows of a batch go through in blocks whose largest array (the N T
-    products, the band or the scores) fits in MAX_BLOCK_BYTES.
+    ``row_bytes`` is the bytes per trial of a block's largest array: the
+    N T products, the band or the scores.
 
     H has full column rank for every nonzero channel, so only an all-zero
     channel row aborts; its band is set to the identity.  NZE-TC and odd-N
@@ -312,8 +305,7 @@ class NzeZfDecoder:
         self._mf_weights = _real_weights(mf.transpose(0, 2, 3, 1).reshape(-1, n_sym))
 
         # Per trial: the complex N T products and band, and the real scores.
-        row_bytes = max(16 * n_ports * n_slots, 16 * len(self._band_index), 8 * points.size)
-        self._block_rows = max(1, MAX_BLOCK_BYTES // row_bytes)
+        self.row_bytes = max(16 * n_ports * n_slots, 16 * len(self._band_index), 8 * points.size)
 
     def band(self, g):
         """The upper band (p + 1, L, B) of the Gram H^H H for channels
@@ -323,22 +315,12 @@ class NzeZfDecoder:
         band = _complex(self._gram_weights @ products.T)[self._band_index]
         return band.reshape(self.p + 1, -1, len(g))
 
-    def decode_batch(self, y, g):
-        g = np.asarray(g, dtype=complex)
-        aborted = _zero_rows(g)
-        idx = np.empty((len(g), len(self._axes)), dtype=np.intp)
-        step = self._block_rows
-        for lo in range(0, len(g), step):
-            rows = slice(lo, lo + step)
-            idx[rows] = self._decode_block(y[rows], g[rows], aborted[rows])
-        return idx, aborted
-
     def _matched_filter(self, y, g):
         """H^H y' (L, B) for observations (B, T) and channels (B, N)."""
         products = (g.conj()[:, :, None] * y[:, None, :]).reshape(len(g), -1).view(float)
         return _complex(self._mf_weights @ products.T)
 
-    def _decode_block(self, y, g, aborted):
+    def decode_batch(self, y, g, aborted):
         rhs = self._matched_filter(y, g)
         band = self.band(g)
         band[0][:, aborted] = 1.0

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from omnistbc import analysis, engine, precoding, selfcheck
 from omnistbc.cli import cli
 from omnistbc.selfcheck import CHECKS
 
@@ -219,6 +220,18 @@ def test_unbounded_size_is_config_error(text, key, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nze_keys_on_fixed_port_kind_are_config_error(tmp_path, capsys):
+    """NZE keys on a kind with fixed ports stop the sweep with one config
+    error line naming the key, instead of running its 4 ports."""
+    text = "code = qostbc\nnze.n = 8\nnze.l = 30\nsnr_db = 1\n"
+    out = tmp_path / "x.csv"
+    assert cli(["ber-sweep", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: nze.l: qostbc has 4 fixed ports")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command,snr,key",
     [
@@ -299,6 +312,35 @@ def test_validate_passes_every_check(capsys):
     assert status == 0
 
 
+def test_validate_reports_a_failed_check(monkeypatch, capsys):
+    """A broken invariant fails its check with a line naming the case, the
+    other checks still pass, and validate counts the failure and exits 1."""
+    monkeypatch.setattr(precoding, "check_requirements", lambda signal: (False, True))
+    assert cli(["validate"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if not line.startswith("[PASS] ")]
+    assert failed == [
+        "[FAIL] requirements_all_kinds: single payload [0] at M=4",
+        "1 check(s) failed",
+    ]
+    assert len(lines) == len(CHECKS) + 1
+
+
+def test_validate_reports_a_crashed_check(monkeypatch, capsys):
+    """A check that raises is a failed check whose detail names the error."""
+
+    def crash(codebook):
+        raise RuntimeError("no codebook")
+
+    monkeypatch.setattr(analysis, "coding_gain", crash)
+    monkeypatch.setattr(selfcheck, "CHECKS", [("coding_gains", selfcheck.check_coding_gains)])
+    assert cli(["validate"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[FAIL] coding_gains: raised RuntimeError: no codebook",
+        "1 check(s) failed",
+    ]
+
+
 def test_unbuildable_rate_flag_is_config_error(capsys):
     assert cli(["coding-gain", "--code", "ac", "--rate", "64"]) == 2
     captured = capsys.readouterr()
@@ -315,6 +357,24 @@ def test_seed_override_changes_output(tmp_path):
     assert cli(["ber-sweep", "--config", cfg, "--out", str(c), "--seed", "5"]) == 0
     assert a.read_bytes() != b.read_bytes()
     assert a.read_bytes() == c.read_bytes()
+
+
+def test_workers_override_keeps_the_csv(tmp_path, monkeypatch):
+    """--workers 2 reaches the sweep and writes the same bytes as the
+    config's one worker, on a point of two batches."""
+    cfg = write_cfg(tmp_path, AC_CONFIG.replace("max_trials = 3000", "max_trials = 6000"))
+    seen, sweep = [], engine._sweep
+
+    def recorded(cfg, *args):
+        seen.append(cfg.workers)
+        return sweep(cfg, *args)
+
+    monkeypatch.setattr(engine, "_sweep", recorded)
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert cli(["ber-sweep", "--config", cfg, "--out", str(one)]) == 0
+    assert cli(["ber-sweep", "--config", cfg, "--out", str(two), "--workers", "2"]) == 0
+    assert seen == [1, 2]
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_angle_sweep_cli(tmp_path):

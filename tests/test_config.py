@@ -90,6 +90,16 @@ def test_nze_requirements():
     parse_config("code = nze_oac\nm = 64\nnze.l = 30\nnze.n = 8\n")
 
 
+@pytest.mark.parametrize("key", ["nze.l", "nze.n"])
+@pytest.mark.parametrize("kind", [k for k, spec in kinds.REGISTRY.items() if spec.n_ports])
+def test_nze_keys_refused_on_fixed_port_kinds(kind, key):
+    """A kind whose port count is fixed refuses a nonzero NZE key, naming
+    it, instead of ignoring it."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: {kind} has "):
+        parse_config(f"code = {kind}\n{key} = 8\nsnr_db = 1\n")
+    assert parse_config(f"code = {kind}\n{key} = 0\n").code == kind
+
+
 @pytest.mark.parametrize(
     ("nze_n", "rule"),
     [(10000000000000, "nze.l >= nze.n for even"), (11, "nze.l >= nze.n - 1 for odd")],
@@ -188,7 +198,8 @@ LARGEST_RATE = {
 def test_rate_bound(kind, largest):
     """Validation accepts a kind's largest rate and refuses the next one,
     naming the key; it builds no code, so neither rate allocates a search."""
-    shape = SimConfig(code=kind, nze_l=8, nze_n=4)
+    nze = dict(nze_l=8, nze_n=4) if kinds.REGISTRY[kind].n_ports is None else {}
+    shape = SimConfig(code=kind, **nze)
     assert replace(shape, rate=largest).validate().rate == largest
     with pytest.raises(ConfigError, match=f"^rate: {largest + 1} is above {largest},"):
         replace(shape, rate=largest + 1).validate()

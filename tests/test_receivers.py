@@ -47,7 +47,8 @@ def test_single_decoder_roundtrip():
     x = code.encode(bits)
     g = channels(rng, len(bits), 1)
     y = observe(x, g)
-    idx, aborted = SingleDecoder(code.assemble, [psk]).decode_batch(y, g)
+    _, aborted = code.decode(y, g)
+    idx = SingleDecoder(code.assemble, [psk]).decode_batch(y, g, aborted)
     assert not aborted.any()
     np.testing.assert_allclose(psk.points[idx[:, 0]], x[:, 0, 0])
     np.testing.assert_array_equal(code.decode(y, g)[0], bits)
@@ -57,7 +58,9 @@ def test_ac_matched_filter_identity_channel():
     psk = make_psk(4)
     cw = kinds.AC_TABLE.build(psk.points[[1, 3]])
     g = np.array([[1.0 + 0j, 0.0]])
-    idx, aborted = AcDecoder(build_code("ac", 2).assemble, [psk, psk]).decode_batch(g @ cw, g)
+    code = build_code("ac", 2)
+    _, aborted = code.decode(g @ cw, g)
+    idx = AcDecoder(code.assemble, [psk, psk]).decode_batch(g @ cw, g, aborted)
     np.testing.assert_array_equal(idx, [[1, 3]])
     assert not aborted.any()
 
@@ -71,7 +74,9 @@ def test_decoder_returns_payload_words(kind, rate):
     rng = np.random.default_rng(29)
     bits = payloads(code.nbits)
     g = channels(rng, len(bits), code.n_ports)
-    idx, aborted = code.decoder.decode_batch(observe(code.encode(bits), g), g)
+    y = observe(code.encode(bits), g)
+    _, aborted = code.decode(y, g)
+    idx = code.decoder.decode_batch(y, g, aborted)
     assert not aborted.any()
     start = 0
     for k, c in enumerate(code.constellations):
@@ -224,25 +229,45 @@ def test_ml_phase_rotation_invariance():
 
 def test_deterministic_tie_break():
     # zero observation with a unit channel: +1 and -1 are equidistant from 0
-    decoder = SingleDecoder(build_code("single", 1).assemble, [make_psk(2)])
-    idx, aborted = decoder.decode_batch(np.zeros((1, 1)), np.ones((1, 1)))
+    code = build_code("single", 1)
+    decoder = SingleDecoder(code.assemble, [make_psk(2)])
+    y, g = np.zeros((1, 1)), np.ones((1, 1), dtype=complex)
+    _, aborted = code.decode(y, g)
+    idx = decoder.decode_batch(y, g, aborted)
     np.testing.assert_array_equal(idx, [[0]])  # lowest index wins
     assert not aborted.any()
 
 
-@pytest.mark.parametrize("kind", ["ostbc", "qostbc"])
-def test_blocked_search_matches_one_block(kind, monkeypatch):
-    """Under a metric cap that splits a noisy batch into four blocks, the
-    search returns the same words as in one block."""
-    code = build_code(kind, 2)
+def _count_blocks(code, monkeypatch):
+    """Wrap the code's ``decode_batch``; returns the list of block sizes."""
+    sizes, decode_batch = [], code.decoder.decode_batch
+
+    def counted(y, g, aborted):
+        sizes.append(len(g))
+        return decode_batch(y, g, aborted)
+
+    monkeypatch.setattr(code.decoder, "decode_batch", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "kind,l_sym,n_ports",
+    [("ostbc", 0, 0), ("qostbc", 0, 0), ("nze_tc", 12, 4)],
+    ids=["ostbc", "qostbc", "nze_tc_12_4"],
+)
+def test_blocked_search_matches_one_block(kind, l_sym, n_ports, monkeypatch):
+    """Under a cap that makes ``Code.decode`` split a noisy batch into four
+    blocks, the decoder returns the same words as in one block."""
+    code = build_code(kind, 2, l_sym, n_ports)
     rng = np.random.default_rng(11)
     bits = rng.integers(0, 2, (1000, code.nbits))
     g = channels(rng, len(bits), code.n_ports)
     y = observe(code.encode(bits), g, 0.3, rng)
-    whole, _ = code.decoder.decode_batch(y, g)
-    n_cand = {len(cand) for _, cand, _ in code.decoder.searches}.pop()
-    monkeypatch.setattr(receivers, "MAX_BLOCK_BYTES", 8 * n_cand * 300)  # 300 rows a block
-    blocked, _ = code.decoder.decode_batch(y, g)
+    sizes = _count_blocks(code, monkeypatch)
+    whole, _ = code.decode(y, g)
+    monkeypatch.setattr(receivers, "MAX_BLOCK_BYTES", code.decoder.row_bytes * 300)
+    blocked, _ = code.decode(y, g)
+    assert sizes == [1000, 300, 300, 300, 100]
     np.testing.assert_array_equal(blocked, whole)
 
 
@@ -264,12 +289,15 @@ def test_zf_noiseless_exhaustive_payloads(kind, l_sym, n_ports):
     make = kinds.nze_tc_tables if kind == "nze_tc" else kinds.nze_oac_tables
     tables = make(l_sym, n_ports)
     decoder = NzeZfDecoder(tables.build, [psk] * l_sym)
+    code = build_code(kind, 2, l_sym, n_ports)
     idx = np.indices((4,) * l_sym).reshape(l_sym, -1).T  # 256 payloads
     matrices = tables.build(psk.points[idx])
     rng = np.random.default_rng(10)
     for g in channels(rng, 50, n_ports):
         g = np.broadcast_to(g, (len(idx), n_ports))
-        got, aborted = decoder.decode_batch(observe(matrices, g), g)
+        y = observe(matrices, g)
+        _, aborted = code.decode(y, g)
+        got = decoder.decode_batch(y, g, aborted)
         assert not aborted.any()
         np.testing.assert_array_equal(got, idx)
 
@@ -420,7 +448,8 @@ def test_zf_matches_least_squares(kind, l_sym, n_ports, rate):
     g = channels(rng, len(bits), n_ports)
     g[5] = 0.0
     y = observe(code.encode(bits), g, 0.2, rng)
-    idx, aborted = code.decoder.decode_batch(y, g)
+    _, aborted = code.decode(y, g)
+    idx = code.decoder.decode_batch(y, g, aborted)
     np.testing.assert_array_equal(aborted, np.arange(len(bits)) == 5)
 
     n_sym = len(code.constellations)
@@ -436,29 +465,36 @@ def test_zf_matches_least_squares(kind, l_sym, n_ports, rate):
 
 
 @pytest.mark.parametrize(
-    "kind,rate,l_sym,n_ports,n_trials",
-    [("nze_tc", 12, 32, 4, 64), ("nze_tc", 1, 32, 32, 4096), ("nze_oac", 1, 32, 33, 4096)],
+    "kind,rate,l_sym,n_ports,n_trials,n_blocks",
+    [
+        ("nze_tc", 12, 32, 4, 64, 1),
+        ("nze_tc", 1, 32, 32, 4096, 2),
+        ("nze_oac", 1, 32, 33, 4096, 3),
+    ],
     ids=["nze_tc_r12_32_4", "nze_tc_32_32", "nze_oac_32_33"],
 )
-def test_zf_batch_memory_is_capped(kind, rate, l_sym, n_ports, n_trials):
+def test_zf_batch_memory_is_capped(kind, rate, l_sym, n_ports, n_trials, n_blocks, monkeypatch):
     """One ZF batch at the largest L config validation allows peaks under
-    2 x MAX_BLOCK_BYTES of traced memory: the rows go through in blocks
-    whose largest array fits in the cap.  At R = 12 that array is the
-    slicing's L x 4096 real scores per trial (1 MiB); at N = L = 32 and at
-    N = 33, shapes past validation's N x T bound that the decoder still
-    takes, it is the N T products conj(g_n) y_t, 138 MiB for a whole
-    4096-trial batch at N = 33."""
+    2 x MAX_BLOCK_BYTES of traced memory: ``Code.decode`` hands the decoder
+    ``n_blocks`` blocks of rows whose largest array fits in the cap.  At
+    R = 12 that array is the slicing's L x 4096 real scores per trial
+    (1 MiB); at N = L = 32 and at N = 33, shapes past validation's N x T
+    bound that the decoder still takes, it is the N T products
+    conj(g_n) y_t, 138 MiB for a whole 4096-trial batch at N = 33."""
     code = build_code(kind, rate, l_sym, n_ports)
     rng = np.random.default_rng(15)
     g = channels(rng, n_trials, n_ports)
     y = observe(code.encode(rng.integers(0, 2, (n_trials, code.nbits))), g, 0.2, rng)
+    sizes = _count_blocks(code, monkeypatch)
     tracemalloc.start()
     try:
-        code.decoder.decode_batch(y, g)
+        code.decode(y, g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * receivers.MAX_BLOCK_BYTES
+    assert len(sizes) == n_blocks
+    assert max(sizes) * code.decoder.row_bytes <= receivers.MAX_BLOCK_BYTES
 
 
 def test_zf_refuses_mixed_slot():

@@ -16,11 +16,11 @@ from .kinds import REGISTRY, build_code
 __all__ = ["main", "cli"]
 
 
-def _enumerable_code(args):
+def _fixed_port_code(args):
     """The spec and Code named by --code and --rate, which must enumerate."""
     spec = REGISTRY.get(args.code)
-    if spec is None or not spec.enumerable:
-        names = ", ".join(k for k, s in REGISTRY.items() if s.enumerable)
+    if spec is None or spec.n_ports is None:
+        names = ", ".join(k for k, s in REGISTRY.items() if s.n_ports is not None)
         raise ConfigError(
             f"code: {args.code!r} has no enumerable codebook at practical sizes; "
             f"choose one of {names}"
@@ -74,7 +74,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_coding_gain(args):
-    spec, code = _enumerable_code(args)
+    spec, code = _fixed_port_code(args)
     gain = coding_gain(code.codebook()[1])
     closed = spec.closed_form_gain(args.rate) if spec.closed_form_gain else None
     print(f"{gain:.12g}")
@@ -88,7 +88,7 @@ def _cmd_coding_gain(args):
 
 
 def _cmd_pep_bound(args):
-    _, code = _enumerable_code(args)
+    _, code = _fixed_port_code(args)
     problem = snr_problem(args.snr_db)
     if problem:
         raise ConfigError(f"--snr-db: {problem}")

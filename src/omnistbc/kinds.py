@@ -2,10 +2,10 @@
 
 Every fact that differs between the kinds lives here: the port count, the
 preset unitary V in W = diag(c) (1 kron V), the gather table and its (L, N)
-rules, the largest buildable rate, whether the codebook is small enough to
-enumerate, and, per (rate, L, N), a Code holding the slot count, the
-constellations in bit-word order, the batched encoder and the batched
-decoder.  Every design is one ``GatherTable`` whose entries are 0, +-x_k or
+rules, the largest buildable rate, and, per (rate, L, N), a Code holding
+the slot count, the constellations in bit-word order, the batched encoder
+and the batched decoder, whose ML groups come from the table and pre-map.
+Every design is one ``GatherTable`` whose entries are 0, +-x_k or
 +-conj(x_k) of one symbol, the linear-dispersion form of Hassibi & Hochwald.
 Each kind's builder sits beside what only that kind uses: its table (written
 out in the paper's notation, or for the Toeplitz family built from its index
@@ -91,27 +91,27 @@ def payloads(nbits):
 class Code:
     """One kind at one (rate, L, N): its shapes, batched encoder and decoder.
 
-    ``groups`` lists (constellation, count) in payload order: the payload
+    ``alphabets`` lists (constellation, count) in payload order: the payload
     bits are cut into ``count`` bit words of each constellation's width in
     turn, and each word picks its symbol.  ``assemble`` maps those symbols
     (B, symbols) to (B, N, T) codewords: the optional ``premap`` (symbols
     to the table's symbols), then the gather ``table``, whose shape is
-    (N, T).  ``constellations`` has one entry per symbol, and the decoder
-    is ``decoder_cls(assemble, constellations)``.  ``decode`` holds the
+    (N, T).  ``constellations`` has one entry per symbol.  The decoder,
+    ``decoder_cls(self)``, is built from all of these.  ``decode`` holds the
     batch policy that every decoder shares: it marks the trials whose
     channel row is all zero as aborted, hands the decoder the batch in
     blocks of rows, and unpacks the symbols' bit words to bits.
     """
 
-    def __init__(self, groups, table, decoder_cls, premap=None):
+    def __init__(self, alphabets, table, decoder_cls, premap=None):
         self.table = table
         self.premap = premap
-        self.constellations = [c for c, count in groups for _ in range(count)]
+        self.constellations = [c for c, count in alphabets for _ in range(count)]
         self.n_ports, self.n_slots = table.idx.shape
-        self.decoder = decoder_cls(self.assemble, self.constellations)
-        # Per group: bit width, symbol count and points.
-        self._groups = [(c.bit_width, count, c.points) for c, count in groups]
-        self.nbits = sum(width * count for width, count, _ in self._groups)
+        self.decoder = decoder_cls(self)
+        # Per alphabet: bit width, symbol count and points.
+        self._alphabets = [(c.bit_width, count, c.points) for c, count in alphabets]
+        self.nbits = sum(width * count for width, count, _ in self._alphabets)
         # Payload bit j is bit _bit_shift[j] of symbol _bit_symbol[j]'s word.
         widths = [c.bit_width for c in self.constellations]
         self._bit_symbol = np.repeat(np.arange(len(widths)), widths)
@@ -128,7 +128,7 @@ class Code:
     def encode(self, bits):
         """Payloads (B, nbits) -> codewords (B, N, T)."""
         parts, start = [], 0
-        for width, count, points in self._groups:
+        for width, count, points in self._alphabets:
             stop = start + width * count
             words = bits[:, start:stop].reshape(len(bits), count, width)
             parts.append(points[words @ (1 << np.arange(width - 1, -1, -1))])
@@ -166,14 +166,16 @@ class CodeSpec:
     suit the kind it raises ValueError with a message naming the offending
     config key, which config validation reports.  ``build(rate, table)``
     makes the Code on that table.  ``n_ports`` is None when the port count
-    is ``nze.n``; ``v_matrix`` None means V is the identity, which suffices
-    when the raw codeword already has equal-magnitude entries (the
-    orthogonal and coordinate-interleaved designs have zero entries and
-    need Hadamard mixing to spread symbols over all ports).
+    is ``nze.n``; the fixed-port kinds are the ML-decoded ones, whose
+    codebooks are small enough to enumerate.  ``v_matrix`` None means V is
+    the identity, which suffices when the raw codeword already has
+    equal-magnitude entries (the orthogonal and coordinate-interleaved
+    designs have zero entries and need Hadamard mixing to spread symbols
+    over all ports).
     ``search_bits`` is the bit count, per unit of rate, of the kind's
     largest alphabet or ML candidate group, which fixes the largest rate
     ``rate_problem`` accepts.  ``closed_form_gain(rate)`` exists for the
-    enumerable kinds whose coding gain has a closed form.
+    kinds whose coding gain has a closed form.
     """
 
     kind: str
@@ -182,7 +184,6 @@ class CodeSpec:
     n_ports: int = None
     v_matrix: np.ndarray = None
     search_bits: int = 1
-    enumerable: bool = False
     closed_form_gain: Callable = None
 
     def rate_problem(self, rate):
@@ -396,8 +397,8 @@ def _nze(rate, table):
 REGISTRY = {
     spec.kind: spec
     for spec in (
-        CodeSpec("single", _single, _fixed(SINGLE_TABLE), n_ports=1, enumerable=True),
-        CodeSpec("ac", _ac, _fixed(AC_TABLE), n_ports=2, enumerable=True),
+        CodeSpec("single", _single, _fixed(SINGLE_TABLE), n_ports=1),
+        CodeSpec("ac", _ac, _fixed(AC_TABLE), n_ports=2),
         CodeSpec(
             "ostbc",
             _ostbc,
@@ -405,7 +406,6 @@ REGISTRY = {
             n_ports=4,
             v_matrix=np.kron(np.eye(2, dtype=complex), hadamard2()),
             search_bits=4,
-            enumerable=True,
             closed_form_gain=_ostbc_gain,
         ),
         CodeSpec(
@@ -414,7 +414,6 @@ REGISTRY = {
             _fixed(QOSTBC_TABLE),
             n_ports=4,
             search_bits=2,
-            enumerable=True,
             closed_form_gain=_qostbc_gain,
         ),
         CodeSpec(
@@ -424,7 +423,6 @@ REGISTRY = {
             n_ports=4,
             v_matrix=np.kron(hadamard2(), hadamard2()),
             search_bits=2,
-            enumerable=True,
             closed_form_gain=_ciod_gain,
         ),
         CodeSpec("nze_tc", _nze, nze_tc_tables),

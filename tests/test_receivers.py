@@ -11,7 +11,7 @@ from helpers import codebook, exhaustive_ml, payloads
 
 from omnistbc import kinds, receivers
 from omnistbc.constellations import make_psk, make_rotated_qam
-from omnistbc.kinds import REGISTRY, build_code
+from omnistbc.kinds import REGISTRY, Code, GatherTable, build_code
 from omnistbc.receivers import (
     AcDecoder,
     CiodDecoder,
@@ -21,7 +21,7 @@ from omnistbc.receivers import (
     SingleDecoder,
 )
 
-ENUMERABLE = [kind for kind, spec in REGISTRY.items() if spec.enumerable]
+ENUMERABLE = [kind for kind, spec in REGISTRY.items() if spec.n_ports is not None]
 
 
 def channels(rng, n_trials, n_ports):
@@ -48,7 +48,7 @@ def test_single_decoder_roundtrip():
     g = channels(rng, len(bits), 1)
     y = observe(x, g)
     _, aborted = code.decode(y, g)
-    idx = SingleDecoder(code.assemble, [psk]).decode_batch(y, g, aborted)
+    idx = SingleDecoder(code).decode_batch(y, g, aborted)
     assert not aborted.any()
     np.testing.assert_allclose(psk.points[idx[:, 0]], x[:, 0, 0])
     np.testing.assert_array_equal(code.decode(y, g)[0], bits)
@@ -60,7 +60,7 @@ def test_ac_matched_filter_identity_channel():
     g = np.array([[1.0 + 0j, 0.0]])
     code = build_code("ac", 2)
     _, aborted = code.decode(g @ cw, g)
-    idx = AcDecoder(code.assemble, [psk, psk]).decode_batch(g @ cw, g, aborted)
+    idx = AcDecoder(code).decode_batch(g @ cw, g, aborted)
     np.testing.assert_array_equal(idx, [[1, 3]])
     assert not aborted.any()
 
@@ -124,31 +124,6 @@ def test_zero_channel_aborts(kind):
     np.testing.assert_array_equal(decoded[~aborted], bits[~aborted])
 
 
-@pytest.mark.parametrize(
-    "kind,rate,make_decoder",
-    [
-        ("ostbc", 1, lambda f, cs: OstbcDecoder(f, cs)),
-        ("ostbc", 2, lambda f, cs: OstbcDecoder(f, cs)),
-        ("qostbc", 1, lambda f, cs: QostbcDecoder(f, cs)),
-        ("qostbc", 2, lambda f, cs: QostbcDecoder(f, cs)),
-        ("ciod", 1, lambda f, cs: CiodDecoder(f, cs)),
-        ("ciod", 2, lambda f, cs: CiodDecoder(f, cs)),
-    ],
-)
-def test_noiseless_roundtrip(kind, rate, make_decoder):
-    """The kind's decoder class, built from the code's encoder and its
-    per-symbol constellations, recovers every payload of the code over
-    random channels."""
-    code = build_code(kind, rate)
-    code.decoder = make_decoder(code.assemble, code.constellations)
-    rng = np.random.default_rng(5)
-    bits, matrices = (np.repeat(a, 50 if rate == 1 else 5, axis=0) for a in code.codebook())
-    g = channels(rng, len(bits), 4)
-    decoded, aborted = code.decode(observe(matrices, g), g)
-    assert not aborted.any()
-    np.testing.assert_array_equal(decoded, bits)
-
-
 # Candidates searched per decoupled group: OSTBC is one joint search,
 # QOSTBC and CIOD two pair-sized ones, AC and single symbol-wise.
 CANDIDATE_BUDGET = {
@@ -161,9 +136,12 @@ CANDIDATE_BUDGET = {
 
 
 def _assert_budget(kind):
+    """The derived groups' candidate counts, whose largest is the
+    2^(search_bits R) that ``rate_problem`` bounds."""
     for rate in (1, 2, 3):
-        searches = build_code(kind, rate).decoder.searches
-        assert [len(cand) for _, cand, _ in searches] == CANDIDATE_BUDGET[kind](rate), (kind, rate)
+        sizes = [len(cand) for _, cand, _ in build_code(kind, rate).decoder.searches]
+        assert sizes == CANDIDATE_BUDGET[kind](rate), (kind, rate)
+        assert max(sizes) == 2 ** (REGISTRY[kind].search_bits * rate), (kind, rate)
 
 
 def test_candidate_budget():
@@ -192,15 +170,29 @@ def _group_codebook(code, group):
     return x, code.assemble(x)
 
 
-@pytest.mark.parametrize("rate", [1, 2])
-@pytest.mark.parametrize("kind", ENUMERABLE)
-def test_decoder_groups_decouple(kind, rate):
-    """The decoder's groups make per-group search exact ML for every g:
-    each codeword is the sum of its groups' parts, and any two parts X_a,
-    X_b of different groups have X_a X_b^H + X_b X_a^H = 0, so the cross
-    terms of ||y - g X||^2 vanish.  Checked over the whole codebook."""
+# The groups the decoder derives from each kind's table and pre-map.
+EXPECTED_GROUPS = {
+    "single": ((0,),),
+    "ac": ((0,), (1,)),
+    "ostbc": ((0, 1, 2),),
+    "qostbc": ((0, 2), (1, 3)),
+    "ciod": ((0,), (1,)),
+}
+
+
+@pytest.mark.parametrize("rate", [1, 2, 3])
+@pytest.mark.parametrize(
+    "kind,groups", [pytest.param(k, g, id=k) for k, g in EXPECTED_GROUPS.items()]
+)
+def test_decoder_groups_decouple(kind, groups, rate):
+    """The decoder derives the expected groups, and they make per-group
+    search exact ML for every g: each codeword is the sum of its groups'
+    parts, and any two parts X_a, X_b of different groups have
+    X_a X_b^H + X_b X_a^H = 0, so the cross terms of ||y - g X||^2
+    vanish.  Checked over the whole codebook."""
+    assert sorted(EXPECTED_GROUPS) == sorted(ENUMERABLE)
     code = build_code(kind, rate)
-    groups = code.decoder.groups
+    assert code.decoder.groups == groups
     n_sym = len(code.constellations)
     assert sorted(itertools.chain(*groups)) == list(range(n_sym))
     everything, matrices = _group_codebook(code, range(n_sym))
@@ -214,6 +206,41 @@ def test_decoder_groups_decouple(kind, rate):
         xa, xb = _group_codebook(code, ga)[1], _group_codebook(code, gb)[1]
         cross = np.einsum("ant,bmt->abnm", xa, xb.conj())
         np.testing.assert_allclose(cross + cross.conj().swapaxes(2, 3), 0, atol=1e-12)
+
+
+def _feed_x1_into_x2(x):
+    """A pre-map for the AC table that sends (x1, x1 x2)."""
+    return np.stack([x[:, 0], x[:, 0] * x[:, 1]], axis=1)
+
+
+def test_premap_couples_what_it_mixes():
+    """On the AC table, a pre-map that mixes x1 into the second table
+    symbol puts both payload symbols in one group, whose joint search
+    equals brute-force ML on noisy trials; without it they split."""
+    psk = make_psk(4)
+    assert Code([(psk, 2)], kinds.AC_TABLE, AcDecoder).decoder.groups == ((0,), (1,))
+    code = Code([(psk, 2)], kinds.AC_TABLE, AcDecoder, _feed_x1_into_x2)
+    assert code.decoder.groups == ((0, 1),)
+    book = list(zip(*code.codebook()))
+    rng = np.random.default_rng(31)
+    bits = rng.integers(0, 2, (200, code.nbits))
+    g = channels(rng, len(bits), code.n_ports)
+    y = observe(code.encode(bits), g, 0.5, rng)
+    decoded, aborted = code.decode(y, g)
+    assert not aborted.any()
+    for row, y_row, g_row in zip(decoded, y, g):
+        np.testing.assert_array_equal(row, exhaustive_ml(y_row, g_row, book))
+
+
+def test_ml_decoder_classes_only_name_their_kind():
+    """Each ML kind's class adds nothing to the shared search: the groups
+    come from the derivation alone."""
+    # Python's own class attributes; pickling an instance caches __slotnames__.
+    allowed = {"__module__", "__doc__", "__qualname__", "__slotnames__"}
+    allowed |= {"__firstlineno__", "__static_attributes__"}
+    for cls in (SingleDecoder, AcDecoder, OstbcDecoder, QostbcDecoder, CiodDecoder):
+        assert cls.__bases__ == (receivers._GroupSearch,), cls
+        assert set(vars(cls)) <= allowed, (cls, set(vars(cls)) - allowed)
 
 
 def test_ml_phase_rotation_invariance():
@@ -230,7 +257,7 @@ def test_ml_phase_rotation_invariance():
 def test_deterministic_tie_break():
     # zero observation with a unit channel: +1 and -1 are equidistant from 0
     code = build_code("single", 1)
-    decoder = SingleDecoder(code.assemble, [make_psk(2)])
+    decoder = SingleDecoder(code)
     y, g = np.zeros((1, 1)), np.ones((1, 1), dtype=complex)
     _, aborted = code.decode(y, g)
     idx = decoder.decode_batch(y, g, aborted)
@@ -288,8 +315,8 @@ def test_zf_noiseless_exhaustive_payloads(kind, l_sym, n_ports):
     psk = make_psk(4)
     make = kinds.nze_tc_tables if kind == "nze_tc" else kinds.nze_oac_tables
     tables = make(l_sym, n_ports)
-    decoder = NzeZfDecoder(tables.build, [psk] * l_sym)
     code = build_code(kind, 2, l_sym, n_ports)
+    decoder = NzeZfDecoder(code)
     idx = np.indices((4,) * l_sym).reshape(l_sym, -1).T  # 256 payloads
     matrices = tables.build(psk.points[idx])
     rng = np.random.default_rng(10)
@@ -499,20 +526,20 @@ def test_zf_batch_memory_is_capped(kind, rate, l_sym, n_ports, n_trials, n_block
 
 def test_zf_refuses_mixed_slot():
     """A slot that carries x_0 and conj(x_1) has no complex form: refused."""
-
-    def assemble(x):
-        x0, x1 = x[..., 0], x[..., 1]
-        return np.stack([np.stack([x0, x1], -1), np.stack([np.conjugate(x1), x0], -1)], -2)
-
+    table = GatherTable(
+        idx=np.array([[0, 1], [1, 0]]),
+        sign=np.ones((2, 2)),
+        conj=np.array([[False, False], [True, False]]),
+    )
     with pytest.raises(ValueError, match="slot"):
-        NzeZfDecoder(assemble, [make_psk(4)] * 2)
+        Code([(make_psk(4), 2)], table, NzeZfDecoder)
 
 
 def test_zf_refuses_points_of_two_moduli():
     """Slicing by projection finds the nearest point only among points of
     one modulus, so 16-QAM is refused."""
     with pytest.raises(ValueError, match="unit-modulus"):
-        NzeZfDecoder(kinds.nze_tc_tables(4, 2).build, [make_rotated_qam(16)] * 4)
+        Code([(make_rotated_qam(16), 4)], kinds.nze_tc_tables(4, 2), NzeZfDecoder)
 
 
 @pytest.mark.parametrize(

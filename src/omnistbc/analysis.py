@@ -3,9 +3,19 @@
 Coding gain (diversity product) is the minimum over distinct codeword
 pairs of det((X - X')(X - X')^H)^(1/T).  Determinants come from the
 eigenvalues of the Hermitian difference Gram, which is stable for the
-4 x 4 designs, and pair enumeration is capped so constellation growth
-cannot silently blow up a test run.  The closed-form gains, one per kind,
-sit beside the kinds' builders in ``omnistbc.kinds``.
+4 x 4 designs.  ``coding_gain`` enumerates each decoupled group of the
+Code (``Code.group_codebooks``) instead of the whole codebook, and that
+is exact: the codeword is the sum of its groups' parts and their cross
+terms vanish, so a pair's difference Gram is the sum over groups a of
+Delta_a Delta_a^H, one positive semidefinite term per group in which the
+pair differs.  Since det(A + B) >= det(A) for positive semidefinite A and
+B, the minimum is reached by a pair that differs in one group only.
+``pep_upper_bound`` still sums over every pair of the whole codebook.
+Pair enumeration is capped at PAIR_CAP ordered pairs per enumerated
+codebook, a group's for the gain and the whole one for the bound, so
+constellation growth cannot silently blow up a test run.  The
+closed-form gains, one per kind, sit beside the kinds' builders in
+``omnistbc.kinds``.
 """
 
 from dataclasses import dataclass
@@ -48,10 +58,8 @@ class BerPoint:
 
 
 def check_pair_count(n_codes):
-    """Raise ValueError unless ``n_codes`` codewords can be enumerated in
-    pairs: at least two, and at most PAIR_CAP ordered distinct pairs."""
-    if n_codes < 2:
-        raise ValueError("need at least two codewords")
+    """Raise ValueError unless the PAIR_CAP bound admits the ordered
+    distinct pairs of ``n_codes`` codewords."""
     n_pairs = n_codes * (n_codes - 1)
     if n_pairs > PAIR_CAP:
         raise ValueError(f"{n_pairs} codeword pairs exceed the enumeration cap {PAIR_CAP}")
@@ -59,29 +67,32 @@ def check_pair_count(n_codes):
 
 def _pair_gram_eigs(mats):
     """For each codeword X_i of an (n_codes, N, T) array, the ascending
-    eigenvalues of (X_j - X_i)(X_j - X_i)^H for every j != i, as one
-    (n_codes - 1, N) array in order of j."""
+    eigenvalues of (X_j - X_i)(X_j - X_i)^H for every j > i, as one
+    (n_codes - 1 - i, N) array in order of j: every unordered pair once."""
     check_pair_count(len(mats))
-    for i in range(len(mats)):
-        diff = np.delete(mats, i, axis=0) - mats[i]
+    for i in range(len(mats) - 1):
+        diff = mats[i + 1 :] - mats[i]
         yield np.linalg.eigvalsh(np.einsum("knt,kmt->knm", diff, diff.conj()))
 
 
-def coding_gain(codebook):
-    """Minimum diversity product over a codebook of N x T arrays; 0 flags a
-    rank drop."""
-    mats = np.asarray(codebook, dtype=complex)
+def coding_gain(code):
+    """Minimum diversity product of a Code's codebook; 0 flags a rank drop.
+
+    Enumerates each decoupled group's sub-codebook, not the whole codebook,
+    which gives the same minimum (see the module docstring)."""
     worst = min(
-        float(np.prod(np.clip(eig, 0.0, None), axis=1).min()) for eig in _pair_gram_eigs(mats)
+        float(np.prod(np.clip(eig, 0.0, None), axis=1).min())
+        for _, _, sub in code.group_codebooks()
+        for eig in _pair_gram_eigs(sub)
     )
     if worst < _RANK_TOL:
         return 0.0
-    return worst ** (1.0 / mats.shape[2])
+    return worst ** (1.0 / code.n_slots)
 
 
-def pep_upper_bound(codebook, n_ports, sigma_n2, n_users=1):
-    """Union-style bound K (4 sigma^2)^N sum over pairs of prod 1/lambda_n,
-    for a codebook of N x T arrays.
+def pep_upper_bound(code, sigma_n2, n_users=1):
+    """Union-style bound K (4 sigma^2)^N sum over ordered pairs of
+    prod 1/lambda_n, over a Code's whole codebook of N x T codewords.
 
     The lambda_n are the eigenvalues of (1/N) (X - X')(X - X')^H, the
     large-array limit of the effective difference covariance.  Every pair
@@ -89,15 +100,17 @@ def pep_upper_bound(codebook, n_ports, sigma_n2, n_users=1):
     """
     if sigma_n2 <= 0:
         raise ValueError("noise variance must be positive")
+    check_pair_count(2**code.nbits)
+    n_ports = code.n_ports
     total = 0.0
-    for i, eig in enumerate(_pair_gram_eigs(np.asarray(codebook, dtype=complex))):
+    for i, eig in enumerate(_pair_gram_eigs(code.codebook()[1])):
         eig = eig / n_ports
         bad = np.nonzero(eig[:, 0] <= _RANK_TOL * np.maximum(eig[:, -1], 1.0))[0]
         if bad.size:
-            j = bad[0] + (bad[0] >= i)
-            raise ValueError(f"codeword pair ({i}, {j}) is rank deficient")
+            raise ValueError(f"codeword pair ({i}, {i + 1 + bad[0]}) is rank deficient")
         total += float(np.sum(np.prod(1.0 / eig, axis=1)))
-    return n_users * (4.0 * sigma_n2) ** n_ports * total
+    # A pair and its reverse have the same Gram.
+    return n_users * (4.0 * sigma_n2) ** n_ports * 2.0 * total
 
 
 def fit_diversity_order(points, window):

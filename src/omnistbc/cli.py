@@ -16,8 +16,9 @@ from .kinds import REGISTRY, build_code
 __all__ = ["main", "cli"]
 
 
-def _fixed_port_code(args):
-    """The spec and Code named by --code and --rate, which must enumerate."""
+def _fixed_port_code(args, book_size):
+    """The spec and Code named by --code and --rate, whose largest
+    enumerated codebook, ``book_size(code)`` codewords, must fit the cap."""
     spec = REGISTRY.get(args.code)
     if spec is None or spec.n_ports is None:
         names = ", ".join(k for k, s in REGISTRY.items() if s.n_ports is not None)
@@ -30,7 +31,7 @@ def _fixed_port_code(args):
         raise ConfigError(f"--rate: {problem}")
     code = build_code(args.code, args.rate)
     try:
-        check_pair_count(2**code.nbits)
+        check_pair_count(book_size(code))
     except ValueError as exc:
         raise ConfigError(f"--rate: {args.rate} is too large to enumerate: {exc}") from None
     return spec, code
@@ -74,8 +75,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_coding_gain(args):
-    spec, code = _fixed_port_code(args)
-    gain = coding_gain(code.codebook()[1])
+    spec, code = _fixed_port_code(
+        args, lambda code: max(len(cand) for _, cand, _ in code.group_codebooks())
+    )
+    gain = coding_gain(code)
     closed = spec.closed_form_gain(args.rate) if spec.closed_form_gain else None
     print(f"{gain:.12g}")
     if closed is not None and not math.isclose(gain, closed, rel_tol=1e-9, abs_tol=1e-9):
@@ -88,14 +91,14 @@ def _cmd_coding_gain(args):
 
 
 def _cmd_pep_bound(args):
-    _, code = _fixed_port_code(args)
+    _, code = _fixed_port_code(args, lambda code: 2**code.nbits)
     problem = snr_problem(args.snr_db)
     if problem:
         raise ConfigError(f"--snr-db: {problem}")
     if not 1 <= args.k <= sys.float_info.max:
         raise ConfigError(f"--k: must be at least 1 and at most {sys.float_info.max:.6g}")
     sigma_n2 = 10.0 ** (-args.snr_db / 10.0)
-    bound = pep_upper_bound(code.codebook()[1], code.n_ports, sigma_n2, args.k)
+    bound = pep_upper_bound(code, sigma_n2, args.k)
     if not math.isfinite(bound):
         raise ConfigError(
             f"--k, --snr-db: the bound at K = {args.k:.6g} and {args.snr_db:g} dB "

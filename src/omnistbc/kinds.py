@@ -18,6 +18,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -101,6 +102,9 @@ class Code:
     batch policy that every decoder shares: it marks the trials whose
     channel row is all zero as aborted, hands the decoder the batch in
     blocks of rows, and unpacks the symbols' bit words to bits.
+    ``groups`` and ``group_codebooks`` are the decoupled symbol groups and
+    their sub-codebooks, which the ML decoder and the coding gain read;
+    they are derived on first use, so the ZF kinds never derive them.
     """
 
     def __init__(self, alphabets, table, decoder_cls, premap=None):
@@ -156,6 +160,53 @@ class Code:
         """(payloads, codewords) over every payload, in ascending word order."""
         bits = payloads(self.nbits)
         return bits, self.encode(bits)
+
+    @cached_property
+    def groups(self):
+        """The decoupled groups of payload symbols, as sorted tuples of
+        symbol positions, derived from the table and pre-map.
+
+        The groups partition the payload symbols so that the codeword is
+        the sum of its groups' parts, X = sum_a X_a, and every two parts
+        satisfy X_a X_b^H + X_b X_a^H = 0 (the multigroup test of Karmakar
+        & Sundar Rajan, IEEE Trans. IT, 2009).  Table symbols couple when
+        the real dispersion matrices (``table.build`` of e_k and j e_k) of
+        any two of their coordinates fail that test, exactly, since the
+        entries are 0, +-1 or +-j.  A payload symbol touches the table
+        symbols whose pre-map output it alone changes at one generic
+        point; payload symbols that touch the same or coupled table symbols
+        couple, and the groups are the connected components.
+        """
+        n_symbols = len(self.constellations)
+        k = np.arange(1.0, n_symbols + 1)
+        base, step = np.exp(1j * k), np.exp(1j * np.sqrt(2.0) * k)
+        probes = np.vstack([base, base + np.diag(step)])
+        out = probes if self.premap is None else self.premap(probes)
+        touches = out[1:] != out[0]  # (payload symbol, table symbol)
+        n_table = touches.shape[1]
+        unit = np.eye(n_table)
+        basis = self.table.build(np.concatenate([unit, 1j * unit]))  # (2K, N, T)
+        cross = np.einsum("ant,bmt->abnm", basis, basis.conj())
+        coupled = (cross + cross.swapaxes(0, 1)).any(axis=(2, 3))
+        coupled = coupled.reshape(2, n_table, 2, n_table).any(axis=(0, 2))
+        reach = touches @ coupled @ touches.T | np.eye(n_symbols, dtype=bool)
+        for _ in range(n_symbols):
+            reach = reach @ reach
+        return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in reach}))
+
+    def group_codebooks(self):
+        """Per group: (group, cand, sub), where ``group`` lists its symbol
+        positions, ``cand`` (C, len(group)) its candidates' bit words, lowest
+        word first, and ``sub`` (C, N, T) their codewords with every other
+        symbol at zero."""
+        points = [c.points for c in self.constellations]
+        for group in self.groups:
+            group = list(group)
+            cand = np.indices([len(points[k]) for k in group]).reshape(len(group), -1).T
+            x = np.zeros((len(cand), len(points)), dtype=complex)
+            for j, k in enumerate(group):
+                x[:, k] = points[k][cand[:, j]]
+            yield group, cand, self.assemble(x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,8 +8,10 @@ Every decoder is built from its ``omnistbc.kinds.Code``: the encoder
 kind's pre-map and ``GatherTable``) and the constellation of each symbol
 position in payload order; no decoder writes a codeword formula of its
 own.  The fixed-port kinds share one exact-ML kernel that searches each
-group of symbol positions that decouples in the metric, the groups
-derived from the table and pre-map by the Hurwitz-Radon test; the NZE
+group of symbol positions that decouples in the metric, over that
+group's sub-codebook from ``Code.group_codebooks`` (the groups are
+derived there, from the table and pre-map by the Hurwitz-Radon test, and
+the coding gain reads the same sub-codebooks); the NZE
 kinds use zero forcing after conjugating the conjugated slots, on the map
 that ``assemble`` probes out: the Gram of that map is a band, and a band
 LDL^H solves it for the whole batch at once.
@@ -44,47 +46,21 @@ __all__ = [
 MAX_BLOCK_BYTES = 1 << 26
 
 
-def _decoupled_groups(table, premap, n_symbols):
-    """The decoupled groups of payload symbols, by the rule in ``_GroupSearch``."""
-    k = np.arange(1.0, n_symbols + 1)
-    base, step = np.exp(1j * k), np.exp(1j * np.sqrt(2.0) * k)
-    probes = np.vstack([base, base + np.diag(step)])
-    out = probes if premap is None else premap(probes)
-    touches = out[1:] != out[0]  # (payload symbol, table symbol)
-    n_table = touches.shape[1]
-    unit = np.eye(n_table)
-    basis = table.build(np.concatenate([unit, 1j * unit]))  # (2K, N, T)
-    cross = np.einsum("ant,bmt->abnm", basis, basis.conj())
-    coupled = (cross + cross.swapaxes(0, 1)).any(axis=(2, 3))
-    coupled = coupled.reshape(2, n_table, 2, n_table).any(axis=(0, 2))
-    reach = touches @ coupled @ touches.T | np.eye(n_symbols, dtype=bool)
-    for _ in range(n_symbols):
-        reach = reach @ reach
-    return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in reach}))
-
-
 class _GroupSearch:
     """Exact ML as one candidate search per decoupled group of symbols.
 
-    ``groups`` partitions the payload symbols so that the split is exact
-    ML: the codeword is the sum of its groups' parts, X = sum_a X_a, and
-    every two parts satisfy X_a X_b^H + X_b X_a^H = 0, so the cross terms
-    of ||y - g X||^2 vanish for every g.  It is derived at build from the
-    code's table and pre-map (Karmakar & Sundar Rajan, IEEE Trans. IT,
-    2009).  Table symbols couple when the real dispersion matrices
-    (``table.build`` of e_k and j e_k) of any two of their coordinates fail
-    that test, exactly, since the entries are 0, +-1 or +-j.  A payload
-    symbol touches the table symbols whose pre-map output it alone changes
-    at one generic point; payload symbols that touch the same or coupled
-    table symbols couple, and the groups are the connected components.
+    The groups and their sub-codebooks are the code's ``Code.groups`` and
+    ``Code.group_codebooks``: the codeword is the sum of its groups'
+    parts, and the cross terms between parts vanish, so the cross terms of
+    ||y - g X||^2 vanish for every g and the split is exact ML.
 
-    At construction each group's candidates, lowest word first, are
-    encoded once with the other symbols at zero, giving the sub-codebook
-    X_c (C, N, T) and ``gram`` = X_c X_c^H (N, N, C).  A batch scores
-    every candidate by Re(gg . gram) - 2 Re(gy . X_c) = ||y - g X_c||^2 -
-    ||y||^2, with gg = g (x) conj(g) and gy = g (x) conj(y), that is
-    Re(f . coef) for the trial's features f = g (x) conj([g, y]), (N, N + T),
-    and the group's ``coef`` = [gram, -2 X_c] (N, N + T, C).  Since
+    At construction each group's sub-codebook X_c (C, N, T), candidates
+    lowest word first, gives ``gram`` = X_c X_c^H (N, N, C).  A batch
+    scores every candidate by Re(gg . gram) - 2 Re(gy . X_c) =
+    ||y - g X_c||^2 - ||y||^2, with gg = g (x) conj(g) and
+    gy = g (x) conj(y), that is Re(f . coef) for the trial's features
+    f = g (x) conj([g, y]), (N, N + T), and the group's
+    ``coef`` = [gram, -2 X_c] (N, N + T, C).  Since
     Re(a b) = Re a Re b - Im a Im b, that is one real product of f viewed
     as floats, the real then the imaginary part of each (n, j), with the
     constant ``weights``, whose rows are (Re coef, -Im coef) in that order.
@@ -93,17 +69,9 @@ class _GroupSearch:
     """
 
     def __init__(self, code):
-        points = [c.points for c in code.constellations]
-        self.n_symbols = len(points)
-        self.groups = _decoupled_groups(code.table, code.premap, self.n_symbols)
+        self.n_symbols = len(code.constellations)
         self.searches = []
-        for group in self.groups:
-            group = list(group)
-            cand = np.indices([len(points[k]) for k in group]).reshape(len(group), -1).T
-            x = np.zeros((len(cand), self.n_symbols), dtype=complex)
-            for j, k in enumerate(group):
-                x[:, k] = points[k][cand[:, j]]
-            sub = code.assemble(x)
+        for group, cand, sub in code.group_codebooks():
             gram = np.einsum("cnt,cmt->nmc", sub, sub.conj())
             coef = np.concatenate([gram, -2.0 * sub.transpose(1, 2, 0)], axis=1)  # (N, N + T, C)
             weights = np.stack([coef.real, -coef.imag], axis=2).reshape(-1, len(cand))

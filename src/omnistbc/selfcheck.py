@@ -20,8 +20,9 @@ check's detail names the case that broke.
   per-antenna power and fails the omni check, for three seeds.
 - ``decoder_roundtrips``: every fixed-port kind at R = 1 and 2 decodes
   every payload without error over noiseless random channels.
-- ``coding_gains``: enumerated coding gains at R = 1 and 2 equal the
-  closed forms.
+- ``coding_gains``: coding gains enumerated over the decoupled groups
+  equal the closed forms, at R = 1..4 for QOSTBC and CIOD and R = 1, 2
+  for OSTBC.
 - ``gain_orderings``: the closed forms for R = 1..6 put QOSTBC at or above
   CIOD up to 4 bps/Hz and CIOD above QOSTBC past it; OSTBC ties QOSTBC at
   R = 1 and trails both above.
@@ -145,8 +146,8 @@ def check_coding_gains():
     for kind, spec in REGISTRY.items():
         if spec.closed_form_gain is None:
             continue
-        for rate in (1, 2):
-            gain = analysis.coding_gain(build_code(kind, rate).codebook()[1])
+        for rate in (1, 2) if kind == "ostbc" else (1, 2, 3, 4):
+            gain = analysis.coding_gain(build_code(kind, rate))
             expected = spec.closed_form_gain(rate)
             if abs(gain - expected) > 1e-9:
                 return False, f"{kind} R={rate}: enumerated {gain} vs closed form {expected}"
@@ -166,15 +167,15 @@ def check_gain_orderings():
 def check_pep_scaling():
     for kind in ("ac", "qostbc"):
         code = build_code(kind, 1)
-        book, n_ports = code.codebook()[1], code.n_ports
+        n_ports = code.n_ports
         for sigma_n2, tenth in ((0.1, 0.01), (0.2, 0.02)):
-            ref = analysis.pep_upper_bound(book, n_ports, sigma_n2, 1)
-            decade = analysis.pep_upper_bound(book, n_ports, tenth, 1) / ref
+            ref = analysis.pep_upper_bound(code, sigma_n2, 1)
+            decade = analysis.pep_upper_bound(code, tenth, 1) / ref
             if abs(decade - 10.0**-n_ports) > 1e-9 * 10.0**-n_ports:
                 return False, f"{kind} at sigma^2={sigma_n2}: decade ratio {decade:.12g}"
             for users in (2, 3, 7):
                 want = users * ref
-                got = analysis.pep_upper_bound(book, n_ports, sigma_n2, users)
+                got = analysis.pep_upper_bound(code, sigma_n2, users)
                 if abs(got - want) > 1e-12 * min(1.0, want):
                     return False, f"{kind} at sigma^2={sigma_n2}: K={users} gives {got!r}"
     return True, "pairwise-error bound scales by 10^-N per SNR decade and linearly in K"

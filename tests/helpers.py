@@ -1,8 +1,10 @@
-"""Shared test utilities: payload enumeration, the exhaustive ML oracle and
-the dense covariance built from its lags.
+"""Shared test utilities: payload enumeration, the exhaustive ML and
+coding-gain oracles and the dense covariance built from its lags.
 
-The oracle evaluates || y - g X ||^2 over a full codebook and is the single
-reference every reduced-complexity decoder is checked against.
+The ML oracle evaluates || y - g X ||^2 over a full codebook and is the
+single reference every reduced-complexity decoder is checked against; the
+coding-gain oracle takes the minimum determinant over every pair of a full
+codebook, the reference for the gain enumerated over decoupled groups.
 """
 
 import numpy as np
@@ -21,6 +23,24 @@ def exhaustive_ml(y, g, book):
     pred = np.einsum("n,knt->kt", g, mats)
     metrics = np.sum(np.abs(y[None, :] - pred) ** 2, axis=1)
     return book[int(np.argmin(metrics))][0]
+
+
+def whole_codebook_gain(code):
+    """min over distinct codeword pairs of det((X - X')(X - X')^H)^(1/T),
+    by brute force over the whole codebook; 0 on a rank drop."""
+    mats = code.codebook()[1]
+    worst = np.inf
+    for i in range(len(mats) - 1):
+        diff = mats[i + 1 :] - mats[i]
+        eig = np.linalg.eigvalsh(np.einsum("knt,kmt->knm", diff, diff.conj()))
+        worst = min(worst, np.prod(np.clip(eig, 0.0, None), axis=1).min())
+    return 0.0 if worst < 1e-12 else float(worst) ** (1.0 / code.n_slots)
+
+
+def feed_x1_into_x2(x):
+    """A pre-map for the AC table that sends (x1, x1 x2), coupling the two
+    payload symbols."""
+    return np.stack([x[:, 0], x[:, 0] * x[:, 1]], axis=1)
 
 
 def random_effective_channel(rng, n_ports):

@@ -44,10 +44,10 @@ def _run_checks(*checks):
 
 def test_criterion_01_coding_gain_exactness():
     start = time.time()
-    gain_qo = coding_gain([m for _, m in codebook("qostbc", 1)])
-    gain_ci = coding_gain([m for _, m in codebook("ciod", 1)])
+    gain_qo = coding_gain(build_code("qostbc", 1))
+    gain_ci = coding_gain(build_code("ciod", 1))
     dist_os = min_sq_distance(build_code("ostbc", 2).constellations[0])
-    gain_os = coding_gain([m for _, m in codebook("ostbc", 2)])
+    gain_os = coding_gain(build_code("ostbc", 2))
     elapsed = time.time() - start
     ok = (
         abs(gain_qo - 4.0) < 1e-9

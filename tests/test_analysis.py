@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import codebook, payloads
+from helpers import feed_x1_into_x2, whole_codebook_gain
 
 from omnistbc import kinds
 from omnistbc.analysis import (
@@ -13,84 +13,93 @@ from omnistbc.analysis import (
     omni_flatness,
     pep_upper_bound,
 )
-from omnistbc.constellations import make_psk
-from omnistbc.kinds import spec_for
-
-
-def mats(kind, rate):
-    return [m for _, m in codebook(kind, rate)]
+from omnistbc.constellations import Constellation, make_psk
+from omnistbc.kinds import REGISTRY, Code, build_code, spec_for
+from omnistbc.receivers import AcDecoder, QostbcDecoder, SingleDecoder
 
 
 def test_coding_gain_reference_values():
-    assert coding_gain(mats("qostbc", 1)) == pytest.approx(4.0, abs=1e-9)
-    assert coding_gain(mats("ciod", 1)) == pytest.approx(8 / math.sqrt(5), abs=1e-9)
-    assert coding_gain(mats("ostbc", 1)) == pytest.approx(4.0, abs=1e-9)
-    assert coding_gain(mats("ostbc", 2)) == pytest.approx(4 / 21, abs=1e-9)
+    assert coding_gain(build_code("qostbc", 1)) == pytest.approx(4.0, abs=1e-9)
+    assert coding_gain(build_code("ciod", 1)) == pytest.approx(8 / math.sqrt(5), abs=1e-9)
+    assert coding_gain(build_code("ostbc", 1)) == pytest.approx(4.0, abs=1e-9)
+    assert coding_gain(build_code("ostbc", 2)) == pytest.approx(4 / 21, abs=1e-9)
 
 
 def test_coding_gain_ac_bpsk():
-    psk = make_psk(2)
-    book = [kinds.AC_TABLE.build([a, b]) for a in psk.points for b in psk.points]
-    assert coding_gain(book) == pytest.approx(4.0, abs=1e-12)
+    code = Code([(make_psk(2), 2)], kinds.AC_TABLE, AcDecoder)
+    assert coding_gain(code) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_coding_gain_unit_phase_invariance():
-    book = mats("qostbc", 1)
-    rotated = [np.exp(0.37j) * m for m in book]
-    assert coding_gain(rotated) == pytest.approx(coding_gain(book), rel=1e-12)
+    """Rotating every QOSTBC symbol by one phase multiplies each slot of a
+    difference by a unit phase (conjugated slots by its inverse), which
+    leaves every difference Gram unchanged."""
+    code = build_code("qostbc", 1)
+    turn = np.exp(0.37j)
+    rotated = [(Constellation(c.points * turn), 1) for c in code.constellations]
+    rotated_code = Code(rotated, kinds.QOSTBC_TABLE, QostbcDecoder)
+    assert coding_gain(rotated_code) == pytest.approx(coding_gain(code), rel=1e-12)
+
+
+def _rank_one_code():
+    """A BPSK symbol on one port and one slot of a 2 x 2 codeword: its two
+    codewords differ by a rank-1 matrix."""
+    return Code([(make_psk(2), 1)], kinds._table("x1 0", " 0 0"), SingleDecoder)
 
 
 def test_coding_gain_rank_deficient_returns_zero():
-    # two codewords whose difference has rank 1
-    a = np.zeros((2, 2), dtype=complex)
-    b = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    assert coding_gain([a, b]) == 0.0
-
-
-def test_coding_gain_input_validation():
-    with pytest.raises(ValueError):
-        coding_gain([np.eye(2)])
+    assert coding_gain(_rank_one_code()) == 0.0
 
 
 def test_coding_gain_pair_cap():
-    book = [np.eye(2) * k for k in range(1, 1100)]
+    # One group of 2048 candidates: 2048 x 2047 ordered pairs.
     with pytest.raises(ValueError):
-        coding_gain(book)
+        coding_gain(build_code("single", 11))
 
 
-def _qostbc_difference_sets(order):
-    """Achievable pair differences for one jointly decoded symbol pair."""
-    plain = np.exp(2j * np.pi * np.arange(order) / order)
-    rotated = plain * np.exp(1j * math.pi / order)
-    d_plain = (plain[:, None] - plain[None, :]).ravel()
-    d_rot = (rotated[:, None] - rotated[None, :]).ravel()
-    pairs = set()
-    for da in d_plain:
-        for db in d_rot:
-            pairs.add((round(abs(da + db) ** 2, 12), round(abs(da - db) ** 2, 12)))
-    return np.array(sorted(pairs))
+def _oracle_cases():
+    """Every fixed-port kind at each rate whose codebook has at most 1024
+    codewords."""
+    for kind, spec in REGISTRY.items():
+        if spec.n_ports is None:
+            continue
+        rate = 1
+        while build_code(kind, rate).nbits <= 10:
+            yield pytest.param(kind, rate, id=f"{kind}-R{rate}")
+            rate += 1
 
 
-def test_qostbc_closed_form_matches_difference_enumeration_l8():
-    """L = 8 exceeds the full-pair cap; enumerate over the difference sets.
+@pytest.mark.parametrize("kind,rate", list(_oracle_cases()))
+def test_coding_gain_equals_whole_codebook_oracle(kind, rate):
+    """The gain over the decoupled groups equals the minimum over every
+    pair of the whole codebook."""
+    code = build_code(kind, rate)
+    assert coding_gain(code) == pytest.approx(whole_codebook_gain(code), rel=1e-12, abs=1e-12)
 
-    The block structure factors the determinant into quadratic terms of
-    (d1 + d3, d2 + d4) and (d1 - d3, d2 - d4), so the achievable set is the
-    product of two independent per-pair difference sets.
-    """
-    dset = _qostbc_difference_sets(8)
-    p = dset[:, 0][:, None] + dset[:, 0][None, :]
-    r = dset[:, 1][:, None] + dset[:, 1][None, :]
-    prod = p * r
-    nz = prod[(dset[:, 0][:, None] + dset[:, 1][:, None] + dset[:, 0][None, :] + dset[:, 1][None, :]) > 1e-12]
-    gain = math.sqrt(float(nz.min()))
-    assert gain == pytest.approx(spec_for("qostbc").closed_form_gain(3), abs=1e-9)
+
+def test_coding_gain_coupling_premap_equals_whole_codebook_oracle():
+    """A pre-map that couples both AC symbols into one group: the gain over
+    that one joint sub-codebook is the whole codebook's."""
+    code = Code([(make_psk(4), 2)], kinds.AC_TABLE, AcDecoder, feed_x1_into_x2)
+    assert code.groups == ((0, 1),)
+    assert coding_gain(code) == pytest.approx(whole_codebook_gain(code), rel=1e-12, abs=1e-12)
+
+
+def test_qostbc_ciod_gains_cross_past_4_bps_by_enumeration():
+    """The abstract's crossing, enumerated: QOSTBC's gain is at least
+    CIOD's at 4 bps/Hz and below it at 5, and at R = 5 (1024 candidates
+    per group) each equals its closed form."""
+    at = {(k, r): coding_gain(build_code(k, r)) for k in ("qostbc", "ciod") for r in (4, 5)}
+    for kind in ("qostbc", "ciod"):
+        assert at[kind, 5] == pytest.approx(spec_for(kind).closed_form_gain(5), rel=0, abs=1e-9)
+    assert at["qostbc", 4] >= at["ciod", 4]
+    assert at["ciod", 5] > at["qostbc", 5]
 
 
 def test_pep_bound_against_direct_enumeration():
     """Independent oracle: accumulate the bound pair by pair from scratch."""
-    psk = make_psk(2)
-    book = [kinds.AC_TABLE.build([a, b]) for a in psk.points for b in psk.points]
+    code = Code([(make_psk(2), 2)], kinds.AC_TABLE, AcDecoder)
+    book = code.codebook()[1]
     sigma_n2 = 0.1
     total = 0.0
     for i, xi in enumerate(book):
@@ -101,14 +110,12 @@ def test_pep_bound_against_direct_enumeration():
             lam = np.linalg.eigvalsh(delta @ delta.conj().T / 2)
             total += float(np.prod(1.0 / lam))
     expected = (4 * sigma_n2) ** 2 * total
-    assert pep_upper_bound(book, 2, sigma_n2, 1) == pytest.approx(expected, rel=1e-12)
+    assert pep_upper_bound(code, sigma_n2, 1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_pep_bound_rank_deficient_pair_named():
-    a = np.zeros((2, 2), dtype=complex)
-    b = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match=r"pair \(0, 1\)"):
-        pep_upper_bound([a, b], 2, 0.1)
+        pep_upper_bound(_rank_one_code(), 0.1)
 
 
 def _points(snrs, bers, errors=1000):

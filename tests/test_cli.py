@@ -35,6 +35,13 @@ def test_coding_gain_ciod(capsys):
     assert out == pytest.approx(8 / math.sqrt(5), abs=1e-9)
 
 
+def test_coding_gain_qostbc_rate_3(capsys):
+    """R = 3 has 2^24 whole-codebook pairs but 64 candidates per group, so
+    the gain enumerates and prints the closed form 8 sin^3(pi / 8)."""
+    assert cli(["coding-gain", "--code", "qostbc", "--rate", "3"]) == 0
+    assert capsys.readouterr().out == "0.448341529168\n"
+
+
 def test_coding_gain_rejects_nze(capsys):
     assert cli(["coding-gain", "--code", "nze_tc", "--rate", "1"]) == 2
     assert "enumerable" in capsys.readouterr().err
@@ -56,7 +63,7 @@ def test_pep_bound_runs(capsys):
         (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "nan"], "--snr-db"),
         (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "inf"], "--snr-db"),
         (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "5", "--k", "0"], "--k"),
-        (["coding-gain", "--code", "qostbc", "--rate", "4"], "--rate"),
+        (["coding-gain", "--code", "qostbc", "--rate", "6"], "--rate"),
         (["pep-bound", "--code", "qostbc", "--rate", "3", "--snr-db", "5"], "--rate"),
         (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "10", "--k", "1" + "0" * 400], "--k"),
         (
@@ -329,7 +336,7 @@ def test_validate_reports_a_failed_check(monkeypatch, capsys):
 def test_validate_reports_a_crashed_check(monkeypatch, capsys):
     """A check that raises is a failed check whose detail names the error."""
 
-    def crash(codebook):
+    def crash(code):
         raise RuntimeError("no codebook")
 
     monkeypatch.setattr(analysis, "coding_gain", crash)

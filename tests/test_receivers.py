@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import codebook, exhaustive_ml, payloads
+from helpers import codebook, exhaustive_ml, feed_x1_into_x2, payloads
 
 from omnistbc import kinds, receivers
 from omnistbc.constellations import make_psk, make_rotated_qam
@@ -170,7 +170,7 @@ def _group_codebook(code, group):
     return x, code.assemble(x)
 
 
-# The groups the decoder derives from each kind's table and pre-map.
+# The groups each kind's Code derives from its table and pre-map.
 EXPECTED_GROUPS = {
     "single": ((0,),),
     "ac": ((0,), (1,)),
@@ -185,14 +185,14 @@ EXPECTED_GROUPS = {
     "kind,groups", [pytest.param(k, g, id=k) for k, g in EXPECTED_GROUPS.items()]
 )
 def test_decoder_groups_decouple(kind, groups, rate):
-    """The decoder derives the expected groups, and they make per-group
+    """The Code derives the expected groups, and they make per-group
     search exact ML for every g: each codeword is the sum of its groups'
     parts, and any two parts X_a, X_b of different groups have
     X_a X_b^H + X_b X_a^H = 0, so the cross terms of ||y - g X||^2
     vanish.  Checked over the whole codebook."""
     assert sorted(EXPECTED_GROUPS) == sorted(ENUMERABLE)
     code = build_code(kind, rate)
-    assert code.decoder.groups == groups
+    assert code.groups == groups
     n_sym = len(code.constellations)
     assert sorted(itertools.chain(*groups)) == list(range(n_sym))
     everything, matrices = _group_codebook(code, range(n_sym))
@@ -208,19 +208,14 @@ def test_decoder_groups_decouple(kind, groups, rate):
         np.testing.assert_allclose(cross + cross.conj().swapaxes(2, 3), 0, atol=1e-12)
 
 
-def _feed_x1_into_x2(x):
-    """A pre-map for the AC table that sends (x1, x1 x2)."""
-    return np.stack([x[:, 0], x[:, 0] * x[:, 1]], axis=1)
-
-
 def test_premap_couples_what_it_mixes():
     """On the AC table, a pre-map that mixes x1 into the second table
     symbol puts both payload symbols in one group, whose joint search
     equals brute-force ML on noisy trials; without it they split."""
     psk = make_psk(4)
-    assert Code([(psk, 2)], kinds.AC_TABLE, AcDecoder).decoder.groups == ((0,), (1,))
-    code = Code([(psk, 2)], kinds.AC_TABLE, AcDecoder, _feed_x1_into_x2)
-    assert code.decoder.groups == ((0, 1),)
+    assert Code([(psk, 2)], kinds.AC_TABLE, AcDecoder).groups == ((0,), (1,))
+    code = Code([(psk, 2)], kinds.AC_TABLE, AcDecoder, feed_x1_into_x2)
+    assert code.groups == ((0, 1),)
     book = list(zip(*code.codebook()))
     rng = np.random.default_rng(31)
     bits = rng.integers(0, 2, (200, code.nbits))
@@ -230,6 +225,14 @@ def test_premap_couples_what_it_mixes():
     assert not aborted.any()
     for row, y_row, g_row in zip(decoded, y, g):
         np.testing.assert_array_equal(row, exhaustive_ml(y_row, g_row, book))
+
+
+def test_zf_kinds_do_not_derive_groups():
+    """Only the ML search reads a Code's groups, so a ZF kind's set-up
+    never derives them."""
+    code = build_code("nze_tc", 1, 8, 4)
+    assert "groups" not in vars(code)
+    assert "groups" in vars(build_code("qostbc", 1))
 
 
 def test_ml_decoder_classes_only_name_their_kind():

@@ -31,6 +31,7 @@ once per sweep point.
 """
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -112,16 +113,22 @@ class CovarianceModel:
         return w.conj().T @ np.fft.ifft(spectrum, axis=0)[:m_len]
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+@cache
+def _gauss_rule():
+    """Nodes and weights of the _QUAD_ORDER-point Gauss-Legendre rule on
+    [-1, 1].  Built on first use: only supports that reach endfire take
+    this rule, and loading numpy.polynomial costs every process about 4 ms."""
+    return np.polynomial.legendre.leggauss(_QUAD_ORDER)
 
 
 def _composite_nodes(n_panels):
     """Composite Gauss-Legendre rule on [-pi/2, pi/2] with n_panels panels."""
+    nodes, node_weights = _gauss_rule()
     edges = np.linspace(-math.pi / 2, math.pi / 2, n_panels + 1)
     half = (edges[1] - edges[0]) / 2.0
     centers = (edges[:-1] + edges[1:]) / 2.0
-    theta = (centers[:, None] + half * _GAUSS_NODES[None, :]).ravel()
-    weights = np.tile(half * _GAUSS_WEIGHTS, n_panels)
+    theta = (centers[:, None] + half * nodes[None, :]).ravel()
+    weights = np.tile(half * node_weights, n_panels)
     return theta, weights
 
 

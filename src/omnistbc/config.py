@@ -5,7 +5,6 @@ errors: a silently ignored typo corrupts an experiment.  Angles are given
 in degrees, matching the CSV output columns.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -143,6 +142,8 @@ class SimConfig:
         return self
 
     def digest(self):
+        import hashlib  # here, not at the top: it loads OpenSSL, about 3 ms a process
+
         text = ",".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 

@@ -22,11 +22,18 @@ and that factor once per distinct angle.  The sweep thread runs each
 wave's first batch and hands the rest to at most WAVE_BATCHES - 1 worker
 threads, which share the set-up; NumPy releases the GIL in the kernels
 where a trial spends its time.
+
+A process keeps its heap between batches.  Before its first sweep it
+allocates one 24 MiB block and frees it untouched (``_keep_heap``).  Under
+glibc that raises the allocator's mmap threshold to 24 MiB and its trim
+threshold to 48 MiB, so every per-batch array comes from a heap that is
+not handed back to the kernel after one batch and faulted in again by the
+next.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -50,6 +57,27 @@ _U64 = (1 << 64) - 1
 _BLOCK_WORDS = 4  # Philox4x64 gives four 64-bit words per counter step
 
 CSV_HEADER = "code,rate_bps,M,snr_db,theta0_deg,trials,bit_errors,ber,seed"
+
+# glibc's malloc serves a block of at least its mmap threshold by mmap and,
+# when such a block of at most 32 MiB is freed, raises the threshold to the
+# block's size and the trim threshold to twice that (mallopt(3),
+# M_MMAP_THRESHOLD).  A batch peaks above twice its largest array (the
+# codeword batch and the ZF products are 3.9-4.9 MB each on the NZE
+# workloads), so under the default thresholds the heap is trimmed after
+# every batch and the next batch faults the same pages in again.  16 and
+# 20 MiB still let a 4-batch NZE-TC (30, 8) point churn; 24 MiB stops it,
+# and a block whose size with its header passes 32 MiB changes nothing.
+_HEAP_BLOCK_BYTES = 24 << 20
+
+
+@cache
+def _keep_heap():
+    """Free one untouched _HEAP_BLOCK_BYTES block, once per process: the
+    raised thresholds last as long as the process, and a second block of
+    the same size, now under the threshold, would come from the heap
+    itself.  Under any other allocator the block is a freed virtual
+    allocation and costs nothing."""
+    np.empty(_HEAP_BLOCK_BYTES, dtype=np.uint8)
 
 
 def _sweep_setup(cfg, angle_key, thetas):
@@ -187,6 +215,7 @@ def _sweep(cfg, angle_key, points):
     """BerPoints of (snr_db, theta0_deg) pairs, in order, once every factor
     is built.  This thread runs each wave's first batch and hands the rest to
     ``map`` or, for workers > 1, a pool thread, started at its first batch."""
+    _keep_heap()
     code, g_maps = _sweep_setup(cfg, angle_key, [theta for _, theta in points])
     width = min(cfg.workers, WAVE_BATCHES) - 1
     with ThreadPoolExecutor(max(width, 1)) as pool:

@@ -65,7 +65,8 @@ class _GroupSearch:
     as floats, the real then the imaginary part of each (n, j), with the
     constant ``weights``, whose rows are (Re coef, -Im coef) in that order.
     A zero channel row scores every candidate 0.  A block's largest array
-    is the metrics of the largest group, 8 bytes per candidate and trial.
+    is either the features, 16 N (N + T) bytes per trial, or the metrics of
+    the largest group, 8 bytes per candidate and trial.
     """
 
     def __init__(self, code):
@@ -76,7 +77,8 @@ class _GroupSearch:
             coef = np.concatenate([gram, -2.0 * sub.transpose(1, 2, 0)], axis=1)  # (N, N + T, C)
             weights = np.stack([coef.real, -coef.imag], axis=2).reshape(-1, len(cand))
             self.searches.append((group, cand, weights))
-        self.row_bytes = 8 * max(len(cand) for _, cand, _ in self.searches)
+        features = 16 * code.n_ports * (code.n_ports + code.n_slots)
+        self.row_bytes = max(features, 8 * max(len(cand) for _, cand, _ in self.searches))
 
     def decode_batch(self, y, g, aborted):
         row = np.concatenate([g, y], axis=1).conj()
@@ -242,17 +244,26 @@ class NzeZfDecoder:
         coef = (plain + conj.conj()).transpose(1, 0, 2)
         n_ports, _, n_slots = coef.shape
 
-        # gram[n, m, k, l]: the coefficient of conj(g_n) g_m in Gram[k, l];
-        # a conjugated slot pairs conj(g_m) g_n instead.
-        shape = (n_ports, n_sym, n_ports, n_sym)
-        a = np.where(has_conj, 0, coef).reshape(-1, n_slots)
-        b = np.where(has_conj, coef, 0).reshape(-1, n_slots)
-        gram = (a.conj() @ a.T).reshape(shape).transpose(0, 2, 1, 3)
-        gram = gram + (b.conj() @ b.T).reshape(shape).transpose(2, 0, 1, 3)
-        k = np.arange(n_sym)
-        self.p = int(np.abs(np.subtract.outer(k, k))[gram.any(axis=(0, 1))].max())
-        l = k + np.arange(self.p + 1)[:, None]
-        band = gram[:, :, k, np.minimum(l, n_sym - 1)] * (l < n_sym)  # (N, N, p + 1, L)
+        # Gram[k, k + d] is zero unless symbols k and k + d share a slot, so
+        # only those diagonals are formed, and p is the largest d whose
+        # diagonal does not cancel.  diagonals[d][k, n, m] is the coefficient
+        # of conj(g_n) g_m in Gram[k, k + d]; a conjugated slot pairs
+        # conj(g_m) g_n instead.
+        a = np.where(has_conj, 0, coef).transpose(1, 0, 2)  # (L, N, T)
+        b = np.where(has_conj, coef, 0).transpose(1, 0, 2)
+        occupied = coef.any(axis=0)  # (L, T)
+        shared = occupied @ occupied.T  # (L, L)
+        diagonals = {}
+        for d in range(n_sym):
+            if np.diagonal(shared, d).any():
+                diagonals[d] = a[: n_sym - d].conj() @ a[d:].transpose(0, 2, 1)
+                diagonals[d] += b[d:] @ b[: n_sym - d].conj().transpose(0, 2, 1)
+        self.p = max(d for d, c in diagonals.items() if c.any())
+        band = np.zeros((self.p + 1, n_sym, n_ports, n_ports), dtype=complex)
+        for d, c in diagonals.items():
+            if d <= self.p:
+                band[d, : n_sym - d] = c
+        band = band.transpose(2, 3, 0, 1)  # (N, N, p + 1, L)
 
         # With conj(g_m) g_n = conj(conj(g_n) g_m), the pair n < m enters
         # through the real part with band[n, m] + band[m, n] and the

@@ -1,6 +1,8 @@
 import functools
 import math
 import os
+import platform
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -377,6 +379,43 @@ def test_batch_frees_codewords_before_decoding(kind, nze_l, nze_n):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * batch_bytes, f"batch peaked at {peak / batch_bytes:.2f} codeword batches"
+
+
+# Three BER sweeps in one process, each printing the minor page faults it took.
+_REPEATED_SWEEPS = """
+import resource
+from omnistbc.config import TRIALS_PER_BATCH, SimConfig
+from omnistbc.engine import run_ber_sweep
+cfg = SimConfig(code="nze_tc", rate=1, m=64, snr_db={snr_db!r}, max_trials={batches} * TRIALS_PER_BATCH,
+                min_bit_errors=10**15, master_seed=1, nze_l={nze_l}, nze_n={nze_n})
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_ber_sweep(cfg)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
+@pytest.mark.parametrize(
+    "nze_l,nze_n,snr_db,batches",
+    [(12, 4, (2.0, 8.0), 2), (30, 8, (2.0,), 4)],
+    ids=["nze_tc_12_4", "nze_tc_30_8"],
+)
+def test_repeated_sweeps_keep_the_heap(nze_l, nze_n, snr_db, batches):
+    """A fresh process runs the same NZE-TC sweep three times; the third
+    takes under 500 minor page faults.  A process whose heap is trimmed
+    after each batch faults every batch's pages in again: 15k faults a
+    repeat at (12, 4) with 2 points of 2 batches, 13k at (30, 8) with one
+    point of 4 batches, while a kept heap takes a few."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = _REPEATED_SWEEPS.format(snr_db=snr_db, batches=batches, nze_l=nze_l, nze_n=nze_n)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    faults = [int(line) for line in out.stdout.split()]
+    assert faults[2] < 500, f"minor faults per sweep: {faults}"
 
 
 def test_trial_draws_have_unit_moments():

@@ -34,7 +34,7 @@ def _loaded_in_fresh_process(statement, package):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     script = (
         f"import sys; {statement}\n"
-        f"print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
+        f"print(' '.join(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.'))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
@@ -47,6 +47,14 @@ def test_cold_import_loads_no_scipy():
     """A fresh process that imports the package, its CLI and its engine
     loads NumPy only: SciPy's import is most of a sweep process's start-up."""
     assert _loaded_in_fresh_process("import omnistbc, omnistbc.cli, omnistbc.engine", "scipy") == []
+
+
+@pytest.mark.parametrize("package", ["numpy.polynomial", "hashlib"])
+def test_cold_import_defers_what_few_calls_read(package):
+    """Importing the engine and config loads neither the Gauss-Legendre
+    rule's numpy.polynomial (read only for supports that reach endfire) nor
+    hashlib (read only by ``SimConfig.digest``); each costs a few ms."""
+    assert _loaded_in_fresh_process("import omnistbc.engine, omnistbc.config", package) == []
 
 
 @pytest.mark.parametrize(

@@ -447,6 +447,65 @@ def test_zf_system_reproduces_observation(kind, l_sym, n_ports):
         assert p == n_ports - 1
 
 
+def _dense_zf_tables(code):
+    """The ZF decoder's p, band index, Gram weights and matched-filter
+    weights, built here from the whole (N L)^2 product of the Gram
+    coefficients and cut down to its p + 1 diagonals."""
+    n_sym = len(code.constellations)
+    unit = np.eye(n_sym)
+    re, im = code.assemble(unit), code.assemble(1j * unit)  # (L, N, T)
+    plain, conj = (re - 1j * im) / 2.0, (re + 1j * im) / 2.0
+    has_conj = conj.any(axis=(0, 1))
+    coef = (plain + conj.conj()).transpose(1, 0, 2)
+    n_ports, _, n_slots = coef.shape
+    shape = (n_ports, n_sym, n_ports, n_sym)
+    a = np.where(has_conj, 0, coef).reshape(-1, n_slots)
+    b = np.where(has_conj, coef, 0).reshape(-1, n_slots)
+    gram = (a.conj() @ a.T).reshape(shape).transpose(0, 2, 1, 3)
+    gram = gram + (b.conj() @ b.T).reshape(shape).transpose(2, 0, 1, 3)
+    k = np.arange(n_sym)
+    p = int(np.abs(np.subtract.outer(k, k))[gram.any(axis=(0, 1))].max())
+    l = k + np.arange(p + 1)[:, None]
+    band = gram[:, :, k, np.minimum(l, n_sym - 1)] * (l < n_sym)
+    n, m = np.triu_indices(n_ports)
+    re_rows = band[n, m] + band[m, n] * (n != m)[:, None, None]
+    im_rows = 1j * (band[n, m] - band[m, n])
+    table = np.stack([re_rows, im_rows], axis=1).reshape(2 * len(n), -1)
+    first = {}
+    first_equal = [first.setdefault(c.tobytes(), j) for j, c in enumerate(table.T)]
+    columns, band_index = np.unique(first_equal, return_inverse=True)
+    mf = np.stack([coef.conj(), np.where(has_conj, -1j, 1j) * coef.conj()], axis=-1)
+    mf_weights = receivers._real_weights(mf.transpose(0, 2, 3, 1).reshape(-1, n_sym))
+    return p, band_index, receivers._real_weights(table[:, columns]), mf_weights
+
+
+@pytest.mark.parametrize(
+    "kind,l_sym,n_ports",
+    NZE_SHAPES + [("nze_tc", 32, 32), ("nze_oac", 32, 33)],
+    ids=[f"{k}_{l}_{n}" for k, l, n in NZE_SHAPES] + ["nze_tc_32_32", "nze_oac_32_33"],
+)
+def test_zf_band_tables_match_dense_build(kind, l_sym, n_ports):
+    """The decoder forms only the Gram diagonals whose symbols share a slot,
+    yet its p and tables equal those cut from the whole dense product.  The
+    weights of each band entry are equal; the dense build can hold a zero
+    column twice, as +0 and -0, where the decoder holds it once."""
+    code = build_code(kind, 1, l_sym, n_ports)
+    decoder = code.decoder
+    p, band_index, gram_weights, mf_weights = _dense_zf_tables(code)
+    assert decoder.p == p
+
+    def per_entry(weights, index):
+        """The real and imaginary weight rows of each band entry."""
+        half = len(weights) // 2
+        return np.stack([weights[:half][index], weights[half:][index]])
+
+    np.testing.assert_array_equal(
+        per_entry(decoder._gram_weights, decoder._band_index), per_entry(gram_weights, band_index)
+    )
+    assert decoder._band_index.max() <= band_index.max()
+    np.testing.assert_array_equal(decoder._mf_weights, mf_weights)
+
+
 LEAST_SQUARES_SHAPES = {
     "nze_tc": ("nze_tc", 12, 4),
     "nze_oac": ("nze_oac", 12, 4),
@@ -525,6 +584,35 @@ def test_zf_batch_memory_is_capped(kind, rate, l_sym, n_ports, n_trials, n_block
     assert peak < 2 * receivers.MAX_BLOCK_BYTES
     assert len(sizes) == n_blocks
     assert max(sizes) * code.decoder.row_bytes <= receivers.MAX_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("kind,rate", [(kind, rate) for kind in ENUMERABLE for rate in (1, 2)])
+def test_ml_batch_memory_is_capped(kind, rate, monkeypatch):
+    """Under a 1 MiB cap, each block that ``Code.decode`` hands an ML
+    decoder out of a 4096-trial batch peaks under 2 x MAX_BLOCK_BYTES of
+    traced memory.  A block's largest array is the features
+    g (x) conj([g, y]), 16 N (N + T) bytes per trial (512 for the four-port
+    codes, so 2 MiB for a whole batch), or a group's metrics, 8 bytes per
+    candidate (2048 for OSTBC at R = 2)."""
+    monkeypatch.setattr(receivers, "MAX_BLOCK_BYTES", 1 << 20)
+    code = build_code(kind, rate)
+    rng = np.random.default_rng(16)
+    g = channels(rng, 4096, code.n_ports)
+    y = observe(code.encode(rng.integers(0, 2, (len(g), code.nbits))), g, 0.2, rng)
+    peaks, decode_batch = [], code.decoder.decode_batch
+
+    def traced(y, g, aborted):
+        tracemalloc.start()
+        try:
+            words = decode_batch(y, g, aborted)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return words
+
+    monkeypatch.setattr(code.decoder, "decode_batch", traced)
+    code.decode(y, g)
+    assert max(peaks) < 2 * receivers.MAX_BLOCK_BYTES
 
 
 def test_zf_refuses_mixed_slot():

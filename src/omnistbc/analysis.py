@@ -13,9 +13,10 @@ B, the minimum is reached by a pair that differs in one group only.
 ``pep_upper_bound`` still sums over every pair of the whole codebook.
 Pair enumeration is capped at PAIR_CAP ordered pairs per enumerated
 codebook, a group's for the gain and the whole one for the bound, so
-constellation growth cannot silently blow up a test run.  The
-closed-form gains, one per kind, sit beside the kinds' builders in
-``omnistbc.kinds``.
+constellation growth cannot silently blow up a test run: both functions
+check each codebook before they enumerate its pairs, and raise ValueError
+past the cap.  The closed-form gains, one per kind, sit beside the kinds'
+builders in ``omnistbc.kinds``.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "BerPoint",
-    "check_pair_count",
     "coding_gain",
     "pep_upper_bound",
     "fit_diversity_order",
@@ -57,7 +57,7 @@ class BerPoint:
     frame_errors: int = 0
 
 
-def check_pair_count(n_codes):
+def _check_pair_count(n_codes):
     """Raise ValueError unless the PAIR_CAP bound admits the ordered
     distinct pairs of ``n_codes`` codewords."""
     n_pairs = n_codes * (n_codes - 1)
@@ -69,7 +69,7 @@ def _pair_gram_eigs(mats):
     """For each codeword X_i of an (n_codes, N, T) array, the ascending
     eigenvalues of (X_j - X_i)(X_j - X_i)^H for every j > i, as one
     (n_codes - 1 - i, N) array in order of j: every unordered pair once."""
-    check_pair_count(len(mats))
+    _check_pair_count(len(mats))
     for i in range(len(mats) - 1):
         diff = mats[i + 1 :] - mats[i]
         yield np.linalg.eigvalsh(np.einsum("knt,kmt->knm", diff, diff.conj()))
@@ -100,7 +100,7 @@ def pep_upper_bound(code, sigma_n2, n_users=1):
     """
     if sigma_n2 <= 0:
         raise ValueError("noise variance must be positive")
-    check_pair_count(2**code.nbits)
+    _check_pair_count(2**code.nbits)
     n_ports = code.n_ports
     total = 0.0
     for i, eig in enumerate(_pair_gram_eigs(code.codebook()[1])):

@@ -9,16 +9,15 @@ import math
 import os
 import sys
 
-from .analysis import check_pair_count, coding_gain, pep_upper_bound
+from .analysis import coding_gain, pep_upper_bound
 from .config import ConfigError, load_config, snr_problem
 from .kinds import REGISTRY, build_code
 
 __all__ = ["main", "cli"]
 
 
-def _fixed_port_code(args, book_size):
-    """The spec and Code named by --code and --rate, whose largest
-    enumerated codebook, ``book_size(code)`` codewords, must fit the cap."""
+def _fixed_port_code(args):
+    """The spec and Code named by --code and --rate."""
     spec = REGISTRY.get(args.code)
     if spec is None or spec.n_ports is None:
         names = ", ".join(k for k, s in REGISTRY.items() if s.n_ports is not None)
@@ -29,12 +28,17 @@ def _fixed_port_code(args, book_size):
     problem = spec.rate_problem(args.rate)
     if problem:
         raise ConfigError(f"--rate: {problem}")
-    code = build_code(args.code, args.rate)
+    return spec, build_code(args.code, args.rate)
+
+
+def _enumerated(args, analysis, *params):
+    """``analysis(*params)``, whose ValueError is the analysis refusing a
+    codebook past its pair cap: the registry's codes are full rank and the
+    SNR is checked before."""
     try:
-        check_pair_count(book_size(code))
+        return analysis(*params)
     except ValueError as exc:
         raise ConfigError(f"--rate: {args.rate} is too large to enumerate: {exc}") from None
-    return spec, code
 
 
 def _cmd_validate(args):
@@ -75,10 +79,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_coding_gain(args):
-    spec, code = _fixed_port_code(
-        args, lambda code: max(len(cand) for _, cand, _ in code.group_codebooks())
-    )
-    gain = coding_gain(code)
+    spec, code = _fixed_port_code(args)
+    gain = _enumerated(args, coding_gain, code)
     closed = spec.closed_form_gain(args.rate) if spec.closed_form_gain else None
     print(f"{gain:.12g}")
     if closed is not None and not math.isclose(gain, closed, rel_tol=1e-9, abs_tol=1e-9):
@@ -91,14 +93,14 @@ def _cmd_coding_gain(args):
 
 
 def _cmd_pep_bound(args):
-    _, code = _fixed_port_code(args, lambda code: 2**code.nbits)
+    _, code = _fixed_port_code(args)
     problem = snr_problem(args.snr_db)
     if problem:
         raise ConfigError(f"--snr-db: {problem}")
     if not 1 <= args.k <= sys.float_info.max:
         raise ConfigError(f"--k: must be at least 1 and at most {sys.float_info.max:.6g}")
     sigma_n2 = 10.0 ** (-args.snr_db / 10.0)
-    bound = pep_upper_bound(code, sigma_n2, args.k)
+    bound = _enumerated(args, pep_upper_bound, code, sigma_n2, args.k)
     if not math.isfinite(bound):
         raise ConfigError(
             f"--k, --snr-db: the bound at K = {args.k:.6g} and {args.snr_db:g} dB "

@@ -68,12 +68,6 @@ class SimConfig:
         problem = spec.rate_problem(self.rate)
         if problem:
             raise ConfigError(f"rate: {problem}")
-        for key, value in (("nze.l", self.nze_l), ("nze.n", self.nze_n)):
-            if value and spec.n_ports is not None:
-                raise ConfigError(
-                    f"{key}: {self.code} has {spec.n_ports} fixed ports; nze.l and nze.n "
-                    "apply to the Toeplitz-family codes only"
-                )
         cap = f"{MAX_BLOCK_BYTES >> 20} MiB"
         # The complex entries per trial that fit a batch in the cap: 1024.
         entries = MAX_BLOCK_BYTES // (16 * TRIALS_PER_BATCH)

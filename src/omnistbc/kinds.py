@@ -77,11 +77,6 @@ def _table(*rows):
     return GatherTable(np.array(idx), np.array(sign), np.array(conj))
 
 
-def _fixed(table):
-    """The table of a kind whose shape does not depend on L and N."""
-    return lambda nze_l, nze_n: table
-
-
 def payloads(nbits):
     """Every bit vector of length ``nbits`` (MSB first) in ascending word
     order, as one (2^nbits, nbits) array."""
@@ -214,8 +209,9 @@ class CodeSpec:
     """The rate-independent facts of one kind.
 
     ``table(nze_l, nze_n)`` is the kind's GatherTable; when L and N do not
-    suit the kind it raises ValueError with a message naming the offending
-    config key, which config validation reports.  ``build(rate, table)``
+    suit the kind, a nonzero one on a fixed-port kind included, it raises
+    ValueError with a message naming the offending config key, which config
+    validation and ``build_code`` report.  ``build(rate, table)``
     makes the Code on that table.  ``n_ports`` is None when the port count
     is ``nze.n``; the fixed-port kinds are the ML-decoded ones, whose
     codebooks are small enough to enumerate.  ``v_matrix`` None means V is
@@ -260,6 +256,23 @@ class CodeSpec:
         if self.v_matrix is None:
             return np.eye(int(n), dtype=complex)
         return self.v_matrix.copy()
+
+
+def _fixed(kind, build, table, **facts):
+    """The CodeSpec of a kind whose table, and so its port count, does not
+    depend on L and N; its table rule refuses a nonzero nze.l or nze.n."""
+    n_ports = table.idx.shape[0]
+
+    def rule(nze_l, nze_n):
+        for key, value in (("nze.l", nze_l), ("nze.n", nze_n)):
+            if value:
+                raise ValueError(
+                    f"{key}: {kind} has {n_ports} fixed ports; nze.l and nze.n "
+                    "apply to the Toeplitz-family codes only"
+                )
+        return table
+
+    return CodeSpec(kind, build, rule, n_ports=n_ports, **facts)
 
 
 SINGLE_TABLE = _table("x1")
@@ -448,30 +461,21 @@ def _nze(rate, table):
 REGISTRY = {
     spec.kind: spec
     for spec in (
-        CodeSpec("single", _single, _fixed(SINGLE_TABLE), n_ports=1),
-        CodeSpec("ac", _ac, _fixed(AC_TABLE), n_ports=2),
-        CodeSpec(
+        _fixed("single", _single, SINGLE_TABLE),
+        _fixed("ac", _ac, AC_TABLE),
+        _fixed(
             "ostbc",
             _ostbc,
-            _fixed(OSTBC_TABLE),
-            n_ports=4,
+            OSTBC_TABLE,
             v_matrix=np.kron(np.eye(2, dtype=complex), hadamard2()),
             search_bits=4,
             closed_form_gain=_ostbc_gain,
         ),
-        CodeSpec(
-            "qostbc",
-            _qostbc,
-            _fixed(QOSTBC_TABLE),
-            n_ports=4,
-            search_bits=2,
-            closed_form_gain=_qostbc_gain,
-        ),
-        CodeSpec(
+        _fixed("qostbc", _qostbc, QOSTBC_TABLE, search_bits=2, closed_form_gain=_qostbc_gain),
+        _fixed(
             "ciod",
             _ciod,
-            _fixed(CIOD_TABLE),
-            n_ports=4,
+            CIOD_TABLE,
             v_matrix=np.kron(hadamard2(), hadamard2()),
             search_bits=2,
             closed_form_gain=_ciod_gain,

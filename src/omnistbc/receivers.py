@@ -239,9 +239,11 @@ class NzeZfDecoder:
         if np.any(has_plain & has_conj):
             raise ValueError("every slot must be all plain or all conjugated")
         self.conj_slots = has_conj
-        # H[t, k] = sum_n coef[n, k, t] times g_n in a plain slot and
-        # conj(g_n) in a conjugated one.
-        coef = (plain + conj.conj()).transpose(1, 0, 2)
+        # Each probe is zero in the other's slots.  H[t, k] = sum_n
+        # coef[n, k, t] times g_n in a plain slot and conj(g_n) in a
+        # conjugated one.
+        a, b = plain, conj.conj()  # (L, N, T)
+        coef = (a + b).transpose(1, 0, 2)
         n_ports, _, n_slots = coef.shape
 
         # Gram[k, k + d] is zero unless symbols k and k + d share a slot, so
@@ -249,8 +251,6 @@ class NzeZfDecoder:
         # diagonal does not cancel.  diagonals[d][k, n, m] is the coefficient
         # of conj(g_n) g_m in Gram[k, k + d]; a conjugated slot pairs
         # conj(g_m) g_n instead.
-        a = np.where(has_conj, 0, coef).transpose(1, 0, 2)  # (L, N, T)
-        b = np.where(has_conj, coef, 0).transpose(1, 0, 2)
         occupied = coef.any(axis=0)  # (L, T)
         shared = occupied @ occupied.T  # (L, L)
         diagonals = {}

@@ -87,8 +87,8 @@ def check_lift_equivalence():
 def _requirement_cases():
     """(kind, M, Code) for every kind at R = 1, with L = N = 8 for the NZE
     kinds, on the smallest array of at least four antennas that N^2 divides."""
-    for kind in REGISTRY:
-        code = build_code(kind, 1, 8, 8)
+    for kind, spec in REGISTRY.items():
+        code = build_code(kind, 1, *(() if spec.n_ports else (8, 8)))
         yield kind, max(4, code.n_ports**2), code
 
 
@@ -183,9 +183,9 @@ def check_pep_scaling():
 
 def check_energy_normalization():
     rng = np.random.default_rng(99)
-    for kind in REGISTRY:
+    for kind, spec in REGISTRY.items():
         for rate in (1, 2):
-            code = build_code(kind, rate, 8, 4)
+            code = build_code(kind, rate, *(() if spec.n_ports else (8, 4)))
             bits = rng.integers(0, 2, (10_000, code.nbits))
             x = code.encode(bits)
             gram = np.einsum("bnt,bmt->nm", x, x.conj()) / len(bits)

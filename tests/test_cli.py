@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from omnistbc import analysis, engine, precoding, selfcheck
+from omnistbc import analysis, engine, kinds, precoding, selfcheck
 from omnistbc.cli import cli
 from omnistbc.selfcheck import CHECKS
 
@@ -42,6 +42,26 @@ def test_coding_gain_qostbc_rate_3(capsys):
     assert capsys.readouterr().out == "0.448341529168\n"
 
 
+def test_coding_gain_enumerates_each_group_once(monkeypatch, capsys):
+    """``coding-gain`` builds the groups' sub-codebooks once beyond what
+    ``build_code`` builds for the decoder: the analysis checks the pair cap
+    on the codebooks it enumerates, and the CLI sizes none of its own."""
+    calls = []
+    enumerate_groups = kinds.Code.group_codebooks
+
+    def counted(code):
+        calls.append(code)
+        return enumerate_groups(code)
+
+    monkeypatch.setattr(kinds.Code, "group_codebooks", counted)
+    kinds.build_code("qostbc", 3)
+    built = len(calls)
+    calls.clear()
+    assert cli(["coding-gain", "--code", "qostbc", "--rate", "3"]) == 0
+    assert capsys.readouterr().out == "0.448341529168\n"
+    assert len(calls) <= built + 1
+
+
 def test_coding_gain_rejects_nze(capsys):
     assert cli(["coding-gain", "--code", "nze_tc", "--rate", "1"]) == 2
     assert "enumerable" in capsys.readouterr().err
@@ -55,20 +75,38 @@ def test_pep_bound_runs(capsys):
     assert two_users == pytest.approx(2 * one_user, rel=1e-12)
 
 
+# The refusal of 2^12 codewords, a QOSTBC group's at R = 6 or its whole
+# codebook at R = 3, past the pair cap.
+CAP_EXCESS = "too large to enumerate: 16773120 codeword pairs exceed the enumeration cap 1048576"
+
+
 @pytest.mark.parametrize(
-    "argv,flag",
+    "argv,flag,line",
     [
-        (["coding-gain", "--code", "ac", "--rate", "0"], "--rate"),
-        (["pep-bound", "--code", "ac", "--rate", "0", "--snr-db", "5"], "--rate"),
-        (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "nan"], "--snr-db"),
-        (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "inf"], "--snr-db"),
-        (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "5", "--k", "0"], "--k"),
-        (["coding-gain", "--code", "qostbc", "--rate", "6"], "--rate"),
-        (["pep-bound", "--code", "qostbc", "--rate", "3", "--snr-db", "5"], "--rate"),
-        (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "10", "--k", "1" + "0" * 400], "--k"),
+        (["coding-gain", "--code", "ac", "--rate", "0"], "--rate", None),
+        (["pep-bound", "--code", "ac", "--rate", "0", "--snr-db", "5"], "--rate", None),
+        (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "nan"], "--snr-db", None),
+        (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "inf"], "--snr-db", None),
+        (["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "5", "--k", "0"], "--k", None),
+        (
+            ["coding-gain", "--code", "qostbc", "--rate", "6"],
+            "--rate",
+            f"--rate: 6 is {CAP_EXCESS}",
+        ),
+        (
+            ["pep-bound", "--code", "qostbc", "--rate", "3", "--snr-db", "5"],
+            "--rate",
+            f"--rate: 3 is {CAP_EXCESS}",
+        ),
+        (
+            ["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "10", "--k", "1" + "0" * 400],
+            "--k",
+            None,
+        ),
         (
             ["pep-bound", "--code", "ac", "--rate", "1", "--snr-db", "-300", "--k", "1" + "0" * 300],
             "--k, --snr-db",
+            None,
         ),
     ],
     ids=[
@@ -76,11 +114,15 @@ def test_pep_bound_runs(capsys):
         "pep-bound-cap", "k-overflow", "bound-overflow",
     ],
 )
-def test_bad_flag_is_config_error(argv, flag, capsys):
+def test_bad_flag_is_config_error(argv, flag, line, capsys):
+    """One config error line naming the flag; where ``line`` is given, the
+    whole of stderr is that line."""
     assert cli(argv) == 2
     err = capsys.readouterr().err
     assert f"config error: {flag}:" in err
     assert "Traceback" not in err
+    if line is not None:
+        assert err == f"config error: {line}\n"
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

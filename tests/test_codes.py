@@ -158,27 +158,29 @@ def test_nze_errors():
         codes.encode_nze_tc(np.array([1.0, 0.0]), 2, 2)  # zero-amplitude symbol
 
 
-@pytest.mark.parametrize("kind", ["nze_tc", "nze_oac"])
+@pytest.mark.parametrize("kind", REGISTRY)
 def test_nze_rules_accept_exactly_what_builds(kind):
     """Config validation and the code builder state one shape rule: on the
     grid L <= 32, N <= 12, inside every size bound, validation accepts
-    (L, N) exactly when the code builds."""
+    (L, N) exactly when the code builds, and a refusal reads the same from
+    both.  A fixed-port kind takes L = N = 0 only."""
     for nze_l in range(33):
         for nze_n in range(13):
-            cfg = SimConfig(code=kind, nze_l=nze_l, nze_n=nze_n, m=4 * max(nze_n, 1) ** 2)
+            n_ports = REGISTRY[kind].n_ports or max(nze_n, 1)
+            cfg = SimConfig(code=kind, nze_l=nze_l, nze_n=nze_n, m=4 * n_ports**2)
             try:
                 build_code(kind, 1, nze_l, nze_n)
-            except ValueError:
-                built = False
+            except ValueError as exc:
+                build_refusal = str(exc)
             else:
-                built = True
+                build_refusal = None
             try:
                 cfg.validate()
-            except ConfigError:
-                accepted = False
+            except ConfigError as exc:
+                config_refusal = str(exc)
             else:
-                accepted = True
-            assert accepted == built, (nze_l, nze_n)
+                config_refusal = None
+            assert config_refusal == build_refusal, (nze_l, nze_n)
 
 
 def _layered_nze(kind, n_sym, n_ports):
@@ -342,9 +344,9 @@ def test_batch_encoders_match_scalar(monkeypatch):
     """Each kind's batch is C-ordered, bit for bit the reference gather,
     signed zeros included, and row by row its scalar encoder."""
     rng = np.random.default_rng(5)
-    for kind in REGISTRY:
+    for kind, spec in REGISTRY.items():
         for rate, nze_l, nze_n in ((1, 6, 3), (2, 8, 4)):
-            code = build_code(kind, rate, nze_l, nze_n)
+            code = build_code(kind, rate, *(() if spec.n_ports else (nze_l, nze_n)))
             bits = rng.integers(0, 2, (32, code.nbits))
             batch = code.encode(bits)
             assert batch.flags.c_contiguous

@@ -240,20 +240,22 @@ def _gauss_legendre_lags(n_antennas, spacing_ratio, theta0, sigma):
     panels at least, whose panels span at most 16 pi of the fastest lag's
     phase 2 pi d (M - 1) sin(theta) on the live support
     |theta - theta0| <= _PAS_REACH sigma: its 16 nodes sample each period
-    twice there, and coarser rules alias."""
+    twice there, and coarser rules alias.  A start level that leaves no
+    second rule to check the first is refused before any rule runs."""
     reach = _PAS_REACH * sigma
     broadside = min(max(0.0, theta0 - reach), theta0 + reach)  # live angle nearest broadside
     rate = 2.0 * math.pi * spacing_ratio * (n_antennas - 1) * math.cos(broadside)
     n_panels = _QUAD_START_PANELS
     while n_panels < _QUAD_MAX_PANELS and n_panels * _QUAD_ORDER < rate:
         n_panels *= 2
-    prev = None
-    while n_panels <= _QUAD_MAX_PANELS:
-        cur = _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels)
-        if cur is not None and prev is not None and _converged(cur, prev):
-            return cur
-        prev = cur
-        n_panels *= 2
+    if 2 * n_panels <= _QUAD_MAX_PANELS:
+        prev = None
+        while n_panels <= _QUAD_MAX_PANELS:
+            cur = _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels)
+            if cur is not None and prev is not None and _converged(cur, prev):
+                return cur
+            prev = cur
+            n_panels *= 2
     raise RuntimeError(f"covariance quadrature did not converge within {_QUAD_MAX_PANELS} panels")
 
 

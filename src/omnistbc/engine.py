@@ -93,6 +93,7 @@ def _sweep_setup(cfg, angle_key, thetas):
     if cfg.precoder_override == "prbs":
         phase = prbs_phase_vector(cfg.m, (cfg.master_seed & _U64, PRBS_TAG))
     code = build_code(cfg.code, cfg.rate, cfg.nze_l, cfg.nze_n)
+    code.decoder  # built here, in set-up, so that no worker thread builds it
     w = precoder_for_code(
         cfg.code, cfg.m, cfg.gamma, n_ports=code.n_ports, phase_vector=phase
     ).w_matrix

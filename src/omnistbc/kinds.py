@@ -93,7 +93,8 @@ class Code:
     (B, symbols) to (B, N, T) codewords: the optional ``premap`` (symbols
     to the table's symbols), then the gather ``table``, whose shape is
     (N, T).  ``constellations`` has one entry per symbol.  The decoder,
-    ``decoder_cls(self)``, is built from all of these.  ``decode`` holds the
+    ``decoder_cls(self)``, is built from all of these on first use, so a
+    code that only encodes or is refused never builds it.  ``decode`` holds the
     batch policy that every decoder shares: it marks the trials whose
     channel row is all zero as aborted, hands the decoder the batch in
     blocks of rows, and unpacks the symbols' bit words to bits.
@@ -107,7 +108,7 @@ class Code:
         self.premap = premap
         self.constellations = [c for c, count in alphabets for _ in range(count)]
         self.n_ports, self.n_slots = table.idx.shape
-        self.decoder = decoder_cls(self)
+        self._decoder_cls = decoder_cls
         # Per alphabet: bit width, symbol count and points.
         self._alphabets = [(c.bit_width, count, c.points) for c, count in alphabets]
         self.nbits = sum(width * count for width, count, _ in self._alphabets)
@@ -115,6 +116,10 @@ class Code:
         widths = [c.bit_width for c in self.constellations]
         self._bit_symbol = np.repeat(np.arange(len(widths)), widths)
         self._bit_shift = np.concatenate([np.arange(w - 1, -1, -1) for w in widths])
+
+    @cached_property
+    def decoder(self):
+        return self._decoder_cls(self)
 
     def assemble(self, x):
         """Symbols (B, symbols) -> codewords (B, N, T)."""

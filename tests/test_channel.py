@@ -294,6 +294,24 @@ def test_ladder_starts_at_nyquist_and_spreads_live_panels(monkeypatch):
     assert nodes[-1] <= 0.55 * 1024 * 16
 
 
+@pytest.mark.parametrize("n_antennas,theta0_deg", [(1 << 19, 0.0), (1 << 18, 60.0)])
+def test_ladder_with_one_rule_in_budget_refuses_before_any_rule(n_antennas, theta0_deg, monkeypatch):
+    """At the default spacing and spread, M = 2^19 at broadside and M = 2^18
+    at 60 degrees (whose spread reaches endfire) start the Gauss-Legendre
+    ladder at its finest rule, which leaves no second rule to check it: the
+    ladder refuses without evaluating a rule."""
+    rules = []
+
+    def quadrature(*args):
+        rules.append(args[-1])
+        return _lag_quadrature(*args)
+
+    monkeypatch.setattr(channel, "_lag_quadrature", quadrature)
+    with pytest.raises(RuntimeError, match="did not converge within 65536 panels"):
+        covariance_for(n_antennas, DEFAULT_SPACING_RATIO, math.radians(theta0_deg), SIGMA5)
+    assert rules == []
+
+
 def _no_gauss_legendre(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Gauss-Legendre ladder ran")

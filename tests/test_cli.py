@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from omnistbc import analysis, engine, kinds, precoding, selfcheck
+from omnistbc import analysis, engine, kinds, precoding, receivers, selfcheck
 from omnistbc.cli import cli
 from omnistbc.selfcheck import CHECKS
 
@@ -60,6 +60,25 @@ def test_coding_gain_enumerates_each_group_once(monkeypatch, capsys):
     assert cli(["coding-gain", "--code", "qostbc", "--rate", "3"]) == 0
     assert capsys.readouterr().out == "0.448341529168\n"
     assert len(calls) <= built + 1
+
+
+def test_refused_rate_builds_no_decoder(monkeypatch, capsys):
+    """``coding-gain`` refuses a rate past the pair cap without building the
+    ML decoder's search weights: the decoder is built on first use."""
+    built = []
+    init = receivers._GroupSearch.__init__
+
+    def counted(self, code):
+        built.append(code)
+        init(self, code)
+
+    monkeypatch.setattr(receivers._GroupSearch, "__init__", counted)
+    assert cli(["coding-gain", "--code", "qostbc", "--rate", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --rate: 8 is too large to enumerate: 4294901760 codeword pairs "
+        "exceed the enumeration cap 1048576\n"
+    )
+    assert built == []
 
 
 def test_coding_gain_rejects_nze(capsys):
@@ -201,6 +220,21 @@ def test_unresolvable_spread_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: m, spacing_ratio, pas.sigma_deg, pas.theta0_deg: " in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m,theta0", [(524288, 0), (262144, 60)])
+def test_unresolvable_array_size_is_config_error(m, theta0, tmp_path, capsys):
+    """An array too large for the covariance quadrature at the default
+    spacing and spread stops the sweep with one config error line naming
+    the keys and the angle, and writes no CSV."""
+    cfg = write_cfg(tmp_path, AC_CONFIG.replace("m = 16", f"m = {m}") + f"pas.theta0_deg = {theta0}\n")
+    out = tmp_path / "x.csv"
+    assert cli(["ber-sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: m, spacing_ratio, pas.sigma_deg, pas.theta0_deg: covariance quadrature "
+        f"did not converge within 65536 panels at {theta0} degrees\n"
+    )
     assert not out.exists()
 
 

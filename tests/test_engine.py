@@ -227,6 +227,13 @@ def test_covariance_resolves_arrays_up_to_2_to_the_18():
         run_ber_sweep(cfg)
 
 
+def test_setup_builds_the_decoder():
+    """The sweep's set-up builds the code's decoder, which ``Code`` builds
+    on first use, so that no worker thread builds it in its first batch."""
+    code, _ = engine._sweep_setup(small_cfg().validate(), "pas.theta0_deg", [0.0])
+    assert "decoder" in vars(code)
+
+
 class _RecordingPool:
     """Stand-in for ThreadPoolExecutor: maps on the calling thread, starts
     no worker, and records its width and every batch it is handed."""

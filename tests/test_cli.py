@@ -44,8 +44,9 @@ def test_coding_gain_qostbc_rate_3(capsys):
 
 def test_coding_gain_enumerates_each_group_once(monkeypatch, capsys):
     """``coding-gain`` builds the groups' sub-codebooks once beyond what
-    ``build_code`` builds for the decoder: the analysis checks the pair cap
-    on the codebooks it enumerates, and the CLI sizes none of its own."""
+    ``build_code`` builds: the analysis checks the pair cap on the codebooks
+    it enumerates, the CLI sizes none of its own, and the decoder, built on
+    first use, is not built."""
     calls = []
     enumerate_groups = kinds.Code.group_codebooks
 

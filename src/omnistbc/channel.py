@@ -3,35 +3,35 @@
 The covariance is the integral of steering-vector outer products against a
 truncated-Gaussian power azimuth spectrum on [-pi/2, pi/2].  Because the
 (m, n) integrand depends only on m - n, the matrix R is Hermitian Toeplitz
-and is fixed by its M lags.  Two doubling ladders give them, each stopping
-when two successive rules agree.  When the PAS's live support, where the
-Gaussian is above 2^-53 of its peak, lies strictly inside (-pi/2, pi/2),
-the lags are the trapezoid rule in u = sin(theta) on the grid
-u_j = j / (d P): one Gaussian sample per grid point, one bincount that
-folds j mod P and one length-P real FFT, starting at the first P >= 2M
-whose step resolves the PAS.  A support that reaches endfire, or a rule
-past that ladder's budget of 2^20 samples and FFT points, takes an
-adaptive composite Gauss-Legendre rule in theta, whose lag sums over its
-nodes are one type-1 NUFFT, so a rule costs O(nodes + M log M), not
-O(nodes x M).  Its panel-doubling ladder starts at the first rule whose
-16-node panels sample the fastest lag's phase at Nyquist, and dead panels,
-under 2^-53 of the PAS weight, skip the NUFFT.  The NUFFT's Gaussian
-spreading is Greengard & Lee's fast gridding: two real exps per node, then
-one multiply and one bincount per grid offset onto an extended grid of
-2M + 31 points that one bincount folds onto the 2M-point circle.  Every
-factor is bounded independently of M, so nothing overflows.  The
-effective covariance W^H R W comes from the lags by circulant embedding, and
-the DFT-leakage diagnostic from one FFT of the folded lags.  R itself is
-formed only by ``CovarianceModel.matrix``, which no library code calls; its
-one reader is perfbench/tests/test_perfbench.py, and ROADMAP item 1 deletes
-it once that test reads ``project``.
+and is fixed by its M lags.  One doubling ladder gives them, with either of
+two rules, stopping when two successive rules agree.  When the PAS's live
+support, where the Gaussian is above 2^-53 of its peak, lies strictly
+inside (-pi/2, pi/2), the rule is the trapezoid rule in u = sin(theta) on
+the grid u_j = j / (d P): one Gaussian sample per grid point, one bincount
+that folds j mod P and one length-P real FFT, starting at the first P >= 2M
+whose step resolves the PAS.  A support that reaches endfire, or a sin-grid
+ladder with no agreeing pair within its budget of 2^20 samples and FFT
+points, takes an adaptive composite Gauss-Legendre rule in theta, whose
+lag sums over its nodes are one type-1 NUFFT, so a rule costs
+O(nodes + M log M), not O(nodes x M).  Its panel count starts at the first
+rule whose 16-node panels sample the fastest lag's phase at Nyquist, and
+dead panels, under 2^-53 of the PAS weight, skip the NUFFT.  The NUFFT's
+Gaussian spreading is Greengard & Lee's fast gridding: two real exps per
+node, then one multiply and one bincount per grid offset onto an extended
+grid of 2M + 31 points that one bincount folds onto the 2M-point circle.
+Every factor is bounded independently of M, so nothing overflows.  The
+effective covariance W^H R W comes from the lags by circulant embedding,
+and the DFT-leakage diagnostic from one FFT of the folded lags.  R itself
+is formed only by ``CovarianceModel.matrix``, which no library code calls;
+its one reader is perfbench/tests/test_perfbench.py, and ROADMAP item 1
+deletes it once that test reads ``project``.
 ``covariance_for`` takes the array size, spacing, mean angle and spread as
-plain numbers and runs the quadrature on every call; the engine calls it
-once per sweep point.
+plain numbers and runs the quadrature on every call; the engine's
+``_sweep_setup`` calls it once per distinct angle of a sweep.
 """
 
 import math
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -233,30 +233,40 @@ def _converged(cur, prev):
     return math.sqrt(_lag_energy(cur - prev)) <= _QUAD_REL_TOL * math.sqrt(_lag_energy(cur))
 
 
+def _doubling_ladder(rule, level, top):
+    """The later of the first two successive rules ``rule(level)``, level
+    doubling up to ``top``, that agree, or None.  A None rule agrees with
+    nothing, and a start level with no room for a second rule runs none."""
+    if 2 * level > top:
+        return None
+    prev = None
+    while level <= top:
+        cur = rule(level)
+        if cur is not None and prev is not None and _converged(cur, prev):
+            return cur
+        prev, level = cur, 2 * level
+    return None
+
+
 def _gauss_legendre_lags(n_antennas, spacing_ratio, theta0, sigma):
-    """Lag vector by adaptive Gauss-Legendre quadrature, panel count
-    doubling until two successive rules agree.  A rule with zero total
-    weight has not converged.  The ladder starts at the first level, 8
-    panels at least, whose panels span at most 16 pi of the fastest lag's
-    phase 2 pi d (M - 1) sin(theta) on the live support
-    |theta - theta0| <= _PAS_REACH sigma: its 16 nodes sample each period
-    twice there, and coarser rules alias.  A start level that leaves no
-    second rule to check the first is refused before any rule runs."""
+    """Lag vector by adaptive Gauss-Legendre quadrature on the doubling
+    ladder, from the first panel count, 8 at least, whose 16-node panels
+    sample the fastest lag's phase 2 pi d (M - 1) sin(theta) at Nyquist on
+    the live support |theta - theta0| <= _PAS_REACH sigma; coarser rules
+    alias."""
     reach = _PAS_REACH * sigma
     broadside = min(max(0.0, theta0 - reach), theta0 + reach)  # live angle nearest broadside
     rate = 2.0 * math.pi * spacing_ratio * (n_antennas - 1) * math.cos(broadside)
     n_panels = _QUAD_START_PANELS
     while n_panels < _QUAD_MAX_PANELS and n_panels * _QUAD_ORDER < rate:
         n_panels *= 2
-    if 2 * n_panels <= _QUAD_MAX_PANELS:
-        prev = None
-        while n_panels <= _QUAD_MAX_PANELS:
-            cur = _lag_quadrature(n_antennas, spacing_ratio, theta0, sigma, n_panels)
-            if cur is not None and prev is not None and _converged(cur, prev):
-                return cur
-            prev = cur
-            n_panels *= 2
-    raise RuntimeError(f"covariance quadrature did not converge within {_QUAD_MAX_PANELS} panels")
+    rule = partial(_lag_quadrature, n_antennas, spacing_ratio, theta0, sigma)
+    lags = _doubling_ladder(rule, n_panels, _QUAD_MAX_PANELS)
+    if lags is None:
+        raise RuntimeError(
+            f"covariance quadrature did not converge within {_QUAD_MAX_PANELS} panels"
+        )
+    return lags
 
 
 def _sin_grid_samples(spacing_ratio, theta0, sigma, n_fft):
@@ -294,28 +304,17 @@ def _sin_grid_rule(n_antennas, spacing_ratio, theta0, sigma, n_fft):
 
 
 def _sin_grid_lags(n_antennas, spacing_ratio, theta0, sigma):
-    """Lag vector by the trapezoid rule on a uniform sin(theta) grid, P
-    doubling until two successive rules agree, or None when no pair of
-    rules within the budget of _QUAD_MAX_POINTS samples and FFT points
-    does.  The ladder starts at the first P >= 2M whose step 1 / (d P) is
-    at most an eighth of the PAS's width in u, sigma cos(theta), at the
-    angle 4 sigma from theta0 farther from broadside."""
+    """Lag vector by the trapezoid rule on a uniform sin(theta) grid on the
+    doubling ladder, or None when no pair of rules within _QUAD_MAX_POINTS
+    samples and FFT points agrees.  P starts at the first P >= 2M whose step
+    1 / (d P) is at most an eighth of the PAS's width in u, sigma
+    cos(theta), at the angle 4 sigma from theta0 farther from broadside."""
     width = sigma * math.cos(min(math.pi / 2, abs(theta0) + 4.0 * sigma))
     n_fft = 2 * n_antennas
     while n_fft <= _QUAD_MAX_POINTS and spacing_ratio * n_fft * width < 8.0:
         n_fft *= 2
-    if 2 * n_fft > _QUAD_MAX_POINTS:
-        return None  # no second rule would fit to check the first
-    prev = None
-    while n_fft <= _QUAD_MAX_POINTS:
-        cur = _sin_grid_rule(n_antennas, spacing_ratio, theta0, sigma, n_fft)
-        if cur is None:
-            return None
-        if prev is not None and _converged(cur, prev):
-            return cur
-        prev = cur
-        n_fft *= 2
-    return None
+    rule = partial(_sin_grid_rule, n_antennas, spacing_ratio, theta0, sigma)
+    return _doubling_ladder(rule, n_fft, _QUAD_MAX_POINTS)
 
 
 def _one_ring_lags(n_antennas, spacing_ratio, theta0, sigma):

@@ -21,10 +21,8 @@ def _fixed_port_code(args):
     spec = REGISTRY.get(args.code)
     if spec is None or spec.n_ports is None:
         names = ", ".join(k for k, s in REGISTRY.items() if s.n_ports is not None)
-        raise ConfigError(
-            f"code: {args.code!r} has no enumerable codebook at practical sizes; "
-            f"choose one of {names}"
-        )
+        problem = "is an unknown kind" if spec is None else "has no enumerable codebook"
+        raise ConfigError(f"--code: {args.code!r} {problem}; choose one of {names}")
     problem = spec.rate_problem(args.rate)
     if problem:
         raise ConfigError(f"--rate: {problem}")

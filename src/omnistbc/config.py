@@ -95,6 +95,8 @@ class SimConfig:
             )
         if self.m % (n * n) != 0:
             raise ConfigError(f"m: {self.m} is not a multiple of N^2 = {n * n}")
+        if self.m < 2:
+            raise ConfigError(f"m: {self.m} leaves no ZC root, which needs 1 <= gamma < m")
         if not 1 <= self.gamma < self.m or math.gcd(self.gamma, self.m) != 1:
             raise ConfigError(f"gamma: {self.gamma} is not a valid ZC root for m = {self.m}")
         limit = max_spacing_ratio(self.m)
@@ -129,6 +131,8 @@ class SimConfig:
             raise ConfigError("min_bit_errors: must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers: must be at least 1")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ConfigError(f"master_seed: must be in [0, 2^64), got {self.master_seed}")
         if self.precoder_override not in ("zc", "prbs"):
             raise ConfigError(
                 f"precoder_override: expected zc or prbs, got {self.precoder_override!r}"

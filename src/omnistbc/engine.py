@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 WAVE_BATCHES = 2
-_U64 = (1 << 64) - 1
 _BLOCK_WORDS = 4  # Philox4x64 gives four 64-bit words per counter step
 
 CSV_HEADER = "code,rate_bps,M,snr_db,theta0_deg,trials,bit_errors,ber,seed"
@@ -91,7 +90,7 @@ def _sweep_setup(cfg, angle_key, thetas):
     """
     phase = None
     if cfg.precoder_override == "prbs":
-        phase = prbs_phase_vector(cfg.m, (cfg.master_seed & _U64, PRBS_TAG))
+        phase = prbs_phase_vector(cfg.m, (cfg.master_seed, PRBS_TAG))
     code = build_code(cfg.code, cfg.rate, cfg.nze_l, cfg.nze_n)
     code.decoder  # built here, in set-up, so that no worker thread builds it
     w = precoder_for_code(
@@ -117,7 +116,7 @@ def _trial_words(cfg, snr_db, theta0_deg, t_lo, t_hi, n_words):
     taking ``n_words`` words padded up to ``blocks`` whole 4-word blocks."""
     blocks = -(-n_words // _BLOCK_WORDS)
     key = np.random.SeedSequence(
-        (cfg.master_seed & _U64, stream_key(snr_db), stream_key(theta0_deg))
+        (cfg.master_seed, stream_key(snr_db), stream_key(theta0_deg))
     ).generate_state(2, np.uint64)
     stream = np.random.Philox(key=key, counter=t_lo * blocks)
     raw = stream.random_raw((t_hi - t_lo) * blocks * _BLOCK_WORDS)

@@ -239,37 +239,31 @@ class NzeZfDecoder:
         n_sym = len(points)
         unit = np.eye(n_sym)
         re_probe, im_probe = code.assemble(unit), code.assemble(1j * unit)  # (L, N, T)
-        plain = (re_probe - 1j * im_probe) / 2.0
-        conj = (re_probe + 1j * im_probe) / 2.0
-        has_plain, has_conj = plain.any(axis=(0, 1)), conj.any(axis=(0, 1))
+        # a = P and b = conj(Q), each zero in the other's slots: H[t, k] =
+        # sum_n (a + b)[k, n, t] times g_n in a plain slot and conj(g_n) in
+        # a conjugated one.
+        a = (re_probe - 1j * im_probe) / 2.0  # (L, N, T)
+        b = ((re_probe + 1j * im_probe) / 2.0).conj()
+        has_plain, has_conj = a.any(axis=(0, 1)), b.any(axis=(0, 1))
         if np.any(has_plain & has_conj):
             raise ValueError("every slot must be all plain or all conjugated")
         self.conj_slots = has_conj
-        # Each probe is zero in the other's slots.  H[t, k] = sum_n
-        # coef[n, k, t] times g_n in a plain slot and conj(g_n) in a
-        # conjugated one.
-        a, b = plain, conj.conj()  # (L, N, T)
-        coef = (a + b).transpose(1, 0, 2)
-        n_ports, _, n_slots = coef.shape
+        _, n_ports, n_slots = a.shape
 
         # Gram[k, k + d] is zero unless symbols k and k + d share a slot, so
-        # only those diagonals are formed, and p is the largest d whose
-        # diagonal does not cancel.  diagonals[d][k, n, m] is the coefficient
-        # of conj(g_n) g_m in Gram[k, k + d]; a conjugated slot pairs
-        # conj(g_m) g_n instead.
-        occupied = coef.any(axis=0)  # (L, T)
+        # one pass forms only those diagonals, into band[n, m, d, k]: the
+        # coefficient of conj(g_n) g_m (conj(g_m) g_n in a conjugated slot)
+        # in Gram[k, k + d].  p is the last diagonal that does not cancel.
+        occupied = (a + b).any(axis=1)  # (L, T)
         shared = occupied @ occupied.T  # (L, L)
-        diagonals = {}
+        band = np.zeros((n_ports, n_ports, n_sym, n_sym), dtype=complex)
         for d in range(n_sym):
             if np.diagonal(shared, d).any():
-                diagonals[d] = a[: n_sym - d].conj() @ a[d:].transpose(0, 2, 1)
-                diagonals[d] += b[d:] @ b[: n_sym - d].conj().transpose(0, 2, 1)
-        self.p = max(d for d, c in diagonals.items() if c.any())
-        band = np.zeros((self.p + 1, n_sym, n_ports, n_ports), dtype=complex)
-        for d, c in diagonals.items():
-            if d <= self.p:
-                band[d, : n_sym - d] = c
-        band = band.transpose(2, 3, 0, 1)  # (N, N, p + 1, L)
+                c = a[: n_sym - d].conj() @ a[d:].transpose(0, 2, 1)
+                c += b[d:] @ b[: n_sym - d].conj().transpose(0, 2, 1)
+                band[:, :, d, : n_sym - d] = c.transpose(1, 2, 0)
+        self.p = int(np.flatnonzero(band.any(axis=(0, 1, 3)))[-1])
+        band = band[:, :, : self.p + 1]  # (N, N, p + 1, L)
 
         # With conj(g_m) g_n = conj(conj(g_n) g_m), the pair n < m enters
         # through the real part with band[n, m] + band[m, n] and the
@@ -285,11 +279,10 @@ class NzeZfDecoder:
         self._band_index = index.reshape(self.p + 1, n_sym).T.ravel()  # (L, p + 1) order
         self._gram_weights = _real_weights(table[:, columns])
 
-        # (H^H y')_k sums conj(coef[n, k, t]) times conj(g_n) y_t in a plain
-        # slot and times its conjugate in a conjugated one.
-        im_sign = np.where(has_conj, -1j, 1j)
-        mf = np.stack([coef.conj(), im_sign * coef.conj()], axis=-1)  # (N, L, T, 2)
-        self._mf_weights = _real_weights(mf.transpose(0, 2, 3, 1).reshape(-1, n_sym))
+        # (H^H y')_k weighs conj(g_n) y_t by conj(a), or its conjugate by conj(b):
+        # the real part by conj(a + b), the imaginary part by conj(j (b - a)).
+        mf = np.stack([a + b, 1j * (b - a)], axis=-1).conj()  # (L, N, T, 2)
+        self._mf_weights = _real_weights(mf.transpose(1, 2, 3, 0).reshape(-1, n_sym))
 
         # Per trial: the complex N T products and band, and the real scores.
         self.row_bytes = max(16 * n_ports * n_slots, 16 * len(self._band_index), 8 * points.size)

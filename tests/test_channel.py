@@ -472,3 +472,26 @@ def test_model_rejects_a_matrix():
         CovarianceModel(hermitian_toeplitz(model.lags))
     with pytest.raises(ValueError):
         CovarianceModel(np.diag(np.arange(1.0, 5.0)))
+
+
+def test_doubling_ladder_returns_first_agreeing_pair():
+    """The ladder returns the later of the first two successive rules that
+    agree, a rule that returns None agrees with nothing, and a start level
+    that leaves no room for a second rule runs no rule."""
+    v, w = np.ones(4, dtype=complex), np.full(4, 2.0 + 0j)
+    for values, want, ran in [
+        ({2: v, 4: w, 8: w, 16: w}, 8, [2, 4, 8]),
+        ({2: v, 4: None, 8: v, 16: v}, 16, [2, 4, 8, 16]),
+        ({2: None, 4: None, 8: None, 16: None}, None, [2, 4, 8, 16]),
+    ]:
+        calls = []
+
+        def rule(level):
+            calls.append(level)
+            return None if values[level] is None else values[level].copy()
+
+        got = channel._doubling_ladder(rule, 2, 16)
+        assert calls == ran
+        assert (got is None) if want is None else np.array_equal(got, values[want])
+    calls.clear()
+    assert channel._doubling_ladder(rule, 16, 16) is None and calls == []

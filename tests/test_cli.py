@@ -98,6 +98,8 @@ def test_pep_bound_runs(capsys):
 # The refusal of 2^12 codewords, a QOSTBC group's at R = 6 or its whole
 # codebook at R = 3, past the pair cap.
 CAP_EXCESS = "too large to enumerate: 16773120 codeword pairs exceed the enumeration cap 1048576"
+# A misspelt kind is unknown, not a kind without an enumerable codebook.
+UNKNOWN_CODE = "--code: 'qostc' is an unknown kind; choose one of single, ac, ostbc, qostbc, ciod"
 
 
 @pytest.mark.parametrize(
@@ -128,10 +130,12 @@ CAP_EXCESS = "too large to enumerate: 16773120 codeword pairs exceed the enumera
             "--k, --snr-db",
             None,
         ),
+        (["coding-gain", "--code", "qostc", "--rate", "1"], "--code", UNKNOWN_CODE),
+        (["pep-bound", "--code", "qostc", "--rate", "1", "--snr-db", "5"], "--code", UNKNOWN_CODE),
     ],
     ids=[
         "coding-gain-rate", "pep-bound-rate", "snr-nan", "snr-inf", "k", "coding-gain-cap",
-        "pep-bound-cap", "k-overflow", "bound-overflow",
+        "pep-bound-cap", "k-overflow", "bound-overflow", "coding-gain-code", "pep-bound-code",
     ],
 )
 def test_bad_flag_is_config_error(argv, flag, line, capsys):
@@ -173,6 +177,24 @@ def test_ber_sweep_config_error_names_key(tmp_path, capsys):
     assert cli(["ber-sweep", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "m:" in err or "multiple" in err
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 0, (1 << 64) - 1])
+def test_seed_outside_64_bits_is_refused(seed, tmp_path, capsys):
+    """The streams are keyed on the seed's 64 bits, so a --seed outside
+    [0, 2^64) would repeat the run of another seed: it stops with one config
+    error line naming master_seed.  Both ends of the range run."""
+    out = tmp_path / "x.csv"
+    argv = ["ber-sweep", "--config", write_cfg(tmp_path), "--out", str(out), "--seed", str(seed)]
+    if 0 <= seed < 1 << 64:
+        assert cli(argv) == 0
+        assert out.read_text().splitlines()[1].endswith(f",{seed}")
+    else:
+        assert cli(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: master_seed: must be in [0, 2^64), got {seed}\n"
+        )
+        assert not out.exists()
 
 
 def test_non_utf8_config_is_config_error(tmp_path, capsys):

@@ -80,6 +80,14 @@ def test_gamma_check():
     parse_config("code = ac\nm = 64\ngamma = 63\n")
 
 
+def test_single_port_m_1_is_refused_under_m():
+    """At m = 1 no ZC root 1 <= gamma < m exists, so no gamma can fix the
+    config: the refusal names m."""
+    with pytest.raises(ConfigError, match="^m: 1 leaves no ZC root"):
+        parse_config("code = single\nm = 1\n")
+    assert parse_config("code = single\nm = 2\n").m == 2
+
+
 def test_nze_requirements():
     with pytest.raises(ConfigError, match="nze"):
         parse_config("code = nze_tc\nm = 64\n")
@@ -147,6 +155,8 @@ def test_digest_tracks_content():
         ("spacing_ratio = inf", "spacing_ratio"),
         ("spacing_ratio = 1e300", "spacing_ratio"),
         ("min_bit_errors = 0", "min_bit_errors"),
+        ("master_seed = -1", "master_seed"),
+        ("master_seed = 18446744073709551616", "master_seed"),
         ("k = 7", "k"),
     ],
 )

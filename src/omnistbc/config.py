@@ -37,8 +37,8 @@ def snr_problem(snr_db):
 
 def stream_key(value):
     """Stable integer key for a sweep coordinate (angles, SNR in dB), each
-    finite once the config is validated; points whose keys match read the
-    same random stream."""
+    finite once the config is validated: values whose keys match, at the
+    micro-unit, are one point of the sweep."""
     return int(round(value * 1e6)) & ((1 << 64) - 1)
 
 
@@ -121,8 +121,8 @@ class SimConfig:
                 stream = stream_key(value)
                 if stream in seen:
                     raise ConfigError(
-                        f"{key}: {value} repeats {seen[stream]}; both points would read "
-                        "the same random stream and give the same row"
+                        f"{key}: {value} repeats {seen[stream]} to a millionth, so "
+                        "both would give the same row"
                     )
                 seen[stream] = value
         if self.max_trials < 1:

@@ -1,15 +1,23 @@
 """Seeded Monte Carlo BER engine.
 
-Every point (master_seed, snr, theta0) owns one counter-based Philox
-stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11), keyed by a SeedSequence of the three.  Trial t reads the fixed
-run of 4-word counter blocks that starts at counter t x stride, so a
-trial's outcome depends only on (master_seed, snr, theta0, t), never on
-which worker ran it or on how trials are grouped into batches.  Early
-stopping is decided at fixed wave boundaries (a wave is WAVE_BATCHES
-batches of TRIALS_PER_BATCH trials), which keeps the set of executed
-trials identical for any worker count.  Stopping looks only at the
-accumulated error count, so it never biases the estimate.
+A sweep reads one counter-based Philox stream (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), keyed by a SeedSequence of
+master_seed alone.  Trial t reads the fixed run of 4-word counter blocks
+that starts at counter t x stride, and every point of the sweep reads the
+same words for trial t: common random numbers across its SNRs and angles
+(Glasserman & Yao, Management Science, 1992).  A trial's outcome depends
+only on (master_seed, snr, theta0, t), never on which worker ran it, on
+how trials are grouped into batches or on which other points share its
+batch.  Early stopping is decided per point at fixed wave boundaries (a
+wave is WAVE_BATCHES batches of TRIALS_PER_BATCH trials), which keeps each
+point's set of executed trials identical for any worker count.  Stopping
+looks only at the accumulated error count, so it never biases the
+estimate.
+
+Since the points share their trials, a batch is drawn and encoded once for
+the points still running: each distinct angle costs one channel product
+and one noiseless signal, and each point only
+y = noise x 10^(-snr/20) + signal, a decode and an error count.
 
 A trial draws only what the receiver sees: the N-dimensional effective
 channel h^H W, from an N x N factor of W^H R W, and the T noise samples.
@@ -41,7 +49,7 @@ from .analysis import BerPoint
 from .channel import covariance_factor, covariance_for
 # Unused here; kept importable because perfbench/spans.py traces them by these names.
 from .codes import ac_matrix, ciod_matrix, ostbc_matrix, qostbc_matrix  # noqa: F401
-from .config import TRIALS_PER_BATCH, ConfigError, snr_problem, stream_key
+from .config import TRIALS_PER_BATCH, ConfigError, snr_problem
 from .kinds import build_code
 from .precoding import PRBS_TAG, precoder_for_code, prbs_phase_vector
 
@@ -110,20 +118,20 @@ def _sweep_setup(cfg, angle_key, thetas):
     return code, g_maps
 
 
-def _trial_words(cfg, snr_db, theta0_deg, t_lo, t_hi, n_words):
+def _trial_words(cfg, t_lo, t_hi, n_words):
     """Raw 64-bit words of trials [t_lo, t_hi), one row per trial: the
-    point's Philox stream read from counter t_lo x blocks, each trial
-    taking ``n_words`` words padded up to ``blocks`` whole 4-word blocks."""
+    sweep's Philox stream read from counter t_lo x blocks, each trial
+    taking ``n_words`` words padded up to ``blocks`` whole 4-word blocks.
+    The key's two zero words make it the stream that (0 dB, 0 degrees)
+    read when each point had a stream of its own."""
     blocks = -(-n_words // _BLOCK_WORDS)
-    key = np.random.SeedSequence(
-        (cfg.master_seed, stream_key(snr_db), stream_key(theta0_deg))
-    ).generate_state(2, np.uint64)
+    key = np.random.SeedSequence((cfg.master_seed, 0, 0)).generate_state(2, np.uint64)
     stream = np.random.Philox(key=key, counter=t_lo * blocks)
     raw = stream.random_raw((t_hi - t_lo) * blocks * _BLOCK_WORDS)
     return raw.reshape(t_hi - t_lo, blocks * _BLOCK_WORDS)
 
 
-def _draw_trials(cfg, code, snr_db, theta0_deg, t_lo, t_hi):
+def _draw_trials(cfg, code, t_lo, t_hi):
     """Payload bits (B, nbits) and unit circular Gaussians (B, N + T) of
     trials [t_lo, t_hi): the channel draw, then the noise.
 
@@ -133,7 +141,7 @@ def _draw_trials(cfg, code, snr_db, theta0_deg, t_lo, t_hi):
     batch's draw holds about three times its output at its peak."""
     n_normals = code.n_ports + code.n_slots
     n_words = code.nbits + 2 * n_normals
-    words = _trial_words(cfg, snr_db, theta0_deg, t_lo, t_hi, n_words)
+    words = _trial_words(cfg, t_lo, t_hi, n_words)
     bits = (words[:, : code.nbits] >> np.uint64(63)).astype(np.int64)
     # A ufunc on a strided or differently typed operand adds an
     # 8192-element buffer to the peak, so the strided words are copied
@@ -155,77 +163,96 @@ def _draw_trials(cfg, code, snr_db, theta0_deg, t_lo, t_hi):
     return bits, z
 
 
-def _run_batch(cfg, code, g_map, snr_db, theta0_deg, t_lo, t_hi):
-    """Run trials [t_lo, t_hi); returns each trial's bit errors (B,), zero
-    for an aborted trial, and the abort mask (B,)."""
+def _run_batch(cfg, code, g_maps, points, t_lo, t_hi):
+    """Run trials [t_lo, t_hi) at each (snr_db, theta0_deg) of ``points``,
+    all from one draw and one encode; returns, per point, each trial's bit
+    errors (B,), zero for an aborted trial, and the abort mask (B,)."""
     n_ports = code.n_ports
-    bits, z = _draw_trials(cfg, code, snr_db, theta0_deg, t_lo, t_hi)
-    g_row = z[:, :n_ports] @ g_map  # entries of h^H W
-    z[:, n_ports:] *= 10.0 ** (-snr_db / 20.0)  # the noise
-    # The codewords are freed once sent, before the decoder allocates its blocks.
-    y = np.einsum("bn,bnt->bt", g_row, code.encode(bits))
-    y += z[:, n_ports:]
-    del z
+    bits, z = _draw_trials(cfg, code, t_lo, t_hi)
+    noise = z[:, n_ports:]
+    codewords = code.encode(bits)
+    thetas = list(dict.fromkeys(theta for _, theta in points))
+    results = [None] * len(points)
+    for theta in thetas:
+        g_row = z[:, :n_ports] @ g_maps[theta]  # entries of h^H W
+        signal = np.einsum("bn,bnt->bt", g_row, codewords)
+        if theta == thetas[-1]:
+            # The codewords are freed once every angle has sent them, so a
+            # one-angle batch frees them before the decoder allocates its
+            # blocks.
+            del codewords
+        for i, (snr_db, point_theta) in enumerate(points):
+            if point_theta == theta:
+                y = noise * 10.0 ** (-snr_db / 20.0)
+                y += signal
+                bits_hat, aborted = code.decode(y, g_row)
+                del y
+                errors = np.count_nonzero(bits_hat != bits, axis=1)
+                errors[aborted] = 0
+                results[i] = errors, aborted
+    return results
 
-    bits_hat, aborted = code.decode(y, g_row)
-    errors = np.count_nonzero(bits_hat != bits, axis=1)
-    errors[aborted] = 0
-    return errors, aborted
 
+class _Tally:
+    """One point's sums over its trials: the CSV's totals, the counted
+    trials' squared bit errors and the frames with any bit error."""
 
-def _run_point(cfg, code, g_map, snr_db, theta0_deg, map_wave):
-    """One point, wave by wave; ``map_wave`` maps a wave's batches.
+    def __init__(self):
+        self.counted = self.aborted = self.errors = self.errors_sq = self.frames = 0
 
-    Besides the CSV's totals it sums the counted trials' squared bit errors
-    and counts the frames with any bit error."""
-    batch = partial(_run_batch, cfg, code, g_map, snr_db, theta0_deg)
-    nbits = code.nbits
-    attempted = counted = errors = errors_sq = frames = aborted = 0
-    while attempted < cfg.max_trials and errors < cfg.min_bit_errors:
-        wave_end = min(attempted + WAVE_BATCHES * TRIALS_PER_BATCH, cfg.max_trials)
-        lows = range(attempted, wave_end, TRIALS_PER_BATCH)
-        highs = [min(lo + TRIALS_PER_BATCH, wave_end) for lo in lows]
-        for trial_errors, trial_aborted in map_wave(batch, lows, highs):
-            n_aborted = int(np.count_nonzero(trial_aborted))
-            counted += len(trial_aborted) - n_aborted
-            aborted += n_aborted
-            errors += int(trial_errors.sum())
-            errors_sq += int(trial_errors @ trial_errors)
-            frames += int(np.count_nonzero(trial_errors))
-        attempted = wave_end
-    ber = errors / (counted * nbits) if counted else math.nan
-    return BerPoint(
-        snr_db=float(snr_db),
-        ber=ber,
-        trials=counted,
-        bit_errors=errors,
-        code=cfg.code,
-        rate_bps=code.rate_bps,
-        n_antennas=cfg.m,
-        theta0_deg=float(theta0_deg),
-        seed=cfg.master_seed,
-        aborted=aborted,
-        bits_sent=counted * nbits,
-        bit_errors_sq=errors_sq,
-        frame_errors=frames,
-    )
+    def add(self, trial_errors, trial_aborted):
+        n_aborted = int(np.count_nonzero(trial_aborted))
+        self.counted += len(trial_aborted) - n_aborted
+        self.aborted += n_aborted
+        self.errors += int(trial_errors.sum())
+        self.errors_sq += int(trial_errors @ trial_errors)
+        self.frames += int(np.count_nonzero(trial_errors))
+
+    def point(self, cfg, code, snr_db, theta0_deg):
+        bits_sent = self.counted * code.nbits
+        return BerPoint(
+            snr_db=float(snr_db),
+            ber=self.errors / bits_sent if bits_sent else math.nan,
+            trials=self.counted,
+            bit_errors=self.errors,
+            code=cfg.code,
+            rate_bps=code.rate_bps,
+            n_antennas=cfg.m,
+            theta0_deg=float(theta0_deg),
+            seed=cfg.master_seed,
+            aborted=self.aborted,
+            bits_sent=bits_sent,
+            bit_errors_sq=self.errors_sq,
+            frame_errors=self.frames,
+        )
 
 
 def _sweep(cfg, angle_key, points):
     """BerPoints of (snr_db, theta0_deg) pairs, in order, once every factor
-    is built.  This thread runs each wave's first batch and hands the rest to
-    ``map`` or, for workers > 1, a pool thread, started at its first batch."""
+    is built.  Every point reads trial t from the same words, so a wave
+    draws and encodes each batch once for the points still running.  This
+    thread runs each wave's first batch and hands the rest to ``map`` or,
+    for workers > 1, a pool thread, started at its first batch."""
     _keep_heap()
     code, g_maps = _sweep_setup(cfg, angle_key, [theta for _, theta in points])
+    tallies = [_Tally() for _ in points]
+    live = list(range(len(points)))
     width = min(cfg.workers, WAVE_BATCHES) - 1
+    attempted = 0
     with ThreadPoolExecutor(max(width, 1)) as pool:
         map_rest = pool.map if width else map
-
-        def map_wave(batch, lows, highs):
+        while live and attempted < cfg.max_trials:
+            wave_end = min(attempted + WAVE_BATCHES * TRIALS_PER_BATCH, cfg.max_trials)
+            lows = range(attempted, wave_end, TRIALS_PER_BATCH)
+            highs = [min(lo + TRIALS_PER_BATCH, wave_end) for lo in lows]
+            batch = partial(_run_batch, cfg, code, g_maps, [points[i] for i in live])
             rest = map_rest(batch, lows[1:], highs[1:])
-            return [batch(lows[0], highs[0]), *rest]
-
-        return [_run_point(cfg, code, g_maps[theta], snr, theta, map_wave) for snr, theta in points]
+            for results in [batch(lows[0], highs[0]), *rest]:
+                for i, (trial_errors, trial_aborted) in zip(live, results):
+                    tallies[i].add(trial_errors, trial_aborted)
+            attempted = wave_end
+            live = [i for i in live if tallies[i].errors < cfg.min_bit_errors]
+    return [tally.point(cfg, code, *point) for tally, point in zip(tallies, points)]
 
 
 def run_ber_sweep(cfg):

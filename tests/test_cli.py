@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -27,6 +30,22 @@ def write_cfg(tmp_path, text=AC_CONFIG):
 def test_coding_gain_qostbc(capsys):
     assert cli(["coding-gain", "--code", "qostbc", "--rate", "1"]) == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(4.0, abs=1e-9)
+
+
+def test_package_runs_as_a_module():
+    """``python -m omnistbc`` starts the same front end: a fresh interpreter
+    prints QOSTBC's coding gain and exits 0."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "omnistbc", "coding-gain", "--code", "qostbc", "--rate", "1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_coding_gain_ciod(capsys):
@@ -379,9 +398,10 @@ def test_out_of_range_snr_is_config_error(command, snr, key, tmp_path, capsys):
     ids=["angle", "angle-same-key", "snr"],
 )
 def test_repeated_sweep_point_is_config_error(command, text, key, tmp_path, capsys):
-    """A sweep coordinate listed twice, or two whose stream keys (micro-units)
-    match, would read one random stream and write the same row twice: one
-    config error line naming the key, before any CSV is written."""
+    """A sweep coordinate listed twice, or two whose keys (micro-units)
+    match, is one point, which reads the same trials and would write the
+    same row twice: one config error line naming the key, before any CSV
+    is written."""
     out = tmp_path / "x.csv"
     argv = [command, "--config", write_cfg(tmp_path, text), "--out", str(out)]
     if command == "angle-sweep":

@@ -7,9 +7,10 @@ a sweep can be set up: several rates, the pseudo-random precoder override
 ``ac_r1``'s) and the NZE shapes; ``nze_oac_6_3`` needs M = 72, since 64
 is not a multiple of N^2 = 9.  Every pure refactor must leave all 36
 byte-identical.  A deliberate change of the random streams or of the
-trial arithmetic (as when trials moved to one Philox stream per point and
-an N-dimensional channel draw) changes them: such a change must update the
-pins here and report the old and new digests in CHANGES.md.
+trial arithmetic (as when trials moved to an N-dimensional channel draw,
+and when every point of a sweep came to read one Philox stream keyed by
+the seed) changes them: such a change must update the pins here and
+report the old and new digests in CHANGES.md.
 """
 
 import hashlib
@@ -40,93 +41,93 @@ def _nze(kind, l_sym, n_ports, m=64):
 GATE = {
     "ac_prbs": (
         _code("ac", 1, "precoder_override = prbs"),
-        "2e027e82d933caf816521a6a87fbf7e5db6655d7eff98625fc538e410c4e926d",
-        "e7ec4cad4854aec465c1d5422863f999fb9f6ae9e9f3379259d6a9330496f235",
+        "c191c3dc96e922043983037975b1a3eafde65b80a85f1515884a38b699af1e16",
+        "ad39955dc9024193f9cede7aeb194508673595edd2f4cd3d5cef6ee6e0b05b45",
     ),
     "ac_r1": (
         _code("ac", 1),
-        "2e87975f31b6298c23f6bff94dee429fd63489ee2277ef967ab4994e426cad01",
-        "169d27b20640aeff090f28cd3ac65b15e43d6fc9268cb64e4767af67a5b7a08b",
+        "8a029766d8ee9e933b3160e5dba525de544cce2522979d74e8b4548d3f45f40f",
+        "64eddc215b48f1a46dc6a69ad9e4b8c51b54d1fd9c7045209ea9d3048da982b4",
     ),
     "ac_r2": (
         _code("ac", 2),
-        "add4dc4cecb822fe79e4c6c18e7ed13b93a2ae3b39d2ebef450428fb10f945ef",
-        "99208f2d620132cbf22be51de93aa61160462ed73cda43afd0c24abddc75e817",
+        "240d84a2208d92b998972529d490583ae6982938f86b5ae15917e6a8294c7cd4",
+        "1b894422f61f1fff9c780004161b7ca108587b4904f6059ed59b0c53fb3d15f5",
     ),
     "ac_w2": (
         _code("ac", 1, "workers = 2"),
-        "2e87975f31b6298c23f6bff94dee429fd63489ee2277ef967ab4994e426cad01",
-        "169d27b20640aeff090f28cd3ac65b15e43d6fc9268cb64e4767af67a5b7a08b",
+        "8a029766d8ee9e933b3160e5dba525de544cce2522979d74e8b4548d3f45f40f",
+        "64eddc215b48f1a46dc6a69ad9e4b8c51b54d1fd9c7045209ea9d3048da982b4",
     ),
     "ciod_r1": (
         _code("ciod", 1),
-        "76894b9cab57893e6c495c68def3ee234ac17acab13817c181ec401e4a6aff77",
-        "43732bb93af9a09fa30adee507733684796dac1a216ce5dc9dfb488885fa179b",
+        "9f45463aa50b356a7e9ef1c4ae163a17798f082f479fc042dc6bbfa12ee467ea",
+        "77c87b815e46eaedfe60309d73c480759fe08a993b0f9bc5680d502c1306149e",
     ),
     "ciod_r2": (
         _code("ciod", 2),
-        "068c2b9589470662084cffbfb7e3a56fdcc101186647545921bb26727c5f2c5e",
-        "7a4488825702941d6c2af43a1b4396f27131ccb201608e5c7194c51deb70b6f8",
+        "6b3266234a091a140ec3f0186413bedc9f5581f61dd73ca54e399647f02fdf68",
+        "c228c243b99867161fed2f1c40b9ac98534765514529054ea005dad1a64dc10e",
     ),
     "nze_oac_12_4": (
         _nze("nze_oac", 12, 4),
-        "dbeda20e0eb5ac54bbe3d8cb2c7c459775dbe8594ac5d656f37973b0d0da741a",
-        "90f1a5494e0a042f34d638d268bf49f59702e1d79bf09cec7fa0d25d390432e8",
+        "7db90588e56ca998b9dc9064f7e42aa957057598b0bd062ef26f96518b4fa4f2",
+        "6f504d0f3e2af50030fc66be0f168038c2bd1048b579edb1bd21419df544250c",
     ),
     "nze_oac_30_8": (
         _nze("nze_oac", 30, 8),
-        "e67a7e1bab860572af6bc38e40fcbf1f2b196a8048a8e39f622c0259f777db4f",
-        "26329d97da7d56b33fcc1f06183bed85930fc2f92e8fbdb8567be80c340a9662",
+        "4c3b6c0aaede423e3c0e116b33ac507af8d3adc68474271de6053e1e35f54629",
+        "b6b62617feac53cc6a9c4fc29fe1c7e60ef4f42e790a696bfa9b38dc14185e8e",
     ),
     "nze_oac_6_3": (
         _nze("nze_oac", 6, 3, m=72),
-        "611b9f54d4e04e48a2d506b44e70295014b1cd13fc04b21120de8ecf067b65f9",
-        "505685b7419d28a05dc242c0df83c2def41ba01c88fb91ac86f03642af1a048a",
+        "608f2af3890daf5dec8399d3607895cc08b9f338f705259471ae95d80c129edd",
+        "f59ced1f77de74d3e75d3d9edf4853f2ae2d96d0ea6599bf1f284af8f8462f4c",
     ),
     "nze_tc_12_4": (
         _nze("nze_tc", 12, 4),
-        "5c521403b8b11d5c8c8331efeaa817b54dd8747191e17f81dab9789a0fd664d2",
-        "2303e9216ef5cd74a15d2528596d3abc833ea00cdc3722a775214737b9c6413a",
+        "b88714134eb143cae6e7c91cd3872b6f565846e69f4ecb3026e24c62ddc7913f",
+        "0bd7b1863b96896cc509992a33bd65c99c511193046675f09b05484a706ff078",
     ),
     "nze_tc_30_8": (
         _nze("nze_tc", 30, 8),
-        "d556d720fcc195497877fc62ffe5646b8e4fb632173719838add1b9422a76555",
-        "33df67f89169ebc57e35ed3769459cccc96f28a6249ba9ccce88bce71c24fe04",
+        "dcc5912d566580accbf06329ed0f1ae7cb21bf451675d9f12caa7ccaf208976e",
+        "87dd217a5e0edc65aed784543833e869b21a95881f3d6822abf5dac949b87e5d",
     ),
     "ostbc_r1": (
         _code("ostbc", 1),
-        "80846f6e7837434e24faf289a482baab1d72b5d33d3784137830d9559beda05e",
-        "0b329a9d824d3879bc0a7fb191069b4eff13206004008639e409a6232e5d4158",
+        "76dc69a17001900d67ef1fde19b0652a38d4da223e32e5db73f2a6c12efd3532",
+        "28618eaa24811a680c24df9f30ac9193144ebbc54c594b6ec7275e4aa1956fcc",
     ),
     "ostbc_r2": (
         _code("ostbc", 2),
-        "c07a9653f7e8f8076a0567a711387c7a356a3ab3aa21781da70085c772868e43",
-        "58e1140505a30f974b1718be369e32ed94b11b2c9c2f75d2054bb5f6d20f8e4a",
+        "4ac0a4bc509cf8f9f2b913883f228ba2f331e4cf60310a9a64c7dc196972a052",
+        "30abe2030f2412ee0b17cc715daf23bbfe26760da82ff1aa45eadbf210342119",
     ),
     "qostbc_r1": (
         _code("qostbc", 1),
-        "9403e82b529579a2a4cd66b9f9c9bb1049376948bf6900d71bc7db76d9374b7e",
-        "dc492880ce2e1f7576bf5c57b6fccd5218d7812671f3fa1159d23966e6803522",
+        "5d6b44fdc15cfa8ffa7e65ca42faafa3730cdff6f2f8c5d8233c5156d5a2684e",
+        "25fbbdfeb2c4b2c0469544fffe4879e0812dc0f384b8d1fa793dda34a63606a8",
     ),
     "qostbc_r2": (
         _code("qostbc", 2),
-        "3cf79b4940e271664851c90993e2e17b8dbfd76f98ea54d3e40ca151c8446548",
-        "56d2e570bf065baae651cf650a16ddaf748260ee619adfb3695cbf199db72af7",
+        "3bdbc5a1cffdc5bb123308e3507ddae3ab97014f443243e6dc3bbd115ab80fba",
+        "78ed3e396249955c51babb9e6f6fb0781f45146fe9f05ca5ec80395683701a46",
     ),
     "qostbc_r3": (
         _code("qostbc", 3),
-        "25ba68bc948f2bac307e896f8551e1280c0038febf37c4d0c8b9d3f138b2efd9",
-        "fbe87200c8c2a1da13cda8e92a7424043840541b738bed02b42ece3c424266da",
+        "cd73f815d728ae7a4fb7b0d521e277aecb1df8b7530a9c16bcb829e095bec8d9",
+        "c88ca9d761a004327caad99b79c05d90e9f7497b1ad416f1ad72d96803c543f3",
     ),
     "single_r1": (
         _code("single", 1),
-        "50fb5800bf6f64e7117e19f9b697870b17fdc6bb7c984aea6b935c113cb1b152",
-        "605634acc5aa5ab894adca7cf3da41f72a951242efb1f107ef235ec0cb77f8b8",
+        "e19922e8ec4d24acd558f87c78aa50bfbe6580a800f57c3cb2aff1d89ae03e2d",
+        "20a406bff86b5835c86066b22bedc25f14ea64d0fb76961327db858811d3220b",
     ),
     "single_r2": (
         _code("single", 2),
-        "3e5aa43912b3716461d7b625f357703b759842b0cfdefa63869fa73edc7d8e10",
-        "c00290b1e0ec7c81d4053f952a461b6aa1fd18b18bff198573ab6ca17bd7fb8a",
+        "777bc9279f97172f43e46d061496c3c73916dd4ebc58085426c6d2edbd60c5b1",
+        "aa6e6b2e7d32ae571097dd68ce225e073bfb4d406d3b9c9345ebf34bcd984ba4",
     ),
 }
 

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hermitian_toeplitz
+from helpers import exact_bpsk_ber, hermitian_toeplitz
 
 from omnistbc import engine
 from omnistbc.analysis import BerPoint
 from omnistbc.channel import covariance_for
-from omnistbc.config import TRIALS_PER_BATCH, ConfigError, SimConfig
+from omnistbc.config import TRIALS_PER_BATCH, ConfigError, SimConfig, parse_config
 from omnistbc.engine import (
     CSV_HEADER,
     emit_csv,
@@ -44,9 +44,7 @@ def small_cfg(**kw):
 def one_trial(cfg, snr_db, theta0_deg, t):
     """(bits_sent, bit_errors, aborted) of trial t alone, on its own set-up."""
     code, g_maps = engine._sweep_setup(cfg.validate(), "pas.theta0_deg", [theta0_deg])
-    errors, aborted = engine._run_batch(
-        cfg, code, g_maps[theta0_deg], snr_db, theta0_deg, t, t + 1
-    )
+    [(errors, aborted)] = engine._run_batch(cfg, code, g_maps, [(snr_db, theta0_deg)], t, t + 1)
     return int(not aborted[0]) * code.nbits, int(errors[0]), int(aborted[0])
 
 
@@ -57,12 +55,31 @@ def test_run_trial_deterministic():
     assert a == b
     assert a[0] == 2
 
-    def words(snr_db, trial):
-        return engine._trial_words(cfg, snr_db, 0.0, trial, trial + 1, 10)
+    def words(trial):
+        return engine._trial_words(cfg, trial, trial + 1, 10)
 
-    # a different trial index or SNR draws different words
-    assert not np.array_equal(words(8.0, 1235), words(8.0, 1234))
-    assert not np.array_equal(words(8.5, 1234), words(8.0, 1234))
+    # a different trial index draws different words
+    assert not np.array_equal(words(1235), words(1234))
+
+
+def test_every_point_reads_the_same_draw(monkeypatch):
+    """A batch draws and encodes its trials once for all its points, and a
+    point's per-trial outcome is the same whichever other points share the
+    batch: a trial's result depends only on (seed, snr, theta0, t)."""
+    cfg = small_cfg(code="qostbc", m=64).validate()
+    points = [(2.0, -20.0), (8.0, -20.0), (2.0, 35.0), (5.0, 35.0)]
+    code, g_maps = engine._sweep_setup(cfg, "theta0_deg_list", [t for _, t in points])
+    calls = _count_calls(monkeypatch, ["_draw_trials"])
+    shared = engine._run_batch(cfg, code, g_maps, points, 100, 900)
+    assert calls["_draw_trials"] == 1
+    for point, (errors, aborted) in zip(points, shared):
+        [(alone_errors, alone_aborted)] = engine._run_batch(cfg, code, g_maps, [point], 100, 900)
+        np.testing.assert_array_equal(errors, alone_errors)
+        np.testing.assert_array_equal(aborted, alone_aborted)
+    # Trial t meets the same channel and noise at every point of an angle,
+    # so over these trials the lower SNR loses more bits.
+    assert shared[0][0].sum() > shared[1][0].sum() > 0
+    assert shared[2][0].sum() > shared[3][0].sum() > 0
 
 
 def test_run_trial_noiseless_is_error_free():
@@ -123,7 +140,26 @@ def test_angle_sweep_range_check():
         run_angle_sweep(small_cfg(theta0_deg_list=(0.0,)), float("nan"))
 
 
-def test_angle_sweep_symmetry():
+def test_exact_bpsk_ber_matches_closed_forms():
+    """With L equal eigenvalues the BER has a closed form (Proakis, Digital
+    Communications, 14.4): the quadrature meets it at one and two branches."""
+    for snr_db in (-5.0, 8.0, 25.0):
+        for n_eigs in (1, 2):
+            gamma = 0.7 * 10.0 ** (snr_db / 10.0)
+            mu = math.sqrt(gamma / (1.0 + gamma))
+            closed = ((1.0 - mu) / 2.0) ** n_eigs * sum(
+                math.comb(n_eigs - 1 + k, k) * ((1.0 + mu) / 2.0) ** k for k in range(n_eigs)
+            )
+            assert exact_bpsk_ber([0.7] * n_eigs, snr_db) == pytest.approx(closed, rel=1e-12)
+
+
+def test_angle_sweep_matches_exact_ber():
+    """Each angle's AC BER lies within 5 sigma of the exact BPSK BER for
+    the eigenvalues of its own W^H R W.  The ZC precoder is not mirror
+    symmetric: at M = 16 and gamma = 1 the eigenvalues are about
+    (0.450, 0.657) at -30 degrees and (0.475, 0.748) at +30, and the exact
+    BERs 1.03e-2 and 8.9e-3 differ.  A trial's bit-error fraction lies in
+    [0, 1] with mean p, so its variance is at most p(1 - p)."""
     cfg = small_cfg(
         m=16,
         theta0_deg_list=(-30.0, 30.0),
@@ -131,10 +167,18 @@ def test_angle_sweep_symmetry():
         min_bit_errors=400,
         master_seed=9,
     )
-    pairs = run_angle_sweep(cfg, 8.0)
-    b_neg, b_pos = pairs[0][1].ber, pairs[1][1].ber
-    sigma = np.sqrt(1 / pairs[0][1].bit_errors + 1 / pairs[1][1].bit_errors)
-    assert abs(np.log(b_neg / b_pos)) < 3 * sigma
+    snr_db = 8.0
+    w = precoder_for_code(cfg.code, cfg.m, cfg.gamma, n_ports=2).w_matrix
+    exact = []
+    for theta, point in run_angle_sweep(cfg, snr_db):
+        model = covariance_for(
+            cfg.m, cfg.spacing_ratio, math.radians(theta), math.radians(cfg.sigma_deg)
+        )
+        eigs = np.linalg.eigvalsh(w.conj().T @ hermitian_toeplitz(model.lags) @ w)
+        p = exact_bpsk_ber(eigs, snr_db)
+        assert abs(point.ber - p) < 5 * math.sqrt(p * (1 - p) / point.trials), (theta, point.ber, p)
+        exact.append(p)
+    assert exact[0] > 1.1 * exact[1]
 
 
 def test_worker_count_invariance(tmp_path):
@@ -145,9 +189,10 @@ def test_worker_count_invariance(tmp_path):
 
 
 def test_workers_run_every_trial_in_the_sweep_process(tmp_path, monkeypatch):
-    """A workers = 2 sweep runs every batch in the sweep process, some of
-    them on a second thread, and writes the same CSV as one worker, also
-    when the threads switch every microsecond."""
+    """A workers = 2 sweep runs every batch in the sweep process, one of
+    each wave on a second thread, and writes the same CSV as one worker,
+    also when the threads switch every microsecond.  Each batch serves all
+    three angles."""
     kw = dict(theta0_deg_list=(-30.0, 0.0, 30.0), max_trials=6000, min_bit_errors=10**9)
     f1, f2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
     emit_csv([p for _, p in run_angle_sweep(small_cfg(**kw), 6.0)], f1)
@@ -167,7 +212,7 @@ def test_workers_run_every_trial_in_the_sweep_process(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert f1.read_bytes() == f2.read_bytes()
-    assert len(ran) == 6
+    assert len(ran) == 2
     assert {pid for pid, _ in ran} == {os.getpid()}
     assert len({thread for _, thread in ran}) == 2
 
@@ -277,9 +322,9 @@ def test_sweep_process_runs_the_first_batch_of_each_wave(monkeypatch):
     ran = []
     run_batch = engine._run_batch
 
-    def recorded(cfg, code, g_map, snr_db, theta0_deg, t_lo, t_hi):
+    def recorded(cfg, code, g_maps, points, t_lo, t_hi):
         ran.append((t_lo, t_hi))
-        return run_batch(cfg, code, g_map, snr_db, theta0_deg, t_lo, t_hi)
+        return run_batch(cfg, code, g_maps, points, t_lo, t_hi)
 
     monkeypatch.setattr(engine, "_run_batch", recorded)
     n = TRIALS_PER_BATCH
@@ -294,8 +339,8 @@ def test_sweep_process_runs_the_first_batch_of_each_wave(monkeypatch):
 def _split_setup(kind):
     extra = dict(nze_l=4, nze_n=2) if kind == "nze_tc" else {}
     cfg = small_cfg(code=kind, **extra)
-    code, g_maps = engine._sweep_setup(cfg, "pas.theta0_deg", [10.0])
-    return cfg, code, g_maps[10.0]
+    code, g_maps = engine._sweep_setup(cfg, "theta0_deg_list", [10.0, -25.0])
+    return cfg, code, g_maps
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -305,15 +350,17 @@ def _split_setup(kind):
     cuts=st.sets(st.integers(1, 63), max_size=8),
 )
 def test_any_batch_split_gives_same_totals(kind, n, cuts):
-    """Joining _run_batch over any partition of [0, n) gives the per-trial
-    errors and aborts of one batch: a trial's outcome does not depend on
-    its batch."""
-    cfg, code, g_map = _split_setup(kind)
+    """Joining _run_batch over any partition of [0, n) gives each point's
+    per-trial errors and aborts of one batch: a trial's outcome does not
+    depend on its batch."""
+    cfg, code, g_maps = _split_setup(kind)
     edges = [0, *sorted(c for c in cuts if c < n), n]
-    batch = functools.partial(engine._run_batch, cfg, code, g_map, 2.0, 10.0)
+    points = [(2.0, 10.0), (6.0, 10.0), (2.0, -25.0)]
+    batch = functools.partial(engine._run_batch, cfg, code, g_maps, points)
     parts = [batch(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    for joined, whole in zip(zip(*parts), batch(0, n)):
-        np.testing.assert_array_equal(np.concatenate(joined), whole)
+    for point_parts, point_whole in zip(zip(*parts), batch(0, n)):
+        for joined, whole in zip(zip(*point_parts), point_whole):
+            np.testing.assert_array_equal(np.concatenate(joined), whole)
 
 
 # (config overrides, N): every kind's port count, the NZE shapes at their
@@ -381,7 +428,7 @@ def test_batch_frees_codewords_before_decoding(kind, nze_l, nze_n):
     batch_bytes = 16 * code.n_ports * code.n_slots * TRIALS_PER_BATCH
     tracemalloc.start()
     try:
-        engine._run_batch(cfg, code, g_maps[10.0], 2.0, 10.0, 0, TRIALS_PER_BATCH)
+        engine._run_batch(cfg, code, g_maps, [(2.0, 10.0)], 0, TRIALS_PER_BATCH)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -429,7 +476,7 @@ def test_trial_draws_have_unit_moments():
     """Over one batch the payload bits are fair and the Gaussians are unit
     circular: E z = 0, E|z|^2 = 1 and E z^2 = 0, each within 5 sigma."""
     cfg, code, _ = _split_setup("ac")
-    bits, z = engine._draw_trials(cfg, code, 2.0, 10.0, 0, TRIALS_PER_BATCH)
+    bits, z = engine._draw_trials(cfg, code, 0, TRIALS_PER_BATCH)
     assert bits.shape == (TRIALS_PER_BATCH, code.nbits)
     assert abs(bits.mean() - 0.5) < 5 * 0.5 / math.sqrt(bits.size)
     z = z.ravel()
@@ -465,8 +512,8 @@ def test_draw_is_the_gaussian_formula(kind, rate, extra):
     in (0, 1] from a word's top 53 bits."""
     cfg, code = _draw_case(kind, rate, extra)
     n = code.n_ports + code.n_slots
-    bits, z = engine._draw_trials(cfg, code, 2.0, 10.0, 100, 1100)
-    words = engine._trial_words(cfg, 2.0, 10.0, 100, 1100, code.nbits + 2 * n)
+    bits, z = engine._draw_trials(cfg, code, 100, 1100)
+    words = engine._trial_words(cfg, 100, 1100, code.nbits + 2 * n)
     u = ((words[:, code.nbits : code.nbits + 2 * n] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
     expected = np.sqrt(-np.log(u[:, :n])) * np.exp(2j * np.pi * u[:, n:])
     np.testing.assert_array_equal(bits, words[:, : code.nbits] >> np.uint64(63))
@@ -482,7 +529,7 @@ def test_draw_peaks_under_three_and_a_half_outputs(kind, rate, extra):
     cfg, code = _draw_case(kind, rate, extra)
     tracemalloc.start()
     try:
-        _, z = engine._draw_trials(cfg, code, 2.0, 10.0, 0, TRIALS_PER_BATCH)
+        _, z = engine._draw_trials(cfg, code, 0, TRIALS_PER_BATCH)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -501,9 +548,7 @@ def test_point_sums_match_a_per_trial_recount():
     code, g_maps = engine._sweep_setup(cfg, "pas.theta0_deg", [cfg.theta0_deg])
     errors = []
     for t in range(n_trials):
-        err, aborted = engine._run_batch(
-            cfg, code, g_maps[cfg.theta0_deg], snr, cfg.theta0_deg, t, t + 1
-        )
+        [(err, aborted)] = engine._run_batch(cfg, code, g_maps, [(snr, cfg.theta0_deg)], t, t + 1)
         if not aborted[0]:
             errors.append(int(err[0]))
     assert (point.trials, point.bit_errors, point.bit_errors_sq, point.frame_errors) == (
@@ -514,6 +559,99 @@ def test_point_sums_match_a_per_trial_recount():
     )
     assert point.bit_errors < point.bit_errors_sq
     assert 0 < point.frame_errors < point.trials
+
+
+def _per_point_sweep(cfg, angle_key, points):
+    """The sweep written point by point: each point runs its own waves, and
+    each of its batches draws, encodes and sends its trials by itself, until
+    its errors reach min_bit_errors or its trials max_trials."""
+    code, g_maps = engine._sweep_setup(cfg.validate(), angle_key, [t for _, t in points])
+    n_ports = code.n_ports
+    out = []
+    for snr_db, theta in points:
+        attempted = counted = errors = errors_sq = frames = aborted = 0
+        while attempted < cfg.max_trials and errors < cfg.min_bit_errors:
+            wave_end = min(attempted + engine.WAVE_BATCHES * TRIALS_PER_BATCH, cfg.max_trials)
+            for lo in range(attempted, wave_end, TRIALS_PER_BATCH):
+                bits, z = engine._draw_trials(cfg, code, lo, min(lo + TRIALS_PER_BATCH, wave_end))
+                g_row = z[:, :n_ports] @ g_maps[theta]
+                z[:, n_ports:] *= 10.0 ** (-snr_db / 20.0)
+                y = np.einsum("bn,bnt->bt", g_row, code.encode(bits))
+                y += z[:, n_ports:]
+                bits_hat, trial_aborted = code.decode(y, g_row)
+                trial_errors = np.count_nonzero(bits_hat != bits, axis=1)
+                trial_errors[trial_aborted] = 0
+                n_aborted = int(np.count_nonzero(trial_aborted))
+                counted += len(trial_aborted) - n_aborted
+                aborted += n_aborted
+                errors += int(trial_errors.sum())
+                errors_sq += int(trial_errors @ trial_errors)
+                frames += int(np.count_nonzero(trial_errors))
+            attempted = wave_end
+        out.append(
+            BerPoint(
+                snr_db=snr_db,
+                ber=errors / (counted * code.nbits) if counted else math.nan,
+                trials=counted,
+                bit_errors=errors,
+                code=cfg.code,
+                rate_bps=code.rate_bps,
+                n_antennas=cfg.m,
+                theta0_deg=theta,
+                seed=cfg.master_seed,
+                aborted=aborted,
+                bits_sent=counted * code.nbits,
+                bit_errors_sq=errors_sq,
+                frame_errors=frames,
+            )
+        )
+    return out
+
+
+# (config, SNR of an angle sweep or None): early stops at different waves
+# for BER and angle sweeps, two workers, an NZE code and a five-angle sweep.
+_SHARED_DRAW_CASES = {
+    "ac_early_w2": (
+        "code = ac\nm = 16\nsnr_db = 0, 6\nmax_trials = 30000\nmin_bit_errors = 2500\n"
+        "workers = 2\nmaster_seed = 3\n",
+        None,
+    ),
+    "qostbc_waves": (
+        "code = qostbc\nm = 64\nsnr_db = 0, 4, 8, 12\nmax_trials = 30000\n"
+        "min_bit_errors = 2000\nmaster_seed = 5\n",
+        None,
+    ),
+    "nze_oac_w2": (
+        "code = nze_oac\nm = 64\nnze.l = 12\nnze.n = 4\nsnr_db = 2, 6, 10\n"
+        "max_trials = 20000\nmin_bit_errors = 3000\nworkers = 2\nmaster_seed = 9\n",
+        None,
+    ),
+    "ac_five_angles": (
+        "code = ac\nm = 64\ntheta0_deg_list = -50, -20, 0, 15, 45\nmax_trials = 20000\n"
+        "min_bit_errors = 200\nmaster_seed = 4\n",
+        8.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHARED_DRAW_CASES))
+def test_shared_draws_match_a_per_point_sweep(name):
+    """Every BerPoint field equals that of the sweep run point by point,
+    each batch drawn for one point alone: drawing and encoding a batch once
+    for all its points changes no trial's arithmetic, and the points' waves
+    and early stops are their own."""
+    text, angle_snr = _SHARED_DRAW_CASES[name]
+    cfg = parse_config(text)
+    if angle_snr is None:
+        points = run_ber_sweep(cfg)
+        expected = _per_point_sweep(cfg, "pas.theta0_deg", [(s, cfg.theta0_deg) for s in cfg.snr_db])
+    else:
+        points = [p for _, p in run_angle_sweep(cfg, angle_snr)]
+        expected = _per_point_sweep(
+            cfg, "theta0_deg_list", [(angle_snr, t) for t in cfg.theta0_deg_list]
+        )
+    assert points == expected
+    assert len({p.trials + p.aborted for p in points}) > 1
 
 
 def test_point_sums_do_not_depend_on_workers():
@@ -533,25 +671,26 @@ def test_point_sums_do_not_depend_on_workers():
 
 
 def test_trial_stream_known_answer():
-    """The first words of trials 0 and 1 for one fixed key.  A change in
+    """The first words of trials 0 and 1 of seed 7's stream.  A change in
     NumPy's Philox or SeedSequence fails here by name, not only in the CSV
     pins; trial 1 starts one stride (three 4-word blocks) after trial 0."""
-    words = engine._trial_words(small_cfg(master_seed=7), 0.0, 10.0, 0, 2, 10)
+    words = engine._trial_words(small_cfg(master_seed=7), 0, 2, 10)
     assert words.shape == (2, 12)
     assert words[:, :2].tolist() == [
-        [13810185768343152399, 1519566188412070718],
-        [7337219107382647587, 4010189983282976391],
+        [8648156199155761070, 7861003179181181637],
+        [1894891624624548452, 688557748666945093],
     ]
 
 
-def test_all_aborted_point_reports_nan(tmp_path):
+def test_all_aborted_point_reports_nan(tmp_path, monkeypatch):
     """A point with no counted trial has no BER estimate: nan, never 0."""
-    cfg, code, g_map = _split_setup("ac")
 
-    def all_aborted(batch, lows, highs):
-        return [(np.zeros(hi - lo, int), np.ones(hi - lo, bool)) for lo, hi in zip(lows, highs)]
+    def all_aborted(cfg, code, g_maps, points, t_lo, t_hi):
+        return [(np.zeros(t_hi - t_lo, int), np.ones(t_hi - t_lo, bool)) for _ in points]
 
-    point = engine._run_point(cfg, code, g_map, 2.0, 10.0, all_aborted)
+    monkeypatch.setattr(engine, "_run_batch", all_aborted)
+    cfg = small_cfg(snr_db=(2.0,), theta0_deg=10.0)
+    [point] = run_ber_sweep(cfg)
     assert math.isnan(point.ber)
     assert (point.trials, point.bit_errors, point.aborted) == (0, 0, cfg.max_trials)
     emit_csv([point], tmp_path / "nan.csv")

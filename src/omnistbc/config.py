@@ -27,19 +27,12 @@ def snr_problem(snr_db):
     """Why ``snr_db`` is no usable SNR in dB, or None; the caller names its key.
 
     300 dB either way is far past any physical link, and keeps the noise
-    scale 10^(-snr/20), the PEP bound's 10^(-snr/10) and the engine's integer
-    key of the SNR finite and nonzero.
+    scale 10^(-snr/20) and the PEP bound's 10^(-snr/10) finite and nonzero,
+    and the SNR in micro-units an exact integer.
     """
     if not abs(snr_db) <= 300.0:
         return f"must be a finite number in [-300, 300] dB, got {snr_db}"
     return None
-
-
-def stream_key(value):
-    """Stable integer key for a sweep coordinate (angles, SNR in dB), each
-    finite once the config is validated: values whose keys match, at the
-    micro-unit, are one point of the sweep."""
-    return int(round(value * 1e6)) & ((1 << 64) - 1)
 
 
 @dataclass(frozen=True)
@@ -116,15 +109,17 @@ class SimConfig:
             if not -60.0 - 1e-9 <= theta <= 60.0 + 1e-9:
                 raise ConfigError(f"theta0_deg_list: {theta} outside [-60, 60] degrees")
         for key, values in (("snr_db", self.snr_db), ("theta0_deg_list", self.theta0_deg_list)):
+            # Each value is finite and at most 300 in size by now, so its
+            # micro-unit is an exact integer.
             seen = {}
             for value in values:
-                stream = stream_key(value)
-                if stream in seen:
+                micro = round(value * 1e6)
+                if micro in seen:
                     raise ConfigError(
-                        f"{key}: {value} repeats {seen[stream]} to a millionth, so "
-                        "both would give the same row"
+                        f"{key}: {value} repeats {seen[micro]} to a millionth, "
+                        "so one point would be counted twice"
                     )
-                seen[stream] = value
+                seen[micro] = value
         if self.max_trials < 1:
             raise ConfigError("max_trials: must be at least 1")
         if self.min_bit_errors < 1:
@@ -162,9 +157,9 @@ def _convert(key, default, raw):
     comma-separated list of floats."""
     try:
         if isinstance(default, tuple):
-            items = [s for s in (p.strip() for p in raw.split(",")) if s]
-            if not items:
-                raise ValueError("empty list")
+            items = [p.strip() for p in raw.split(",")]
+            if "" in items:
+                raise ValueError("empty list" if items == [""] else "empty list item")
             return tuple(float(s) for s in items)
         return type(default)(raw)
     except ValueError as exc:
@@ -201,4 +196,6 @@ def load_config(path, **overrides):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
-    return parse_config(text, **overrides)
+    # A leading byte order mark is no part of the first key.  "utf-8-sig"
+    # would drop it too, but would count a bad byte's offset from after it.
+    return parse_config(text.removeprefix("\ufeff"), **overrides)

@@ -193,50 +193,41 @@ def _run_batch(cfg, code, g_maps, points, t_lo, t_hi):
     return results
 
 
-class _Tally:
-    """One point's sums over its trials: the CSV's totals, the counted
-    trials' squared bit errors and the frames with any bit error."""
-
-    def __init__(self):
-        self.counted = self.aborted = self.errors = self.errors_sq = self.frames = 0
-
-    def add(self, trial_errors, trial_aborted):
-        n_aborted = int(np.count_nonzero(trial_aborted))
-        self.counted += len(trial_aborted) - n_aborted
-        self.aborted += n_aborted
-        self.errors += int(trial_errors.sum())
-        self.errors_sq += int(trial_errors @ trial_errors)
-        self.frames += int(np.count_nonzero(trial_errors))
-
-    def point(self, cfg, code, snr_db, theta0_deg):
-        bits_sent = self.counted * code.nbits
-        return BerPoint(
-            snr_db=float(snr_db),
-            ber=self.errors / bits_sent if bits_sent else math.nan,
-            trials=self.counted,
-            bit_errors=self.errors,
-            code=cfg.code,
-            rate_bps=code.rate_bps,
-            n_antennas=cfg.m,
-            theta0_deg=float(theta0_deg),
-            seed=cfg.master_seed,
-            aborted=self.aborted,
-            bits_sent=bits_sent,
-            bit_errors_sq=self.errors_sq,
-            frame_errors=self.frames,
-        )
+def _add(point, trial_errors, trial_aborted):
+    """Add one batch's trial bit errors (zero for an aborted trial) and
+    abort mask to ``point``'s sums over its counted trials."""
+    n_aborted = int(np.count_nonzero(trial_aborted))
+    point.trials += len(trial_aborted) - n_aborted
+    point.aborted += n_aborted
+    point.bit_errors += int(trial_errors.sum())
+    point.bit_errors_sq += int(trial_errors @ trial_errors)
+    point.frame_errors += int(np.count_nonzero(trial_errors))
 
 
 def _sweep(cfg, angle_key, points):
     """BerPoints of (snr_db, theta0_deg) pairs, in order, once every factor
     is built.  Every point reads trial t from the same words, so a wave
-    draws and encodes each batch once for the points still running.  This
-    thread runs each wave's first batch and hands the rest to ``map`` or,
-    for workers > 1, a pool thread, started at its first batch."""
+    draws and encodes each batch once for the points still running, and
+    adds each batch's counts to their records.  This thread runs each
+    wave's first batch and hands the rest to ``map`` or, for workers > 1,
+    a pool thread, started at its first batch."""
     _keep_heap()
     code, g_maps = _sweep_setup(cfg, angle_key, [theta for _, theta in points])
-    tallies = [_Tally() for _ in points]
-    live = list(range(len(points)))
+    records = [
+        BerPoint(
+            snr_db=float(snr_db),
+            ber=math.nan,
+            trials=0,
+            bit_errors=0,
+            code=cfg.code,
+            rate_bps=code.rate_bps,
+            n_antennas=cfg.m,
+            theta0_deg=float(theta0_deg),
+            seed=cfg.master_seed,
+        )
+        for snr_db, theta0_deg in points
+    ]
+    live = records
     width = min(cfg.workers, WAVE_BATCHES) - 1
     attempted = 0
     with ThreadPoolExecutor(max(width, 1)) as pool:
@@ -245,14 +236,19 @@ def _sweep(cfg, angle_key, points):
             wave_end = min(attempted + WAVE_BATCHES * TRIALS_PER_BATCH, cfg.max_trials)
             lows = range(attempted, wave_end, TRIALS_PER_BATCH)
             highs = [min(lo + TRIALS_PER_BATCH, wave_end) for lo in lows]
-            batch = partial(_run_batch, cfg, code, g_maps, [points[i] for i in live])
+            pairs = [(p.snr_db, p.theta0_deg) for p in live]
+            batch = partial(_run_batch, cfg, code, g_maps, pairs)
             rest = map_rest(batch, lows[1:], highs[1:])
             for results in [batch(lows[0], highs[0]), *rest]:
-                for i, (trial_errors, trial_aborted) in zip(live, results):
-                    tallies[i].add(trial_errors, trial_aborted)
+                for point, (trial_errors, trial_aborted) in zip(live, results):
+                    _add(point, trial_errors, trial_aborted)
             attempted = wave_end
-            live = [i for i in live if tallies[i].errors < cfg.min_bit_errors]
-    return [tally.point(cfg, code, *point) for tally, point in zip(tallies, points)]
+            live = [p for p in live if p.bit_errors < cfg.min_bit_errors]
+    for p in records:
+        p.bits_sent = p.trials * code.nbits
+        if p.bits_sent:
+            p.ber = p.bit_errors / p.bits_sent
+    return records
 
 
 def run_ber_sweep(cfg):

@@ -227,6 +227,56 @@ def test_non_utf8_config_is_config_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_leading_bom_is_ignored(tmp_path):
+    """A config saved with a UTF-8 byte order mark writes the same CSV
+    bytes as the same text without it."""
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(AC_CONFIG.lstrip().encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + AC_CONFIG.lstrip().encode())
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli(["ber-sweep", "--config", str(plain), "--out", str(a)]) == 0
+    assert cli(["ber-sweep", "--config", str(marked), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_bom_config_reports_the_file_offset_of_a_bad_byte(tmp_path, capsys):
+    """Past a byte order mark, a byte that is not UTF-8 is still reported
+    at its offset in the file, the mark's three bytes included."""
+    path = tmp_path / "sim.cfg"
+    path.write_bytes(b"\xef\xbb\xbfcode = ac\nsnr_db = 0\n\xff\xfe = 1\n")
+    assert cli(["ber-sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: byte 24 ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command,line,reason",
+    [
+        ("ber-sweep", "snr_db = 6,,10", "empty list item"),
+        ("ber-sweep", "snr_db = 6, 10,", "empty list item"),
+        ("ber-sweep", "snr_db =", "empty list"),
+        ("angle-sweep", "theta0_deg_list = 0,,30", "empty list item"),
+        ("angle-sweep", "theta0_deg_list = , 0, 30", "empty list item"),
+    ],
+    ids=["snr-inner", "snr-trailing", "snr-empty", "angle-inner", "angle-leading"],
+)
+def test_empty_list_item_is_config_error(command, line, reason, tmp_path, capsys):
+    """An empty item in a list value is refused, not dropped, and so is an
+    empty value: one config error line naming the key, and no CSV."""
+    text = AC_CONFIG.replace("snr_db = 6, 10\n", "") + line + "\n"
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", write_cfg(tmp_path, text), "--out", str(out)]
+    if command == "angle-sweep":
+        argv += ["--snr-db", "6"]
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {line.split()[0]}: cannot parse value ")
+    assert err.endswith(f"({reason})\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["no-parent", "directory"])
 def test_unwritable_out_is_refused_before_the_sweep(out, tmp_path, monkeypatch, capsys):
     """An --out whose directory is missing, or that is a directory, stops
@@ -398,10 +448,9 @@ def test_out_of_range_snr_is_config_error(command, snr, key, tmp_path, capsys):
     ids=["angle", "angle-same-key", "snr"],
 )
 def test_repeated_sweep_point_is_config_error(command, text, key, tmp_path, capsys):
-    """A sweep coordinate listed twice, or two whose keys (micro-units)
-    match, is one point, which reads the same trials and would write the
-    same row twice: one config error line naming the key, before any CSV
-    is written."""
+    """A sweep coordinate listed twice, or two that match to a millionth,
+    is one point, which reads the same trials and would be counted twice:
+    one config error line naming the key, before any CSV is written."""
     out = tmp_path / "x.csv"
     argv = [command, "--config", write_cfg(tmp_path, text), "--out", str(out)]
     if command == "angle-sweep":

@@ -303,6 +303,27 @@ def test_blocked_search_matches_one_block(kind, l_sym, n_ports, monkeypatch):
     np.testing.assert_array_equal(blocked, whole)
 
 
+@pytest.mark.parametrize(
+    "kind,l_sym,n_ports",
+    [(kind, 0, 0) for kind in ENUMERABLE] + [("nze_tc", 8, 4), ("nze_oac", 8, 4)],
+)
+def test_noiseless_roundtrip_at_the_largest_rate(kind, l_sym, n_ports):
+    """At the largest rate that ``rate_problem`` accepts, where a symbol
+    word or an ML candidate group reaches 2^16 points, 32 random payloads
+    over random channels decode to their own bits with no abort."""
+    spec = REGISTRY[kind]
+    rate = 1
+    while spec.rate_problem(rate + 1) is None:
+        rate += 1
+    code = build_code(kind, rate, l_sym, n_ports)
+    rng = np.random.default_rng(16)
+    bits = rng.integers(0, 2, (32, code.nbits))
+    g = channels(rng, len(bits), code.n_ports)
+    decoded, aborted = code.decode(observe(code.encode(bits), g), g)
+    assert not aborted.any()
+    np.testing.assert_array_equal(decoded, bits)
+
+
 @pytest.mark.parametrize("kind,l_sym,n_ports", [("nze_tc", 4, 2), ("nze_tc", 12, 4), ("nze_oac", 4, 3), ("nze_oac", 12, 4)])
 def test_zf_noiseless_roundtrip(kind, l_sym, n_ports):
     code = build_code(kind, 2, l_sym, n_ports)

@@ -60,7 +60,10 @@ def _cmd_sweep(args):
         overrides["master_seed"] = args.seed
     if args.workers is not None:
         overrides["workers"] = args.workers
-    cfg = load_config(args.config, **overrides)
+    try:
+        cfg = load_config(args.config, **overrides)
+    except OSError as exc:
+        raise ConfigError(f"--config: cannot read {args.config}: {exc.strerror}") from None
     # An --out that cannot be written is refused before the sweep, not after.
     if os.path.isdir(args.out):
         raise ConfigError(f"--out: {args.out} is a directory")
@@ -115,7 +118,8 @@ def cli(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("validate", help="run the invariant suite")
+    p = sub.add_parser("validate", help="run the invariant suite")
+    p.set_defaults(handler=_cmd_validate)
 
     for name in ("ber-sweep", "angle-sweep"):
         p = sub.add_parser(name, help=f"run a {name.replace('-', ' ')}")
@@ -140,8 +144,6 @@ def cli(argv=None):
     p.set_defaults(handler=_cmd_pep_bound)
 
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        return _cmd_validate(args)
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -9,8 +9,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .channel import DEFAULT_SPACING_RATIO, max_spacing_ratio
-from .kinds import REGISTRY
-from .receivers import MAX_BLOCK_BYTES
+from .kinds import MAX_BLOCK_BYTES, REGISTRY
 
 __all__ = ["SimConfig", "ConfigError", "parse_config", "load_config", "snr_problem"]
 

@@ -18,7 +18,6 @@ __all__ = [
     "make_psk",
     "make_pam",
     "make_rotated_qam",
-    "min_sq_distance",
 ]
 
 
@@ -91,13 +90,3 @@ def make_rotated_qam(order, rotation=0.0):
     points = d * (levels[rank[words >> axis_bits]] + 1j * levels[rank[words & (side - 1)]])
     return Constellation(points * np.exp(1j * rotation))
 
-
-def min_sq_distance(constellation):
-    """Minimum squared Euclidean distance over distinct point pairs."""
-    pts = constellation.points
-    if pts.size < 2:
-        raise ValueError("need at least two points")
-    diff = pts[:, None] - pts[None, :]
-    d2 = np.abs(diff) ** 2
-    d2[np.diag_indices_from(d2)] = np.inf
-    return float(d2.min())

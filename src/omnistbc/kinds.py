@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import receivers
 from .constellations import Constellation, make_pam, make_psk, make_rotated_qam
 from .receivers import (
     AcDecoder,
@@ -39,6 +38,12 @@ __all__ = ["GatherTable", "Code", "CodeSpec", "REGISTRY", "spec_for", "build_cod
 
 # No alphabet and no ML candidate group may exceed 2^MAX_SEARCH_BITS points.
 MAX_SEARCH_BITS = 16
+
+# The most bytes one per-batch array may take.  ``Code.decode`` hands a
+# decoder a batch in blocks of rows whose largest array fits under it.
+# Config validation refuses an N x T codeword whose full batch would pass
+# it, and an M whose set-up 2M x N FFT would.
+MAX_BLOCK_BYTES = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +101,9 @@ class Code:
     ``decoder_cls(self)``, is built from all of these on first use, so a
     code that only encodes or is refused never builds it.  ``decode`` holds the
     batch policy that every decoder shares: it marks the trials whose
-    channel row is all zero as aborted, hands the decoder the batch in
-    blocks of rows, and unpacks the symbols' bit words to bits.
+    channel row is all zero as aborted and gives the decoder a row of ones
+    in their place, hands it the batch in blocks of rows, and unpacks the
+    symbols' bit words to bits.
     ``groups`` and ``group_codebooks`` are the decoupled symbol groups and
     their sub-codebooks, which the ML decoder and the coding gain read;
     they are derived on first use, so the ZF kinds never derive them.
@@ -142,15 +148,19 @@ class Code:
     def decode(self, y, g):
         """Observations (B, T) through channels (B, N) -> (bits (B, nbits),
         aborted (B,)); a trial aborts when its channel row is all zero, and
-        its bits mean nothing.  The decoder takes the rows in blocks whose
-        largest array, ``row_bytes`` per row, fits in MAX_BLOCK_BYTES."""
+        its bits mean nothing: the decoder sees a row of ones in its place.
+        The decoder takes the rows in blocks whose largest array,
+        ``row_bytes`` per row, fits in MAX_BLOCK_BYTES."""
         g = np.asarray(g, dtype=complex)
         aborted = ~g.any(axis=1)
+        if aborted.any():
+            g = g.copy()
+            g[aborted] = 1.0
         words = np.empty((len(g), len(self.constellations)), dtype=np.intp)
-        step = max(1, receivers.MAX_BLOCK_BYTES // self.decoder.row_bytes)
+        step = max(1, MAX_BLOCK_BYTES // self.decoder.row_bytes)
         for lo in range(0, len(g), step):
             rows = slice(lo, lo + step)
-            words[rows] = self.decoder.decode_batch(y[rows], g[rows], aborted[rows])
+            words[rows] = self.decoder.decode_batch(y[rows], g[rows])
         bits = words[:, self._bit_symbol]
         bits >>= self._bit_shift
         bits &= 1
@@ -251,11 +261,8 @@ class CodeSpec:
             )
         return None
 
-    def ports(self, nze_n):
-        return self.n_ports or nze_n
-
     def preset_v(self, n_ports=None):
-        n = self.ports(n_ports)
+        n = self.n_ports or n_ports
         if n is None:
             raise ValueError(f"{self.kind} preset needs the port count")
         if self.v_matrix is None:

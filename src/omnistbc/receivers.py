@@ -16,14 +16,14 @@ kinds use zero forcing after conjugating the conjugated slots, on the map
 that ``assemble`` probes out: the Gram of that map is a band, and a band
 LDL^H solves it for the whole batch at once.
 
-Every decoder has one call, ``decode_batch(y, g, aborted) -> words``, over
-a block of trials: y is (B, T), g is (B, N) complex, ``aborted`` the (B,)
-mask of trials whose channel row is all zero, and ``words`` (B, n_symbols)
-bit words, one per symbol in payload order (a constellation stores its
-points in bit-word order, so an index into it is the word it carries); an
-aborted trial's words mean nothing.  ``row_bytes`` is the bytes per trial
-of its largest per-block array.  The registry's ``Code.decode`` computes
-the mask, cuts a batch into blocks under MAX_BLOCK_BYTES and unpacks the
+Every decoder has one call, ``decode_batch(y, g) -> words``, over a block
+of trials: y is (B, T), g is (B, N) complex with no all-zero row, and
+``words`` (B, n_symbols) bit words, one per symbol in payload order (a
+constellation stores its points in bit-word order, so an index into it is
+the word it carries); each row's words depend on that row alone.
+``row_bytes`` is the bytes per trial of its largest per-block array.  The
+registry's ``Code.decode`` keeps all-zero channel rows from the decoder,
+cuts a batch into blocks under ``kinds.MAX_BLOCK_BYTES`` and unpacks the
 words to bits.  Ties in any candidate search resolve to the lowest word,
 in payload order, as in an exhaustive search over the codebook.
 """
@@ -38,13 +38,6 @@ __all__ = [
     "CiodDecoder",
     "NzeZfDecoder",
 ]
-
-# The most bytes one per-batch array may take.  ``Code.decode`` hands a
-# decoder a batch in blocks of rows whose largest array fits under it.
-# Config validation refuses an N x T codeword whose full batch would pass
-# it, and an M whose set-up 2M x N FFT would.
-MAX_BLOCK_BYTES = 1 << 26
-
 
 class _GroupSearch:
     """Exact ML as one candidate search per decoupled group of symbols.
@@ -64,9 +57,9 @@ class _GroupSearch:
     Re(a b) = Re a Re b - Im a Im b, that is one real product of f viewed
     as floats, the real then the imaginary part of each (n, j), with the
     constant ``weights``, whose rows are (Re coef, -Im coef) in that order.
-    A zero channel row scores every candidate 0.  A block's largest array
-    is either the features, 16 N (N + T) bytes per trial, or the metrics of
-    the largest group, 8 bytes per candidate and trial.
+    A block's largest array is either the features, 16 N (N + T) bytes per
+    trial, or the metrics of the largest group, 8 bytes per candidate and
+    trial.
     """
 
     def __init__(self, code):
@@ -80,7 +73,7 @@ class _GroupSearch:
         features = 16 * code.n_ports * (code.n_ports + code.n_slots)
         self.row_bytes = max(features, 8 * max(len(cand) for _, cand, _ in self.searches))
 
-    def decode_batch(self, y, g, aborted):
+    def decode_batch(self, y, g):
         row = np.concatenate([g, y], axis=1).conj()
         features = (g[:, :, None] * row[:, None, :]).view(float).reshape(len(g), -1)
         words = np.empty((len(g), self.n_symbols), dtype=np.intp)
@@ -208,10 +201,10 @@ class NzeZfDecoder:
     ``row_bytes`` is the bytes per trial of a block's largest array: the
     N T products, the band or the scores.
 
-    H has full column rank for every nonzero channel, so only an all-zero
-    channel row aborts; its band is set to the identity.  NZE-TC and odd-N
-    NZE-OAC wrap a zero-padded code whose slot sequence p has
-    L + N - 1 = T terms: slot t carries p_t + p_{t+L} for t < N - 1,
+    H has full column rank for every nonzero channel, the only kind
+    ``Code.decode`` hands a decoder, so no Gram it solves is singular.
+    NZE-TC and odd-N NZE-OAC wrap a zero-padded code whose slot sequence p
+    has L + N - 1 = T terms: slot t carries p_t + p_{t+L} for t < N - 1,
     p_t - p_{t-L} for t >= L and p_t in between, an invertible map of p
     since L >= N - 1.  So H has full rank when x -> p (after the
     conjugation) is injective.
@@ -300,10 +293,8 @@ class NzeZfDecoder:
         products = (g.conj()[:, :, None] * y[:, None, :]).reshape(len(g), -1).view(float)
         return _complex(self._mf_weights @ products.T)
 
-    def decode_batch(self, y, g, aborted):
+    def decode_batch(self, y, g):
         rhs = self._matched_filter(y, g)
-        band = self.band(g)
-        band[:, 0, aborted] = 1.0
-        xhat = _band_solve(band, rhs)  # (L, B)
+        xhat = _band_solve(self.band(g), rhs)  # (L, B)
         score = xhat.view(float).reshape(len(xhat), -1, 2) @ self._axes  # (L, B, points)
         return np.argmax(score, axis=-1).T

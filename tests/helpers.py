@@ -46,6 +46,17 @@ def feed_x1_into_x2(x):
     return np.stack([x[:, 0], x[:, 0] * x[:, 1]], axis=1)
 
 
+def min_sq_distance(constellation):
+    """Minimum squared Euclidean distance over distinct point pairs."""
+    pts = constellation.points
+    if pts.size < 2:
+        raise ValueError("need at least two points")
+    diff = pts[:, None] - pts[None, :]
+    d2 = np.abs(diff) ** 2
+    d2[np.diag_indices_from(d2)] = np.inf
+    return float(d2.min())
+
+
 def random_effective_channel(rng, n_ports):
     """One draw of the asymptotic effective channel, row convention."""
     z = rng.standard_normal(2 * n_ports)

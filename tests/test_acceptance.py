@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import codebook, exhaustive_ml, random_effective_channel
+from helpers import codebook, exhaustive_ml, min_sq_distance, random_effective_channel
 
 from omnistbc import selfcheck
 from omnistbc.analysis import coding_gain, fit_diversity_order, omni_flatness
@@ -23,7 +23,6 @@ from omnistbc.channel import (
     isotropy_deviation,
 )
 from omnistbc.config import SimConfig
-from omnistbc.constellations import min_sq_distance
 from omnistbc.engine import emit_csv, run_angle_sweep, run_ber_sweep
 from omnistbc.kinds import build_code
 from omnistbc.precoding import precoder_for_code

@@ -116,6 +116,9 @@ def test_pep_bound_against_direct_enumeration():
 def test_pep_bound_rank_deficient_pair_named():
     with pytest.raises(ValueError, match=r"pair \(0, 1\)"):
         pep_upper_bound(_rank_one_code(), 0.1)
+    for sigma_n2 in (0.0, -0.1):
+        with pytest.raises(ValueError, match="noise variance must be positive"):
+            pep_upper_bound(build_code("ac", 1), sigma_n2)
 
 
 def _points(snrs, bers, errors=1000):
@@ -146,3 +149,5 @@ def test_omni_flatness():
     assert omni_flatness([(0, 1e-3), (10, 2e-3), (20, 1e-3)]) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         omni_flatness([(0, 0.0), (10, 1e-3)])
+    with pytest.raises(ValueError, match="empty angle grid"):
+        omni_flatness([])

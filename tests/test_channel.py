@@ -79,6 +79,7 @@ def test_narrow_spread_quadrature():
 
 def test_leakage_identity_and_range():
     assert dft_domain_leakage(CovarianceModel(np.eye(16)[0])) == 0.0
+    assert dft_domain_leakage(CovarianceModel(np.zeros(16))) == 0.0
     model = covariance_for(32, 1 / math.sqrt(3), 0.0, SIGMA5)
     leak = dft_domain_leakage(model)
     assert 0.0 <= leak <= 1.0
@@ -128,6 +129,15 @@ def test_draw_channel_statistics():
     r = hermitian_toeplitz(model.lags)
     factor = covariance_factor(r)
     assert np.abs(factor @ factor.conj().T - r).max() < 1e-10
+
+
+def test_covariance_factor_clips_roundoff_and_refuses_a_negative_eigenvalue():
+    """An eigenvalue below zero by roundoff is clipped; one below
+    -1e-9 times the largest is refused."""
+    factor = covariance_factor(np.diag([2.0, -1e-12]))
+    np.testing.assert_allclose(factor @ factor.conj().T, np.diag([2.0, 0.0]), rtol=1e-15, atol=0)
+    with pytest.raises(np.linalg.LinAlgError, match="significantly negative eigenvalue"):
+        covariance_factor(np.diag([2.0, -1e-6]))
 
 
 def test_effective_channel_energy_approaches_unit():

@@ -1,8 +1,10 @@
+import errno
 import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -99,6 +101,17 @@ def test_refused_rate_builds_no_decoder(monkeypatch, capsys):
         "exceed the enumeration cap 1048576\n"
     )
     assert built == []
+
+
+def test_coding_gain_disagreeing_with_the_closed_form_warns(monkeypatch, capsys):
+    """An enumerated gain off the kind's closed form is printed, with a
+    warning on stderr, and exits 1."""
+    spec = kinds.REGISTRY["qostbc"]
+    monkeypatch.setitem(kinds.REGISTRY, "qostbc", replace(spec, closed_form_gain=lambda rate: 1.0))
+    assert cli(["coding-gain", "--code", "qostbc", "--rate", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert float(out) == pytest.approx(4.0, abs=1e-9)
+    assert err == "warning: enumeration disagrees with closed form 1\n"
 
 
 def test_coding_gain_rejects_nze(capsys):
@@ -293,6 +306,32 @@ def test_unwritable_out_is_refused_before_the_sweep(out, tmp_path, monkeypatch, 
     assert err.startswith("config error: --out: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("config", ["missing.cfg", "."], ids=["missing", "directory"])
+def test_unreadable_config_is_config_error(config, tmp_path, capsys):
+    """A --config that cannot be read stops with one config error line
+    naming --config, and writes no CSV."""
+    path, out = tmp_path / config, tmp_path / "x.csv"
+    assert cli(["ber-sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --config: cannot read {path}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_csv_write_failure_is_reported(tmp_path, monkeypatch, capsys):
+    """An OSError while the CSV is written, after the sweep, exits 2 with
+    one error line."""
+
+    def full_disk(points, path):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(engine, "emit_csv", full_disk)
+    out = tmp_path / "x.csv"
+    assert cli(["ber-sweep", "--config", write_cfg(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert not out.exists()
 
 
 def test_out_of_range_angle_is_config_error(tmp_path, capsys):

@@ -385,7 +385,7 @@ def test_code_shapes(kind, rate, nze_l, nze_n, nbits, n_slots, rate_bps):
     code = build_code(kind, rate, nze_l, nze_n)
     assert (code.nbits, code.n_slots) == (nbits, n_slots)
     assert code.rate_bps == pytest.approx(rate_bps)
-    assert spec_for(kind).ports(nze_n) == code.n_ports
+    assert spec_for(kind).preset_v(nze_n).shape[0] == code.n_ports
 
 
 @pytest.mark.parametrize(

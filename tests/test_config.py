@@ -9,7 +9,7 @@ import pytest
 
 from omnistbc import kinds
 from omnistbc.config import TRIALS_PER_BATCH, ConfigError, SimConfig, parse_config
-from omnistbc.receivers import MAX_BLOCK_BYTES
+from omnistbc.kinds import MAX_BLOCK_BYTES
 
 GOOD = """
 # minimal Alamouti sweep
@@ -158,6 +158,7 @@ def test_digest_tracks_content():
         ("master_seed = -1", "master_seed"),
         ("master_seed = 18446744073709551616", "master_seed"),
         ("k = 7", "k"),
+        ("snr_db 10", "line 2"),
     ],
 )
 def test_bad_value_fails_validation(line, key):

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from omnistbc.constellations import (
-    Constellation,
-    make_pam,
-    make_psk,
-    make_rotated_qam,
-    min_sq_distance,
-)
+from helpers import min_sq_distance
+
+from omnistbc.constellations import Constellation, make_pam, make_psk, make_rotated_qam
 from omnistbc.kinds import REGISTRY, build_code
 
 
@@ -41,6 +37,8 @@ def test_pam_normalization():
     pam8 = make_pam(4)
     assert min_sq_distance(pam8) == pytest.approx(4 / 21)
     assert np.mean(np.abs(pam8.points) ** 2) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="half_order must be positive"):
+        make_pam(0)
 
 
 def test_rotated_qam():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -719,6 +720,45 @@ def test_nze_sweep_reports_aborts_separately():
     point = run_ber_sweep(cfg)[0]
     assert point.trials + point.aborted == 4096
     assert point.aborted == 0  # only an all-zero channel aborts
+
+
+@pytest.mark.parametrize(
+    "sweep,kw",
+    [
+        ("ber", dict(code="qostbc")),
+        ("ber", dict(code="nze_tc", nze_l=12, nze_n=4)),
+        ("angle", dict(code="qostbc", theta0_deg_list=(-30.0, 0.0, 45.0), workers=2)),
+    ],
+    ids=["qostbc-ber", "nze_tc_12_4-ber", "qostbc-angle-w2"],
+)
+def test_planted_zero_channels_abort_in_a_sweep(sweep, kw, monkeypatch):
+    """With the channel normals of every trial t = 3 (mod 7) zeroed, each
+    point aborts exactly the planted trials among those it ran, counts the
+    rest, and no warning is raised."""
+    draw, add, ran = engine._draw_trials, engine._add, {}
+
+    def planted(cfg, code, t_lo, t_hi):
+        bits, z = draw(cfg, code, t_lo, t_hi)
+        z[np.arange(t_lo, t_hi) % 7 == 3, : code.n_ports] = 0.0
+        return bits, z
+
+    def counted(point, trial_errors, trial_aborted):
+        ran[id(point)] = ran.get(id(point), 0) + len(trial_aborted)
+        add(point, trial_errors, trial_aborted)
+
+    monkeypatch.setattr(engine, "_draw_trials", planted)
+    monkeypatch.setattr(engine, "_add", counted)
+    cfg = small_cfg(m=16, snr_db=(0.0, 6.0, 12.0), max_trials=10000, min_bit_errors=300, **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if sweep == "angle":
+            points = [p for _, p in run_angle_sweep(cfg, 6.0)]
+        else:
+            points = run_ber_sweep(cfg)
+    for point in points:
+        n = ran[id(point)]
+        assert point.aborted == len(range(3, n, 7))
+        assert point.trials + point.aborted == n
 
 
 def test_emit_csv_format(tmp_path):

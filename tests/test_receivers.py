@@ -48,7 +48,7 @@ def test_single_decoder_roundtrip():
     g = channels(rng, len(bits), 1)
     y = observe(x, g)
     _, aborted = code.decode(y, g)
-    idx = SingleDecoder(code).decode_batch(y, g, aborted)
+    idx = SingleDecoder(code).decode_batch(y, g)
     assert not aborted.any()
     np.testing.assert_allclose(psk.points[idx[:, 0]], x[:, 0, 0])
     np.testing.assert_array_equal(code.decode(y, g)[0], bits)
@@ -60,7 +60,7 @@ def test_ac_matched_filter_identity_channel():
     g = np.array([[1.0 + 0j, 0.0]])
     code = build_code("ac", 2)
     _, aborted = code.decode(g @ cw, g)
-    idx = AcDecoder(code).decode_batch(g @ cw, g, aborted)
+    idx = AcDecoder(code).decode_batch(g @ cw, g)
     np.testing.assert_array_equal(idx, [[1, 3]])
     assert not aborted.any()
 
@@ -76,7 +76,7 @@ def test_decoder_returns_payload_words(kind, rate):
     g = channels(rng, len(bits), code.n_ports)
     y = observe(code.encode(bits), g)
     _, aborted = code.decode(y, g)
-    idx = code.decoder.decode_batch(y, g, aborted)
+    idx = code.decoder.decode_batch(y, g)
     assert not aborted.any()
     start = 0
     for k, c in enumerate(code.constellations):
@@ -265,7 +265,7 @@ def test_deterministic_tie_break():
     decoder = SingleDecoder(code)
     y, g = np.zeros((1, 1)), np.ones((1, 1), dtype=complex)
     _, aborted = code.decode(y, g)
-    idx = decoder.decode_batch(y, g, aborted)
+    idx = decoder.decode_batch(y, g)
     np.testing.assert_array_equal(idx, [[0]])  # lowest index wins
     assert not aborted.any()
 
@@ -274,9 +274,9 @@ def _count_blocks(code, monkeypatch):
     """Wrap the code's ``decode_batch``; returns the list of block sizes."""
     sizes, decode_batch = [], code.decoder.decode_batch
 
-    def counted(y, g, aborted):
+    def counted(y, g):
         sizes.append(len(g))
-        return decode_batch(y, g, aborted)
+        return decode_batch(y, g)
 
     monkeypatch.setattr(code.decoder, "decode_batch", counted)
     return sizes
@@ -297,7 +297,7 @@ def test_blocked_search_matches_one_block(kind, l_sym, n_ports, monkeypatch):
     y = observe(code.encode(bits), g, 0.3, rng)
     sizes = _count_blocks(code, monkeypatch)
     whole, _ = code.decode(y, g)
-    monkeypatch.setattr(receivers, "MAX_BLOCK_BYTES", code.decoder.row_bytes * 300)
+    monkeypatch.setattr(kinds, "MAX_BLOCK_BYTES", code.decoder.row_bytes * 300)
     blocked, _ = code.decode(y, g)
     assert sizes == [1000, 300, 300, 300, 100]
     np.testing.assert_array_equal(blocked, whole)
@@ -350,7 +350,7 @@ def test_zf_noiseless_exhaustive_payloads(kind, l_sym, n_ports):
         g = np.broadcast_to(g, (len(idx), n_ports))
         y = observe(matrices, g)
         _, aborted = code.decode(y, g)
-        got = decoder.decode_batch(y, g, aborted)
+        got = decoder.decode_batch(y, g)
         assert not aborted.any()
         np.testing.assert_array_equal(got, idx)
 
@@ -584,22 +584,21 @@ def test_band_solve_matches_row_major_reference(kind, l_sym, n_ports):
     "kind,l_sym,n_ports", NZE_SHAPES, ids=[f"{k}_{l}_{n}" for k, l, n in NZE_SHAPES]
 )
 def test_zf_words_match_row_major_reference(kind, l_sym, n_ports):
-    """On 1024 noisy QPSK trials, four of them with an all-zero channel,
+    """On 1024 noisy QPSK trials, four of them with the all-ones channel
+    that ``Code.decode`` hands a decoder for an all-zero one,
     ``decode_batch`` returns the words of the same matched filter, band and
     slicing solved on the row-major band by the reference above."""
     code = build_code(kind, 2, l_sym, n_ports)
     decoder = code.decoder
     rng = np.random.default_rng(18)
     g = channels(rng, 1024, n_ports)
-    g[[0, 5, 511, 1023]] = 0.0
+    g[[0, 5, 511, 1023]] = 1.0
     y = observe(code.encode(rng.integers(0, 2, (len(g), code.nbits))), g, 0.3, rng)
-    aborted = ~g.any(axis=1)
 
     band = decoder.band(g).transpose(1, 0, 2).copy()  # (p + 1, L, B)
-    band[0][:, aborted] = 1.0
     xhat = _row_major_band_solve(band, decoder._matched_filter(y, g))
     score = xhat.view(float).reshape(l_sym, -1, 2) @ decoder._axes
-    np.testing.assert_array_equal(decoder.decode_batch(y, g, aborted), np.argmax(score, axis=-1).T)
+    np.testing.assert_array_equal(decoder.decode_batch(y, g), np.argmax(score, axis=-1).T)
 
 
 LEAST_SQUARES_SHAPES = {
@@ -625,8 +624,9 @@ def test_zf_matches_least_squares(kind, l_sym, n_ports, rate):
     """ZF equals a per-trial least-squares solve of the real 2T x 2L system,
     built here from the code's codewords of the unit symbol vectors, sliced
     to the nearest point of BPSK, QPSK or 8-PSK; only the planted zero
-    channel aborts.  The shapes span the narrowest band (p = 2) to the
-    widest (p = L - 1 at N = L)."""
+    channel aborts, and the decoder sees what ``Code.decode`` hands it in
+    its place, a row of ones.  The shapes span the narrowest band (p = 2)
+    to the widest (p = L - 1 at N = L)."""
     code = build_code(kind, rate, l_sym, n_ports)
     rng = np.random.default_rng(13)
     bits = rng.integers(0, 2, (64, code.nbits))
@@ -634,7 +634,7 @@ def test_zf_matches_least_squares(kind, l_sym, n_ports, rate):
     g[5] = 0.0
     y = observe(code.encode(bits), g, 0.2, rng)
     _, aborted = code.decode(y, g)
-    idx = code.decoder.decode_batch(y, g, aborted)
+    idx = code.decoder.decode_batch(y, np.where(aborted[:, None], 1.0, g))
     np.testing.assert_array_equal(aborted, np.arange(len(bits)) == 5)
 
     n_sym = len(code.constellations)
@@ -677,9 +677,9 @@ def test_zf_batch_memory_is_capped(kind, rate, l_sym, n_ports, n_trials, n_block
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * receivers.MAX_BLOCK_BYTES
+    assert peak < 2 * kinds.MAX_BLOCK_BYTES
     assert len(sizes) == n_blocks
-    assert max(sizes) * code.decoder.row_bytes <= receivers.MAX_BLOCK_BYTES
+    assert max(sizes) * code.decoder.row_bytes <= kinds.MAX_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("kind,rate", [(kind, rate) for kind in ENUMERABLE for rate in (1, 2)])
@@ -690,17 +690,17 @@ def test_ml_batch_memory_is_capped(kind, rate, monkeypatch):
     g (x) conj([g, y]), 16 N (N + T) bytes per trial (512 for the four-port
     codes, so 2 MiB for a whole batch), or a group's metrics, 8 bytes per
     candidate (2048 for OSTBC at R = 2)."""
-    monkeypatch.setattr(receivers, "MAX_BLOCK_BYTES", 1 << 20)
+    monkeypatch.setattr(kinds, "MAX_BLOCK_BYTES", 1 << 20)
     code = build_code(kind, rate)
     rng = np.random.default_rng(16)
     g = channels(rng, 4096, code.n_ports)
     y = observe(code.encode(rng.integers(0, 2, (len(g), code.nbits))), g, 0.2, rng)
     peaks, decode_batch = [], code.decoder.decode_batch
 
-    def traced(y, g, aborted):
+    def traced(y, g):
         tracemalloc.start()
         try:
-            words = decode_batch(y, g, aborted)
+            words = decode_batch(y, g)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -708,7 +708,7 @@ def test_ml_batch_memory_is_capped(kind, rate, monkeypatch):
 
     monkeypatch.setattr(code.decoder, "decode_batch", traced)
     code.decode(y, g)
-    assert max(peaks) < 2 * receivers.MAX_BLOCK_BYTES
+    assert max(peaks) < 2 * kinds.MAX_BLOCK_BYTES
 
 
 def test_zf_refuses_mixed_slot():

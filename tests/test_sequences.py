@@ -32,6 +32,8 @@ def test_zc_rejects_bad_roots():
         zc_generate(8, 0)
     with pytest.raises(ValueError, match="outside"):
         zc_generate(8, 8)
+    with pytest.raises(ValueError, match="length must be positive"):
+        zc_generate(0, 1)
 
 
 def test_autocorr_all_ones():
@@ -76,6 +78,10 @@ def test_is_constant_amplitude():
     assert not is_constant_amplitude([1, 0])
     assert is_constant_amplitude(zc_generate(16, 1))
     assert not is_constant_amplitude([0, 0, 0])
+    with pytest.raises(ValueError, match="nonempty"):
+        is_constant_amplitude([])
+    with pytest.raises(ValueError, match="nonempty"):
+        is_cazac([])
 
 
 def test_is_cazac():
@@ -97,3 +103,6 @@ def test_lift_divisibility():
         lift(zc_generate(8, 1), [1, 1, 1])  # 8 is not a multiple of 9
     with pytest.raises(ValueError):
         lift(zc_generate(8, 1), [1, -1, 1, -1])  # 8 is not a multiple of 16
+    for empty in ([], 1.0):
+        with pytest.raises(ValueError, match="nonempty first axis"):
+            lift(zc_generate(8, 1), empty)

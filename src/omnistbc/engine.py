@@ -16,8 +16,12 @@ estimate.
 
 Since the points share their trials, a batch is drawn and encoded once for
 the points still running: each distinct angle costs one channel product
-and one noiseless signal, and each point only
-y = noise x 10^(-snr/20) + signal, a decode and an error count.
+and one noiseless signal, and each point only its observation
+y = noise x 10^(-snr/20) + signal.  The observations of one angle share
+its channel rows, so they go to one decode, stacked (as many as fit in
+MAX_BLOCK_BYTES), which forms the decoder's channel-only work (the ZF
+band and its factor, the ML channel term) once for all of them, and to
+one error count.
 
 A trial draws only what the receiver sees: the N-dimensional effective
 channel h^H W, from an N x N factor of W^H R W, and the T noise samples.
@@ -50,7 +54,7 @@ from .channel import covariance_factor, covariance_for
 # Unused here; kept importable because perfbench/spans.py traces them by these names.
 from .codes import ac_matrix, ciod_matrix, ostbc_matrix, qostbc_matrix  # noqa: F401
 from .config import TRIALS_PER_BATCH, ConfigError, snr_problem
-from .kinds import build_code
+from .kinds import MAX_BLOCK_BYTES, build_code
 from .precoding import PRBS_TAG, precoder_for_code, prbs_phase_vector
 
 __all__ = [
@@ -166,12 +170,15 @@ def _draw_trials(cfg, code, t_lo, t_hi):
 def _run_batch(cfg, code, g_maps, points, t_lo, t_hi):
     """Run trials [t_lo, t_hi) at each (snr_db, theta0_deg) of ``points``,
     all from one draw and one encode; returns, per point, each trial's bit
-    errors (B,), zero for an aborted trial, and the abort mask (B,)."""
+    errors (B,), zero for an aborted trial, and the abort mask (B,).  The
+    points of one angle share its channel rows, so their observations go
+    to one decode, in as few stacks as fit in MAX_BLOCK_BYTES."""
     n_ports = code.n_ports
     bits, z = _draw_trials(cfg, code, t_lo, t_hi)
     noise = z[:, n_ports:]
     codewords = code.encode(bits)
     thetas = list(dict.fromkeys(theta for _, theta in points))
+    stack = max(1, MAX_BLOCK_BYTES // noise.nbytes)
     results = [None] * len(points)
     for theta in thetas:
         g_row = z[:, :n_ports] @ g_maps[theta]  # entries of h^H W
@@ -181,15 +188,22 @@ def _run_batch(cfg, code, g_maps, points, t_lo, t_hi):
             # one-angle batch frees them before the decoder allocates its
             # blocks.
             del codewords
-        for i, (snr_db, point_theta) in enumerate(points):
-            if point_theta == theta:
-                y = noise * 10.0 ** (-snr_db / 20.0)
-                y += signal
-                bits_hat, aborted = code.decode(y, g_row)
-                del y
-                errors = np.count_nonzero(bits_hat != bits, axis=1)
-                errors[aborted] = 0
-                results[i] = errors, aborted
+        at = [i for i, (_, point_theta) in enumerate(points) if point_theta == theta]
+        for lo in range(0, len(at), stack):
+            chunk = at[lo : lo + stack]
+            scales = np.array([10.0 ** (-points[i][0] / 20.0) for i in chunk])
+            ys = noise * scales[:, None, None]
+            ys += signal
+            if theta == thetas[-1] and lo + stack >= len(at):
+                # So are the draws and the signal, once the last
+                # observations are formed.
+                del z, noise, signal
+            bits_hat, aborted = code.decode(ys, g_row)
+            del ys
+            errors = np.count_nonzero(bits_hat != bits, axis=2)
+            errors[:, aborted] = 0
+            for i, trial_errors in zip(chunk, errors):
+                results[i] = trial_errors, aborted
     return results
 
 

@@ -102,8 +102,9 @@ class Code:
     code that only encodes or is refused never builds it.  ``decode`` holds the
     batch policy that every decoder shares: it marks the trials whose
     channel row is all zero as aborted and gives the decoder a row of ones
-    in their place, hands it the batch in blocks of rows, and unpacks the
-    symbols' bit words to bits.
+    in their place, hands it the batch in blocks of rows with every
+    observation of those rows (P observations through one channel, as the
+    points of one angle are), and unpacks the symbols' bit words to bits.
     ``groups`` and ``group_codebooks`` are the decoupled symbol groups and
     their sub-codebooks, which the ML decoder and the coding gain read;
     they are derived on first use, so the ZF kinds never derive them.
@@ -146,22 +147,23 @@ class Code:
         return self.assemble(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
 
     def decode(self, y, g):
-        """Observations (B, T) through channels (B, N) -> (bits (B, nbits),
-        aborted (B,)); a trial aborts when its channel row is all zero, and
-        its bits mean nothing: the decoder sees a row of ones in its place.
-        The decoder takes the rows in blocks whose largest array,
-        ``row_bytes`` per row, fits in MAX_BLOCK_BYTES."""
+        """Observations (P, B, T), each through the same channels (B, N), ->
+        (bits (P, B, nbits), aborted (B,)); a trial aborts when its channel
+        row is all zero, and its bits mean nothing: the decoder sees a row
+        of ones in its place.  The decoder takes the rows in blocks, all P
+        observations of a row together, whose ``row_bytes`` per row fit in
+        MAX_BLOCK_BYTES."""
         g = np.asarray(g, dtype=complex)
         aborted = ~g.any(axis=1)
         if aborted.any():
             g = g.copy()
             g[aborted] = 1.0
-        words = np.empty((len(g), len(self.constellations)), dtype=np.intp)
+        words = np.empty((len(y), len(g), len(self.constellations)), dtype=np.intp)
         step = max(1, MAX_BLOCK_BYTES // self.decoder.row_bytes)
         for lo in range(0, len(g), step):
             rows = slice(lo, lo + step)
-            words[rows] = self.decoder.decode_batch(y[rows], g[rows])
-        bits = words[:, self._bit_symbol]
+            words[:, rows] = self.decoder.decode_batch(y[:, rows], g[rows])
+        bits = words[..., self._bit_symbol]
         bits >>= self._bit_shift
         bits &= 1
         return bits, aborted

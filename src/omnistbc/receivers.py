@@ -17,14 +17,19 @@ that ``assemble`` probes out: the Gram of that map is a band, and a band
 LDL^H solves it for the whole batch at once.
 
 Every decoder has one call, ``decode_batch(y, g) -> words``, over a block
-of trials: y is (B, T), g is (B, N) complex with no all-zero row, and
-``words`` (B, n_symbols) bit words, one per symbol in payload order (a
+of trials: y is (P, B, T), P observations of each trial through its one
+channel row, g is (B, N) complex with no all-zero row, and ``words``
+(P, B, n_symbols) bit words, one per symbol in payload order (a
 constellation stores its points in bit-word order, so an index into it is
-the word it carries); each row's words depend on that row alone.
-``row_bytes`` is the bytes per trial of its largest per-block array.  The
-registry's ``Code.decode`` keeps all-zero channel rows from the decoder,
-cuts a batch into blocks under ``kinds.MAX_BLOCK_BYTES`` and unpacks the
-words to bits.  Ties in any candidate search resolve to the lowest word,
+the word it carries); each row's words depend on that row and that
+observation alone.  What depends on g only (the ZF band and its factor,
+the ML channel term) is formed once per block and read by every
+observation.  ``row_bytes`` is the bytes per trial that a block holds at
+once: the kept channel state plus the largest array an observation adds,
+or, where no two of them meet, the largest stage.  The registry's
+``Code.decode`` keeps all-zero channel rows from the decoder, cuts a batch
+into blocks under ``kinds.MAX_BLOCK_BYTES`` and unpacks the words to
+bits.  Ties in any candidate search resolve to the lowest word,
 in payload order, as in an exhaustive search over the codebook.
 """
 
@@ -38,6 +43,18 @@ __all__ = [
     "CiodDecoder",
     "NzeZfDecoder",
 ]
+
+# The ML search scores a block in chunks of rows: as many as fit in half of
+# a 2 MiB L2 cache, so that adding each observation's metrics to the kept
+# channel terms, and the argmin, read them from the cache, but never fewer
+# than _CHUNK_ROWS, below which each chunk's matrix products run slower per
+# row.  On one core of a 2-vCPU Xeon VM, three observations of a 4096-trial
+# block took 12.3 ms in one chunk and 8.8 ms in 256-row chunks at OSTBC
+# R = 2 (256 candidates), and 173 ms in 16-row chunks, 140 ms in 128-row
+# ones, at R = 3 (4096 candidates).
+_CHUNK_BYTES = 1 << 20
+_CHUNK_ROWS = 128
+
 
 class _GroupSearch:
     """Exact ML as one candidate search per decoupled group of symbols.
@@ -57,28 +74,47 @@ class _GroupSearch:
     Re(a b) = Re a Re b - Im a Im b, that is one real product of f viewed
     as floats, the real then the imaginary part of each (n, j), with the
     constant ``weights``, whose rows are (Re coef, -Im coef) in that order.
-    A block's largest array is either the features, 16 N (N + T) bytes per
-    trial, or the metrics of the largest group, 8 bytes per candidate and
-    trial.
+    The gg rows of ``weights`` (the channel rows) and the gy rows (the
+    observed rows) are kept apart: the channel term gg . gram of each
+    group, (B, C), is formed once, and each observation adds its gy
+    features times the observed rows and takes the argmin.  Per trial that
+    keeps the channel terms, 8 bytes per candidate over all groups, beside
+    the largest array of one observation: its features, 16 N T bytes (16 N N
+    for the channel's, N <= T for every fixed-port kind), or the metrics of
+    the largest group.  That is ``row_bytes``; a block is scored in chunks
+    of rows whose ``row_bytes`` fit in _CHUNK_BYTES, or of _CHUNK_ROWS rows.
     """
 
     def __init__(self, code):
         self.n_symbols = len(code.constellations)
+        n_ports, n_slots = code.n_ports, code.n_slots
         self.searches = []
         for group, cand, sub in code.group_codebooks():
             gram = np.einsum("cnt,cmt->nmc", sub, sub.conj())
             coef = np.concatenate([gram, -2.0 * sub.transpose(1, 2, 0)], axis=1)  # (N, N + T, C)
-            weights = np.stack([coef.real, -coef.imag], axis=2).reshape(-1, len(cand))
-            self.searches.append((group, cand, weights))
-        features = 16 * code.n_ports * (code.n_ports + code.n_slots)
-        self.row_bytes = max(features, 8 * max(len(cand) for _, cand, _ in self.searches))
+            weights = np.stack([coef.real, -coef.imag], axis=2)  # (N, N + T, 2, C)
+            channel, observed = weights[:, :n_ports], weights[:, n_ports:]
+            pair = channel.reshape(-1, len(cand)), observed.reshape(-1, len(cand))
+            self.searches.append((group, cand, pair))
+        sizes = [len(cand) for _, cand, _ in self.searches]
+        features = 16 * n_ports * max(n_ports, n_slots)
+        self.row_bytes = 8 * sum(sizes) + max(features, 8 * max(sizes))
+        self._chunk_rows = max(_CHUNK_ROWS, _CHUNK_BYTES // self.row_bytes)
 
     def decode_batch(self, y, g):
-        row = np.concatenate([g, y], axis=1).conj()
-        features = (g[:, :, None] * row[:, None, :]).view(float).reshape(len(g), -1)
-        words = np.empty((len(g), self.n_symbols), dtype=np.intp)
-        for group, cand, weights in self.searches:
-            words[:, group] = cand[np.argmin(features @ weights, axis=1)]
+        words = np.empty((len(y), len(g), self.n_symbols), dtype=np.intp)
+        for lo in range(0, len(g), self._chunk_rows):
+            rows = slice(lo, lo + self._chunk_rows)
+            g_rows = g[rows]
+            gg = (g_rows[:, :, None] * g_rows.conj()[:, None, :]).reshape(len(g_rows), -1)
+            terms = [gg.view(float) @ weights for _, _, (weights, _) in self.searches]
+            del gg
+            for obs, out in zip(y[:, rows], words[:, rows]):
+                gy = (g_rows[:, :, None] * obs.conj()[:, None, :]).reshape(len(obs), -1)
+                for (group, cand, (_, weights)), term in zip(self.searches, terms):
+                    metric = gy.view(float) @ weights
+                    metric += term
+                    out[:, group] = cand[np.argmin(metric, axis=1)]
         return words
 
 
@@ -119,25 +155,25 @@ def _real_weights(table):
     return np.concatenate([table.real.T, table.imag.T])
 
 
-def _band_solve(band, rhs):
-    """Solve Gram x = rhs for a batch of Hermitian positive definite band
-    matrices by LDL^H, in place.
+def _band_factor(band):
+    """LDL^H of a batch of Hermitian positive definite band matrices, in
+    place; returns D (L, B).
 
     ``band`` (L, p + 1, B) holds the upper band by column, band[k, d] =
-    Gram[k, k + d] (entries past column L - 1 unused), and ``rhs`` is
-    (L, B).  Step k scales row k, band[k, 1 : m + 1], by 1 / D_k, subtracts
-    its outer product from the upper triangle of the trailing block one
-    row at a time, and carries the forward substitution of U^H z = rhs
-    along; the back substitution U x = z / D follows.  The loops run over
-    L and p, each operation over the whole batch.  By column, the row a
-    step reads and each block it updates are one contiguous (m, B) block;
-    by band row, (p + 1, L, B), each would be m rows L B 16 bytes apart,
-    and one update of 7 x 1024 values takes about 31 us there against 16
-    us contiguous (one core of a shared 2-vCPU host).  Scaling by 1 / D_k
-    is bit-identical to dividing: NumPy's complex / real c multiplies by 1 / c.
+    Gram[k, k + d] (entries past column L - 1 unused).  Step k scales row
+    k, band[k, 1 : m + 1], by 1 / D_k and subtracts its outer product from
+    the upper triangle of the trailing block one row at a time; the scaled
+    row is U's, so on return band[k, 1:] holds U[k, k + 1 :] (U unit upper
+    triangular, Gram = U^H D U).  The loops run over L and p, each
+    operation over the whole batch.  By column, the row a step reads and
+    each block it updates are one contiguous (m, B) block; by band row,
+    (p + 1, L, B), each would be m rows L B 16 bytes apart, and one update
+    of 7 x 1024 values takes about 31 us there against 16 us contiguous
+    (one core of a shared 2-vCPU host).  Scaling by 1 / D_k is
+    bit-identical to dividing: NumPy's complex / real c multiplies by 1 / c.
     """
-    n, width, _ = band.shape
-    diag = np.empty(rhs.shape)
+    n, width, n_trials = band.shape
+    diag = np.empty((n, n_trials))
     for k in range(n):
         m = min(width - 1, n - 1 - k)
         diag[k] = band[k, 0].real
@@ -146,8 +182,20 @@ def _band_solve(band, rhs):
         row_conj = row.conj()
         for a in range(m):
             band[k + 1 + a, : m - a] -= row_conj[a] * u[a:]
-        rhs[k + 1 : k + m + 1] -= u.conj() * rhs[k]
         row[...] = u
+    return diag
+
+
+def _band_substitute(band, diag, rhs):
+    """x (L, B) with Gram x = rhs, from ``_band_factor``'s band and D: the
+    forward substitution U^H z = rhs, in place in ``rhs`` (L, B), then the
+    back substitution U x = z / D.  Each step is the operation that a solve
+    fused into the factor's loop would apply at the same step, so x is
+    bit-identical to such a solve."""
+    n, width, _ = band.shape
+    for k in range(n - 1):
+        m = min(width - 1, n - 1 - k)
+        rhs[k + 1 : k + m + 1] -= band[k, 1 : m + 1].conj() * rhs[k]
     x = rhs / diag
     for k in range(n - 2, -1, -1):
         m = min(width - 1, n - 1 - k)
@@ -182,24 +230,30 @@ class NzeZfDecoder:
     the Gram is a band: ``p``, the largest |k - l| of an entry that is not
     identically zero, is N - 1 for NZE-TC (the wrap corners cancel through
     the sign flip) and at most N - 1 for NZE-OAC (N - 2 at even N).  A
-    batch costs, per trial:
+    block costs, per trial, once for its channel rows:
     - the upper band, stored by column as (L, p + 1) so that each step of
-      the solve reads and updates contiguous blocks, from one real product
+      the factor reads and updates contiguous blocks, from one real product
       of the N (N + 1) real and imaginary parts of conj(g_n) g_m, n <= m,
       with the table's U distinct columns: N (N + 1) x 2U multiply-adds;
+    - its LDL^H (``_band_factor``), about L p^2 / 2 complex multiply-adds,
+      against T L^2 for the dense Gram and L^3 / 3 for its factorization;
+    and for each observation:
     - H^H y', from one real product of the N T products conj(g_n) y_t:
       2 N T x 2 L multiply-adds;
-    - a band LDL^H (``_band_solve``), about L p^2 / 2 complex
-      multiply-adds and 2 L p more for the substitutions, against T L^2
-      for the dense Gram and L^3 / 3 for its factorization;
+    - the forward and back substitutions on that factor
+      (``_band_substitute``), 2 L p complex multiply-adds;
     - slicing by projection: for points of one modulus, the nearest point
       to x_k is the one with the largest Re(x_k conj(p)) = Re x_k Re p +
       Im x_k Im p, the first on a tie, so the lowest word wins as in a
       nearest-point search.  The scores are one real product of each
       (Re x_k, Im x_k) with its points' (Re p, Im p) columns: 2 L x
       (points) multiply-adds, and no complex difference or modulus.
-    ``row_bytes`` is the bytes per trial of a block's largest array: the
-    N T products, the band or the scores.
+    Every observation's H^H y' is formed before the band, and the band is
+    freed before the first scores, so the three stages' arrays never meet:
+    ``row_bytes`` is the bytes per trial of the largest, the N T products,
+    the band with D, or the scores.  Beside them a block holds each
+    observation's (L,) H^H y' and then its x, no larger than the
+    observation itself (L <= T).
 
     H has full column rank for every nonzero channel, the only kind
     ``Code.decode`` hands a decoder, so no Gram it solves is singular.
@@ -244,13 +298,16 @@ class NzeZfDecoder:
         _, n_ports, n_slots = a.shape
 
         # Gram[k, k + d] is zero unless symbols k and k + d share a slot, so
-        # one pass forms only those diagonals, into band[n, m, d, k]: the
-        # coefficient of conj(g_n) g_m (conj(g_m) g_n in a conjugated slot)
-        # in Gram[k, k + d].  p is the last diagonal that does not cancel.
+        # one pass forms only those diagonals, into band[n, m, d, k] sized up
+        # to the last of them: the coefficient of conj(g_n) g_m
+        # (conj(g_m) g_n in a conjugated slot) in Gram[k, k + d].  p is the
+        # last diagonal that does not cancel.
         occupied = (a + b).any(axis=1)  # (L, T)
         shared = occupied @ occupied.T  # (L, L)
-        band = np.zeros((n_ports, n_ports, n_sym, n_sym), dtype=complex)
-        for d in range(n_sym):
+        rows, cols = np.nonzero(shared)
+        width = int((cols - rows).max()) + 1
+        band = np.zeros((n_ports, n_ports, width, n_sym), dtype=complex)
+        for d in range(width):
             if np.diagonal(shared, d).any():
                 c = a[: n_sym - d].conj() @ a[d:].transpose(0, 2, 1)
                 c += b[d:] @ b[: n_sym - d].conj().transpose(0, 2, 1)
@@ -277,8 +334,11 @@ class NzeZfDecoder:
         mf = np.stack([a + b, 1j * (b - a)], axis=-1).conj()  # (L, N, T, 2)
         self._mf_weights = _real_weights(mf.transpose(1, 2, 3, 0).reshape(-1, n_sym))
 
-        # Per trial: the complex N T products and band, and the real scores.
-        self.row_bytes = max(16 * n_ports * n_slots, 16 * len(self._band_index), 8 * points.size)
+        # Per trial, one stage at a time: the complex N T products, the band
+        # with D, and the real scores.
+        self.row_bytes = max(
+            16 * n_ports * n_slots, 16 * len(self._band_index) + 8 * n_sym, 8 * points.size
+        )
 
     def band(self, g):
         """The upper band (L, p + 1, B) of the Gram H^H H for channels
@@ -294,7 +354,15 @@ class NzeZfDecoder:
         return _complex(self._mf_weights @ products.T)
 
     def decode_batch(self, y, g):
-        rhs = self._matched_filter(y, g)
-        xhat = _band_solve(self.band(g), rhs)  # (L, B)
-        score = xhat.view(float).reshape(len(xhat), -1, 2) @ self._axes  # (L, B, points)
-        return np.argmax(score, axis=-1).T
+        # Every matched filter runs before the band, and the band is freed
+        # before the first scores, so no two stages' arrays meet.
+        rhs = [self._matched_filter(obs, g) for obs in y]
+        band = self.band(g)
+        diag = _band_factor(band)
+        xhat = [_band_substitute(band, diag, r) for r in rhs]  # each (L, B)
+        del rhs, band
+        words = np.empty((len(y), len(g), len(diag)), dtype=np.intp)
+        for x, out in zip(xhat, words):
+            score = x.view(float).reshape(len(x), -1, 2) @ self._axes  # (L, B, points)
+            out[...] = np.argmax(score, axis=-1).T
+        return words

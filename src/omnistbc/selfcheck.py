@@ -136,8 +136,8 @@ def check_decoder_roundtrips():
             bits, book = (np.repeat(a, 50, axis=0) for a in code.codebook())
             z = rng.standard_normal((len(bits), 2, code.n_ports))
             g = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0 * code.n_ports)
-            decoded, aborted = code.decode(np.einsum("bn,bnt->bt", g, book), g)
-            if aborted.any() or not np.array_equal(decoded, bits):
+            decoded, aborted = code.decode(np.einsum("bn,bnt->bt", g, book)[None], g)
+            if aborted.any() or not np.array_equal(decoded[0], bits):
                 return False, f"{kind} R={rate} noiseless round-trip failed"
     return True, "noiseless ML round-trips, exhaustive payloads"
 

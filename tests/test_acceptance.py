@@ -115,8 +115,8 @@ def test_criterion_06_decoder_oracle_equivalence():
             ys.append(y)
             gs.append(g)
             want.append(exhaustive_ml(y, g, book))
-        decoded, aborted = code.decode(np.array(ys), np.array(gs))
-        mismatches += int(np.sum(np.any(decoded != np.array(want), axis=1) | aborted))
+        decoded, aborted = code.decode(np.array(ys)[None], np.array(gs))
+        mismatches += int(np.sum(np.any(decoded[0] != np.array(want), axis=1) | aborted))
     noiseless_ok, noiseless = selfcheck.check_decoder_roundtrips()
     _report(
         6,

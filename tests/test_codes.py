@@ -273,8 +273,8 @@ def test_code_pickles(kind, rate, extra):
     np.testing.assert_array_equal(copy.encode(bits), x)
     g = rng.standard_normal((256, code.n_ports)) + 1j * rng.standard_normal((256, code.n_ports))
     y = np.einsum("bn,bnt->bt", g, x) + 0.5 * rng.standard_normal(x.shape[::2])
-    want_bits, want_aborted = code.decode(y, g)
-    got_bits, got_aborted = copy.decode(y, g)
+    want_bits, want_aborted = code.decode(y[None], g)
+    got_bits, got_aborted = copy.decode(y[None], g)
     np.testing.assert_array_equal(got_bits, want_bits)
     np.testing.assert_array_equal(got_aborted, want_aborted)
 

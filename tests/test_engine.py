@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import exact_bpsk_ber, hermitian_toeplitz
 
-from omnistbc import engine
+from omnistbc import engine, receivers
 from omnistbc.analysis import BerPoint
 from omnistbc.channel import covariance_for
 from omnistbc.config import TRIALS_PER_BATCH, ConfigError, SimConfig, parse_config
@@ -418,22 +418,53 @@ def test_point_setup_never_forms_the_covariance():
 
 
 @pytest.mark.parametrize(
-    "kind,nze_l,nze_n", [("nze_tc", 32, 20), ("nze_oac", 26, 22)], ids=["nze_tc", "nze_oac"]
+    "kind,nze_l,nze_n,snrs",
+    [
+        ("nze_tc", 32, 20, (2.0,)),
+        ("nze_oac", 26, 22, (2.0,)),
+        ("nze_tc", 32, 20, (2.0, 8.0)),
+        ("nze_oac", 26, 22, (2.0, 8.0)),
+    ],
+    ids=["nze_tc", "nze_oac", "nze_tc_two_points", "nze_oac_two_points"],
 )
-def test_batch_frees_codewords_before_decoding(kind, nze_l, nze_n):
-    """At the largest NZE shapes validation accepts, one full batch peaks
-    under 1.5 codeword batches of traced memory: the codewords are freed
-    once transmitted, before the decoder allocates its blocks."""
+def test_batch_frees_codewords_before_decoding(kind, nze_l, nze_n, snrs):
+    """At the largest NZE shapes validation accepts, one full batch of one
+    point or of two points at one angle peaks under 1.5 codeword batches of
+    traced memory: the codewords are freed once transmitted, before the
+    decoder allocates its blocks, and two points add one observation each,
+    not a second set of the decoder's arrays."""
     cfg = small_cfg(code=kind, nze_l=nze_l, nze_n=nze_n, m=4 * nze_n**2).validate()
     code, g_maps = engine._sweep_setup(cfg, "pas.theta0_deg", [10.0])
     batch_bytes = 16 * code.n_ports * code.n_slots * TRIALS_PER_BATCH
     tracemalloc.start()
     try:
-        engine._run_batch(cfg, code, g_maps, [(2.0, 10.0)], 0, TRIALS_PER_BATCH)
+        engine._run_batch(cfg, code, g_maps, [(snr, 10.0) for snr in snrs], 0, TRIALS_PER_BATCH)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * batch_bytes, f"batch peaked at {peak / batch_bytes:.2f} codeword batches"
+
+
+def test_channel_work_runs_once_per_angle(monkeypatch):
+    """In a sweep of 3 SNRs at 2 angles, the ZF decoder forms each batch's
+    Gram band once per angle, not once per point: the points of an angle
+    share its channel rows, so their observations go to one decode."""
+    calls = []
+    band = receivers.NzeZfDecoder.band
+
+    def counted(self, g):
+        calls.append(len(g))
+        return band(self, g)
+
+    monkeypatch.setattr(receivers.NzeZfDecoder, "band", counted)
+    cfg = small_cfg(
+        code="nze_oac", nze_l=12, nze_n=4, m=64, max_trials=2 * TRIALS_PER_BATCH,
+        min_bit_errors=10**15,
+    ).validate()
+    points = [(snr, theta) for theta in (-20.0, 30.0) for snr in (0.0, 4.0, 8.0)]
+    records = engine._sweep(cfg, "pas.theta0_deg", points)
+    assert [p.trials + p.aborted for p in records] == [2 * TRIALS_PER_BATCH] * len(points)
+    assert calls == [TRIALS_PER_BATCH] * (2 * 2)  # batches x angles
 
 
 # Three BER sweeps in one process, each printing the minor page faults it took.
@@ -579,8 +610,8 @@ def _per_point_sweep(cfg, angle_key, points):
                 z[:, n_ports:] *= 10.0 ** (-snr_db / 20.0)
                 y = np.einsum("bn,bnt->bt", g_row, code.encode(bits))
                 y += z[:, n_ports:]
-                bits_hat, trial_aborted = code.decode(y, g_row)
-                trial_errors = np.count_nonzero(bits_hat != bits, axis=1)
+                bits_hat, trial_aborted = code.decode(y[None], g_row)
+                trial_errors = np.count_nonzero(bits_hat[0] != bits, axis=1)
                 trial_errors[trial_aborted] = 0
                 n_aborted = int(np.count_nonzero(trial_aborted))
                 counted += len(trial_aborted) - n_aborted

@@ -47,11 +47,11 @@ def test_single_decoder_roundtrip():
     x = code.encode(bits)
     g = channels(rng, len(bits), 1)
     y = observe(x, g)
-    _, aborted = code.decode(y, g)
-    idx = SingleDecoder(code).decode_batch(y, g)
+    _, aborted = code.decode(y[None], g)
+    idx = SingleDecoder(code).decode_batch(y[None], g)[0]
     assert not aborted.any()
     np.testing.assert_allclose(psk.points[idx[:, 0]], x[:, 0, 0])
-    np.testing.assert_array_equal(code.decode(y, g)[0], bits)
+    np.testing.assert_array_equal(code.decode(y[None], g)[0][0], bits)
 
 
 def test_ac_matched_filter_identity_channel():
@@ -59,8 +59,8 @@ def test_ac_matched_filter_identity_channel():
     cw = kinds.AC_TABLE.build(psk.points[[1, 3]])
     g = np.array([[1.0 + 0j, 0.0]])
     code = build_code("ac", 2)
-    _, aborted = code.decode(g @ cw, g)
-    idx = AcDecoder(code).decode_batch(g @ cw, g)
+    _, aborted = code.decode((g @ cw)[None], g)
+    idx = AcDecoder(code).decode_batch((g @ cw)[None], g)[0]
     np.testing.assert_array_equal(idx, [[1, 3]])
     assert not aborted.any()
 
@@ -75,8 +75,8 @@ def test_decoder_returns_payload_words(kind, rate):
     bits = payloads(code.nbits)
     g = channels(rng, len(bits), code.n_ports)
     y = observe(code.encode(bits), g)
-    _, aborted = code.decode(y, g)
-    idx = code.decoder.decode_batch(y, g)
+    _, aborted = code.decode(y[None], g)
+    idx = code.decoder.decode_batch(y[None], g)[0]
     assert not aborted.any()
     start = 0
     for k, c in enumerate(code.constellations):
@@ -100,9 +100,9 @@ def test_decode_matches_exhaustive_ml(kind, rate, seed, snr_db):
     bits = rng.integers(0, 2, (100, code.nbits))
     g = channels(rng, len(bits), code.n_ports)
     y = observe(code.encode(bits), g, 10 ** (-snr_db / 10), rng)
-    decoded, aborted = code.decode(y, g)
+    decoded, aborted = code.decode(y[None], g)
     assert not aborted.any()
-    for row, y_row, g_row in zip(decoded, y, g):
+    for row, y_row, g_row in zip(decoded[0], y, g):
         np.testing.assert_array_equal(row, exhaustive_ml(y_row, g_row, book))
 
 
@@ -119,9 +119,9 @@ def test_zero_channel_aborts(kind):
     y[3] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        decoded, aborted = code.decode(y, g)
+        decoded, aborted = code.decode(y[None], g)
     np.testing.assert_array_equal(aborted, np.arange(8) == 3)
-    np.testing.assert_array_equal(decoded[~aborted], bits[~aborted])
+    np.testing.assert_array_equal(decoded[0][~aborted], bits[~aborted])
 
 
 # Candidates searched per decoupled group: OSTBC is one joint search,
@@ -221,9 +221,9 @@ def test_premap_couples_what_it_mixes():
     bits = rng.integers(0, 2, (200, code.nbits))
     g = channels(rng, len(bits), code.n_ports)
     y = observe(code.encode(bits), g, 0.5, rng)
-    decoded, aborted = code.decode(y, g)
+    decoded, aborted = code.decode(y[None], g)
     assert not aborted.any()
-    for row, y_row, g_row in zip(decoded, y, g):
+    for row, y_row, g_row in zip(decoded[0], y, g):
         np.testing.assert_array_equal(row, exhaustive_ml(y_row, g_row, book))
 
 
@@ -256,16 +256,18 @@ def test_ml_phase_rotation_invariance():
     g = channels(rng, len(bits), 4)
     y = observe(code.encode(bits), g, 0.3, rng)
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi, (len(bits), 1)))
-    np.testing.assert_array_equal(code.decode(y, g)[0], code.decode(y * phase, g * phase)[0])
+    np.testing.assert_array_equal(
+        code.decode(y[None], g)[0], code.decode((y * phase)[None], g * phase)[0]
+    )
 
 
 def test_deterministic_tie_break():
     # zero observation with a unit channel: +1 and -1 are equidistant from 0
     code = build_code("single", 1)
     decoder = SingleDecoder(code)
-    y, g = np.zeros((1, 1)), np.ones((1, 1), dtype=complex)
+    y, g = np.zeros((1, 1, 1)), np.ones((1, 1), dtype=complex)
     _, aborted = code.decode(y, g)
-    idx = decoder.decode_batch(y, g)
+    idx = decoder.decode_batch(y, g)[0]
     np.testing.assert_array_equal(idx, [[0]])  # lowest index wins
     assert not aborted.any()
 
@@ -296,11 +298,50 @@ def test_blocked_search_matches_one_block(kind, l_sym, n_ports, monkeypatch):
     g = channels(rng, len(bits), code.n_ports)
     y = observe(code.encode(bits), g, 0.3, rng)
     sizes = _count_blocks(code, monkeypatch)
-    whole, _ = code.decode(y, g)
+    whole, _ = code.decode(y[None], g)
     monkeypatch.setattr(kinds, "MAX_BLOCK_BYTES", code.decoder.row_bytes * 300)
-    blocked, _ = code.decode(y, g)
+    blocked, _ = code.decode(y[None], g)
     assert sizes == [1000, 300, 300, 300, 100]
     np.testing.assert_array_equal(blocked, whole)
+
+
+STACK_CASES = [(kind, rate, 0, 0) for kind in ENUMERABLE for rate in (1, 2)] + [
+    (kind, rate, l_sym, n_ports)
+    for kind in ("nze_tc", "nze_oac")
+    for l_sym, n_ports in ((4, 2), (12, 4), (30, 8))
+    for rate in (1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "kind,rate,l_sym,n_ports",
+    STACK_CASES,
+    ids=[f"{k}_{l}_{n}-r{r}" if l else f"{k}-r{r}" for k, r, l, n in STACK_CASES],
+)
+def test_stacked_decode_equals_separate_decodes(kind, rate, l_sym, n_ports, monkeypatch):
+    """``Code.decode`` of three noisy observations through the same channels
+    returns exactly the bits of three one-observation calls, in one block
+    and in several under a smaller cap, with two planted all-zero channel
+    rows that abort alike in every call."""
+    code = build_code(kind, rate, l_sym, n_ports)
+    rng = np.random.default_rng(19)
+    bits = rng.integers(0, 2, (200, code.nbits))
+    g = channels(rng, len(bits), code.n_ports)
+    g[[3, 150]] = 0.0
+    codewords = code.encode(bits)
+    ys = np.stack([observe(codewords, g, sigma_n2, rng) for sigma_n2 in (0.5, 0.2, 0.05)])
+    separate = [code.decode(y[None], g) for y in ys]
+    planted = np.isin(np.arange(len(bits)), [3, 150])
+    for _, aborted in separate:
+        np.testing.assert_array_equal(aborted, planted)
+    want = np.concatenate([words for words, _ in separate])
+    sizes = _count_blocks(code, monkeypatch)
+    for cap in (kinds.MAX_BLOCK_BYTES, code.decoder.row_bytes * 70):
+        monkeypatch.setattr(kinds, "MAX_BLOCK_BYTES", cap)
+        got, aborted = code.decode(ys, g)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(aborted, planted)
+    assert sizes == [200, 70, 70, 60]
 
 
 @pytest.mark.parametrize(
@@ -319,9 +360,9 @@ def test_noiseless_roundtrip_at_the_largest_rate(kind, l_sym, n_ports):
     rng = np.random.default_rng(16)
     bits = rng.integers(0, 2, (32, code.nbits))
     g = channels(rng, len(bits), code.n_ports)
-    decoded, aborted = code.decode(observe(code.encode(bits), g), g)
+    decoded, aborted = code.decode(observe(code.encode(bits), g)[None], g)
     assert not aborted.any()
-    np.testing.assert_array_equal(decoded, bits)
+    np.testing.assert_array_equal(decoded[0], bits)
 
 
 @pytest.mark.parametrize("kind,l_sym,n_ports", [("nze_tc", 4, 2), ("nze_tc", 12, 4), ("nze_oac", 4, 3), ("nze_oac", 12, 4)])
@@ -330,9 +371,9 @@ def test_zf_noiseless_roundtrip(kind, l_sym, n_ports):
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2, (50, l_sym * 2))
     g = channels(rng, len(bits), n_ports)
-    decoded, aborted = code.decode(observe(code.encode(bits), g), g)
+    decoded, aborted = code.decode(observe(code.encode(bits), g)[None], g)
     assert not aborted.any()
-    np.testing.assert_array_equal(decoded, bits)
+    np.testing.assert_array_equal(decoded[0], bits)
 
 
 @pytest.mark.parametrize("kind,l_sym,n_ports", [("nze_tc", 4, 2), ("nze_oac", 4, 3)])
@@ -349,8 +390,8 @@ def test_zf_noiseless_exhaustive_payloads(kind, l_sym, n_ports):
     for g in channels(rng, 50, n_ports):
         g = np.broadcast_to(g, (len(idx), n_ports))
         y = observe(matrices, g)
-        _, aborted = code.decode(y, g)
-        got = decoder.decode_batch(y, g)
+        _, aborted = code.decode(y[None], g)
+        got = decoder.decode_batch(y[None], g)[0]
         assert not aborted.any()
         np.testing.assert_array_equal(got, idx)
 
@@ -362,7 +403,9 @@ def test_zf_scale_invariance():
     g = channels(rng, 1, 2)
     y = observe(code.encode(bits), g, 0.4, rng)
     for scale in (2.0, -0.3 + 1.7j):
-        np.testing.assert_array_equal(code.decode(y, g)[0], code.decode(y * scale, g * scale)[0])
+        np.testing.assert_array_equal(
+            code.decode(y[None], g)[0], code.decode((y * scale)[None], g * scale)[0]
+        )
 
 
 # Every NZE shape a test, an acceptance criterion or a benchmark workload uses.
@@ -530,7 +573,8 @@ def test_zf_band_tables_match_dense_build(kind, l_sym, n_ports):
 
 
 def _row_major_band_solve(band, rhs):
-    """The band LDL^H of ``receivers._band_solve`` on the row-major layout
+    """The band LDL^H solve of ``receivers._band_factor`` and
+    ``receivers._band_substitute`` on the row-major layout
     (p + 1, L, B), band[d, k] = Gram[k, k + d], dividing by each pivot: the
     reference that the column-major solve must equal bit for bit."""
     width, n, _ = band.shape
@@ -573,11 +617,61 @@ def test_band_solve_matches_row_major_reference(kind, l_sym, n_ports):
         gram = r.conj().transpose(0, 2, 1) @ r + np.eye(l_sym)
         band = gram[:, k, np.minimum(k + d, l_sym - 1)] * (k + d < l_sym)  # (B, L, p + 1)
         rhs = rng.standard_normal((l_sym, n_trials, 2)).view(complex)[..., 0]
-        x = receivers._band_solve(band.transpose(1, 2, 0).copy(), rhs.copy())
+        factored = band.transpose(1, 2, 0).copy()
+        x = receivers._band_substitute(factored, receivers._band_factor(factored), rhs.copy())
         want = _row_major_band_solve(band.transpose(2, 1, 0).copy(), rhs.copy())
         assert np.array_equal(x, want)
         dense = np.linalg.solve(gram, rhs.T[..., None])[..., 0].T
         assert (np.linalg.norm(x - dense, axis=0) <= 1e-10 * np.linalg.norm(dense, axis=0)).all()
+
+
+def _fused_band_solve(band, rhs):
+    """The band LDL^H solve with the forward substitution fused into the
+    factor's loop, on the column layout (L, p + 1, B), in place: the
+    reference that ``_band_factor`` then ``_band_substitute`` must equal
+    bit for bit.  Returns (D, x)."""
+    n, width, _ = band.shape
+    diag = np.empty(rhs.shape)
+    for k in range(n):
+        m = min(width - 1, n - 1 - k)
+        diag[k] = band[k, 0].real
+        row = band[k, 1 : m + 1]
+        u = row * (1.0 / diag[k])
+        row_conj = row.conj()
+        for a in range(m):
+            band[k + 1 + a, : m - a] -= row_conj[a] * u[a:]
+        rhs[k + 1 : k + m + 1] -= u.conj() * rhs[k]
+        row[...] = u
+    x = rhs / diag
+    for k in range(n - 2, -1, -1):
+        m = min(width - 1, n - 1 - k)
+        x[k] -= (band[k, 1 : m + 1] * x[k + 1 : k + m + 1]).sum(axis=0)
+    return diag, x
+
+
+@pytest.mark.parametrize(
+    "kind,l_sym,n_ports", BAND_SHAPES, ids=[f"{k}_{l}_{n}" for k, l, n in BAND_SHAPES]
+)
+def test_split_band_solve_matches_fused(kind, l_sym, n_ports):
+    """On the decoder's own bands and matched filters of 512 noisy trials,
+    two of them with the all-ones channel, the factor step leaves the band
+    and D of the fused solve and the substitution returns its x, bit for
+    bit; a second substitution on the same factor repeats the first."""
+    code = build_code(kind, 1, l_sym, n_ports)
+    decoder = code.decoder
+    rng = np.random.default_rng(20)
+    g = channels(rng, 512, n_ports)
+    g[[0, 7]] = 1.0
+    y = observe(code.encode(rng.integers(0, 2, (len(g), code.nbits))), g, 0.3, rng)
+    rhs = decoder._matched_filter(y, g)
+    band = decoder.band(g)
+    fused = band.copy()
+    want_diag, want_x = _fused_band_solve(fused, rhs.copy())
+    diag = receivers._band_factor(band)
+    assert np.array_equal(band, fused)
+    assert np.array_equal(diag, want_diag)
+    for _ in range(2):
+        assert np.array_equal(receivers._band_substitute(band, diag, rhs.copy()), want_x)
 
 
 @pytest.mark.parametrize(
@@ -598,7 +692,7 @@ def test_zf_words_match_row_major_reference(kind, l_sym, n_ports):
     band = decoder.band(g).transpose(1, 0, 2).copy()  # (p + 1, L, B)
     xhat = _row_major_band_solve(band, decoder._matched_filter(y, g))
     score = xhat.view(float).reshape(l_sym, -1, 2) @ decoder._axes
-    np.testing.assert_array_equal(decoder.decode_batch(y, g), np.argmax(score, axis=-1).T)
+    np.testing.assert_array_equal(decoder.decode_batch(y[None], g)[0], np.argmax(score, axis=-1).T)
 
 
 LEAST_SQUARES_SHAPES = {
@@ -633,8 +727,8 @@ def test_zf_matches_least_squares(kind, l_sym, n_ports, rate):
     g = channels(rng, len(bits), n_ports)
     g[5] = 0.0
     y = observe(code.encode(bits), g, 0.2, rng)
-    _, aborted = code.decode(y, g)
-    idx = code.decoder.decode_batch(y, np.where(aborted[:, None], 1.0, g))
+    _, aborted = code.decode(y[None], g)
+    idx = code.decoder.decode_batch(y[None], np.where(aborted[:, None], 1.0, g))[0]
     np.testing.assert_array_equal(aborted, np.arange(len(bits)) == 5)
 
     n_sym = len(code.constellations)
@@ -673,7 +767,7 @@ def test_zf_batch_memory_is_capped(kind, rate, l_sym, n_ports, n_trials, n_block
     sizes = _count_blocks(code, monkeypatch)
     tracemalloc.start()
     try:
-        code.decode(y, g)
+        code.decode(y[None], g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -707,7 +801,7 @@ def test_ml_batch_memory_is_capped(kind, rate, monkeypatch):
         return words
 
     monkeypatch.setattr(code.decoder, "decode_batch", traced)
-    code.decode(y, g)
+    code.decode(y[None], g)
     assert max(peaks) < 2 * kinds.MAX_BLOCK_BYTES
 
 
